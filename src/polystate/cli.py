@@ -1,21 +1,20 @@
 """Command line surface: state construction, observables, and the verify suites.
 
 Exit codes: 0 success, 1 failed checks or runtime errors, 2 empty symmetry
-sector, 3 malformed input JSON, 4 oracle memory guard.
+sector, 3 malformed input JSON, 4 oracle memory guard. Every failure is one
+line on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import (
     FockVector,
     coherent,
-    default_n_max,
     residue_class_masses,
     vector_from_dict,
     vector_to_dict,
@@ -44,19 +43,11 @@ from .observables import (
 )
 from .verify import DEFAULT_SEED, SUITES, format_report, run_suites
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class InputFormatError(ValueError):
     """Input file exists but does not parse as the documented JSON shape."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs; built from parsed flags."""
-
-    subcommand: str
-    args: argparse.Namespace
 
 
 def _read_json(path: str) -> dict:
@@ -77,7 +68,6 @@ def _load_state(path: str) -> FockVector:
 
 def _seed_state(args) -> FockVector:
     """The seed named by --input / --coherent / --gaussian."""
-    n_max = args.n_max if args.n_max is not None else default_n_max()
     given = [name for name in ("input", "coherent", "gaussian")
              if getattr(args, name, None) is not None]
     if len(given) != 1:
@@ -87,10 +77,10 @@ def _seed_state(args) -> FockVector:
         return _load_state(args.input)
     if args.coherent is not None:
         re, im = args.coherent
-        return coherent(complex(re, im), n_max)
+        return coherent(complex(re, im), args.n_max)
     ar, ai, br, bi = args.gaussian
     return gaussian_to_fock(GaussianParams(complex(ar, ai), complex(br, bi)),
-                            n_max)
+                            args.n_max)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -109,8 +99,7 @@ def _pairs(arr: np.ndarray):
     return [_pairs(sub) for sub in arr]
 
 
-def cmd_build(config: RunConfig) -> int:
-    args = config.args
+def cmd_build(args: argparse.Namespace) -> int:
     seed = _seed_state(args)
     spec = CyclicSpec(args.order, args.irrep)
     method = args.method
@@ -137,8 +126,7 @@ def cmd_build(config: RunConfig) -> int:
     return 0
 
 
-def cmd_wigner(config: RunConfig) -> int:
-    args = config.args
+def cmd_wigner(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     grid = wigner(state, (args.x_min, args.x_max), (args.p_min, args.p_max),
                   args.points)
@@ -156,14 +144,8 @@ def cmd_wigner(config: RunConfig) -> int:
     return 0
 
 
-def cmd_mandel(config: RunConfig) -> int:
-    args = config.args
-    state = _load_state(args.input)
-    try:
-        m_q = mandel(state)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+def cmd_mandel(args: argparse.Namespace) -> int:
+    m_q = mandel(_load_state(args.input))
     if m_q < 1.0 - 1e-12:
         label = "subpoissonian"
     elif m_q > 1.0 + 1e-12:
@@ -187,8 +169,7 @@ def _load_bipartite(path: str) -> BipartiteSpec:
         raise InputFormatError(f"{path}: malformed bipartite spec ({exc})") from exc
 
 
-def cmd_entangle(config: RunConfig) -> int:
-    args = config.args
+def cmd_entangle(args: argparse.Namespace) -> int:
     spec = bipartite_normalize(_load_bipartite(args.input))
     result = linear_entropy(spec)
     oracle = linear_entropy_oracle(spec)
@@ -208,21 +189,21 @@ def cmd_entangle(config: RunConfig) -> int:
     return 0
 
 
-def cmd_circle_limit(config: RunConfig) -> int:
-    args = config.args
+def cmd_circle_limit(args: argparse.Namespace) -> int:
     seed = _seed_state(args)
     state = circle_limit(seed, args.irrep)
+    gap = circle_limit_quadrature_gap(seed, args.irrep)
     payload = vector_to_dict(state)
-    payload["metadata"] = {
-        "irrep": args.irrep,
-        "quadrature_gap": circle_limit_quadrature_gap(seed, args.irrep),
-    }
+    payload["metadata"] = {"irrep": args.irrep, "quadrature_gap": gap}
     _write_text(json.dumps(payload, indent=2) + "\n", args.output)
+    if gap > 1e-10:
+        sys.stderr.write(
+            f"error: analytic limit and angle-average quadrature disagree by {gap:.3e}\n")
+        return 1
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    args = config.args
+def cmd_verify(args: argparse.Namespace) -> int:
     names = None if args.suite == "all" else [args.suite]
     rows = run_suites(names, seed=args.seed, order=args.order)
     report = format_report(rows, timestamp=not args.no_timestamp)
@@ -317,26 +298,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    """Report exc as a single stderr line and return the exit code."""
+    sys.stderr.write(f"error: {' '.join(str(exc).split())}\n")
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(subcommand=args.subcommand, args=args)
     try:
-        return args.func(config)
+        return args.func(args)
     except EmptyRepresentationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return _fail(exc, 2)
     except InputFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return _fail(exc, 3)
     except MemoryGuardError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _fail(exc, 4)
+    # OSError: unreadable or unwritable paths; RuntimeError: non-convergent
+    # embeddings; AssertionError: an oracle route's self-check failed.
+    except (OSError, ValueError, RuntimeError, AssertionError) as exc:
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,21 @@
 """Symmetry adaptation of Fock-space seeds under C_n and D_n.
 
-Two routes produce the same normalized state: the character-weighted
-superposition over the rotated copies of the seed, and the erasure map
-that keeps only the photon numbers m = lam - 1 (mod n). Both are kept
-and cross-checked; neither is ever derived from the other.
+A C_n sector state is supported on the single residue class
+m = lam - 1 (mod n) (fock.sector_mask), so the production routes work on
+that class directly: the erasure map keeps the seed's amplitudes there,
+the normalization constant follows from the class mass w_lam, dihedral
+states take the real or imaginary part of the kept amplitudes, and
+density matrices are projected onto the class. Two independent routes are
+kept once each as oracles for verify and the tests, and no production
+path calls them: the character-weighted superposition over the rotated
+copies of the seed (cyclic_superposition) and the double character sum
+over density matrices (density_route_gap).
 
 Phase convention. The raw superposition sum_r chi^(lam)(g_r) R(theta_r)|phi>
 has m-amplitude n A_m on the residue class and zero elsewhere, so it is a
-positive multiple of the erased vector. The normalization constant is
-chosen as N_lam = mu_n^(lam-1) / raw_norm, which makes
+positive multiple of the erased vector with norm raw_norm = n sqrt(w_lam).
+The normalization constant is chosen as N_lam = mu_n^(lam-1) / raw_norm,
+which makes
 
     erased = mu_n^(1-lam) x superposition
 
@@ -24,13 +31,13 @@ import numpy as np
 from .fock import (
     FockVector,
     FockOperator,
+    annihilate,
     basis_state,
     inner,
-    normalize,
+    inversion,
     residue_class_masses,
     rotate,
-    inversion,
-    fidelity,
+    sector_mask,
 )
 from .group import character, mu, theta
 
@@ -73,7 +80,8 @@ class CyclicSpec:
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """raw_norm is ||sum_r chi_r R(theta_r) phi||; n_lambda the applied constant.
+    """raw_norm is ||sum_r chi_r R(theta_r) phi|| = n sqrt(w_lam); n_lambda the
+    applied constant.
 
     Invariant: |n_lambda| * raw_norm = 1 for a unit-norm output.
     phase_convention names where the unimodular freedom went: the erasure
@@ -112,6 +120,8 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
                          ) -> tuple[FockVector, NormalizationRecord]:
     """Character-weighted sum over the rotated seed copies, normalized.
 
+    The orbit route, kept as the oracle that verify and the tests compare
+    the closed forms against; it also serves build --method superposition.
     Raises EmptyRepresentationError when the seed has no weight on the
     residue class m = lam - 1 (mod n). The output support is verified to
     lie on that class (off-class leakage <= 1e-12 of the norm; the exact
@@ -126,8 +136,7 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     n_lambda = complex(mu(n) ** (lam - 1) / raw_norm)
     amps = n_lambda * raw
 
-    m = np.arange(amps.size)
-    off = np.linalg.norm(amps[(m - (lam - 1)) % n != 0])
+    off = np.linalg.norm(amps[~sector_mask(phi.n_max, n, lam)])
     if off > 1e-12:
         raise AssertionError(f"off-class leakage {off:.3e} in superposition route")
 
@@ -135,9 +144,24 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     return out, NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)
 
 
+def _class_part(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
+    """The seed's amplitudes on the sector's residue class, zero elsewhere."""
+    return np.where(sector_mask(phi.n_max, spec.n, spec.lam), phi.amplitudes, 0)
+
+
 def normalization_record(phi: FockVector, spec: CyclicSpec) -> NormalizationRecord:
-    """The NormalizationRecord of cyclic_superposition without keeping the state."""
-    return cyclic_superposition(phi, spec)[1]
+    """The NormalizationRecord of cyclic_superposition, in closed form.
+
+    raw_norm = n sqrt(w_lam) from the class mass and n_lambda =
+    mu_n^(lam-1) / raw_norm; the orbit sum is never formed. Raises
+    EmptyRepresentationError where cyclic_superposition would.
+    """
+    n, lam = spec.n, spec.lam
+    raw_norm = n * float(np.linalg.norm(_class_part(phi, spec)))
+    if raw_norm < _EMPTY_TOL:
+        raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
+    return NormalizationRecord(raw_norm=raw_norm,
+                               n_lambda=complex(mu(n) ** (lam - 1) / raw_norm))
 
 
 def cyclic_erasure(phi: FockVector, spec: CyclicSpec) -> FockVector:
@@ -147,9 +171,7 @@ def cyclic_erasure(phi: FockVector, spec: CyclicSpec) -> FockVector:
     scale is real and positive: surviving amplitudes keep their phases.
     """
     n, lam = spec.n, spec.lam
-    amps = phi.amplitudes.copy()
-    m = np.arange(amps.size)
-    amps[(m - (lam - 1)) % n != 0] = 0.0
+    amps = _class_part(phi, spec)
     nrm = np.linalg.norm(amps)
     if nrm < _EMPTY_TOL:
         raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
@@ -160,15 +182,20 @@ def cyclic_set(phi: FockVector, n: int
                ) -> list[tuple[FockVector, NormalizationRecord]]:
     """All constructible (state, record) pairs for lam = 1..n, in lam order.
 
-    Sectors where the seed has no weight are skipped; an entirely empty
-    result is impossible for a nonzero seed.
+    Each state is what cyclic_superposition returns, in closed form:
+    n_lambda times the orbit sum n A_m on the class, which is mu_n^(lam-1)
+    times the erased seed. Sectors where the seed has no weight are
+    skipped; an entirely empty result is impossible for a nonzero seed.
     """
     out = []
     for lam in range(1, n + 1):
+        spec = CyclicSpec(n, lam)
         try:
-            out.append(cyclic_superposition(phi, CyclicSpec(n, lam)))
+            record = normalization_record(phi, spec)
         except EmptyRepresentationError:
             continue
+        amps = record.n_lambda * n * _class_part(phi, spec)
+        out.append((FockVector(phi.n_max, amps, phi.tail_flagged), record))
     return out
 
 
@@ -190,56 +217,39 @@ def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l: int
     return float(fid), float(abs(diff))
 
 
-def _class_projector_diag(n_max: int, n: int, lam: int) -> np.ndarray:
-    m = np.arange(n_max + 1)
-    return ((m - (lam - 1)) % n == 0).astype(float)
-
-
-def _density_routes(rho: FockOperator, spec: CyclicSpec
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(double character sum, residue-class projection), both unnormalized."""
-    n, lam = spec.n, spec.lam
-    d = rho.n_max + 1
-    m = np.arange(d)
-
-    acc = np.zeros((d, d), dtype=complex)
-    for r in range(1, n + 1):
-        phase_r = np.exp(-1j * theta(n, r) * m)
-        for rp in range(1, n + 1):
-            phase_rp = np.exp(-1j * theta(n, rp) * m)
-            weight = character(n, lam, r) * np.conj(character(n, lam, rp))
-            acc += weight * (phase_r[:, None] * rho.matrix * np.conj(phase_rp)[None, :])
-    double_sum = acc / n ** 2
-
-    diag = _class_projector_diag(rho.n_max, n, lam)
-    projected = diag[:, None] * rho.matrix * diag[None, :]
-    return double_sum, projected
+def _projected_density(rho: FockOperator, spec: CyclicSpec) -> np.ndarray:
+    """P rho P, unnormalized, with P the projector onto the residue class."""
+    keep = sector_mask(rho.n_max, spec.n, spec.lam)
+    return np.where(keep[:, None] & keep[None, :], rho.matrix, 0)
 
 
 def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
-    """Entrywise max difference between the two density constructions."""
-    double_sum, projected = _density_routes(rho, spec)
-    return float(np.abs(double_sum - projected).max())
+    """Entrywise max difference between the double character sum and P rho P.
+
+    The double sum (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag is
+    the independent oracle for cyclic_density and is evaluated only here.
+    """
+    n, lam = spec.n, spec.lam
+    m = np.arange(rho.n_max + 1)
+    chis = [character(n, lam, r) for r in range(1, n + 1)]
+    phases = [np.exp(-1j * theta(n, r) * m) for r in range(1, n + 1)]
+    acc = np.zeros_like(rho.matrix)
+    for chi_r, phase_r in zip(chis, phases):
+        for chi_rp, phase_rp in zip(chis, phases):
+            weight = chi_r * np.conj(chi_rp)
+            acc += weight * (phase_r[:, None] * rho.matrix * np.conj(phase_rp)[None, :])
+    return float(np.abs(acc / n ** 2 - _projected_density(rho, spec)).max())
 
 
 def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
-    """Symmetry-adapted density matrix, by double character sum and projection.
+    """Symmetry-adapted density matrix P rho P / tr, P the residue-class projector.
 
-    Both routes are always evaluated: the double sum
-    (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag and the residue
-    class projection P rho P. They agree entrywise up to the character-sum
-    identity; disagreement beyond 1e-12 raises. The returned operator is the
-    trace-renormalized projection.
+    P rho P equals the double character sum
+    (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag entrywise;
+    density_route_gap measures that agreement.
     """
     n, lam = spec.n, spec.lam
-    double_sum, projected = _density_routes(rho, spec)
-
-    gap = float(np.abs(double_sum - projected).max())
-    if gap > 1e-12:
-        raise AssertionError(
-            f"density routes disagree by {gap:.3e}; inputs are inconsistent"
-        )
-
+    projected = _projected_density(rho, spec)
     tr = projected.trace().real
     if tr < _EMPTY_TOL:
         raise EmptyRepresentationError(n, lam, np.abs(np.diag(rho.matrix)).real)
@@ -268,9 +278,9 @@ def circle_limit_quadrature_gap(phi: FockVector, lam: int) -> float:
 def circle_limit(phi: FockVector, lam: int) -> FockVector:
     """The n -> infinity limit of the cyclic family: the number state |lam - 1>.
 
-    The analytic limit is exact. It is cross-checked against the continuous
-    average integral over all rotation angles, whose quadrature must agree
-    to 1e-10 after normalization.
+    The analytic limit is exact and carries the phase of the seed amplitude
+    A_(lam-1). circle_limit_quadrature_gap cross-checks it against the
+    continuous average over all rotation angles.
     """
     if lam < 1:
         raise ValueError(f"irrep index lam={lam} must be >= 1")
@@ -280,12 +290,7 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
     a = phi.amplitudes[lam - 1]
     if abs(a) ** 2 < _EMPTY_TOL ** 2:
         raise EmptyRepresentationError(0, lam, np.abs(phi.amplitudes) ** 2)
-
-    quad = _circle_average(phi, lam)
     limit = basis_state(lam - 1, phi.n_max).amplitudes * (a / abs(a))
-    gap = float(np.abs(quad / np.linalg.norm(quad) - limit).max())
-    if gap > 1e-10:
-        raise AssertionError(f"circle-limit quadrature check failed ({gap:.3e})")
     return FockVector(phi.n_max, limit)
 
 
@@ -293,39 +298,27 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
                    ) -> tuple[FockVector, NormalizationRecord]:
     """D_n-adapted state built from the cyclic sum and its conjugate partner.
 
-    variant 'sum' weights the inversion half by chi^*, giving amplitudes
-    proportional to Re A_m on the surviving class; 'difference' weights it
-    by -chi^*, giving Im A_m. Both live on the single residue class
-    m = lam - 1 (mod n). A seed with real amplitudes has a vanishing
-    difference variant, which raises EmptyRepresentationError.
-
-    The normalization constant is real-positive for both variants, so sum
-    amplitudes come out real and difference amplitudes purely imaginary.
+    The rotation-plus-inversion sum sum_r chi_r R_r phi + s sum_r chi_r^* U_r phi
+    has m-amplitude n (A_m + s A_m^*) on the residue class m = lam - 1 (mod n)
+    and zero elsewhere: 2n Re A_m for variant 'sum' (s = 1) and 2in Im A_m
+    for 'difference' (s = -1). The state is that masked part, normalized by
+    the real-positive constant 1 / raw_norm, so sum amplitudes come out real
+    and difference amplitudes purely imaginary. A seed with real amplitudes
+    has a vanishing difference variant, which raises EmptyRepresentationError.
     """
     if variant not in ("sum", "difference"):
         raise ValueError(f"variant must be 'sum' or 'difference', got {variant!r}")
     n, lam = spec.n, spec.lam
-    acc = np.zeros(phi.n_max + 1, dtype=complex)
-    for r in range(1, n + 1):
-        chi = character(n, lam, r)
-        acc += chi * rotate(phi, theta(n, r)).amplitudes
-        half = np.conj(chi) * inversion(phi, r, n).amplitudes
-        acc += half if variant == "sum" else -half
-    raw_norm = float(np.linalg.norm(acc))
+    part = _class_part(phi, spec)
+    part = part.real if variant == "sum" else 1j * part.imag
+    nrm = float(np.linalg.norm(part))
+    raw_norm = 2 * n * nrm
     if raw_norm < _EMPTY_TOL:
         raise EmptyRepresentationError(
             n, lam, residue_class_masses(phi, n),
             detail=f"dihedral {variant} variant vanishes")
-    n_lambda = complex(1.0 / raw_norm)
-    amps = n_lambda * acc
-
-    m = np.arange(amps.size)
-    off = np.linalg.norm(amps[(m - (lam - 1)) % n != 0])
-    if off > 1e-12:
-        raise AssertionError(f"off-class leakage {off:.3e} in dihedral route")
-
-    out = FockVector(phi.n_max, amps, phi.tail_flagged)
-    record = NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda,
+    out = FockVector(phi.n_max, part / nrm, phi.tail_flagged)
+    record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
     return out, record
 
@@ -375,8 +368,6 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
     Off-class leakage beyond 1e-12 raises, since the shift property is an
     exact consequence of the single-class support.
     """
-    from .fock import annihilate
-
     n, lam = spec.n, spec.lam
     new_lam = lam - 1 if lam >= 2 else n
     lowered = annihilate(psi)
@@ -386,8 +377,7 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
             n, new_lam, residue_class_masses(psi, n),
             detail="annihilation gives the zero vector")
     amps = lowered.amplitudes / nrm
-    m = np.arange(amps.size)
-    off = float(np.linalg.norm(amps[(m - (new_lam - 1)) % n != 0]))
+    off = float(np.linalg.norm(amps[~sector_mask(psi.n_max, n, new_lam)]))
     if off > 1e-12:
         raise AssertionError(f"annihilation leaked {off:.3e} outside the shifted class")
     return FockVector(psi.n_max, amps, psi.tail_flagged), new_lam

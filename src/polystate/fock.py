@@ -10,7 +10,7 @@ With these choices the coherent state with real alpha > 0 has
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "FockVector",
     "FockOperator",
     "QuadratureMeans",
-    "NoninvarianceReport",
     "from_amplitudes",
     "basis_state",
     "coherent",
@@ -30,17 +29,14 @@ __all__ = [
     "inversion",
     "inner",
     "fidelity",
-    "phase_aligned_distance",
     "quadrature_means",
     "photon_moments",
+    "sector_mask",
     "residue_class_masses",
-    "check_noninvariant",
     "pure_density",
     "annihilate",
     "vector_to_dict",
     "vector_from_dict",
-    "operator_to_dict",
-    "operator_from_dict",
 ]
 
 # Tail mass above this marks a state as not cleanly representable at its n_max.
@@ -120,24 +116,6 @@ class QuadratureMeans:
     mean_p: float
 
 
-@dataclass(frozen=True)
-class NoninvarianceReport:
-    """Diagnostics for whether a seed can feed the (n, lam) construction.
-
-    quadrature_noninvariant: max(|<x>|, |<p>|) > tol, the sufficient
-        displacement criterion.
-    class_mass: w_lam, the probability mass on photon numbers
-        m = lam - 1 (mod n).
-    constructible: w_lam > tol^2, the sharp criterion.
-    """
-
-    quadrature_noninvariant: bool
-    class_mass: float
-    constructible: bool
-    mean_x: float
-    mean_p: float
-
-
 def from_amplitudes(amps, n_max: int | None = None, tail_tol: float = TAIL_TOL) -> FockVector:
     """Wrap an amplitude array, flagging excessive tail mass."""
     amps = np.asarray(amps, dtype=complex)
@@ -147,10 +125,18 @@ def from_amplitudes(amps, n_max: int | None = None, tail_tol: float = TAIL_TOL) 
     return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=flagged)
 
 
-def basis_state(m: int, n_max: int | None = None) -> FockVector:
-    """Number state |m>."""
+def _checked_n_max(n_max: int | None) -> int:
+    """n_max, or the default when None; a negative truncation raises ValueError."""
     if n_max is None:
         n_max = default_n_max()
+    if n_max < 0:
+        raise ValueError(f"truncation n_max={n_max} must be >= 0")
+    return n_max
+
+
+def basis_state(m: int, n_max: int | None = None) -> FockVector:
+    """Number state |m>."""
+    n_max = _checked_n_max(n_max)
     if not 0 <= m <= n_max:
         raise ValueError(f"basis index m={m} outside 0..{n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
@@ -165,8 +151,7 @@ def coherent(alpha: complex, n_max: int | None = None) -> FockVector:
     ever formed (safe past m = 170). The tail flag is set when |alpha|^2
     exceeds n_max or when the truncated tail mass is above TAIL_TOL.
     """
-    if n_max is None:
-        n_max = default_n_max()
+    n_max = _checked_n_max(n_max)
     amps = np.empty(n_max + 1, dtype=complex)
     amps[0] = 1.0
     for m in range(n_max):
@@ -225,39 +210,6 @@ def fidelity(a: FockVector, b: FockVector) -> float:
     return float(abs(inner(a, b)) ** 2 / (na * nb) ** 2)
 
 
-def phase_aligned_distance(a: FockVector, b: FockVector) -> float:
-    """min over phi of max_m |A_m(a) - e^{i phi} A_m(b)|.
-
-    Global-phase-blind sup distance. The minimum is located by a coarse
-    phase scan refined by golden-section search; the objective is
-    continuous and unimodal near its minimum, and the scan is fine enough
-    (512 samples) to bracket the global one.
-    """
-    av, bv = a.amplitudes, b.amplitudes
-    k = max(av.size, bv.size)
-    av = np.pad(av, (0, k - av.size))
-    bv = np.pad(bv, (0, k - bv.size))
-
-    def objective(phi):
-        return np.abs(av - np.exp(1j * phi) * bv).max()
-
-    phis = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
-    vals = [objective(p) for p in phis]
-    i = int(np.argmin(vals))
-    lo, hi = phis[i] - 2 * np.pi / 512, phis[i] + 2 * np.pi / 512
-    golden = (np.sqrt(5.0) - 1) / 2
-    c = hi - golden * (hi - lo)
-    d = lo + golden * (hi - lo)
-    for _ in range(60):
-        if objective(c) < objective(d):
-            hi = d
-        else:
-            lo = c
-        c = hi - golden * (hi - lo)
-        d = lo + golden * (hi - lo)
-    return float(objective((lo + hi) / 2))
-
-
 def quadrature_means(state: FockVector) -> QuadratureMeans:
     """<x> and <p> from <a> = sum_m sqrt(m+1) A_m^* A_{m+1}.
 
@@ -278,32 +230,19 @@ def photon_moments(state: FockVector) -> tuple[float, float, np.ndarray]:
     return float((m * p).sum()), float((m * m * p).sum()), p
 
 
+def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
+    """True on the photon numbers m = lam - 1 (mod n) of |0>..|n_max>.
+
+    This residue class is the whole support of the (n, lam) sector state.
+    """
+    m = np.arange(n_max + 1)
+    return (m - (lam - 1)) % n == 0
+
+
 def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
     """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n)."""
     p = np.abs(state.amplitudes) ** 2
-    m = np.arange(p.size)
-    return np.array([p[(m - (lam - 1)) % n == 0].sum() for lam in range(1, n + 1)])
-
-
-def check_noninvariant(state: FockVector, n: int, lam: int,
-                       tol: float = 1e-12) -> NoninvarianceReport:
-    """Diagnose the (n, lam) construction preconditions for a seed state.
-
-    A displaced mean quadrature is sufficient for the seed not to be
-    rotation invariant, but the sharp constructibility criterion is a
-    nonzero residue-class mass w_lam; both are reported.
-    """
-    if not 1 <= lam <= n:
-        raise ValueError(f"irrep index lam={lam} outside 1..{n}")
-    q = quadrature_means(state)
-    w = float(residue_class_masses(state, n)[lam - 1])
-    return NoninvarianceReport(
-        quadrature_noninvariant=bool(max(abs(q.mean_x), abs(q.mean_p)) > tol),
-        class_mass=w,
-        constructible=bool(w > tol * tol),
-        mean_x=q.mean_x,
-        mean_p=q.mean_p,
-    )
+    return np.bincount(np.arange(p.size) % n, weights=p, minlength=n)
 
 
 def pure_density(state: FockVector) -> FockOperator:
@@ -323,7 +262,7 @@ def annihilate(state: FockVector) -> FockVector:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n_max": N, "amplitudes": [[re, im], ...]} with exactly
-# N+1 pairs; operators use "matrix", row-major, (N+1)^2 pairs.
+# N+1 pairs.
 
 def vector_to_dict(state: FockVector) -> dict:
     return {
@@ -344,23 +283,3 @@ def vector_from_dict(data: dict) -> FockVector:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     return from_amplitudes(amps, n_max)
-
-
-def operator_to_dict(op: FockOperator) -> dict:
-    return {
-        "n_max": int(op.n_max),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix],
-    }
-
-
-def operator_from_dict(data: dict) -> FockOperator:
-    try:
-        n_max = int(data["n_max"])
-        rows = data["matrix"]
-        d = n_max + 1
-        if len(rows) != d or any(len(r) != d for r in rows):
-            raise ValueError(f"expected a {d}x{d} matrix")
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed operator JSON: {exc}") from exc
-    return FockOperator(n_max=n_max, matrix=mat)

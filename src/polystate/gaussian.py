@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .fock import FockVector, default_n_max
+from .fock import FockVector, _checked_n_max
 from .cyclic import CyclicSpec, NormalizationRecord, cyclic_superposition
 from .group import character, mu, theta
 
@@ -169,8 +169,7 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None,
     more than EMBED_TAIL_TOL of the continuum norm or the last amplitude
     carries more than that mass.
     """
-    if n_max is None:
-        n_max = default_n_max()
+    n_max = _checked_n_max(n_max)
     n_nodes = 2 * n_max + 32
     prev = None
     prev_diff = None

@@ -8,52 +8,15 @@ denotes the primitive n-th root of unity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
-    "GroupSpec",
-    "Character",
     "mu",
     "theta",
     "character",
     "root_sum",
     "character_orthogonality_report",
 ]
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """A finite symmetry group of the oscillator phase space.
-
-    order: number of rotations n (n >= 1).
-    kind: 'cyclic' for C_n or 'dihedral' for D_n (rotations plus
-        conjugation-composed reflections).
-    """
-
-    order: int
-    kind: str = "cyclic"
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"group order must be >= 1, got {self.order}")
-        if self.kind not in ("cyclic", "dihedral"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-
-    @property
-    def angles(self) -> np.ndarray:
-        """Rotation angles theta_r = 2 pi (r-1)/n for r = 1..n, theta_1 = 0 exactly."""
-        return 2.0 * np.pi * np.arange(self.order) / self.order
-
-
-@dataclass(frozen=True)
-class Character:
-    """One evaluated character chi_n^(lam)(g_r), kept with its indices."""
-
-    value: complex
-    lam: int
-    element: int
 
 
 def mu(n: int) -> complex:

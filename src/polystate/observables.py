@@ -12,13 +12,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import FockVector, inner, rotate
-from .cyclic import (
-    CyclicSpec,
-    EmptyRepresentationError,
-    NormalizationRecord,
-    cyclic_superposition,
-)
+from .fock import FockVector, residue_class_masses, rotate
+from .cyclic import EmptyRepresentationError, NormalizationRecord
 from .gaussian import _gh_nodes, fock_wavefunction
 from .group import mu, theta
 
@@ -205,10 +200,14 @@ def write_wigner_csv(grid: WignerGrid, stream) -> None:
 def mandel(state: FockVector) -> float:
     """Mandel M_Q = Var(n)/<n>; values below 1 mean subpoissonian statistics.
 
-    Undefined for the vacuum, which has <n> = 0.
+    Undefined for the zero vector and for the vacuum, which has <n> = 0.
     """
     p = np.abs(state.amplitudes) ** 2
-    p = p / p.sum()
+    total = p.sum()
+    if total == 0.0:
+        raise ValueError("Mandel parameter is undefined for the zero vector "
+                         "(total probability 0)")
+    p = p / total
     m = np.arange(p.size)
     nbar = float((m * p).sum())
     if nbar == 0.0:
@@ -243,13 +242,14 @@ class BipartiteSpec:
 
 
 def _rotated_gram(seed: FockVector, n: int) -> np.ndarray:
-    """g[r'-1, r-1] = <R_{r'} seed | R_r seed>."""
-    rotated = [rotate(seed, theta(n, r)) for r in range(1, n + 1)]
-    g = np.empty((n, n), dtype=complex)
-    for i, bra in enumerate(rotated):
-        for j, ket in enumerate(rotated):
-            g[i, j] = inner(bra, ket)
-    return g
+    """g[r'-1, r-1] = <R_{r'} seed | R_r seed>.
+
+    Circulant in r - r': g[i, j] = sum_l w_l mu_n^(-(j-i) l), the FFT of the
+    residue-class masses w_l (class l holds m = l mod n).
+    """
+    h = np.fft.fft(residue_class_masses(seed, n))
+    k = np.arange(n)
+    return h[(k[None, :] - k[:, None]) % n]
 
 
 def bipartite_norm_squared(spec: BipartiteSpec) -> float:
@@ -300,36 +300,31 @@ class EntanglementResult:
     d_tensor: np.ndarray
 
 
-def _sector_records(seed: FockVector, n: int) -> list[NormalizationRecord]:
-    """Records for lam = 1..n; raises when any sector is missing."""
-    records = []
-    for lam in range(1, n + 1):
-        records.append(cyclic_superposition(seed, CyclicSpec(n, lam))[1])
-    return records
+def _unit_root_powers(k: np.ndarray, n: int) -> np.ndarray:
+    """mu_n^(-k) for integer arrays k, reduced mod n before exponentiating."""
+    return np.exp(-2j * np.pi * (k % n) / n)
 
 
 def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     """Reduced-state linear entropy of the two-mode superposition.
 
-    Expands each rotated seed over its symmetry sectors; since sector states
-    of distinct lam are orthonormal, the reduced density matrix in that
-    basis is G G^dag with G the summed sector-coefficient matrix. Requires
-    a normalized spec (run bipartite_normalize first) and seeds with weight
-    in every sector.
+    Expands each rotated seed over its symmetry sectors,
+    R_r|seed> = sum_lam mu_n^(-(r-1)(lam-1)) sqrt(w_lam) |lam>, with w_lam the
+    seed's residue-class masses. Since sector states of distinct lam are
+    orthonormal, the reduced density matrix in that basis is G G^dag with
+    the Hankel sector matrix
+    G[la, lb] = sqrt(w1_la) sqrt(w2_lb) FFT(c)[k mod n] mu_n^(-k),
+    k = la + lb - 2. Empty sectors contribute zero rows and columns.
+    Requires a normalized spec (run bipartite_normalize first).
     """
     n = spec.n
-    rec1 = _sector_records(spec.seed_1, n)
-    rec2 = _sector_records(spec.seed_2, n)
-
-    root = mu(n)
-    d = np.empty((n, n, n), dtype=complex)
-    for r in range(1, n + 1):
-        for la in range(1, n + 1):
-            for lb in range(1, n + 1):
-                d[r - 1, la - 1, lb - 1] = (
-                    root ** ((1 - r) * (la + lb - 2)) * spec.c[r - 1]
-                    / (n * n * rec1[la - 1].n_lambda * rec2[lb - 1].n_lambda))
-    g = d.sum(axis=0)
+    k = np.arange(n)
+    ksum = k[:, None] + k[None, :]
+    amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
+                   np.sqrt(residue_class_masses(spec.seed_2, n)))
+    g = amp * np.fft.fft(spec.c)[ksum % n] * _unit_root_powers(ksum, n)
+    d = (spec.c[:, None, None] * amp
+         * _unit_root_powers((k + 1)[:, None, None] * ksum, n))
 
     total = float(np.sum(np.abs(g) ** 2))
     if abs(total - 1.0) > 1e-8:

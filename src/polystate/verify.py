@@ -24,6 +24,7 @@ from .fock import (
     from_amplitudes,
     inner,
     rotate,
+    sector_mask,
 )
 from .cyclic import (
     CyclicSpec,
@@ -33,10 +34,10 @@ from .cyclic import (
     circle_limit_quadrature_gap,
     cyclic_density,
     cyclic_erasure,
-    cyclic_set,
     cyclic_superposition,
     density_route_gap,
     dihedral_state,
+    normalization_record,
     rotation_phase_check,
 )
 from .gaussian import (
@@ -117,12 +118,22 @@ _SUITE2_ORDERS = (2, 3, 5, 8)
 _SUITE2_SEEDS = 50
 
 
+def _orbit_family(phi: FockVector, n: int):
+    """(state, record) for lam = 1..n by the character-weighted orbit route.
+
+    The suites test the character construction itself, so they build their
+    families here rather than with the closed-form cyclic_set. Random seeds
+    carry weight in every sector.
+    """
+    return [cyclic_superposition(phi, CyclicSpec(n, lam)) for lam in range(1, n + 1)]
+
+
 def _suite2_states(seed: int):
-    """The (n -> list of cyclic sets) family shared by suites 2 and 4."""
+    """The (n -> list of cyclic families) shared by suites 2 and 4."""
     rng = np.random.default_rng(seed)
     fam = {}
     for n in _SUITE2_ORDERS:
-        fam[n] = [cyclic_set(_random_state(rng), n) for _ in range(_SUITE2_SEEDS)]
+        fam[n] = [_orbit_family(_random_state(rng), n) for _ in range(_SUITE2_SEEDS)]
     return fam
 
 
@@ -142,19 +153,29 @@ def suite_orthonormality(seed: int = DEFAULT_SEED, order: int | None = None):
 
 def suite_erasure(seed: int = DEFAULT_SEED, order: int | None = None):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = worst_record = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 9))
         lam = int(rng.integers(1, n + 1))
         phi = _random_state(rng)
         spec = CyclicSpec(n, lam)
-        sup, _ = cyclic_superposition(phi, spec)
+        sup, orbit = cyclic_superposition(phi, spec)
         er = cyclic_erasure(phi, spec)
         gap = np.abs(er.amplitudes - mu(n) ** (1 - lam) * sup.amplitudes).max()
         worst = max(worst, float(gap))
-    return [_row("erasure", "route equivalence",
-                 "erasure equals mu^(1-lam) x superposition, 100 trials, n <= 8",
-                 worst, 1e-12)]
+        closed = normalization_record(phi, spec)
+        worst_record = max(worst_record,
+                           abs(closed.raw_norm - orbit.raw_norm) / orbit.raw_norm,
+                           abs(closed.n_lambda - orbit.n_lambda) * orbit.raw_norm)
+    return [
+        _row("erasure", "route equivalence",
+             "erasure equals mu^(1-lam) x superposition, 100 trials, n <= 8",
+             worst, 1e-12),
+        _row("erasure", "closed-form record",
+             "raw_norm = n sqrt(w_lam) and n_lambda match the orbit route's "
+             "record (relative), 100 trials, n <= 8",
+             worst_record, 1e-12),
+    ]
 
 
 def suite_rotation(seed: int = DEFAULT_SEED, order: int | None = None):
@@ -392,7 +413,7 @@ def suite_inverse(seed: int = DEFAULT_SEED, order: int | None = None):
     for n in range(2, 7):
         for _ in range(20):
             phi = _random_state(rng)
-            pairs = cyclic_set(phi, n)
+            pairs = _orbit_family(phi, n)
             for r in range(1, n + 1):
                 rec = reconstruct_rotated(pairs, n, r)
                 target = rotate(phi, theta(n, r))
@@ -472,9 +493,8 @@ def suite_coherent(seed: int = DEFAULT_SEED, order: int | None = None):
         for lam in range(1, n + 1):
             psi, _ = cyclic_superposition(coherent(alpha, 64), CyclicSpec(n, lam))
             shifted, new_lam = annihilation_irrep_shift(psi, CyclicSpec(n, lam))
-            m = np.arange(shifted.n_max + 1)
             off = np.linalg.norm(
-                shifted.amplitudes[(m - (new_lam - 1)) % n != 0])
+                shifted.amplitudes[~sector_mask(shifted.n_max, n, new_lam)])
             expected = lam - 1 if lam >= 2 else n
             if new_lam != expected:
                 off = 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polystate.cli import main
-from polystate.fock import basis_state, coherent, vector_to_dict
+from polystate.fock import basis_state, coherent, from_amplitudes, vector_to_dict
 
 INV_PI = 1.0 / np.pi
 
@@ -91,6 +91,54 @@ def test_build_empty_sector_exit(tmp_path):
                "--output", tmp_path / "x.json") == 2
 
 
+def test_build_erasure_light_sector(tmp_path):
+    # sector 30 of C_32 carries mass ~1e-8 for coherent(3) at n_max 128
+    out = tmp_path / "s.json"
+    assert run("build", "--coherent", 3, 0, "--order", 32, "--irrep", 30,
+               "--n-max", 128, "--output", out) == 0
+    data = json.loads(out.read_text())
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    ref = coherent(3.0, 128).amplitudes.copy()
+    ref[np.arange(129) % 32 != 29] = 0.0
+    assert np.abs(amps - ref / np.linalg.norm(ref)).max() < 1e-14
+    meta = data["metadata"]
+    assert abs(complex(*meta["n_lambda"])) * meta["raw_norm"] == pytest.approx(
+        1.0, abs=1e-12)
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_build_superposition_self_check_exit(tmp_path, capsys):
+    # the orbit route's absolute leakage check trips on this light sector
+    assert run("build", "--coherent", 3, 0, "--order", 32, "--irrep", 30,
+               "--n-max", 128, "--method", "superposition",
+               "--output", tmp_path / "s.json") == 1
+    assert "leakage" in one_line_error(capsys)
+
+
+def test_negative_n_max_exit(tmp_path, capsys):
+    assert run("build", "--coherent", 1, 0, "--order", 2, "--irrep", 1,
+               "--n-max", -1, "--output", tmp_path / "s.json") == 1
+    assert "n_max=-1" in one_line_error(capsys)
+
+
+def test_gaussian_embedding_no_convergence_exit(tmp_path, capsys):
+    assert run("build", "--gaussian", 0.5, 0, 25.45584412, 0, "--n-max", 512,
+               "--order", 2, "--irrep", 1, "--output", tmp_path / "s.json") == 1
+    assert "converge" in one_line_error(capsys)
+
+
+def test_empty_sector_message_is_one_line(tmp_path, capsys):
+    # 32 class masses would wrap over several lines if printed as an array
+    assert run("build", "--coherent", 0, 0, "--order", 32, "--irrep", 2,
+               "--output", tmp_path / "x.json") == 2
+    assert "lam=2" in one_line_error(capsys)
+
+
 def test_build_seed_flags_exclusive(tmp_path):
     src = write_state(tmp_path / "phi.json", coherent(1.0, 16))
     assert run("build", "--input", src, "--coherent", 1, 0,
@@ -141,6 +189,11 @@ def test_wigner_missing_input(tmp_path):
     assert run("wigner", "--input", tmp_path / "nope.json") == 1
 
 
+def test_input_directory_exit(tmp_path, capsys):
+    assert run("mandel", "--input", tmp_path) == 1
+    one_line_error(capsys)
+
+
 # ---- mandel ----
 
 def test_mandel_coherent(tmp_path, capsys):
@@ -162,6 +215,13 @@ def test_mandel_vacuum_fails(tmp_path, capsys):
     src = write_state(tmp_path / "vac.json", basis_state(0, 8))
     assert run("mandel", "--input", src) == 1
     assert "vacuum" in capsys.readouterr().err
+
+
+def test_mandel_zero_state_fails(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({"n_max": 2, "amplitudes": [[0.0, 0.0]] * 3}))
+    assert run("mandel", "--input", src) == 1
+    assert "zero vector" in one_line_error(capsys)
 
 
 # ---- malformed input ----
@@ -216,6 +276,17 @@ def test_entangle_bell_like(tmp_path):
     data = json.loads(out.read_text())
     assert data["s_linear"] == pytest.approx(0.5, abs=1e-3)
     assert data["s_linear_oracle"] == pytest.approx(data["s_linear"], abs=1e-10)
+
+
+def test_entangle_empty_sectors(tmp_path):
+    amps = coherent(2.0, 64).amplitudes + coherent(-2.0, 64).amplitudes
+    cat = from_amplitudes(amps / np.linalg.norm(amps))
+    src = write_bipartite(tmp_path / "spec.json", 4, np.ones(4), cat, cat)
+    out = tmp_path / "res.json"
+    assert run("entangle", "--input", src, "--output", out) == 0
+    data = json.loads(out.read_text())
+    assert data["difference"] < 1e-12
+    assert 0.1 < data["s_linear"] < 0.75
 
 
 def test_entangle_memory_guard_exit(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import polystate.cyclic as cyclic
+import polystate.observables as observables
 from polystate.fock import (
     basis_state,
     coherent,
@@ -8,6 +10,7 @@ from polystate.fock import (
     from_amplitudes,
     normalize,
     pure_density,
+    sector_mask,
 )
 from polystate.fock import FockOperator
 from polystate.group import mu
@@ -114,6 +117,52 @@ def test_cyclic_set_skips_empty_sectors():
     phi = normalize(from_amplitudes(np.array([1.0, 1.0, 0.0])))
     pairs = cyclic_set(phi, 3)
     assert len(pairs) == 2  # class 2 carries no mass
+
+
+def test_cyclic_set_light_sectors():
+    # coherent(3) at n_max 128: sectors 28..32 of C_32 carry mass ~1e-8,
+    # light enough that the orbit route's rounding noise trips its leakage check
+    phi = coherent(3.0, 128)
+    pairs = cyclic_set(phi, 32)
+    assert len(pairs) == 32
+    states = np.array([s.amplitudes for s, _ in pairs])
+    assert np.abs(states.conj() @ states.T - np.eye(32)).max() < 1e-12
+    for lam, (state, record) in enumerate(pairs, 1):
+        er = cyclic_erasure(phi, CyclicSpec(32, lam)).amplitudes
+        assert np.abs(state.amplitudes - mu(32) ** (lam - 1) * er).max() < 1e-14
+        assert abs(record.n_lambda) * record.raw_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cyclic_set_matches_superposition_route():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=41) + 1j * rng.normal(size=41)
+    phi = from_amplitudes(amps / np.linalg.norm(amps))
+    for lam, (state, record) in enumerate(cyclic_set(phi, 6), 1):
+        sup, orbit = cyclic_superposition(phi, CyclicSpec(6, lam))
+        assert np.abs(state.amplitudes - sup.amplitudes).max() < 1e-13
+        assert record.raw_norm == pytest.approx(orbit.raw_norm, rel=1e-12)
+        assert abs(record.n_lambda - orbit.n_lambda) * orbit.raw_norm < 1e-12
+
+
+def test_production_routes_skip_the_oracles(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("production path ran an oracle route")
+
+    for mod in (cyclic, observables):
+        for name in ("character", "rotate", "theta", "cyclic_superposition",
+                     "_raw_superposition"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, oracle)
+    phi = coherent(1.0 + 0.5j, 32)
+    spec = CyclicSpec(4, 2)
+    normalization_record(phi, spec)
+    assert len(cyclic_set(phi, 4)) == 4
+    dihedral_state(phi, spec, "difference")
+    cyclic_density(pure_density(phi), spec)
+    circle_limit(phi, 2)
+    two_mode = observables.bipartite_normalize(
+        observables.BipartiteSpec(4, np.ones(4), phi, phi))
+    observables.linear_entropy(two_mode)
 
 
 # ---- rotation eigenphase ----
@@ -257,6 +306,27 @@ def test_dihedral_inversion_eigenstate():
                 assert abs(phase - predicted) < 1e-10
 
 
+def test_dihedral_state_matches_rotation_plus_inversion_sum():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=41) + 1j * rng.normal(size=41)
+    phi = from_amplitudes(amps / np.linalg.norm(amps))
+    n = 5
+    m = np.arange(41)
+    for lam in range(1, n + 1):
+        for variant, sign in (("sum", 1.0), ("difference", -1.0)):
+            acc = np.zeros(41, dtype=complex)
+            for r in range(n):
+                chi = np.exp(2j * np.pi * (lam - 1) * r / n)
+                rotated = phi.amplitudes * np.exp(-2j * np.pi * r * m / n)
+                inverted = np.conj(phi.amplitudes) * np.exp(2j * np.pi * r * m / n)
+                acc += chi * rotated + sign * np.conj(chi) * inverted
+            gamma, rec = dihedral_state(phi, CyclicSpec(n, lam), variant)
+            raw_norm = np.linalg.norm(acc)
+            assert rec.raw_norm == pytest.approx(raw_norm, rel=1e-12)
+            assert rec.n_lambda == pytest.approx(1.0 / raw_norm, rel=1e-12)
+            assert np.abs(gamma.amplitudes - acc / raw_norm).max() < 1e-12
+
+
 def test_dihedral_gram_identity():
     g = dihedral_gram(coherent(1.0 + 0.8j, 40), 3, "sum")
     assert np.abs(g - np.eye(3)).max() < 1e-10
@@ -284,6 +354,5 @@ def test_annihilation_n_cycle():
     for _ in range(n):
         state, cur = annihilation_irrep_shift(state, CyclicSpec(n, cur))
     assert cur == lam
-    m = np.arange(state.n_max + 1)
-    off = np.abs(state.amplitudes[(m - (lam - 1)) % n != 0]).max()
+    off = np.abs(state.amplitudes[~sector_mask(state.n_max, n, lam)]).max()
     assert off < 1e-12

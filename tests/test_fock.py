@@ -9,7 +9,6 @@ from polystate.fock import (
     FockVector,
     annihilate,
     basis_state,
-    check_noninvariant,
     coherent,
     conjugate,
     default_n_max,
@@ -18,14 +17,12 @@ from polystate.fock import (
     inner,
     inversion,
     normalize,
-    operator_from_dict,
-    operator_to_dict,
-    phase_aligned_distance,
     photon_moments,
     pure_density,
     quadrature_means,
     residue_class_masses,
     rotate,
+    sector_mask,
     vector_from_dict,
     vector_to_dict,
 )
@@ -163,8 +160,6 @@ def test_fidelity_and_phase_alignment():
     st_ = random_state(rng)
     shifted = from_amplitudes(st_.amplitudes * np.exp(0.4j))
     assert fidelity(st_, shifted) == pytest.approx(1.0, abs=1e-12)
-    assert phase_aligned_distance(st_, shifted) < 1e-8
-    assert phase_aligned_distance(basis_state(0, 4), basis_state(1, 4)) > 0.9
 
 
 # ---- moments ----
@@ -220,20 +215,21 @@ def test_photon_moments_coherent_poisson_mean():
 
 # ---- noninvariance / residue classes ----
 
-def test_check_noninvariant_vacuum():
-    rep1 = check_noninvariant(basis_state(0, 8), 2, 1)
-    assert rep1.constructible and rep1.class_mass == pytest.approx(1.0)
-    assert not rep1.quadrature_noninvariant
-    rep2 = check_noninvariant(basis_state(0, 8), 2, 2)
-    assert not rep2.constructible and rep2.class_mass == 0.0
+def test_sector_mask_residue_class():
+    np.testing.assert_array_equal(
+        sector_mask(7, 3, 2), [False, True, False, False, True, False, False, True])
+    assert sector_mask(4, 1, 1).all()
+    assert not sector_mask(2, 5, 5).any()  # class m = 4 lies beyond n_max
 
 
-def test_check_noninvariant_coherent_all_classes():
-    st_ = coherent(1.0, 40)
-    for lam in (1, 2, 3):
-        rep = check_noninvariant(st_, 3, lam)
-        assert rep.constructible and rep.class_mass > 0
-        assert rep.quadrature_noninvariant
+def test_residue_class_masses_match_masks():
+    rng = np.random.default_rng(3)
+    st_ = random_state(rng)
+    for n in (1, 2, 5, 7, 40):  # n = 40 exceeds the 21 amplitudes
+        w = residue_class_masses(st_, n)
+        p = np.abs(st_.amplitudes) ** 2
+        expected = [p[sector_mask(st_.n_max, n, lam)].sum() for lam in range(1, n + 1)]
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
 
 
 def test_residue_class_masses_sum_to_one():
@@ -248,6 +244,19 @@ def test_residue_class_masses_sum_to_one():
 def test_coherent_zero_is_vacuum():
     st_ = coherent(0.0, 10)
     np.testing.assert_array_equal(st_.amplitudes, basis_state(0, 10).amplitudes)
+
+
+def test_negative_n_max_rejected(monkeypatch):
+    from polystate.gaussian import GaussianParams, gaussian_to_fock
+
+    for build in (lambda n_max: coherent(1.0, n_max),
+                  lambda n_max: basis_state(0, n_max),
+                  lambda n_max: gaussian_to_fock(GaussianParams(1.0, 1.0), n_max)):
+        with pytest.raises(ValueError, match="n_max=-1"):
+            build(-1)
+    monkeypatch.setenv("POLYSTATE_NMAX", "-3")
+    with pytest.raises(ValueError, match="n_max=-3"):
+        coherent(1.0)
 
 
 def test_coherent_mean_photon_number():
@@ -341,15 +350,6 @@ def test_vector_json_malformed():
         vector_from_dict({"n_max": 2, "amplitudes": [[1.0, 0.0]]})  # wrong count
     with pytest.raises(ValueError):
         vector_from_dict({"amplitudes": [[1.0, 0.0]]})
-
-
-def test_operator_json_round_trip():
-    rho = pure_density(coherent(0.7, 6))
-    d = operator_to_dict(rho)
-    back = operator_from_dict(json.loads(json.dumps(d)))
-    np.testing.assert_array_equal(back.matrix, rho.matrix)
-    with pytest.raises(ValueError):
-        operator_from_dict({"n_max": 1, "matrix": [[[1.0, 0.0]]]})
 
 
 def test_pure_density_properties():

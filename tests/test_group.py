@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polystate.group import (
-    GroupSpec,
     character,
     character_orthogonality_report,
     mu,
@@ -71,14 +70,3 @@ def test_orthogonality_report():
     assert max(r2) <= 1e-15
     r12 = character_orthogonality_report(12)
     assert max(r12) <= 1e-12
-
-
-def test_group_spec():
-    spec = GroupSpec(4)
-    assert spec.kind == "cyclic"
-    np.testing.assert_allclose(spec.angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    assert GroupSpec(3, "dihedral").order == 3
-    with pytest.raises(ValueError):
-        GroupSpec(0)
-    with pytest.raises(ValueError):
-        GroupSpec(3, "abelian")

@@ -177,6 +177,11 @@ def test_mandel_vacuum_undefined():
         mandel(basis_state(0, 8))
 
 
+def test_mandel_zero_state_undefined():
+    with pytest.raises(ValueError, match="zero vector"):
+        mandel(from_amplitudes(np.zeros(9)))
+
+
 def test_mandel_cat_states_split():
     # even cat is superpoissonian, odd cat subpoissonian at small alpha
     even, _ = cyclic_superposition(coherent(0.8, 64), CyclicSpec(2, 1))
@@ -334,6 +339,20 @@ def test_linear_entropy_matches_oracle():
     f = res.f_matrix
     assert np.abs(f - f.conj().T).max() < 1e-14
     assert np.trace(f).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_linear_entropy_empty_sectors():
+    # an even cat has no weight on odd photon numbers: half the C_4 sectors
+    # are empty, and they drop out of the sector matrix
+    amps = coherent(2.0, 64).amplitudes + coherent(-2.0, 64).amplitudes
+    cat = from_amplitudes(amps / np.linalg.norm(amps))
+    spec = bipartite_normalize(BipartiteSpec(4, np.ones(4), cat, cat))
+    res = linear_entropy(spec)
+    assert res.s_linear == pytest.approx(linear_entropy_oracle(spec), abs=1e-12)
+    assert 0.1 < res.s_linear < 0.75
+    g = res.d_tensor.sum(axis=0)
+    assert np.abs(g @ g.conj().T - res.f_matrix).max() < 1e-14
+    assert np.abs(res.f_matrix[1::2]).max() == 0.0
 
 
 def test_oracle_memory_guard():
