@@ -314,8 +314,9 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except MemoryGuardError as exc:
         return _fail(exc, 4)
-    # OSError: unreadable or unwritable paths; RuntimeError: non-convergent
-    # embeddings; AssertionError: an oracle route's self-check failed.
+    # OSError: unreadable or unwritable paths; RuntimeError: the quadrature
+    # embedding oracle did not converge (verify only); AssertionError: an
+    # oracle route's self-check failed.
     except (OSError, ValueError, RuntimeError, AssertionError) as exc:
         return _fail(exc, 1)
 

@@ -31,6 +31,7 @@ import numpy as np
 from .fock import (
     FockVector,
     FockOperator,
+    _class_sums,
     annihilate,
     basis_state,
     inner,
@@ -252,7 +253,7 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
     projected = _projected_density(rho, spec)
     tr = projected.trace().real
     if tr < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam, np.abs(np.diag(rho.matrix)).real)
+        raise EmptyRepresentationError(n, lam, _class_sums(np.diag(rho.matrix).real, n))
     return FockOperator(rho.n_max, projected / tr)
 
 

@@ -239,10 +239,14 @@ def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
     return (m - (lam - 1)) % n == 0
 
 
+def _class_sums(p: np.ndarray, n: int) -> np.ndarray:
+    """Sums of the per-photon-number weights p over each residue class mod n."""
+    return np.bincount(np.arange(p.size) % n, weights=p, minlength=n)
+
+
 def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
     """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n)."""
-    p = np.abs(state.amplitudes) ** 2
-    return np.bincount(np.arange(p.size) % n, weights=p, minlength=n)
+    return _class_sums(np.abs(state.amplitudes) ** 2, n)
 
 
 def pure_density(state: FockVector) -> FockOperator:

@@ -9,9 +9,25 @@ principal branches throughout. With this prefactor the rotated wavefunction
 <x|R(theta)|psi_{a,b}> equals psi at the rotated parameters exactly, with no
 residual phase, so the closed-form expressions below can be compared against
 the Fock route pointwise.
+
+The Fock amplitudes A_m = <m|psi> follow from the Hermite generating function
+sum_m u_m(x) z^m / sqrt(m!) = pi^{-1/4} e^{-x^2/2 + sqrt(2) x z - z^2/2}:
+integrating it against psi gives sum_m A_m z^m / sqrt(m!) =
+A_0 e^{beta z + gamma z^2 / 2}, the number expansion of a displaced squeezed
+state (H. P. Yuen, Phys. Rev. A 13, 2226 (1976)). With s = a + 1/2,
+beta = b / (sqrt(2) s) and gamma = 1/s - 1,
+
+    A_0 = N pi^{-1/4} sqrt(pi/s) e^{b^2/(4s)},
+    A_{m+1} = (beta A_m + gamma sqrt(m) A_{m-1}) / sqrt(m + 1),
+
+which gaussian_to_fock evaluates exactly. Adaptive Gauss-Hermite quadrature
+of <u_m|psi> (gaussian_to_fock_quadrature) is kept as its independent
+oracle for verify and the tests.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +45,7 @@ __all__ = [
     "rotate_params",
     "hermite_functions",
     "gaussian_to_fock",
+    "gaussian_to_fock_quadrature",
     "fock_wavefunction",
     "cyclic_gaussian",
     "cyclic_gaussian_wavefunction",
@@ -72,10 +89,15 @@ class GaussianMoments:
     covariance: np.ndarray
 
 
-def _prefactor(a: complex, b: complex) -> complex:
+def _log_prefactor(a: complex, b: complex) -> complex:
+    """log N on the principal branch; finite where N itself underflows."""
     ac, bc = np.conj(a), np.conj(b)
-    quartic = ((a + ac) / np.pi * (1 + 2 * a) / (1 + 2 * ac)) ** 0.25
-    return quartic * np.exp(-(b * b + b * bc) / (4 * (a + ac)))
+    return (0.25 * np.log((a + ac) / np.pi * (1 + 2 * a) / (1 + 2 * ac))
+            - (b * b + b * bc) / (4 * (a + ac)))
+
+
+def _prefactor(a: complex, b: complex) -> complex:
+    return np.exp(_log_prefactor(a, b))
 
 
 def wavefunction(params: GaussianParams, x) -> np.ndarray:
@@ -153,9 +175,66 @@ def _gh_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _gh_cache[n_nodes]
 
 
-def gaussian_to_fock(params: GaussianParams, n_max: int | None = None,
-                     quad_tol: float = 1e-13, node_cap: int = 30000) -> FockVector:
-    """Project the seed onto |0>..|n_max> by adaptive Gauss-Hermite quadrature.
+def _embedded(unit: np.ndarray, kept: float) -> FockVector:
+    """Renormalized embedding; kept is the continuum norm^2 on |0>..|n_max>.
+
+    tail_flagged is set when the truncation loses more than EMBED_TAIL_TOL of
+    the norm or the last amplitude carries more than that mass.
+    """
+    flagged = (1.0 - kept > EMBED_TAIL_TOL
+               or float(np.abs(unit[-1]) ** 2) > EMBED_TAIL_TOL)
+    return FockVector(n_max=unit.size - 1, amplitudes=unit, tail_flagged=flagged)
+
+
+# Running rescale threshold for the recurrence; squares of values below it,
+# summed over thousands of slots, stay far from overflow.
+_RESCALE = 2.0 ** 200
+
+
+def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVector:
+    """Project the seed onto |0>..|n_max> by the exact three-term recurrence.
+
+    With s = a + 1/2, beta = b / (sqrt(2) s) and gamma = 1/s - 1,
+
+        A_0 = N pi^{-1/4} sqrt(pi/s) e^{b^2/(4s)},
+        A_{m+1} = (beta A_m + gamma sqrt(m) A_{m-1}) / sqrt(m + 1),
+
+    the displaced squeezed-state number expansion (Yuen, Phys. Rev. A 13,
+    2226 (1976)). |gamma| = |1/2 - a| / |1/2 + a| < 1 for every Re a > 0.
+    A_0 is taken in log space and the recurrence carries a log scale,
+    rescaling whenever a value passes 2^200, so large displacements (where
+    A_0 itself underflows, |alpha| beyond ~38) neither underflow nor
+    overflow. The returned vector is renormalized and tail-flagged by
+    _embedded. gaussian_to_fock_quadrature is the independent oracle for
+    this route.
+    """
+    n_max = _checked_n_max(n_max)
+    a, b = params.a, params.b
+    s = a + 0.5
+    beta = b / (math.sqrt(2.0) * s)
+    gamma = 1.0 / s - 1.0
+    log_a0 = complex(_log_prefactor(a, b) - 0.25 * math.log(math.pi)
+                     + 0.5 * cmath.log(math.pi / s) + b * b / (4 * s))
+    root = np.sqrt(np.arange(n_max + 1)).tolist()
+    log_scale = log_a0.real
+    prev, cur = 0j, cmath.exp(1j * log_a0.imag)
+    amps = [cur]
+    for m in range(n_max):
+        prev, cur = cur, (beta * cur + gamma * root[m] * prev) / root[m + 1]
+        if (big := abs(cur)) > _RESCALE:
+            amps = [v / big for v in amps]
+            prev, cur = prev / big, cur / big
+            log_scale += math.log(big)
+        amps.append(cur)
+    amps = np.array(amps)
+    nrm = float(np.linalg.norm(amps))
+    return _embedded(amps / nrm, math.exp(2.0 * (log_scale + math.log(nrm))))
+
+
+def gaussian_to_fock_quadrature(params: GaussianParams, n_max: int | None = None,
+                                quad_tol: float = 1e-13,
+                                node_cap: int = 30000) -> FockVector:
+    """Oracle for gaussian_to_fock: <u_m|psi> by adaptive Gauss-Hermite quadrature.
 
     Node counts start at 2 n_max + 32 and grow by 1.6x until two successive
     rules agree on the normalized amplitude vector to quad_tol in the sup
@@ -163,11 +242,11 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None,
     below 1/2) have slowly decaying integrands and need several thousand
     nodes. Strongly chirped seeds (large Im a) cancellation-limit the
     achievable agreement near 1e-12, so a refinement that has stopped
-    gaining while already below 1e-10 also counts as converged; that floor
-    keeps every downstream 1e-8 fidelity contract comfortable. The returned
-    vector is renormalized; tail_flagged is set when the truncation loses
-    more than EMBED_TAIL_TOL of the continuum norm or the last amplitude
-    carries more than that mass.
+    gaining while already below 1e-10 also counts as converged. The
+    renormalization and tail flag are those of gaussian_to_fock.
+    Seeds centred near |x| ~ 26 or beyond, where _gh_nodes drops
+    underflowed weights, do not converge and raise RuntimeError (the
+    coherent-like seed at alpha = 18 is one).
     """
     n_max = _checked_n_max(n_max)
     n_nodes = 2 * n_max + 32
@@ -194,9 +273,7 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None,
                 f"Fock embedding did not converge within {node_cap} quadrature nodes")
         prev = cur
         n_nodes = int(np.ceil(n_nodes * 1.6))
-    loss = max(0.0, 1.0 - nrm * nrm)
-    flagged = loss > EMBED_TAIL_TOL or float(np.abs(cur[-1]) ** 2) > EMBED_TAIL_TOL
-    return FockVector(n_max=n_max, amplitudes=cur, tail_flagged=flagged)
+    return _embedded(cur, nrm * nrm)
 
 
 def fock_wavefunction(state: FockVector, x) -> np.ndarray:

@@ -42,7 +42,7 @@ def test_primary_05_density():
 def test_primary_06_gaussian():
     run_criterion(6, "gaussian",
                   "Gaussian embedding commutes with rotation across the "
-                  "parameter grid")
+                  "parameter grid and matches its quadrature oracle")
 
 
 def test_primary_07_c2():

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from polystate.cli import main
 from polystate.fock import basis_state, coherent, from_amplitudes, vector_to_dict
@@ -126,10 +127,20 @@ def test_negative_n_max_exit(tmp_path, capsys):
     assert "n_max=-1" in one_line_error(capsys)
 
 
-def test_gaussian_embedding_no_convergence_exit(tmp_path, capsys):
-    assert run("build", "--gaussian", 0.5, 0, 25.45584412, 0, "--n-max", 512,
-               "--order", 2, "--irrep", 1, "--output", tmp_path / "s.json") == 1
-    assert "converge" in one_line_error(capsys)
+def test_gaussian_embedding_large_displacement(tmp_path):
+    # a coherent-like seed at alpha = 18 sits beyond the Gauss-Hermite nodes'
+    # reach; the recurrence embeds it exactly
+    b = 25.45584412
+    out = tmp_path / "s.json"
+    assert run("build", "--gaussian", 0.5, 0, b, 0, "--n-max", 512,
+               "--order", 1, "--irrep", 1, "--output", out) == 0
+    data = json.loads(out.read_text())
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    assert np.isfinite(amps).all()
+    alpha = b / np.sqrt(2.0)
+    m = np.arange(513)
+    poisson = np.exp(-alpha ** 2 / 2 + m * np.log(alpha) - 0.5 * gammaln(m + 1))
+    assert np.abs(amps - poisson).max() < 1e-9
 
 
 def test_empty_sector_message_is_one_line(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import polystate.cyclic as cyclic
+import polystate.gaussian as gaussian
 import polystate.observables as observables
 from polystate.fock import (
     basis_state,
@@ -153,6 +154,8 @@ def test_production_routes_skip_the_oracles(monkeypatch):
                      "_raw_superposition"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, oracle)
+    for name in ("gaussian_to_fock_quadrature", "roots_hermite", "_gh_nodes"):
+        monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)
     normalization_record(phi, spec)
@@ -163,6 +166,10 @@ def test_production_routes_skip_the_oracles(monkeypatch):
     two_mode = observables.bipartite_normalize(
         observables.BipartiteSpec(4, np.ones(4), phi, phi))
     observables.linear_entropy(two_mode)
+    # the Gaussian embedding never reaches the Gauss-Hermite nodes
+    for params, n_max in ((gaussian.GaussianParams(0.8 + 0.3j, 1.0 - 0.5j), 64),
+                          (gaussian.GaussianParams(0.5, 18 * np.sqrt(2.0)), 512)):
+        gaussian.gaussian_to_fock(params, n_max)
 
 
 # ---- rotation eigenphase ----
@@ -232,6 +239,13 @@ def test_density_route_gap_small():
 def test_density_empty_sector_raises():
     with pytest.raises(EmptyRepresentationError):
         cyclic_density(pure_density(basis_state(0, 6)), CyclicSpec(2, 2))
+
+
+def test_density_empty_sector_reports_class_masses():
+    # the n residue-class masses of diag(rho), not the d-entry diagonal
+    with pytest.raises(EmptyRepresentationError) as exc:
+        cyclic_density(pure_density(basis_state(0, 6)), CyclicSpec(2, 2))
+    np.testing.assert_array_equal(exc.value.masses, [1.0, 0.0])
 
 
 # ---- circle limit ----

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from polystate.fock import basis_state, coherent, fidelity, quadrature_means, rotate
 from polystate.cyclic import CyclicSpec, EmptyRepresentationError
@@ -11,11 +12,16 @@ from polystate.gaussian import (
     cyclic_gaussian_wavefunction,
     fock_wavefunction,
     gaussian_to_fock,
+    gaussian_to_fock_quadrature,
     hermite_functions,
     moments,
     rotate_params,
     wavefunction,
 )
+
+# An overflow or 0/0 in the embedding recurrence or its rescaling fails here
+# instead of leaving a silent NaN.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 X_WIDE = np.linspace(-12.0, 12.0, 4801)  # independent trapezoid oracle
 
@@ -137,6 +143,76 @@ def test_embedding_tail_example():
     st = gaussian_to_fock(GaussianParams(1.0, np.sqrt(6.0) + 2j), 64)
     assert not st.tail_flagged
     assert st.tail_mass < EMBED_TAIL_TOL
+
+
+def poisson_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
+    """Coherent-state amplitudes e^{-|alpha|^2/2} alpha^m / sqrt(m!) in log space."""
+    m = np.arange(n_max + 1)
+    log_mod = -abs(alpha) ** 2 / 2 + m * np.log(abs(alpha)) - 0.5 * gammaln(m + 1)
+    return np.exp(log_mod + 1j * m * np.angle(alpha))
+
+
+@pytest.mark.parametrize("n_max", [64, 128])
+def test_embedding_matches_quadrature_oracle(n_max):
+    # real and complex a on both sides of 1/2, including negative chirp
+    for a in (0.3, 0.5, 1.4, 0.6 - 0.4j, 0.85 + 2.0j, 2.0 + 0.3j):
+        for b in (3.0, -2.1 + 2.1j, 0.5 - 0.5j, 1e-3j):
+            p = GaussianParams(a, b)
+            st = gaussian_to_fock(p, n_max)
+            oracle = gaussian_to_fock_quadrature(p, n_max)
+            assert np.abs(st.amplitudes - oracle.amplitudes).max() < 1e-10
+            assert st.tail_flagged == oracle.tail_flagged
+
+
+def test_embedding_large_displacement_rescales():
+    # A_0 = e^{-800} underflows; the running rescale keeps every slot finite
+    alpha = 40.0 * np.exp(0.7j)
+    st = gaussian_to_fock(GaussianParams(0.5, np.sqrt(2.0) * alpha), 2048)
+    assert np.abs(st.amplitudes - poisson_amplitudes(alpha, 2048)).max() < 1e-9
+    assert st.norm == pytest.approx(1.0, abs=1e-12)
+    assert not st.tail_flagged
+
+
+@pytest.mark.parametrize("a, b, n_max", [(0.8 + 0.2j, 30.0 - 12.0j, 1400),
+                                          (0.15 + 0.1j, 20.0 + 25.0j, 3000)])
+def test_embedding_squeezed_large_displacement_moments(a, b, n_max):
+    # gamma != 0 far from the origin, beyond the quadrature oracle's nodes:
+    # <a>, <a^2> and <n> of the amplitudes against the closed-form moments
+    params = GaussianParams(a, b)
+    st = gaussian_to_fock(params, n_max)
+    assert not st.tail_flagged
+    amps, m = st.amplitudes, np.arange(n_max + 1)
+    mom = moments(params)
+    xx = mom.covariance[1, 1] + mom.mean_x ** 2
+    pp = mom.covariance[0, 0] + mom.mean_p ** 2
+    sym_xp = 2.0 * (mom.covariance[0, 1] + mom.mean_x * mom.mean_p)
+    qm = quadrature_means(st)
+    assert abs(qm.mean_x - mom.mean_x) < 1e-10
+    assert abs(qm.mean_p - mom.mean_p) < 1e-10
+    n_mean = float(np.sum(m * np.abs(amps) ** 2))
+    assert n_mean == pytest.approx((xx + pp - 1.0) / 2.0, rel=1e-12)
+    a_sq = np.sum(np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))
+                  * np.conj(amps[:-2]) * amps[2:])
+    assert a_sq == pytest.approx((xx - pp + 1j * sym_xp) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.05, 6.0])
+def test_embedding_tail_flag_counts_lost_norm(a):
+    # strongly squeezed, nearly even seeds: the odd last slot is almost empty,
+    # so only the norm lost beyond n_max = 63 can set the flag
+    p = GaussianParams(a, 1e-6)
+    st = gaussian_to_fock(p, 63)
+    assert st.tail_mass < EMBED_TAIL_TOL
+    assert st.tail_flagged
+    assert gaussian_to_fock_quadrature(p, 63).tail_flagged
+
+
+def test_embedding_far_outside_truncation_is_flagged_not_nan():
+    # every amplitude of this seed on |0>..|64> is below e^{-4000}
+    st = gaussian_to_fock(GaussianParams(0.5, 100.0), 64)
+    assert np.isfinite(st.amplitudes).all()
+    assert st.norm == pytest.approx(1.0, abs=1e-12)
+    assert st.tail_flagged
 
 
 def test_embedding_rotation_commutation():
