@@ -126,18 +126,31 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_finite(name: str, values) -> None:
+    """Raise ValueError (exit 1) before any output holding NaN or Inf is written."""
+    size = int(np.size(values))
+    bad = size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise ValueError(
+            f"{name}: {bad} of {size} values are not finite; nothing written")
+
+
 def cmd_wigner(args: argparse.Namespace) -> int:
     state = _load_state(args.input)
     grid = wigner(state, (args.x_min, args.x_max), (args.p_min, args.p_max),
                   args.points)
+    _require_finite("Wigner grid", grid.values)
+    res = None
+    if args.check_symmetry is not None:
+        res = wigner_rotation_residual(state, args.check_symmetry,
+                                       (args.x_min, args.x_max))
+        _require_finite("rotation symmetry residual", res)
     if args.output is None:
         write_wigner_csv(grid, sys.stdout)
     else:
         with open(args.output, "w") as fh:
             write_wigner_csv(grid, fh)
-    if args.check_symmetry is not None:
-        res = wigner_rotation_residual(state, args.check_symmetry,
-                                       (args.x_min, args.x_max))
+    if res is not None:
         sys.stderr.write(
             f"rotation symmetry residual (order {args.check_symmetry}): "
             f"{res:.3e}\n")
@@ -146,6 +159,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 def cmd_mandel(args: argparse.Namespace) -> int:
     m_q = mandel(_load_state(args.input))
+    _require_finite("Mandel parameter M_Q", m_q)
     if m_q < 1.0 - 1e-12:
         label = "subpoissonian"
     elif m_q > 1.0 + 1e-12:
@@ -173,6 +187,11 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     spec = bipartite_normalize(_load_bipartite(args.input))
     result = linear_entropy(spec)
     oracle = linear_entropy_oracle(spec)
+    for name, values in (("s_linear", result.s_linear),
+                         ("s_linear_oracle", oracle),
+                         ("f_matrix", result.f_matrix),
+                         ("d_tensor", result.d_tensor)):
+        _require_finite(name, values)
     diff = abs(result.s_linear - oracle)
     payload = {
         "s_linear": result.s_linear,

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 __all__ = [
     "TAIL_TOL",
@@ -147,17 +148,21 @@ def basis_state(m: int, n_max: int | None = None) -> FockVector:
 def coherent(alpha: complex, n_max: int | None = None) -> FockVector:
     """Coherent state amplitudes alpha^m e^{-|alpha|^2/2}/sqrt(m!), renormalized.
 
-    The sqrt(m!) is folded in by iterative ratio updates so no factorial is
-    ever formed (safe past m = 170). The tail flag is set when |alpha|^2
-    exceeds n_max or when the truncated tail mass is above TAIL_TOL.
+    Built in log space, m log|alpha| - |alpha|^2/2 - lgamma(m+1)/2 with phase
+    (alpha/|alpha|)^m, so no factorial or power is ever formed and no term
+    overflows or underflows early (|alpha| = 40 at n_max 2048 is exact).
+    The tail flag is set when |alpha|^2 exceeds n_max or when the truncated
+    tail mass is above TAIL_TOL.
     """
     n_max = _checked_n_max(n_max)
-    amps = np.empty(n_max + 1, dtype=complex)
-    amps[0] = 1.0
-    for m in range(n_max):
-        amps[m + 1] = amps[m] * alpha / np.sqrt(m + 1.0)
-    amps *= np.exp(-abs(alpha) ** 2 / 2)
-    flagged = abs(alpha) ** 2 > n_max or np.abs(amps[-1]) ** 2 > TAIL_TOL
+    m = np.arange(n_max + 1)
+    r = abs(alpha)
+    log_mod = xlogy(m, r) - 0.5 * r * r - 0.5 * gammaln(m + 1)
+    # (alpha/|alpha|)^m by running products, exact for real and imaginary alpha
+    phase = np.ones(n_max + 1, dtype=complex)
+    phase[1:] = np.cumprod(np.full(n_max, alpha / r if r > 0 else 1.0))
+    amps = np.exp(log_mod) * phase
+    flagged = r * r > n_max or np.abs(amps[-1]) ** 2 > TAIL_TOL
     amps /= np.linalg.norm(amps)
     return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=bool(flagged))
 

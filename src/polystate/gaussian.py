@@ -54,6 +54,14 @@ __all__ = [
 
 EMBED_TAIL_TOL = 1e-8
 
+# Running rescale threshold for the recurrences; squares of values below it,
+# summed over thousands of slots, stay far from overflow.
+_RESCALE = 2.0 ** 200
+_LOG_RESCALE = 200.0 * math.log(2.0)
+# hermite_functions seeds u_0 no lower than e^{-600}, well inside the normal
+# range; points beyond |x| = sqrt(1200) carry the rest as a log scale.
+_SEED_LOG_FLOOR = 600.0
+
 
 @dataclass(frozen=True)
 class GaussianParams:
@@ -138,21 +146,47 @@ def rotate_params(params: GaussianParams, theta_: float) -> GaussianParams:
     return GaussianParams(a=a_t, b=b_t)
 
 
+def _hermite_rows(n_max: int, x: np.ndarray):
+    """Yield u_0(x), ..., u_{n_max}(x) in turn; see hermite_functions.
+
+    The yielded arrays are buffers the recurrence reuses, so each must be
+    read before the next is asked for.
+    """
+    half_sq = 0.5 * x * x
+    shift = np.maximum(half_sq - _SEED_LOG_FLOOR, 0.0)
+    scale = np.exp(-shift) if shift.any() else None
+    cur = np.pi ** -0.25 * np.exp(shift - half_sq)
+    prev, nxt, tmp = np.zeros(x.size), np.empty(x.size), np.empty(x.size)
+    for m in range(n_max + 1):
+        yield cur if scale is None else np.multiply(cur, scale, out=tmp)
+        if m == n_max:
+            return
+        np.multiply(np.sqrt(2.0 / (m + 1)), x, out=nxt)
+        nxt *= cur
+        nxt -= np.multiply(np.sqrt(m / (m + 1.0)), prev, out=tmp)
+        prev, cur, nxt = cur, nxt, prev
+        if scale is not None and (big := np.abs(cur) > _RESCALE).any():
+            cur[big] /= _RESCALE
+            prev[big] /= _RESCALE
+            shift[big] -= _LOG_RESCALE
+            scale[big] = np.exp(-shift[big])
+
+
 def hermite_functions(n_max: int, x) -> np.ndarray:
     """Matrix u[m, k] of harmonic-oscillator eigenfunctions u_m(x_k), m <= n_max.
 
     Upward recurrence u_{m+1} = sqrt(2/(m+1)) x u_m - sqrt(m/(m+1)) u_{m-1};
-    stable since the functions are bounded. u_0 underflows to zero for
-    |x| beyond ~38, which is harmless: every integrand using these decays
-    faster than the loss.
+    stable since the functions are bounded. Where the seed u_0 =
+    pi^{-1/4} e^{-x^2/2} would leave the normal range (|x| beyond ~34,
+    while u_m reaches out to |x| ~ sqrt(2 n_max + 1)), the recurrence runs
+    on v_m = u_m e^{shift} with a per-point log scale that drops by
+    log 2^200 whenever |v_m| passes 2^200, as gaussian_to_fock does; u_m is
+    then exact wherever it is itself a normal double.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.empty((n_max + 1, x.size))
-    u[0] = np.pi ** -0.25 * np.exp(-x * x / 2)
-    if n_max >= 1:
-        u[1] = np.sqrt(2.0) * x * u[0]
-    for m in range(1, n_max):
-        u[m + 1] = np.sqrt(2.0 / (m + 1)) * x * u[m] - np.sqrt(m / (m + 1.0)) * u[m - 1]
+    for m, row in enumerate(_hermite_rows(n_max, x)):
+        u[m] = row
     return u
 
 
@@ -184,11 +218,6 @@ def _embedded(unit: np.ndarray, kept: float) -> FockVector:
     flagged = (1.0 - kept > EMBED_TAIL_TOL
                or float(np.abs(unit[-1]) ** 2) > EMBED_TAIL_TOL)
     return FockVector(n_max=unit.size - 1, amplitudes=unit, tail_flagged=flagged)
-
-
-# Running rescale threshold for the recurrence; squares of values below it,
-# summed over thousands of slots, stay far from overflow.
-_RESCALE = 2.0 ** 200
 
 
 def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVector:
@@ -277,9 +306,19 @@ def gaussian_to_fock_quadrature(params: GaussianParams, n_max: int | None = None
 
 
 def fock_wavefunction(state: FockVector, x) -> np.ndarray:
-    """Position representation sum_m A_m u_m(x) of a truncated state."""
-    u = hermite_functions(state.n_max, x)
-    return state.amplitudes @ u
+    """Position representation sum_m A_m u_m(x) of a truncated state.
+
+    The sum runs along the Hermite recurrence, so it holds O(len(x))
+    values whatever n_max is.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    re, im, tmp = np.zeros(x.size), np.zeros(x.size), np.empty(x.size)
+    for amp, row in zip(state.amplitudes.tolist(), _hermite_rows(state.n_max, x)):
+        if amp.real:
+            re += np.multiply(amp.real, row, out=tmp)
+        if amp.imag:
+            im += np.multiply(amp.imag, row, out=tmp)
+    return re + 1j * im
 
 
 def cyclic_gaussian_wavefunction(params: GaussianParams, spec: CyclicSpec, x,

@@ -3,6 +3,23 @@ and bipartite entanglement of two-mode rotated superpositions.
 
 The Wigner convention is W(x, p) = (1/pi) int dy psi^*(x+y) psi(x-y) e^{2ipy},
 normalized so that int W dx dp = 1 and bounded below by -1/pi.
+
+W is evaluated by an exact Hermite-Gauss factorisation. For a state
+truncated at n_max, psi^*(x+y) psi(x-y) is e^{-y^2} times a polynomial in y
+of degree <= 2 n_max, so a K-node Gauss-Hermite rule with K >= 2 n_max + 1
+gives its coefficients on the Hermite functions h_k(sqrt(2) y), k < K,
+without error, and h_k is an eigenfunction of the Fourier transform:
+int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k h_k(sqrt(2) p). On a grid,
+
+    W = pi^{-1/2} [(F o w) H^T diag(i^k)] H_p,
+
+with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
+h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
+w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
+K x K matrix is held), exact up to rounding at any n_max. The number-basis
+Laguerre double sum (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) gives
+the same W; wigner_direct, the defining integral by quadrature, is the
+oracle.
 """
 from __future__ import annotations
 
@@ -10,11 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import roots_hermite
 
 from .fock import FockVector, residue_class_masses, rotate
 from .cyclic import EmptyRepresentationError, NormalizationRecord
-from .gaussian import _gh_nodes, fock_wavefunction
+from .gaussian import _gh_nodes, _hermite_rows, fock_wavefunction, hermite_functions
 from .group import mu, theta
 
 __all__ = [
@@ -36,6 +53,13 @@ __all__ = [
     "linear_entropy",
     "linear_entropy_oracle",
 ]
+
+
+# Fewest Gauss-Hermite nodes the Wigner rule takes (see _wigner_nodes).
+_MIN_NODES = 151
+# Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
+# rows or points, and entries of the node matrix G per chunk of k.
+_WIGNER_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -69,47 +93,101 @@ class WignerGrid:
         return np.linspace(self.p_min, self.p_max, self.points_per_axis)
 
 
-def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
-    """W at arbitrary phase-space points, vectorized over the point list.
+def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """K Gauss-Hermite nodes t_a and their Christoffel weights.
 
-    Number-basis kernel, assembled per off-diagonal distance d = m' - m with
-    a three-term Laguerre recurrence. The e^{-(x^2+p^2)} damping is folded
-    into the recurrence seed so intermediates stay bounded out to
-    x^2 + p^2 of several hundred.
+    w_a = 1 / sum_{k<K} h_k(t_a)^2 is the Gauss weight times e^{t_a^2},
+    free of underflow. K = 2 n_max + 1 is the exactness condition; K is
+    raised to at least _MIN_NODES because roots_hermite switches below
+    that to an eigenvalue solver that loads scipy.linalg, and a larger K
+    stays exact.
+    """
+    k = max(2 * n_max + 1, _MIN_NODES)
+    t, _ = roots_hermite(k)
+    t = 0.5 * (t - t[::-1])  # exactly antisymmetric: t[K-1-a] = -t[a]
+    total = np.zeros(k)
+    for row in _hermite_rows(k - 1, t):
+        total += row * row
+    return t, 1.0 / total
+
+
+def _blocks(n: int, k: int):
+    """Slices of n rows or points taking about _WIGNER_BLOCK values of K
+    nodes each."""
+    step = max(1, _WIGNER_BLOCK // k)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _weighted_products(state: FockVector, x: np.ndarray, t: np.ndarray,
+                       w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of F[i, a] w_a / |psi|^2, with
+    F[i, a] = psi*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), in row blocks."""
+    fr, fi = np.empty((x.size, t.size)), np.empty((x.size, t.size))
+    w = w / state.norm ** 2
+    for blk in _blocks(x.size, t.size):
+        psi = fock_wavefunction(state, (x[blk, None] + t / np.sqrt(2.0)).ravel())
+        psi = psi.reshape(-1, t.size)
+        f = np.conj(psi) * psi[:, ::-1]  # psi(x - t_a/sqrt2) = psi(x + t_{K-1-a}/sqrt2)
+        np.multiply(f.real, w, out=fr[blk])
+        np.multiply(f.imag, w, out=fi[blk])
+    return fr, fi
+
+
+def _coefficient_chunks(fr: np.ndarray, fi: np.ndarray, t: np.ndarray):
+    """Yield (ks, c) with c[i, j] = Re(i^k b_ik) for k = ks[j], over all k < K
+    in chunks of about _WIGNER_BLOCK entries of G, so no K x K matrix is held.
+
+    b_ik = sum_a F[i, a] w_a h_k(t_a) is the exact coefficient of
+    f_i(y) = psi*(x_i + y) psi(x_i - y) on h_k(sqrt(2) y). Since
+    f_i(-y) = f_i(y)*, b_ik is real for even k and imaginary for odd k, so
+    Re(i^k b_ik) = sigma_k Re b_ik or sigma_k Im b_ik with sigma_k = 1, -1,
+    -1, 1 for k = 0, 1, 2, 3 mod 4: one GEMM against the rows
+    G[k, a] = sigma_k h_k(t_a) of each parity.
+    """
+    rows = max(2, _WIGNER_BLOCK // t.size // 2 * 2)  # even: chunks start at even k
+    g = np.empty((rows, t.size))
+    for k, h in enumerate(_hermite_rows(t.size - 1, t)):
+        j = k % rows
+        np.multiply(h, -1.0 if k % 4 in (1, 2) else 1.0, out=g[j])
+        if j == rows - 1 or k == t.size - 1:
+            yield slice(k - j, k + 1, 2), fr @ g[0:j + 1:2].T
+            yield slice(k - j + 1, k + 1, 2), fi @ g[1:j + 1:2].T
+
+
+def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
+    """W at arbitrary phase-space points, shaped like xs.
+
+    W(x, p) = pi^{-1/2} sum_k Re(i^k b_k(x)) h_k(sqrt(2) p), from the same
+    row coefficients as the grid, exact for the truncated state since
+    K >= 2 n_max + 1. Points go in blocks (_blocks), so the transient
+    arrays stay bounded however many points are asked for.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     if xs.shape != ps.shape:
         raise ValueError("xs and ps must have matching shapes")
-    A = state.amplitudes / state.norm
-    nmax = state.n_max
+    shape = xs.shape
+    xs, ps = xs.ravel(), ps.ravel()
+    t, w = _wigner_nodes(state.n_max)
+    out = np.zeros(xs.size)
+    for blk in _blocks(xs.size, t.size):
+        fr, fi = _weighted_products(state, xs[blk], t, w)
+        hp = hermite_functions(t.size - 1, np.sqrt(2.0) * ps[blk])
+        for ks, c in _coefficient_chunks(fr, fi, t):
+            out[blk] += np.einsum("ik,ki->i", c, hp[ks])
+    return out.reshape(shape) / np.sqrt(np.pi)
 
-    y = 2.0 * (xs * xs + ps * ps)
-    damped = np.exp(-y / 2.0)  # e^{-(x^2+p^2)}, absorbed into L_0
-    z = np.sqrt(2.0) * (xs - 1j * ps)
 
-    m_idx = np.arange(nmax + 1)
-    sign = (-1.0) ** m_idx
-    total = np.zeros(xs.size, dtype=complex)
-    zd = np.ones(xs.size, dtype=complex)
-    for d in range(nmax + 1):
-        coeff = sign[: nmax + 1 - d] * np.conj(A[: nmax + 1 - d]) * A[d:]
-        if d > 0:
-            m = m_idx[: nmax + 1 - d]
-            coeff = coeff * np.exp(0.5 * (gammaln(m + 1) - gammaln(m + d + 1)))
-        lm_prev = damped  # e^{-y/2} L_0^d
-        acc = coeff[0] * lm_prev
-        if nmax - d >= 1:
-            lm = (1.0 + d - y) * damped
-            acc = acc + coeff[1] * lm
-            for m in range(1, nmax - d):
-                lm, lm_prev = (((2 * m + 1 + d - y) * lm - (m + d) * lm_prev)
-                               / (m + 1)), lm
-                acc = acc + coeff[m + 1] * lm
-        contrib = zd * acc
-        total += contrib if d == 0 else contrib + np.conj(contrib)
-        zd = zd * z
-    return total.real / np.pi
+def _wigner_values(state: FockVector, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """values[i, j] = W(x_i, p_j): the row coefficients times
+    H_p[k, j] = h_k(sqrt(2) p_j), two GEMMs per chunk of k."""
+    t, w = _wigner_nodes(state.n_max)
+    fr, fi = _weighted_products(state, x, t, w)
+    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
+    out = np.zeros((x.size, p.size))
+    for ks, c in _coefficient_chunks(fr, fi, t):
+        out += c @ hp[ks]
+    return out / np.sqrt(np.pi)
 
 
 def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
@@ -120,11 +198,10 @@ def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
         p_range = x_range
     x = np.linspace(x_range[0], x_range[1], points_per_axis)
     p = np.linspace(p_range[0], p_range[1], points_per_axis)
-    X, P = np.meshgrid(x, p, indexing="ij")  # values[i, j] = W(x_i, p_j)
-    vals = wigner_points(state, X.ravel(), P.ravel()).reshape(X.shape)
     return WignerGrid(x_min=float(x_range[0]), x_max=float(x_range[1]),
                       p_min=float(p_range[0]), p_max=float(p_range[1]),
-                      points_per_axis=points_per_axis, values=vals)
+                      points_per_axis=points_per_axis,
+                      values=_wigner_values(state, x, p))
 
 
 def wigner_direct(state: FockVector, x: float, p: float,
@@ -155,12 +232,6 @@ def wigner_normalization_error(grid: WignerGrid) -> float:
     return float(abs(wx @ grid.values @ wp - 1.0))
 
 
-def _probe_points(bounds: tuple[float, float], points: int):
-    ax = np.linspace(bounds[0], bounds[1], points)
-    X, P = np.meshgrid(ax, ax)
-    return X.ravel(), P.ravel()
-
-
 def wigner_rotation_residual(state: FockVector, n: int,
                              bounds: tuple[float, float] = (-5.0, 5.0),
                              points: int = 61) -> float:
@@ -168,12 +239,13 @@ def wigner_rotation_residual(state: FockVector, n: int,
 
     A state in any C_n symmetry sector satisfies this exactly: the group
     element changes the state only by a phase, and the Wigner function is
-    phase-blind.
+    phase-blind. W at the rotated points of the square probe grid is the
+    Wigner function of rotate(state, 2 pi / n) on the grid itself, by the
+    covariance W_{R(theta) psi}(x, p) = W_psi(x cos - p sin, x sin + p cos).
     """
-    xs, ps = _probe_points(bounds, points)
-    c, s = np.cos(2 * np.pi / n), np.sin(2 * np.pi / n)
-    base = wigner_points(state, xs, ps)
-    moved = wigner_points(state, c * xs - s * ps, s * xs + c * ps)
+    ax = np.linspace(bounds[0], bounds[1], points)
+    base = _wigner_values(state, ax, ax)
+    moved = _wigner_values(rotate(state, 2 * np.pi / n), ax, ax)
     return float(np.abs(moved - base).max())
 
 
@@ -182,19 +254,23 @@ def wigner_reflection_residual(state: FockVector,
                                points: int = 61) -> float:
     """max |W(x, -p) - W(x, p)|; zero when the state is a phase times a
     real-amplitude vector."""
-    xs, ps = _probe_points(bounds, points)
-    base = wigner_points(state, xs, ps)
-    flipped = wigner_points(state, xs, -ps)
+    ax = np.linspace(bounds[0], bounds[1], points)
+    base = _wigner_values(state, ax, ax)
+    flipped = _wigner_values(state, ax, -ax)
     return float(np.abs(flipped - base).max())
 
 
 def write_wigner_csv(grid: WignerGrid, stream) -> None:
-    """CSV rows x,p,w with x varying fastest (p is the outer loop)."""
+    """CSV rows x,p,w in %.12e, x varying fastest (p is the outer loop).
+
+    The x column is formatted once into a template for one p-row; each row
+    then costs one str.replace for p and one % call for its W values.
+    """
     stream.write("x,p,w\n")
-    x_ax, p_ax = grid.x_axis, grid.p_axis
-    for j, pv in enumerate(p_ax):
-        for i, xv in enumerate(x_ax):
-            stream.write(f"{xv:.12e},{pv:.12e},{grid.values[i, j]:.12e}\n")
+    row = "".join(f"{x:.12e},{{p}},%.12e\n" for x in grid.x_axis.tolist())
+    for j, pv in enumerate(grid.p_axis.tolist()):
+        stream.write(row.replace("{p}", f"{pv:.12e}")
+                     % tuple(grid.values[:, j].tolist()))
 
 
 def mandel(state: FockVector) -> float:

@@ -448,8 +448,17 @@ def suite_wigner(seed: int = DEFAULT_SEED, order: int | None = None):
                 direct = wigner_direct(state, axis[i], axis[j])
                 worst = max(worst, abs(grid.values[i, j] - direct))
     out.append(_row("wigner", "kernel vs integral",
-                    "Laguerre kernel matches the defining integral on a 41x41 "
-                    "grid at n_max = 16", worst, 1e-8))
+                    "Hermite-Gauss grid matches the defining integral on a "
+                    "41x41 grid at n_max = 16", worst, 1e-8))
+
+    axis = np.linspace(-6.0, 6.0, 61)
+    grid = wigner(coherent(5.0, 300), (-6.0, 6.0), points_per_axis=61)
+    closed = np.exp(-(axis[:, None] - 5.0 * np.sqrt(2.0)) ** 2
+                    - axis[None, :] ** 2) / np.pi
+    out.append(_row("wigner", "large n_max",
+                    "coherent(5) at n_max = 300 matches the closed-form "
+                    "Gaussian on the +-6, 61x61 grid",
+                    float(np.abs(grid.values - closed).max()), 1e-10))
 
     c3, _ = cyclic_gaussian(GaussianParams(1.0, np.sqrt(2.0) * (1 + 1j)),
                             CyclicSpec(3, 1), 64)

@@ -75,8 +75,9 @@ def test_primary_11_inverse():
 
 def test_primary_12_wigner():
     run_criterion(12, "wigner",
-                  "Wigner kernel vs quadrature, normalization refinement, "
-                  "symmetry residuals")
+                  "Wigner grid vs quadrature, coherent(5) at n_max 300 vs "
+                  "its closed form, normalization refinement, symmetry "
+                  "residuals")
 
 
 def test_primary_13_coherent():

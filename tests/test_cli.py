@@ -143,6 +143,21 @@ def test_gaussian_embedding_large_displacement(tmp_path):
     assert np.abs(amps - poisson).max() < 1e-9
 
 
+def test_build_coherent_large_alpha(tmp_path, capsys):
+    # |alpha| = 40 at n_max 2048 fits its truncation; the C_2 sector state is
+    # the even half of the Poisson amplitudes, renormalized
+    out = tmp_path / "s.json"
+    assert run("build", "--coherent", 40, 0, "--order", 2, "--irrep", 1,
+               "--n-max", 2048, "--output", out) == 0
+    assert capsys.readouterr().err == ""
+    amps = np.array([complex(re, im) for re, im in
+                     json.loads(out.read_text())["amplitudes"]])
+    m = np.arange(2049)
+    want = np.exp(m * np.log(40.0) - 800.0 - 0.5 * gammaln(m + 1))
+    want[1::2] = 0.0
+    assert np.abs(amps - want / np.linalg.norm(want)).max() < 1e-9
+
+
 def test_empty_sector_message_is_one_line(tmp_path, capsys):
     # 32 class masses would wrap over several lines if printed as an array
     assert run("build", "--coherent", 0, 0, "--order", 32, "--irrep", 2,
@@ -198,6 +213,38 @@ def test_wigner_check_symmetry(tmp_path, capsys):
 
 def test_wigner_missing_input(tmp_path):
     assert run("wigner", "--input", tmp_path / "nope.json") == 1
+
+
+def test_wigner_non_finite_grid_not_written(tmp_path, capsys, monkeypatch):
+    import polystate.cli as cli
+    from polystate.observables import WignerGrid
+
+    def nan_grid(state, x_range, p_range, points):
+        values = np.zeros((points, points))
+        values[0, :3] = np.nan
+        values[1, 0] = np.inf
+        return WignerGrid(*x_range, *p_range, points, values)
+
+    monkeypatch.setattr(cli, "wigner", nan_grid)
+    src = write_state(tmp_path / "vac.json", basis_state(0, 8))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--input", src, "--points", 5, "--output", out) == 1
+    err = one_line_error(capsys)
+    assert "Wigner grid: 4 of 25 values are not finite" in err
+    assert not out.exists()
+    assert run("wigner", "--input", src, "--points", 5) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_mandel_non_finite_not_written(tmp_path, capsys, monkeypatch):
+    import polystate.cli as cli
+
+    monkeypatch.setattr(cli, "mandel", lambda state: float("inf"))
+    src = write_state(tmp_path / "coh.json", coherent(1.0, 8))
+    out = tmp_path / "m.txt"
+    assert run("mandel", "--input", src, "--output", out) == 1
+    assert "M_Q: 1 of 1 values are not finite" in one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_input_directory_exit(tmp_path, capsys):
@@ -305,6 +352,25 @@ def test_entangle_memory_guard_exit(tmp_path):
                           coherent(1.0, 4096), coherent(1.0, 4096))
     assert run("entangle", "--input", src, "--output",
                tmp_path / "res.json") == 4
+
+
+def test_entangle_non_finite_not_written(tmp_path, capsys, monkeypatch):
+    import polystate.cli as cli
+    from polystate.observables import EntanglementResult, linear_entropy
+
+    def nan_entropy(spec):
+        result = linear_entropy(spec)
+        f = result.f_matrix.copy()
+        f[0, 1] = complex(np.nan, 0.0)
+        return EntanglementResult(result.s_linear, f, result.d_tensor)
+
+    monkeypatch.setattr(cli, "linear_entropy", nan_entropy)
+    src = write_bipartite(tmp_path / "spec.json", 2, [1.0, 1.0],
+                          coherent(1.0, 16), coherent(1.0, 16))
+    out = tmp_path / "res.json"
+    assert run("entangle", "--input", src, "--output", out) == 1
+    assert "f_matrix: 1 of 4 values are not finite" in one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_entangle_malformed_spec(tmp_path):

@@ -275,6 +275,29 @@ def test_coherent_overflow_flags_tail():
     assert coherent(9.0, 16).tail_flagged  # |alpha|^2 = 81 > n_max
 
 
+def test_coherent_large_alpha_log_space():
+    # alpha^m / sqrt(m!) alone would overflow here; the amplitudes are built
+    # in log space
+    from scipy.special import gammaln
+
+    alpha = 40.0 * np.exp(0.3j)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        st_ = coherent(alpha, 2048)
+    m = np.arange(2049)
+    log_mod = m * np.log(40.0) - 800.0 - 0.5 * gammaln(m + 1)
+    want = np.exp(log_mod + 1j * 0.3 * m)
+    assert np.abs(st_.amplitudes - want).max() < 1e-9
+    assert st_.norm == pytest.approx(1.0, abs=1e-12)
+    assert not st_.tail_flagged
+
+
+def test_coherent_exact_phases_on_axes():
+    # real and imaginary alpha give exactly real and imaginary amplitudes
+    assert np.all(coherent(-1.5, 40).amplitudes.imag == 0.0)
+    amps = coherent(1.5j, 40).amplitudes
+    assert np.all(amps[0::2].imag == 0.0) and np.all(amps[1::2].real == 0.0)
+
+
 # ---- annihilation ----
 
 def test_annihilate_vacuum():

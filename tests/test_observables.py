@@ -1,5 +1,6 @@
 import io
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,10 @@ from polystate.observables import (
     wigner_rotation_residual,
     write_wigner_csv,
 )
+
+# An overflow or invalid operation inside a kernel fails the test instead of
+# leaving a silent NaN in its output.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 INV_PI = 1.0 / np.pi
 
@@ -66,6 +71,111 @@ def test_wigner_coherent_closed_form():
     ps = np.array([0.2, -0.4, 0.0])
     expected = np.exp(-((xs - np.sqrt(2) * alpha) ** 2 + ps ** 2)) / np.pi
     np.testing.assert_allclose(wigner_points(st, xs, ps), expected, atol=1e-10)
+
+
+def laguerre_sum_wigner(amps, x, p, dps=50):
+    """W(x, p) by the number-basis double sum, Laguerre values in mpmath.
+
+    W = (1/pi) Re sum_{d>=0} (2 - [d=0]) e^{i d arg z} sum_m conj(A_m) A_{m+d}
+    lam_{m,d}, z = sqrt(2)(x - ip), y = |z|^2, with the bounded real factors
+    lam_{m,d} = (-1)^m sqrt(m!/(m+d)!) y^{d/2} e^{-y/2} L_m^d(y) from the
+    three-term Laguerre recurrence at dps digits (Cahill & Glauber, Phys.
+    Rev. 177, 1857 (1969)). Only the cancelling Laguerre sums need the extra
+    digits; the amplitude products are summed in double precision.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    n = amps.size
+    total = 0j
+    with mpmath.workdps(dps):
+        y = 2 * (mpmath.mpf(x) ** 2 + mpmath.mpf(p) ** 2)
+        root = [mpmath.sqrt(k) for k in range(2 * n)]
+        damp = mpmath.exp(-y / 2)
+        lead = damp  # sqrt(1/d!) y^{d/2} e^{-y/2}, advanced with d
+        for d in range(n):
+            lam = np.empty(n - d)
+            prev, cur, scale = mpmath.mpf(0), mpmath.mpf(1), lead
+            for m in range(n - d):
+                lam[m] = float((-1) ** m * scale * cur)
+                prev, cur = cur, ((2 * m + 1 + d - y) * cur - (m + d) * prev) / (m + 1)
+                scale = scale * root[m + 1] / root[m + d + 1]
+            inner = np.sum(np.conj(amps[:n - d]) * amps[d:] * lam)
+            total += (1 if d == 0 else 2) * np.exp(-1j * d * np.arctan2(p, x)) * inner
+            lead = lead * mpmath.sqrt(y) / root[d + 1]
+    return total.real / np.pi
+
+
+def coherent_sum_wigner(weights, betas, x, p):
+    """Closed-form W of sum_r weights[r] |betas[r]>, normalized: Gaussian
+    cross terms (1/pi) <b_s|b_r> e^{-2 (xi - b_r)(xi* - b_s*)}, xi = (x+ip)/sqrt2,
+    each taken in log space."""
+    xi = (np.asarray(x) + 1j * np.asarray(p)) / np.sqrt(2.0)
+    total = 0.0
+    norm = 0.0
+    for wr, br in zip(weights, betas):
+        for ws, bs in zip(weights, betas):
+            log_overlap = -abs(br) ** 2 / 2 - abs(bs) ** 2 / 2 + np.conj(bs) * br
+            norm += (np.conj(ws) * wr * np.exp(log_overlap)).real
+            total = total + np.conj(ws) * wr * np.exp(
+                log_overlap - 2 * (xi - br) * (np.conj(xi) - np.conj(bs)))
+    return total.real / (np.pi * norm)
+
+
+@pytest.mark.parametrize("n_max, points", [(64, 5), (300, 3)])
+def test_wigner_matches_laguerre_double_sum(n_max, points):
+    rng = np.random.default_rng(n_max)
+    st = random_state(rng, n_max)
+    xs, ps = rng.uniform(-4.0, 4.0, (2, points))
+    got = wigner_points(st, xs, ps)
+    want = [laguerre_sum_wigner(st.amplitudes, x, p) for x, p in zip(xs, ps)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [300, 600])
+def test_wigner_coherent_large_n_max(n_max):
+    # the input that gave 120 NaN values at n_max 300 under the old kernel
+    grid = wigner(coherent(5.0, n_max), (-6.0, 6.0), points_per_axis=61)
+    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    assert np.isfinite(grid.values).all()
+    np.testing.assert_allclose(grid.values, coherent_sum_wigner([1.0], [5.0], x, p),
+                               rtol=0, atol=1e-10)
+
+
+def test_wigner_coherent_and_cat_at_n_max_1024():
+    alpha = 20.0
+    centre = np.sqrt(2.0) * alpha
+    st = coherent(alpha, 1024)
+    amps = st.amplitudes + coherent(-alpha, 1024).amplitudes
+    cat = from_amplitudes(amps / np.linalg.norm(amps))
+    cases = (
+        (st, [1.0], [alpha], (centre - 4, centre + 4), (-4.0, 4.0)),
+        (cat, [1.0, 1.0], [alpha, -alpha], (centre - 4, centre + 4), (-4.0, 4.0)),
+        (cat, [1.0, 1.0], [alpha, -alpha], (-1.0, 1.0), (-1.0, 1.0)),  # fringes
+    )
+    for state, weights, betas, x_range, p_range in cases:
+        grid = wigner(state, x_range, p_range, points_per_axis=17)
+        x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+        assert np.isfinite(grid.values).all()
+        np.testing.assert_allclose(
+            grid.values, coherent_sum_wigner(weights, betas, x, p),
+            rtol=0, atol=1e-10)
+
+
+def test_wigner_grid_equals_points():
+    st = random_state(np.random.default_rng(3), 64)
+    grid = wigner(st, (-5.0, 4.0), (-3.0, 6.0), points_per_axis=41)
+    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    np.testing.assert_allclose(wigner_points(st, x, p), grid.values,
+                               rtol=0, atol=1e-14)
+
+
+def test_wigner_normalizes_the_state():
+    st = random_state(np.random.default_rng(4), 24)
+    scaled = from_amplitudes(3.0 * st.amplitudes)
+    np.testing.assert_allclose(wigner(scaled, points_per_axis=11).values,
+                               wigner(st, points_per_axis=11).values,
+                               rtol=0, atol=1e-14)
+    assert wigner_points(scaled, 0.3, -0.2)[0] == pytest.approx(
+        wigner_points(st, 0.3, -0.2)[0], abs=1e-14)
 
 
 def test_wigner_lower_bound():
