@@ -25,9 +25,8 @@ from .cyclic import (
     circle_limit,
     circle_limit_quadrature_gap,
     cyclic_erasure,
-    cyclic_superposition,
+    cyclic_state,
     dihedral_state,
-    normalization_record,
 )
 from .gaussian import GaussianParams, gaussian_to_fock
 from .observables import (
@@ -106,11 +105,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.group == "D":
         state, record = dihedral_state(seed, spec, args.variant)
         method = f"dihedral-{args.variant}"
-    elif method == "erasure":
-        state = cyclic_erasure(seed, spec)
-        record = normalization_record(seed, spec)
     else:
-        state, record = cyclic_superposition(seed, spec)
+        state, record = cyclic_state(seed, spec)
+        if method == "erasure":
+            state = cyclic_erasure(seed, spec)
     payload = vector_to_dict(state)
     payload["metadata"] = {
         "method": method,
@@ -136,15 +134,21 @@ def _require_finite(name: str, values) -> None:
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
+    for flag in ("x_min", "x_max", "p_min", "p_max"):
+        value = getattr(args, flag)
+        if not np.isfinite(value):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     state = _load_state(args.input)
-    grid = wigner(state, (args.x_min, args.x_max), (args.p_min, args.p_max),
-                  args.points)
-    _require_finite("Wigner grid", grid.values)
-    res = None
-    if args.check_symmetry is not None:
-        res = wigner_rotation_residual(state, args.check_symmetry,
-                                       (args.x_min, args.x_max))
-        _require_finite("rotation symmetry residual", res)
+    # far-out finite bounds overflow in the kernel: _require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = wigner(state, (args.x_min, args.x_max), (args.p_min, args.p_max),
+                      args.points)
+        _require_finite("Wigner grid", grid.values)
+        res = None
+        if args.check_symmetry is not None:
+            res = wigner_rotation_residual(state, args.check_symmetry,
+                                           (args.x_min, args.x_max))
+            _require_finite("rotation symmetry residual", res)
     if args.output is None:
         write_wigner_csv(grid, sys.stdout)
     else:
@@ -333,9 +337,8 @@ def main(argv=None) -> int:
         return _fail(exc, 3)
     except MemoryGuardError as exc:
         return _fail(exc, 4)
-    # OSError: unreadable or unwritable paths; RuntimeError: the quadrature
-    # embedding oracle did not converge (verify only); AssertionError: an
-    # oracle route's self-check failed.
+    # OSError: unreadable or unwritable paths; RuntimeError and AssertionError:
+    # an oracle route did not converge or failed its self-check (verify only).
     except (OSError, ValueError, RuntimeError, AssertionError) as exc:
         return _fail(exc, 1)
 

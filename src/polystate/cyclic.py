@@ -2,11 +2,11 @@
 
 A C_n sector state is supported on the single residue class
 m = lam - 1 (mod n) (fock.sector_mask), so the production routes work on
-that class directly: the erasure map keeps the seed's amplitudes there,
-the normalization constant follows from the class mass w_lam, dihedral
-states take the real or imaginary part of the kept amplitudes, and
-density matrices are projected onto the class. Two independent routes are
-kept once each as oracles for verify and the tests, and no production
+that class directly: one kernel (_sector_part) keeps the seed's amplitudes
+there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure,
+normalization_record and dihedral_state scale that part in closed form,
+and density matrices are projected onto the class. Two independent routes
+are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
 over density matrices (density_route_gap).
@@ -47,6 +47,7 @@ __all__ = [
     "NormalizationRecord",
     "EmptyRepresentationError",
     "cyclic_superposition",
+    "cyclic_state",
     "cyclic_erasure",
     "cyclic_set",
     "normalization_record",
@@ -122,8 +123,8 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     """Character-weighted sum over the rotated seed copies, normalized.
 
     The orbit route, kept as the oracle that verify and the tests compare
-    the closed forms against; it also serves build --method superposition.
-    Raises EmptyRepresentationError when the seed has no weight on the
+    cyclic_state and the other closed forms against. Raises
+    EmptyRepresentationError when the seed has no weight on the
     residue class m = lam - 1 (mod n). The output support is verified to
     lie on that class (off-class leakage <= 1e-12 of the norm; the exact
     cancellation is limited by rotation phases e^{-i theta m} with
@@ -145,24 +146,35 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     return out, NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)
 
 
-def _class_part(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
-    """The seed's amplitudes on the sector's residue class, zero elsewhere."""
-    return np.where(sector_mask(phi.n_max, spec.n, spec.lam), phi.amplitudes, 0)
+def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
+                 ) -> tuple[np.ndarray, float]:
+    """amps (default: the seed's) zeroed off the sector's residue class, and
+    their norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
+    amps = phi.amplitudes if amps is None else amps
+    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
+    nrm = float(np.linalg.norm(part))
+    if nrm < _EMPTY_TOL:
+        raise EmptyRepresentationError(spec.n, spec.lam,
+                                       residue_class_masses(phi, spec.n), detail)
+    return part, nrm
+
+
+def cyclic_state(phi: FockVector, spec: CyclicSpec
+                 ) -> tuple[FockVector, NormalizationRecord]:
+    """What cyclic_superposition returns, in closed form: the orbit sum is
+    n A_m on the residue class, so the state is mu_n^(lam-1) times the erased
+    seed, raw_norm = n sqrt(w_lam) and n_lambda = mu_n^(lam-1) / raw_norm.
+    Raises EmptyRepresentationError where cyclic_erasure does."""
+    part, nrm = _sector_part(phi, spec)
+    phase = mu(spec.n) ** (spec.lam - 1)
+    record = NormalizationRecord(raw_norm=spec.n * nrm,
+                                 n_lambda=complex(phase / (spec.n * nrm)))
+    return FockVector(phi.n_max, (phase / nrm) * part, phi.tail_flagged), record
 
 
 def normalization_record(phi: FockVector, spec: CyclicSpec) -> NormalizationRecord:
-    """The NormalizationRecord of cyclic_superposition, in closed form.
-
-    raw_norm = n sqrt(w_lam) from the class mass and n_lambda =
-    mu_n^(lam-1) / raw_norm; the orbit sum is never formed. Raises
-    EmptyRepresentationError where cyclic_superposition would.
-    """
-    n, lam = spec.n, spec.lam
-    raw_norm = n * float(np.linalg.norm(_class_part(phi, spec)))
-    if raw_norm < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
-    return NormalizationRecord(raw_norm=raw_norm,
-                               n_lambda=complex(mu(n) ** (lam - 1) / raw_norm))
+    """The NormalizationRecord of cyclic_state (and of cyclic_superposition)."""
+    return cyclic_state(phi, spec)[1]
 
 
 def cyclic_erasure(phi: FockVector, spec: CyclicSpec) -> FockVector:
@@ -171,32 +183,19 @@ def cyclic_erasure(phi: FockVector, spec: CyclicSpec) -> FockVector:
     Acts as the identity on states already supported on the class. The
     scale is real and positive: surviving amplitudes keep their phases.
     """
-    n, lam = spec.n, spec.lam
-    amps = _class_part(phi, spec)
-    nrm = np.linalg.norm(amps)
-    if nrm < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
-    return FockVector(phi.n_max, amps / nrm, phi.tail_flagged)
+    part, nrm = _sector_part(phi, spec)
+    return FockVector(phi.n_max, part / nrm, phi.tail_flagged)
 
 
 def cyclic_set(phi: FockVector, n: int
                ) -> list[tuple[FockVector, NormalizationRecord]]:
-    """All constructible (state, record) pairs for lam = 1..n, in lam order.
-
-    Each state is what cyclic_superposition returns, in closed form:
-    n_lambda times the orbit sum n A_m on the class, which is mu_n^(lam-1)
-    times the erased seed. Sectors where the seed has no weight are
-    skipped; an entirely empty result is impossible for a nonzero seed.
-    """
+    """cyclic_state for lam = 1..n, skipping sectors where the seed has no weight."""
     out = []
     for lam in range(1, n + 1):
-        spec = CyclicSpec(n, lam)
         try:
-            record = normalization_record(phi, spec)
+            out.append(cyclic_state(phi, CyclicSpec(n, lam)))
         except EmptyRepresentationError:
             continue
-        amps = record.n_lambda * n * _class_part(phi, spec)
-        out.append((FockVector(phi.n_max, amps, phi.tail_flagged), record))
     return out
 
 
@@ -309,19 +308,12 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
     """
     if variant not in ("sum", "difference"):
         raise ValueError(f"variant must be 'sum' or 'difference', got {variant!r}")
-    n, lam = spec.n, spec.lam
-    part = _class_part(phi, spec)
-    part = part.real if variant == "sum" else 1j * part.imag
-    nrm = float(np.linalg.norm(part))
-    raw_norm = 2 * n * nrm
-    if raw_norm < _EMPTY_TOL:
-        raise EmptyRepresentationError(
-            n, lam, residue_class_masses(phi, n),
-            detail=f"dihedral {variant} variant vanishes")
-    out = FockVector(phi.n_max, part / nrm, phi.tail_flagged)
+    amps = phi.amplitudes.real if variant == "sum" else 1j * phi.amplitudes.imag
+    part, nrm = _sector_part(phi, spec, amps, f"dihedral {variant} variant vanishes")
+    raw_norm = 2 * spec.n * nrm
     record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
-    return out, record
+    return FockVector(phi.n_max, part / nrm, phi.tail_flagged), record
 
 
 def dihedral_inversion_check(gamma: FockVector, spec: CyclicSpec, l: int

@@ -117,12 +117,12 @@ class QuadratureMeans:
     mean_p: float
 
 
-def from_amplitudes(amps, n_max: int | None = None, tail_tol: float = TAIL_TOL) -> FockVector:
+def from_amplitudes(amps, n_max: int | None = None) -> FockVector:
     """Wrap an amplitude array, flagging excessive tail mass."""
     amps = np.asarray(amps, dtype=complex)
     if n_max is None:
         n_max = amps.size - 1
-    flagged = bool(np.abs(amps[-1]) ** 2 > tail_tol)
+    flagged = bool(np.abs(amps[-1]) ** 2 > TAIL_TOL)
     return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=flagged)
 
 

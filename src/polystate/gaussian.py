@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .fock import FockVector, _checked_n_max
-from .cyclic import CyclicSpec, NormalizationRecord, cyclic_superposition
+from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
 from .group import character, mu, theta
 
 __all__ = [
@@ -260,13 +260,12 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
     return _embedded(amps / nrm, math.exp(2.0 * (log_scale + math.log(nrm))))
 
 
-def gaussian_to_fock_quadrature(params: GaussianParams, n_max: int | None = None,
-                                quad_tol: float = 1e-13,
-                                node_cap: int = 30000) -> FockVector:
+def gaussian_to_fock_quadrature(params: GaussianParams,
+                                n_max: int | None = None) -> FockVector:
     """Oracle for gaussian_to_fock: <u_m|psi> by adaptive Gauss-Hermite quadrature.
 
     Node counts start at 2 n_max + 32 and grow by 1.6x until two successive
-    rules agree on the normalized amplitude vector to quad_tol in the sup
+    rules agree on the normalized amplitude vector to 1e-13 in the sup
     norm. The floor alone is not enough: weakly confined seeds (Re a well
     below 1/2) have slowly decaying integrands and need several thousand
     nodes. Strongly chirped seeds (large Im a) cancellation-limit the
@@ -274,8 +273,8 @@ def gaussian_to_fock_quadrature(params: GaussianParams, n_max: int | None = None
     gaining while already below 1e-10 also counts as converged. The
     renormalization and tail flag are those of gaussian_to_fock.
     Seeds centred near |x| ~ 26 or beyond, where _gh_nodes drops
-    underflowed weights, do not converge and raise RuntimeError (the
-    coherent-like seed at alpha = 18 is one).
+    underflowed weights, do not converge within the 30000-node cap and
+    raise RuntimeError (the coherent-like seed at alpha = 18 is one).
     """
     n_max = _checked_n_max(n_max)
     n_nodes = 2 * n_max + 32
@@ -291,15 +290,15 @@ def gaussian_to_fock_quadrature(params: GaussianParams, n_max: int | None = None
         cur = raw / nrm
         if prev is not None:
             diff = float(np.abs(cur - prev).max())
-            if diff <= quad_tol:
+            if diff <= 1e-13:
                 break
             stalled = prev_diff is not None and diff > 0.5 * prev_diff
             if stalled and diff <= 1e-10:
                 break
             prev_diff = diff
-        if n_nodes >= node_cap:
+        if n_nodes >= 30000:
             raise RuntimeError(
-                f"Fock embedding did not converge within {node_cap} quadrature nodes")
+                "Fock embedding did not converge within 30000 quadrature nodes")
         prev = cur
         n_nodes = int(np.ceil(n_nodes * 1.6))
     return _embedded(cur, nrm * nrm)
@@ -325,6 +324,7 @@ def cyclic_gaussian_wavefunction(params: GaussianParams, spec: CyclicSpec, x,
                                  n_lambda: complex) -> np.ndarray:
     """Position route: n_lambda sum_r chi^(lam)(g_r) psi_{a(theta_r), b(theta_r)}(x).
 
+    The oracle for cyclic_gaussian, reached only from verify and the tests.
     n_lambda must come from the Fock route's NormalizationRecord so the two
     routes carry the same phase and scale.
     """
@@ -339,24 +339,12 @@ def cyclic_gaussian_wavefunction(params: GaussianParams, spec: CyclicSpec, x,
 def cyclic_gaussian(params: GaussianParams, spec: CyclicSpec,
                     n_max: int | None = None
                     ) -> tuple[FockVector, NormalizationRecord]:
-    """Symmetry-adapted Gaussian: embed, superpose, and cross-validate.
+    """Symmetry-adapted Gaussian: cyclic_state of the embedded seed.
 
-    The Fock-route result is compared pointwise on x in [-6, 6] against the
-    closed-form position route; disagreement beyond 1e-6 raises. The check
-    is skipped when the embedding is tail-flagged, since then the truncated
-    state is not a faithful image of the continuum seed at any tolerance.
+    Its position-space oracle is cyclic_gaussian_wavefunction with this
+    record's n_lambda (verify row gaussian / position route).
     """
-    seed = gaussian_to_fock(params, n_max)
-    state, record = cyclic_superposition(seed, spec)
-    if not seed.tail_flagged:
-        grid = np.linspace(-6.0, 6.0, 241)
-        direct = cyclic_gaussian_wavefunction(params, spec, grid, record.n_lambda)
-        via_fock = fock_wavefunction(state, grid)
-        gap = float(np.abs(direct - via_fock).max())
-        if gap > 1e-6:
-            raise AssertionError(
-                f"position and Fock routes disagree by {gap:.3e}")
-    return state, record
+    return cyclic_state(gaussian_to_fock(params, n_max), spec)
 
 
 def c2_closed_form(params: GaussianParams, lam: int, x) -> np.ndarray:

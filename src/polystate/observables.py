@@ -204,14 +204,12 @@ def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
                       values=_wigner_values(state, x, p))
 
 
-def wigner_direct(state: FockVector, x: float, p: float,
-                  quad_nodes: int = 1200) -> float:
-    """Oracle evaluation by direct quadrature of the defining integral.
-
-    Slow and pointwise; exists to pin the kernel route, not for production
-    grids.
+def wigner_direct(state: FockVector, x: float, p: float) -> float:
+    """Oracle evaluation by 1200-node Gauss-Hermite quadrature of the
+    defining integral. Slow and pointwise; exists to pin the kernel route,
+    not for production grids.
     """
-    nodes, w_eff = _gh_nodes(quad_nodes)
+    nodes, w_eff = _gh_nodes(1200)
     left = np.conj(fock_wavefunction(state, x + nodes))
     right = fock_wavefunction(state, x - nodes)
     val = np.sum(w_eff * left * right * np.exp(2j * p * nodes))

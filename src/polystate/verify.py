@@ -45,6 +45,7 @@ from .gaussian import (
     _gh_nodes,
     c2_closed_form,
     cyclic_gaussian,
+    cyclic_gaussian_wavefunction,
     fock_wavefunction,
     gaussian_to_fock,
     gaussian_to_fock_quadrature,
@@ -251,6 +252,15 @@ def suite_density(seed: int = DEFAULT_SEED, order: int | None = None):
     ]
 
 
+# The seeds of the cyclic Gaussian states that the c2, circle and wigner
+# suites build; the gaussian suite's position-route row checks every state.
+_C2_SEEDS = (GaussianParams(0.5, 1.0), GaussianParams(1.0, 1.0 + 1.0j),
+             GaussianParams(1.3 + 0.5j, -0.3 + 2.0j), GaussianParams(0.6, 2.0j))
+_CIRCLE_SEED = GaussianParams(1.0, np.sqrt(6.0) + 2.0j)
+_CIRCLE_ORDERS = (10, 15, 20)
+_WIGNER_SEED = GaussianParams(1.0, np.sqrt(2.0) * (1 + 1j))
+
+
 def suite_gaussian(seed: int = DEFAULT_SEED, order: int | None = None):
     avals = (0.3, 0.85, 1.4, 2.0)
     bvals = (3.0, 3.0j, -3.0, 2.1 + 2.1j, 0.5 - 0.5j)
@@ -269,6 +279,16 @@ def suite_gaussian(seed: int = DEFAULT_SEED, order: int | None = None):
                     via_fock = rotate(seed_f, th)
                     via_params = gaussian_to_fock(rotate_params(params, th), 64)
                     worst = max(worst, 1.0 - fidelity(via_fock, via_params))
+    x = np.linspace(-6.0, 6.0, 241)
+    worst_position = 0.0
+    for params, spec, n_max in (
+            [(p, CyclicSpec(2, lam), 80) for p in _C2_SEEDS for lam in (1, 2)]
+            + [(_CIRCLE_SEED, CyclicSpec(n, 1), 64) for n in _CIRCLE_ORDERS]
+            + [(_WIGNER_SEED, CyclicSpec(3, 1), 64)]):
+        state, record = cyclic_gaussian(params, spec, n_max)
+        direct = cyclic_gaussian_wavefunction(params, spec, x, record.n_lambda)
+        worst_position = max(worst_position, float(np.abs(
+            direct - fock_wavefunction(state, x)).max()))
     return [
         _row("gaussian", "rotation commutation",
              "Fock-space rotation matches the rotated-parameter embedding "
@@ -278,20 +298,18 @@ def suite_gaussian(seed: int = DEFAULT_SEED, order: int | None = None):
              "the three-term recurrence matches adaptive Gauss-Hermite "
              "quadrature (sup norm) on the 80 base seeds at n_max = 64",
              worst_route, 1e-10),
+        _row("gaussian", "position route",
+             "the c2, circle and wigner suites' cyclic Gaussian states match "
+             "the rotated-parameter position sum on [-6, 6]",
+             worst_position, 1e-6),
     ]
 
 
 def suite_c2(seed: int = DEFAULT_SEED, order: int | None = None):
-    combos = [
-        GaussianParams(0.5, 1.0),
-        GaussianParams(1.0, 1.0 + 1.0j),
-        GaussianParams(1.3 + 0.5j, -0.3 + 2.0j),
-        GaussianParams(0.6, 2.0j),
-    ]
     x = np.linspace(-5.0, 5.0, 201)
     nodes, w_eff = _gh_nodes(2000)
     worst_match = worst_orth = worst_norm = 0.0
-    for params in combos:
+    for params in _C2_SEEDS:
         closed = {}
         for lam in (1, 2):
             state, _ = cyclic_gaussian(params, CyclicSpec(2, lam), 80)
@@ -352,12 +370,11 @@ def suite_mandel(seed: int = DEFAULT_SEED, order: int | None = None):
 
 
 def suite_circle(seed: int = DEFAULT_SEED, order: int | None = None):
-    params = GaussianParams(1.0, np.sqrt(6.0) + 2.0j)
     vacuum = basis_state(0, 64)
-    fids = [fidelity(cyclic_gaussian(params, CyclicSpec(n, 1), 64)[0], vacuum)
-            for n in (10, 15, 20)]
+    fids = [fidelity(cyclic_gaussian(_CIRCLE_SEED, CyclicSpec(n, 1), 64)[0], vacuum)
+            for n in _CIRCLE_ORDERS]
     increase = max(fids[0] - fids[1], fids[1] - fids[2])
-    seed_f = gaussian_to_fock(params, 64)
+    seed_f = gaussian_to_fock(_CIRCLE_SEED, 64)
     worst_quad = max(circle_limit_quadrature_gap(seed_f, lam) for lam in (1, 2, 3))
     exact = 1.0 - fidelity(circle_limit(seed_f, 3), basis_state(2, 64))
     return [
@@ -460,8 +477,7 @@ def suite_wigner(seed: int = DEFAULT_SEED, order: int | None = None):
                     "Gaussian on the +-6, 61x61 grid",
                     float(np.abs(grid.values - closed).max()), 1e-10))
 
-    c3, _ = cyclic_gaussian(GaussianParams(1.0, np.sqrt(2.0) * (1 + 1j)),
-                            CyclicSpec(3, 1), 64)
+    c3, _ = cyclic_gaussian(_WIGNER_SEED, CyclicSpec(3, 1), 64)
     errs = [wigner_normalization_error(wigner(c3, (-9.0, 9.0), points_per_axis=k))
             for k in (21, 41, 81)]
     out.append(_row("wigner", "normalization refinement",

@@ -42,7 +42,8 @@ def test_primary_05_density():
 def test_primary_06_gaussian():
     run_criterion(6, "gaussian",
                   "Gaussian embedding commutes with rotation across the "
-                  "parameter grid and matches its quadrature oracle")
+                  "parameter grid and matches its quadrature oracle; cyclic "
+                  "Gaussians match the position route")
 
 
 def test_primary_07_c2():

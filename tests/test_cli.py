@@ -113,12 +113,22 @@ def one_line_error(capsys):
     return err
 
 
-def test_build_superposition_self_check_exit(tmp_path, capsys):
-    # the orbit route's absolute leakage check trips on this light sector
+def test_build_superposition_light_sector(tmp_path):
+    # sector 30 of C_32 carries mass ~1e-8 for coherent(3) at n_max 128; the
+    # superposition convention is mu^(lam-1) times the erased state
+    out = tmp_path / "s.json"
     assert run("build", "--coherent", 3, 0, "--order", 32, "--irrep", 30,
-               "--n-max", 128, "--method", "superposition",
-               "--output", tmp_path / "s.json") == 1
-    assert "leakage" in one_line_error(capsys)
+               "--n-max", 128, "--method", "superposition", "--output", out) == 0
+    data = json.loads(out.read_text())
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    off = np.arange(129) % 32 != 29
+    assert np.all(amps[off] == 0)
+    m = np.arange(129)
+    ref = np.exp(-4.5 + m * np.log(3.0) - 0.5 * gammaln(m + 1))
+    ref[off] = 0.0
+    want = np.exp(2j * np.pi * 29 / 32) * ref / np.linalg.norm(ref)
+    assert np.abs(amps - want).max() < 1e-12
+    assert data["metadata"]["method"] == "superposition"
 
 
 def test_negative_n_max_exit(tmp_path, capsys):
@@ -213,6 +223,23 @@ def test_wigner_check_symmetry(tmp_path, capsys):
 
 def test_wigner_missing_input(tmp_path):
     assert run("wigner", "--input", tmp_path / "nope.json") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds, message", [
+    (("--x-min=-1e200", "--x-max", 1e200), "20 of 25 values are not finite"),
+    (("--x-max", "inf"), "--x-max must be finite"),
+    (("--p-min", "nan"), "--p-min must be finite"),
+])
+def test_wigner_bounds_failure_is_one_line(tmp_path, capsys, bounds, message):
+    # the 1e200 grid overflows inside the kernel; the check on its values,
+    # not a RuntimeWarning, is the one report
+    src = write_state(tmp_path / "coh.json", coherent(1.0, 16))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--input", src, *bounds, "--points", 5,
+               "--output", out) == 1
+    assert message in one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_wigner_non_finite_grid_not_written(tmp_path, capsys, monkeypatch):

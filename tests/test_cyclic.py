@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import polystate.cli as cli
 import polystate.cyclic as cyclic
 import polystate.gaussian as gaussian
 import polystate.observables as observables
@@ -24,6 +25,7 @@ from polystate.cyclic import (
     cyclic_density,
     cyclic_erasure,
     cyclic_set,
+    cyclic_state,
     cyclic_superposition,
     density_route_gap,
     dihedral_gram,
@@ -145,19 +147,21 @@ def test_cyclic_set_matches_superposition_route():
         assert abs(record.n_lambda - orbit.n_lambda) * orbit.raw_norm < 1e-12
 
 
-def test_production_routes_skip_the_oracles(monkeypatch):
+def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     def oracle(*args, **kwargs):
         raise AssertionError("production path ran an oracle route")
 
-    for mod in (cyclic, observables):
+    for mod in (cyclic, gaussian, observables, cli):
         for name in ("character", "rotate", "theta", "cyclic_superposition",
-                     "_raw_superposition"):
+                     "_raw_superposition", "cyclic_gaussian_wavefunction",
+                     "rotate_params"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, oracle)
     for name in ("gaussian_to_fock_quadrature", "roots_hermite", "_gh_nodes"):
         monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)
+    cyclic_state(phi, spec)
     normalization_record(phi, spec)
     assert len(cyclic_set(phi, 4)) == 4
     dihedral_state(phi, spec, "difference")
@@ -170,6 +174,10 @@ def test_production_routes_skip_the_oracles(monkeypatch):
     for params, n_max in ((gaussian.GaussianParams(0.8 + 0.3j, 1.0 - 0.5j), 64),
                           (gaussian.GaussianParams(0.5, 18 * np.sqrt(2.0)), 512)):
         gaussian.gaussian_to_fock(params, n_max)
+    gaussian.cyclic_gaussian(gaussian.GaussianParams(1.0, 1.0 + 1.0j), spec, 64)
+    assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
+                     "--irrep", "2", "--n-max", "32", "--method", "superposition",
+                     "--output", str(tmp_path / "s.json")]) == 0
 
 
 # ---- rotation eigenphase ----
