@@ -14,6 +14,7 @@ import numpy as np
 
 from .fock import (
     FockVector,
+    _pairs,
     coherent,
     residue_class_masses,
     vector_from_dict,
@@ -88,14 +89,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _pairs(arr: np.ndarray):
-    """Nested [re, im] encoding of a complex array of any rank."""
-    if arr.ndim == 0:
-        z = complex(arr)
-        return [z.real, z.imag]
-    return [_pairs(sub) for sub in arr]
 
 
 def cmd_build(args: argparse.Namespace) -> int:

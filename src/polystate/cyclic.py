@@ -111,11 +111,13 @@ class EmptyRepresentationError(ValueError):
 
 
 def _raw_superposition(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
-    n, lam = spec.n, spec.lam
-    acc = np.zeros(phi.n_max + 1, dtype=complex)
-    for r in range(1, n + 1):
-        acc += character(n, lam, r) * rotate(phi, theta(n, r)).amplitudes
-    return acc
+    """sum_r chi^(lam)(g_r) R(theta_r)|phi> as one (n x d) sum: with 0-based
+    r, the m-th term carries mu_n^((lam-1) r - r m), its exponent reduced
+    mod n in integers before exponentiating."""
+    r = np.arange(spec.n)[:, None]
+    m = np.arange(phi.n_max + 1)
+    k = ((spec.lam - 1) * r - r * m) % spec.n
+    return (np.exp(2j * np.pi * k / spec.n) * phi.amplitudes).sum(axis=0)
 
 
 def cyclic_superposition(phi: FockVector, spec: CyclicSpec
@@ -126,9 +128,11 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     cyclic_state and the other closed forms against. Raises
     EmptyRepresentationError when the seed has no weight on the
     residue class m = lam - 1 (mod n). The output support is verified to
-    lie on that class (off-class leakage <= 1e-12 of the norm; the exact
-    cancellation is limited by rotation phases e^{-i theta m} with
-    theta*m of order n_max, so machine noise here is ~1e-14, not eps).
+    lie on that class (off-class leakage <= 1e-12 after normalizing). The
+    phases are exactly reduced roots of unity, so the off-class terms
+    cancel to about eps times the off-class amplitudes over sqrt(w_lam):
+    sectors far lighter than the seed's other classes can still trip the
+    check.
     """
     n, lam = spec.n, spec.lam
     raw = _raw_superposition(phi, spec)

@@ -31,7 +31,6 @@ __all__ = [
     "inner",
     "fidelity",
     "quadrature_means",
-    "photon_moments",
     "sector_mask",
     "residue_class_masses",
     "pure_density",
@@ -228,13 +227,6 @@ def quadrature_means(state: FockVector) -> QuadratureMeans:
                            mean_p=float(np.sqrt(2) * a_mean.imag))
 
 
-def photon_moments(state: FockVector) -> tuple[float, float, np.ndarray]:
-    """(<n>, <n^2>, p_m) with p_m = |A_m|^2."""
-    p = np.abs(state.amplitudes) ** 2
-    m = np.arange(p.size)
-    return float((m * p).sum()), float((m * m * p).sum()), p
-
-
 def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
     """True on the photon numbers m = lam - 1 (mod n) of |0>..|n_max>.
 
@@ -273,11 +265,13 @@ def annihilate(state: FockVector) -> FockVector:
 # JSON interchange: {"n_max": N, "amplitudes": [[re, im], ...]} with exactly
 # N+1 pairs.
 
+def _pairs(arr: np.ndarray) -> list:
+    """Nested [re, im] lists encoding a complex array of any rank."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
+
+
 def vector_to_dict(state: FockVector) -> dict:
-    return {
-        "n_max": int(state.n_max),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-    }
+    return {"n_max": int(state.n_max), "amplitudes": _pairs(state.amplitudes)}
 
 
 def vector_from_dict(data: dict) -> FockVector:

@@ -16,9 +16,11 @@ int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k h_k(sqrt(2) p). On a grid,
 with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
 h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
 w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
-K x K matrix is held), exact up to rounding at any n_max. The number-basis
-Laguerre double sum (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) gives
-the same W; wigner_direct, the defining integral by quadrature, is the
+K x K matrix is held), exact up to rounding at any n_max. Scattered points
+(x_i, p_i) run the same pipeline and differ only in the last contraction,
+which pairs the coefficient row of x_i with column i of H_p. The number-basis Laguerre
+double sum (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) gives the same
+W; wigner_direct, the defining integral by quadrature on a grid, is the
 oracle.
 """
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 # Fewest Gauss-Hermite nodes the Wigner rule takes (see _wigner_nodes).
 _MIN_NODES = 151
 # Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
-# rows or points, and entries of the node matrix G per chunk of k.
+# rows, and entries of the node matrix G per chunk of k.
 _WIGNER_BLOCK = 2 ** 14
 
 
@@ -111,20 +113,14 @@ def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 / total
 
 
-def _blocks(n: int, k: int):
-    """Slices of n rows or points taking about _WIGNER_BLOCK values of K
-    nodes each."""
-    step = max(1, _WIGNER_BLOCK // k)
-    return (slice(lo, lo + step) for lo in range(0, n, step))
-
-
 def _weighted_products(state: FockVector, x: np.ndarray, t: np.ndarray,
                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of F[i, a] w_a / |psi|^2, with
     F[i, a] = psi*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), in row blocks."""
     fr, fi = np.empty((x.size, t.size)), np.empty((x.size, t.size))
     w = w / state.norm ** 2
-    for blk in _blocks(x.size, t.size):
+    step = max(1, _WIGNER_BLOCK // t.size)
+    for blk in (slice(lo, lo + step) for lo in range(0, x.size, step)):
         psi = fock_wavefunction(state, (x[blk, None] + t / np.sqrt(2.0)).ravel())
         psi = psi.reshape(-1, t.size)
         f = np.conj(psi) * psi[:, ::-1]  # psi(x - t_a/sqrt2) = psi(x + t_{K-1-a}/sqrt2)
@@ -154,40 +150,40 @@ def _coefficient_chunks(fr: np.ndarray, fi: np.ndarray, t: np.ndarray):
             yield slice(k - j + 1, k + 1, 2), fi @ g[1:j + 1:2].T
 
 
+def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
+    """pi^{-1/2} sum over chunks of k of contract(c, H_p[ks]): the row
+    coefficients c of x times H_p[k, j] = h_k(sqrt(2) p_j), with the nodes,
+    F o w and H_p formed once."""
+    t, w = _wigner_nodes(state.n_max)
+    fr, fi = _weighted_products(state, x, t, w)
+    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
+    out = sum(contract(c, hp[ks]) for ks, c in _coefficient_chunks(fr, fi, t))
+    return out / np.sqrt(np.pi)
+
+
 def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
     """W at arbitrary phase-space points, shaped like xs.
 
     W(x, p) = pi^{-1/2} sum_k Re(i^k b_k(x)) h_k(sqrt(2) p), from the same
     row coefficients as the grid, exact for the truncated state since
-    K >= 2 n_max + 1. Points go in blocks (_blocks), so the transient
-    arrays stay bounded however many points are asked for.
+    K >= 2 n_max + 1. All points go through one pass, which holds K values
+    per point and per distinct x: the coefficients do not depend on p, so
+    they are formed once per distinct x and a meshgrid costs about what
+    its grid does.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     if xs.shape != ps.shape:
         raise ValueError("xs and ps must have matching shapes")
-    shape = xs.shape
-    xs, ps = xs.ravel(), ps.ravel()
-    t, w = _wigner_nodes(state.n_max)
-    out = np.zeros(xs.size)
-    for blk in _blocks(xs.size, t.size):
-        fr, fi = _weighted_products(state, xs[blk], t, w)
-        hp = hermite_functions(t.size - 1, np.sqrt(2.0) * ps[blk])
-        for ks, c in _coefficient_chunks(fr, fi, t):
-            out[blk] += np.einsum("ik,ki->i", c, hp[ks])
-    return out.reshape(shape) / np.sqrt(np.pi)
+    x, row = np.unique(xs.ravel(), return_inverse=True)
+    out = _wigner_kernel(state, x, ps.ravel(),
+                         lambda c, h: np.einsum("ik,ki->i", c[row], h))
+    return out.reshape(xs.shape)
 
 
 def _wigner_values(state: FockVector, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """values[i, j] = W(x_i, p_j): the row coefficients times
-    H_p[k, j] = h_k(sqrt(2) p_j), two GEMMs per chunk of k."""
-    t, w = _wigner_nodes(state.n_max)
-    fr, fi = _weighted_products(state, x, t, w)
-    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
-    out = np.zeros((x.size, p.size))
-    for ks, c in _coefficient_chunks(fr, fi, t):
-        out += c @ hp[ks]
-    return out / np.sqrt(np.pi)
+    """values[i, j] = W(x_i, p_j): two GEMMs per chunk of k."""
+    return _wigner_kernel(state, x, p, np.matmul)
 
 
 def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
@@ -204,16 +200,24 @@ def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
                       values=_wigner_values(state, x, p))
 
 
-def wigner_direct(state: FockVector, x: float, p: float) -> float:
-    """Oracle evaluation by 1200-node Gauss-Hermite quadrature of the
-    defining integral. Slow and pointwise; exists to pin the kernel route,
-    not for production grids.
+def wigner_direct(state: FockVector, x, p) -> np.ndarray:
+    """Oracle: the defining integral by 1200-node Gauss-Hermite quadrature
+    on the x (outer) by p grid, shaped x.shape + p.shape.
+
+    At fixed x the product psi*(x+t) psi(x-t) does not depend on p, so one
+    pair of wavefunction evaluations over the nodes and one product with
+    e^{2ipt} give every row. Exists to pin the kernel route, not for
+    production grids.
     """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
     nodes, w_eff = _gh_nodes(1200)
-    left = np.conj(fock_wavefunction(state, x + nodes))
-    right = fock_wavefunction(state, x - nodes)
-    val = np.sum(w_eff * left * right * np.exp(2j * p * nodes))
-    return float(val.real / np.pi)
+    rows = x.reshape(-1, 1)
+    left = np.conj(fock_wavefunction(state, (rows + nodes).ravel()))
+    right = fock_wavefunction(state, (rows - nodes).ravel())
+    f = (left * right).reshape(x.size, nodes.size) * w_eff
+    val = f @ np.exp(2j * np.outer(nodes, p.ravel()))
+    return (val.real / np.pi).reshape(x.shape + p.shape)
 
 
 def _trapezoid_weights(lo: float, hi: float, k: int) -> np.ndarray:

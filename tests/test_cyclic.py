@@ -123,8 +123,7 @@ def test_cyclic_set_skips_empty_sectors():
 
 
 def test_cyclic_set_light_sectors():
-    # coherent(3) at n_max 128: sectors 28..32 of C_32 carry mass ~1e-8,
-    # light enough that the orbit route's rounding noise trips its leakage check
+    # coherent(3) at n_max 128: sectors 28..32 of C_32 carry mass ~1e-8
     phi = coherent(3.0, 128)
     pairs = cyclic_set(phi, 32)
     assert len(pairs) == 32
@@ -134,6 +133,19 @@ def test_cyclic_set_light_sectors():
         er = cyclic_erasure(phi, CyclicSpec(32, lam)).amplitudes
         assert np.abs(state.amplitudes - mu(32) ** (lam - 1) * er).max() < 1e-14
         assert abs(record.n_lambda) * record.raw_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_superposition_route_on_light_sectors():
+    # orbit phases from floating angles theta_r * m leaked 1.2e-12 to 1.0e-11
+    # off-class in these sectors; exactly reduced roots of unity stay below 1e-12
+    phi = coherent(3.0, 128)
+    for lam in range(28, 33):
+        spec = CyclicSpec(32, lam)
+        sup, orbit = cyclic_superposition(phi, spec)
+        state, record = cyclic_state(phi, spec)
+        assert np.abs(sup.amplitudes - state.amplitudes).max() < 1e-12
+        assert orbit.raw_norm == pytest.approx(record.raw_norm, rel=1e-12)
+        assert abs(orbit.n_lambda - record.n_lambda) * record.raw_norm < 1e-12
 
 
 def test_cyclic_set_matches_superposition_route():

@@ -17,12 +17,12 @@ from polystate.fock import (
     inner,
     inversion,
     normalize,
-    photon_moments,
     pure_density,
     quadrature_means,
     residue_class_masses,
     rotate,
     sector_mask,
+    _pairs,
     vector_from_dict,
     vector_to_dict,
 )
@@ -42,6 +42,13 @@ amplitude_lists = st.lists(
 def state_from_pairs(pairs):
     amps = np.array([complex(re, im) for re, im in pairs])
     return from_amplitudes(amps / np.linalg.norm(amps))
+
+
+def photon_distribution(state):
+    """(<n>, <n^2>, p_m) with p_m = |A_m|^2."""
+    p = np.abs(state.amplitudes) ** 2
+    m = np.arange(p.size)
+    return (m * p).sum(), (m * m * p).sum(), p
 
 
 # ---- rotation ----
@@ -69,8 +76,8 @@ def test_rotate_inverse():
 def test_rotate_preserves_photon_distribution():
     rng = np.random.default_rng(2)
     st_ = random_state(rng)
-    _, _, p0 = photon_moments(st_)
-    _, _, p1 = photon_moments(rotate(st_, 1.3))
+    p0 = np.abs(st_.amplitudes) ** 2
+    p1 = np.abs(rotate(st_, 1.3).amplitudes) ** 2
     np.testing.assert_allclose(p1, p0, rtol=1e-14, atol=1e-16)
 
 
@@ -191,7 +198,7 @@ def test_quadrature_means_rotation_covariance():
 
 
 def test_photon_moments_number_state():
-    mean, second, p = photon_moments(basis_state(3, 6))
+    mean, second, p = photon_distribution(basis_state(3, 6))
     assert mean == pytest.approx(3.0)
     assert second == pytest.approx(9.0)
     expected = np.zeros(7)
@@ -201,7 +208,7 @@ def test_photon_moments_number_state():
 
 def test_photon_moments_superposition():
     st_ = normalize(from_amplitudes(np.array([1.0, 0.0, 1.0])))
-    mean, second, p = photon_moments(st_)
+    mean, second, p = photon_distribution(st_)
     assert mean == pytest.approx(1.0)
     assert second == pytest.approx(2.0)
     np.testing.assert_allclose(p, [0.5, 0.0, 0.5], atol=1e-15)
@@ -209,7 +216,7 @@ def test_photon_moments_superposition():
 
 def test_photon_moments_coherent_poisson_mean():
     alpha = 1.4
-    mean, _, _ = photon_moments(coherent(alpha, 64))
+    mean, _, _ = photon_distribution(coherent(alpha, 64))
     assert mean == pytest.approx(alpha**2, abs=1e-10)
 
 
@@ -260,7 +267,7 @@ def test_negative_n_max_rejected(monkeypatch):
 
 
 def test_coherent_mean_photon_number():
-    mean, _, _ = photon_moments(coherent(1.0, 32))
+    mean, _, _ = photon_distribution(coherent(1.0, 32))
     assert mean == pytest.approx(1.0, abs=1e-10)
 
 
@@ -322,8 +329,7 @@ def test_annihilate_coherent_eigenproperty():
 def test_clean_states_have_unit_mass():
     for st_ in (coherent(1.0, 64), basis_state(2, 8)):
         assert not st_.tail_flagged
-        _, _, p = photon_moments(st_)
-        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(st_.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_from_amplitudes_tail_flag():
@@ -364,6 +370,23 @@ def test_vector_json_round_trip():
     back = vector_from_dict(json.loads(json.dumps(d)))
     np.testing.assert_array_equal(back.amplitudes, st_.amplitudes)
     assert back.n_max == st_.n_max
+
+
+def test_pairs_match_per_element_encoding():
+    def per_element(arr):
+        if arr.ndim == 0:
+            z = complex(arr)
+            return [z.real, z.imag]
+        return [per_element(sub) for sub in arr]
+
+    row = np.array([complex(-0.0, 0.0), complex(1.5, -0.0), complex(1 / 3, 1e300),
+                    complex(-2.5e-300, -0.0)])
+    for arr in (row, row.reshape(2, 2), row.reshape(2, 1, 2)):
+        assert (json.dumps(_pairs(arr), indent=2)
+                == json.dumps(per_element(arr), indent=2))
+    d = vector_to_dict(FockVector(3, row))
+    assert json.dumps(d) == json.dumps({"n_max": 3, "amplitudes": per_element(row)})
+    assert "-0.0" in json.dumps(d)
 
 
 def test_vector_json_malformed():

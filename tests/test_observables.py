@@ -161,11 +161,51 @@ def test_wigner_coherent_and_cat_at_n_max_1024():
 
 
 def test_wigner_grid_equals_points():
-    st = random_state(np.random.default_rng(3), 64)
-    grid = wigner(st, (-5.0, 4.0), (-3.0, 6.0), points_per_axis=41)
-    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    np.testing.assert_allclose(wigner_points(st, x, p), grid.values,
-                               rtol=0, atol=1e-14)
+    rng = np.random.default_rng(3)
+    for n_max in (16, 64, 300):
+        st = random_state(rng, n_max)
+        grid = wigner(st, (-5.0, 4.0), (-3.0, 6.0), points_per_axis=41)
+        x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+        np.testing.assert_allclose(wigner_points(st, x, p), grid.values,
+                                   rtol=0, atol=1e-15)
+
+
+def test_wigner_points_scattered():
+    # more points than the 16384 / K that one pass of the old kernel took
+    rng = np.random.default_rng(17)
+    st = random_state(rng, 16)
+    xs, ps = rng.uniform(-4.0, 4.0, (2, 150))
+    want = [laguerre_sum_wigner(st.amplitudes, x, p) for x, p in zip(xs, ps)]
+    np.testing.assert_allclose(wigner_points(st, xs, ps), want, rtol=0, atol=1e-13)
+    st = random_state(rng, 300)
+    grid = wigner(st, (-4.0, 4.0), points_per_axis=41)
+    i, j = rng.integers(0, 41, (2, 200))  # grid nodes in no grid order
+    np.testing.assert_allclose(wigner_points(st, grid.x_axis[i], grid.p_axis[j]),
+                               grid.values[i, j], rtol=0, atol=1e-15)
+
+
+def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
+    from polystate import observables
+
+    calls = {"nodes": 0, "h_p": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(observables, "_hermite_rows",
+                        counted("nodes", observables._hermite_rows))
+    monkeypatch.setattr(observables, "hermite_functions",
+                        counted("h_p", observables.hermite_functions))
+    st = random_state(np.random.default_rng(6), 64)
+    for points in (1, 1000):  # 1000 points spanned 10 blocks of the old kernel
+        calls.update(nodes=0, h_p=0)
+        xs, ps = np.random.default_rng(points).uniform(-3.0, 3.0, (2, points))
+        wigner_points(st, xs, ps)
+        # one pass for the Christoffel weights, one for the coefficient rows
+        assert calls == {"nodes": 2, "h_p": 1}
 
 
 def test_wigner_normalizes_the_state():
@@ -190,6 +230,18 @@ def test_wigner_kernel_matches_direct_quadrature():
         kernel = wigner_points(st, x, p)[0]
         direct = wigner_direct(st, x, p)
         assert abs(kernel - direct) < 1e-9
+
+
+def test_wigner_direct_grid():
+    st = random_state(np.random.default_rng(12), 12)
+    grid = wigner(st, (-3.0, 3.5), (-2.0, 4.0), points_per_axis=9)
+    direct = wigner_direct(st, grid.x_axis, grid.p_axis)
+    assert direct.shape == (9, 9)
+    np.testing.assert_allclose(direct, grid.values, rtol=0, atol=1e-12)
+    for i, j in ((0, 0), (3, 7), (8, 2)):
+        scalar = wigner_direct(st, grid.x_axis[i], grid.p_axis[j])
+        assert scalar.shape == ()
+        assert abs(float(scalar) - direct[i, j]) < 1e-12
 
 
 def test_wigner_rotation_covariance():
