@@ -1,8 +1,7 @@
 """Command line surface: state construction, observables, and the verify suites.
 
 Exit codes: 0 success, 1 failed checks or runtime errors, 2 empty symmetry
-sector, 3 malformed input JSON, 4 oracle memory guard. Every failure is one
-line on stderr.
+sector, 3 malformed input JSON. Every failure is one line on stderr.
 """
 from __future__ import annotations
 
@@ -12,14 +11,7 @@ import sys
 
 import numpy as np
 
-from .fock import (
-    FockVector,
-    _pairs,
-    coherent,
-    residue_class_masses,
-    vector_from_dict,
-    vector_to_dict,
-)
+from .fock import FockVector, coherent, residue_class_masses, vector_from_dict
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -32,10 +24,9 @@ from .cyclic import (
 from .gaussian import GaussianParams, gaussian_to_fock
 from .observables import (
     BipartiteSpec,
-    MemoryGuardError,
     bipartite_normalize,
     linear_entropy,
-    linear_entropy_oracle,
+    linear_entropy_gram,
     mandel,
     wigner,
     wigner_rotation_residual,
@@ -83,12 +74,41 @@ def _seed_state(args) -> FockVector:
                             args.n_max)
 
 
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2) and a newline, byte for byte, with each
+    complex ndarray value standing for its nested [re, im] pairs (fock._pairs).
+
+    An array fills a template of its shape, one %s per float, in a single %
+    with float.__repr__, which is how json.dumps writes a finite float.
+    """
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            text = "%s"
+            for depth, size in reversed(list(enumerate(value.shape + (2,)))):
+                pad = "\n" + "  " * (depth + 2)  # this axis: depth + 2 levels in
+                text = ("[" + pad + ("," + pad).join([text] * size) + pad[:-2] + "]"
+                        if size else "[]")
+            floats = np.ascontiguousarray(value, dtype=complex).view(float).ravel()
+            text %= tuple(map(float.__repr__, floats.tolist()))
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _write_state(state: FockVector, metadata: dict, path: str | None) -> None:
+    """The state JSON of fock.vector_to_dict with a metadata block."""
+    _write_text(_json_text({"n_max": int(state.n_max), "amplitudes": state.amplitudes,
+                            "metadata": metadata}), path)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -102,8 +122,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         state, record = cyclic_state(seed, spec)
         if method == "erasure":
             state = cyclic_erasure(seed, spec)
-    payload = vector_to_dict(state)
-    payload["metadata"] = {
+    _write_state(state, {
         "method": method,
         "group": args.group,
         "order": args.order,
@@ -112,8 +131,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "raw_norm": record.raw_norm,
         "residue_class_masses": list(residue_class_masses(seed, args.order)),
         "tail_flagged": state.tail_flagged,
-    }
-    _write_text(json.dumps(payload, indent=2) + "\n", args.output)
+    }, args.output)
     return 0
 
 
@@ -183,7 +201,7 @@ def _load_bipartite(path: str) -> BipartiteSpec:
 def cmd_entangle(args: argparse.Namespace) -> int:
     spec = bipartite_normalize(_load_bipartite(args.input))
     result = linear_entropy(spec)
-    oracle = linear_entropy_oracle(spec)
+    oracle = linear_entropy_gram(spec)
     for name, values in (("s_linear", result.s_linear),
                          ("s_linear_oracle", oracle),
                          ("f_matrix", result.f_matrix),
@@ -194,10 +212,10 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         "s_linear": result.s_linear,
         "s_linear_oracle": oracle,
         "difference": diff,
-        "f_matrix": _pairs(result.f_matrix),
-        "d_tensor": _pairs(result.d_tensor),
+        "f_matrix": result.f_matrix,
+        "d_tensor": result.d_tensor,
     }
-    _write_text(json.dumps(payload, indent=2) + "\n", args.output)
+    _write_text(_json_text(payload), args.output)
     if diff > 1e-8:
         sys.stderr.write(
             f"error: decomposition and oracle disagree by {diff:.3e}\n")
@@ -209,9 +227,7 @@ def cmd_circle_limit(args: argparse.Namespace) -> int:
     seed = _seed_state(args)
     state = circle_limit(seed, args.irrep)
     gap = circle_limit_quadrature_gap(seed, args.irrep)
-    payload = vector_to_dict(state)
-    payload["metadata"] = {"irrep": args.irrep, "quadrature_gap": gap}
-    _write_text(json.dumps(payload, indent=2) + "\n", args.output)
+    _write_state(state, {"irrep": args.irrep, "quadrature_gap": gap}, args.output)
     if gap > 1e-10:
         sys.stderr.write(
             f"error: analytic limit and angle-average quadrature disagree by {gap:.3e}\n")
@@ -328,8 +344,6 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except InputFormatError as exc:
         return _fail(exc, 3)
-    except MemoryGuardError as exc:
-        return _fail(exc, 4)
     # OSError: unreadable or unwritable paths; RuntimeError and AssertionError:
     # an oracle route did not converge or failed its self-check (verify only).
     except (OSError, ValueError, RuntimeError, AssertionError) as exc:

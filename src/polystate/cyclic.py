@@ -32,15 +32,16 @@ from .fock import (
     FockVector,
     FockOperator,
     _class_sums,
+    _rotated_copies,
+    _unit_root_powers,
     annihilate,
     basis_state,
     inner,
     inversion,
     residue_class_masses,
-    rotate,
     sector_mask,
 )
-from .group import character, mu, theta
+from .group import character, mu
 
 __all__ = [
     "CyclicSpec",
@@ -111,13 +112,11 @@ class EmptyRepresentationError(ValueError):
 
 
 def _raw_superposition(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
-    """sum_r chi^(lam)(g_r) R(theta_r)|phi> as one (n x d) sum: with 0-based
-    r, the m-th term carries mu_n^((lam-1) r - r m), its exponent reduced
-    mod n in integers before exponentiating."""
-    r = np.arange(spec.n)[:, None]
-    m = np.arange(phi.n_max + 1)
-    k = ((spec.lam - 1) * r - r * m) % spec.n
-    return (np.exp(2j * np.pi * k / spec.n) * phi.amplitudes).sum(axis=0)
+    """sum_r chi^(lam)(g_r) R(theta_r)|phi>: the characters mu_n^((lam-1) r),
+    r 0-based, times the rotated copies, every exponent reduced mod n in
+    integers before exponentiating."""
+    chi = _unit_root_powers(-(spec.lam - 1) * np.arange(spec.n), spec.n)
+    return chi @ _rotated_copies(phi, spec.n)
 
 
 def cyclic_superposition(phi: FockVector, spec: CyclicSpec
@@ -213,8 +212,8 @@ def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l: int
     difference wrapped to (-pi, pi]. l = n is the identity element.
     """
     n, lam = spec.n, spec.lam
-    rotated = rotate(psi, 2.0 * np.pi * l / n)
-    ov = inner(psi, rotated)
+    rotated = _unit_root_powers(l * np.arange(psi.n_max + 1), n) * psi.amplitudes
+    ov = complex(np.vdot(psi.amplitudes, rotated))
     fid = abs(ov) / (psi.norm ** 2)
     predicted = mu(n) ** ((1 - lam) * l)
     diff = np.angle(ov / predicted)
@@ -234,9 +233,8 @@ def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
     the independent oracle for cyclic_density and is evaluated only here.
     """
     n, lam = spec.n, spec.lam
-    m = np.arange(rho.n_max + 1)
     chis = [character(n, lam, r) for r in range(1, n + 1)]
-    phases = [np.exp(-1j * theta(n, r) * m) for r in range(1, n + 1)]
+    phases = _unit_root_powers(np.outer(np.arange(n), np.arange(rho.n_max + 1)), n)
     acc = np.zeros_like(rho.matrix)
     for chi_r, phase_r in zip(chis, phases):
         for chi_rp, phase_rp in zip(chis, phases):

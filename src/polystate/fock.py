@@ -180,6 +180,19 @@ def rotate(state: FockVector, theta: float) -> FockVector:
                       state.tail_flagged)
 
 
+def _unit_root_powers(k: np.ndarray, n: int) -> np.ndarray:
+    """mu_n^(-k) for integer arrays k, reduced mod n before exponentiating."""
+    return np.exp(-2j * np.pi * (k % n) / n)
+
+
+def _rotated_copies(state: FockVector, n: int) -> np.ndarray:
+    """The (n x d) copies R(theta_r)|state>, r = 1..n: row r-1 holds
+    mu_n^(-((r-1) m mod n)) A_m, exact roots of unity rather than the
+    floating angles theta_r m that rotate would form."""
+    r = np.arange(n)[:, None]
+    return _unit_root_powers(r * np.arange(state.n_max + 1), n) * state.amplitudes
+
+
 def conjugate(state: FockVector) -> FockVector:
     """Complex conjugation of the number-basis amplitudes."""
     return FockVector(state.n_max, np.conj(state.amplitudes), state.tail_flagged)
@@ -193,10 +206,8 @@ def inversion(state: FockVector, r: int, n: int) -> FockVector:
     """
     if not 1 <= r <= n:
         raise ValueError(f"element index r={r} outside 1..{n}")
-    th = 2.0 * np.pi * (r - 1) / n
-    m = np.arange(state.n_max + 1)
-    return FockVector(state.n_max, np.conj(state.amplitudes) * np.exp(1j * th * m),
-                      state.tail_flagged)
+    phases = _unit_root_powers((r - 1) * np.arange(state.n_max + 1), n)
+    return FockVector(state.n_max, np.conj(state.amplitudes * phases), state.tail_flagged)
 
 
 def inner(bra: FockVector, ket: FockVector) -> complex:

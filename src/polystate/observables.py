@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_hermite
 
-from .fock import FockVector, residue_class_masses, rotate
+from .fock import (FockVector, _rotated_copies, _unit_root_powers,
+                   residue_class_masses, rotate)
 from .cyclic import EmptyRepresentationError, NormalizationRecord
 from .gaussian import _gh_nodes, _hermite_rows, fock_wavefunction, hermite_functions
-from .group import mu, theta
 
 __all__ = [
     "WignerGrid",
@@ -53,6 +53,7 @@ __all__ = [
     "reconstruct_rotated",
     "EntanglementResult",
     "linear_entropy",
+    "linear_entropy_gram",
     "linear_entropy_oracle",
 ]
 
@@ -358,7 +359,7 @@ def reconstruct_rotated(pairs: Sequence[tuple[FockVector, NormalizationRecord]],
     for state, record in pairs:
         lam = int(np.argmax(np.abs(state.amplitudes)) % n) + 1
         seen.add(lam)
-        weight = mu(n) ** ((1 - r) * (lam - 1)) / (n * record.n_lambda)
+        weight = _unit_root_powers((r - 1) * (lam - 1), n) / (n * record.n_lambda)
         acc += weight * state.amplitudes
     missing = sorted(set(range(1, n + 1)) - seen)
     if missing:
@@ -376,11 +377,6 @@ class EntanglementResult:
     s_linear: float
     f_matrix: np.ndarray
     d_tensor: np.ndarray
-
-
-def _unit_root_powers(k: np.ndarray, n: int) -> np.ndarray:
-    """mu_n^(-k) for integer arrays k, reduced mod n before exponentiating."""
-    return np.exp(-2j * np.pi * (k % n) / n)
 
 
 def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
@@ -414,12 +410,29 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     return EntanglementResult(s_linear=s_linear, f_matrix=f, d_tensor=d)
 
 
+def linear_entropy_gram(spec: BipartiteSpec) -> float:
+    """Gram-route cross-check of linear_entropy, the one the CLI runs.
+
+    With the rotated copies a_r = R_r|seed_1>, b_r = R_r|seed_2>, their Gram
+    matrices A = [<a_i|a_j>], B = [<b_i|b_j>] and X = (c c^dag) o B^T,
+    Tr(rho_1^2) = Tr((X A)^2). O(n^2 d) work on n x d copies, with no
+    residue-class or FFT algebra, so it stays independent of the Hankel
+    route. Requires a normalized spec.
+    """
+    a = _rotated_copies(spec.seed_1, spec.n)
+    b = _rotated_copies(spec.seed_2, spec.n)
+    xa = (np.outer(spec.c, spec.c.conj()) * (b @ b.conj().T)) @ (a.conj() @ a.T)
+    return 1.0 - float(np.sum(xa * xa.T).real)
+
+
 def linear_entropy_oracle(spec: BipartiteSpec,
                           memory_budget: int = 2 ** 24) -> float:
     """Dense two-mode computation of the same quantity, for cross-checks.
 
-    Builds the full (n_max+1)^2 joint amplitude matrix T, so it refuses
-    inputs whose T would exceed memory_budget entries.
+    Builds the full (n_max+1)^2 joint amplitude matrix T = a^T diag(c) b
+    from the rotated copies, so it refuses inputs whose T would exceed
+    memory_budget entries. Only verify (the entangle suite) and the tests
+    call it; the CLI cross-checks with linear_entropy_gram.
     """
     d1 = spec.seed_1.n_max + 1
     d2 = spec.seed_2.n_max + 1
@@ -427,10 +440,7 @@ def linear_entropy_oracle(spec: BipartiteSpec,
         raise MemoryGuardError(
             f"joint amplitude matrix needs {d1 * d2} entries, "
             f"budget is {memory_budget}")
-    t = np.zeros((d1, d2), dtype=complex)
-    for r in range(1, spec.n + 1):
-        a1 = rotate(spec.seed_1, theta(spec.n, r)).amplitudes
-        a2 = rotate(spec.seed_2, theta(spec.n, r)).amplitudes
-        t += spec.c[r - 1] * np.outer(a1, a2)
+    t = (_rotated_copies(spec.seed_1, spec.n).T * spec.c) @ _rotated_copies(
+        spec.seed_2, spec.n)
     rho_1 = t @ t.conj().T
     return 1.0 - float(np.sum(np.abs(rho_1) ** 2))  # Tr rho^2, rho Hermitian

@@ -13,10 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import character_orthogonality_report, mu, root_sum, theta
+from .group import character_orthogonality_report, mu, root_sum
 from .fock import (
     FockOperator,
     FockVector,
+    _rotated_copies,
+    _unit_root_powers,
     annihilate,
     basis_state,
     coherent,
@@ -55,6 +57,7 @@ from .observables import (
     BipartiteSpec,
     bipartite_normalize,
     linear_entropy,
+    linear_entropy_gram,
     linear_entropy_oracle,
     mandel,
     reconstruct_rotated,
@@ -226,8 +229,7 @@ def suite_density(seed: int = DEFAULT_SEED, order: int | None = None):
                 worst_herm = max(worst_herm, out.hermiticity_residual())
                 worst_tr = max(worst_tr, abs(out.trace() - 1.0))
                 m = np.arange(out.n_max + 1)
-                for r in range(1, n + 1):
-                    ph = np.exp(-1j * theta(n, r) * m)
+                for ph in _unit_root_powers(np.outer(np.arange(n), m), n):
                     rotated = ph[:, None] * out.matrix * np.conj(ph)[None, :]
                     worst_inv = max(worst_inv,
                                     float(np.abs(rotated - out.matrix).max()))
@@ -392,7 +394,7 @@ def suite_circle(seed: int = DEFAULT_SEED, order: int | None = None):
 
 def suite_entangle(seed: int = DEFAULT_SEED, order: int | None = None):
     rng = np.random.default_rng(seed)
-    worst_pair = worst_bound = 0.0
+    worst_pair = worst_gram = worst_bound = 0.0
     for n in (2, 3, 4):
         for _ in range(50):
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -401,6 +403,7 @@ def suite_entangle(seed: int = DEFAULT_SEED, order: int | None = None):
             dec = linear_entropy(spec).s_linear
             orc = linear_entropy_oracle(spec)
             worst_pair = max(worst_pair, abs(dec - orc))
+            worst_gram = max(worst_gram, abs(linear_entropy_gram(spec) - orc))
             worst_bound = max(worst_bound, dec - (1.0 - 1.0 / n), -dec)
     worst_prod = 0.0
     for n in (2, 3, 4):
@@ -421,6 +424,9 @@ def suite_entangle(seed: int = DEFAULT_SEED, order: int | None = None):
         _row("entangle", "oracle agreement",
              "sector decomposition matches the dense partial trace, "
              "150 random specs, n in {2,3,4}", worst_pair, 1e-8),
+        _row("entangle", "gram route",
+             "Gram matrices of the rotated copies match the dense partial "
+             "trace on the same 150 specs", worst_gram, 1e-12),
         _row("entangle", "product state",
              "a single branch gives zero linear entropy", worst_prod, 1e-12),
         _row("entangle", "two-branch limit",
@@ -441,11 +447,9 @@ def suite_inverse(seed: int = DEFAULT_SEED, order: int | None = None):
         for _ in range(20):
             phi = _random_state(rng)
             pairs = _orbit_family(phi, n)
-            for r in range(1, n + 1):
+            for r, target in enumerate(_rotated_copies(phi, n), 1):
                 rec = reconstruct_rotated(pairs, n, r)
-                target = rotate(phi, theta(n, r))
-                worst = max(worst, float(np.abs(
-                    rec.amplitudes - target.amplitudes).max()))
+                worst = max(worst, float(np.abs(rec.amplitudes - target).max()))
     return [_row("inverse", "seed recovery",
                  "weighted sector sums reproduce every rotated seed, n <= 6",
                  worst, 1e-10)]

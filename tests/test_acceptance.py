@@ -65,8 +65,8 @@ def test_primary_09_circle():
 
 def test_primary_10_entangle():
     run_criterion(10, "entangle",
-                  "linear entropy matches the dense oracle; product and "
-                  "Bell-like limits")
+                  "linear entropy and the Gram route match the dense oracle; "
+                  "product and Bell-like limits")
 
 
 def test_primary_11_inverse():

@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from polystate.cli import main
-from polystate.fock import basis_state, coherent, from_amplitudes, vector_to_dict
+from polystate.cli import _json_text, main
+from polystate.cyclic import CyclicSpec, circle_limit, cyclic_erasure, dihedral_state
+from polystate.fock import (
+    _pairs,
+    basis_state,
+    coherent,
+    from_amplitudes,
+    residue_class_masses,
+    vector_to_dict,
+)
+from polystate.observables import (
+    BipartiteSpec,
+    bipartite_normalize,
+    linear_entropy,
+    linear_entropy_gram,
+)
 
 INV_PI = 1.0 / np.pi
 
@@ -374,11 +388,18 @@ def test_entangle_empty_sectors(tmp_path):
     assert 0.1 < data["s_linear"] < 0.75
 
 
-def test_entangle_memory_guard_exit(tmp_path):
-    src = write_bipartite(tmp_path / "big.json", 2, [1.0, 1.0],
-                          coherent(1.0, 4096), coherent(1.0, 4096))
-    assert run("entangle", "--input", src, "--output",
-               tmp_path / "res.json") == 4
+def test_entangle_large_truncation(tmp_path):
+    # d1 d2 = 4097^2 is beyond the dense oracle's memory guard; the CLI's
+    # Gram-route cross-check holds only the n x d rotated copies
+    seed = coherent(1.0, 4096)
+    src = write_bipartite(tmp_path / "big.json", 2, [1.0, 1.0], seed, seed)
+    out = tmp_path / "res.json"
+    assert run("entangle", "--input", src, "--output", out) == 0
+    data = json.loads(out.read_text())
+    want = linear_entropy(bipartite_normalize(
+        BipartiteSpec(2, np.ones(2), seed, seed))).s_linear
+    assert np.isfinite(data["s_linear"]) and 0.0 < data["s_linear"] < 0.5
+    assert data["s_linear_oracle"] == pytest.approx(want, abs=1e-12)
 
 
 def test_entangle_non_finite_not_written(tmp_path, capsys, monkeypatch):
@@ -404,6 +425,93 @@ def test_entangle_malformed_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "c": [[1.0, 0.0], [1.0, 0.0]]}))
     assert run("entangle", "--input", bad) == 3
+
+
+# ---- JSON writer ----
+
+def dumps_with_pairs(payload):
+    """What the writer must reproduce: json.dumps with arrays as [re, im] pairs."""
+    return json.dumps({k: _pairs(v) if isinstance(v, np.ndarray) else v
+                       for k, v in payload.items()}, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps():
+    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
+                        -1.7976931348623157e308, 0.1, -2.5e-300, 1 / 3, 7.0, -1e20, 0.0])
+    z = special + 1j * special[::-1]
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    payloads = [
+        {"rank1": z, "rank2": z.reshape(3, 4), "rank3": z.reshape(2, 3, 2)},
+        {"one": z[:1], "col": z.reshape(12, 1), "n1": z[:1].reshape(1, 1, 1),
+         "mid": noise.reshape(2, 1, 12)},
+        {"s_linear": 0.25, "s_linear_oracle": -0.0, "difference": 5e-324,
+         "f_matrix": noise[:4].reshape(2, 2), "d_tensor": noise[:8].reshape(2, 2, 2)},
+        {"n_max": 11, "amplitudes": z, "metadata": {
+            "method": "erasure", "n_lambda": [0.5, -0.0], "raw_norm": 1e16,
+            "residue_class_masses": list(np.abs(special[:3])), "tail_flagged": False}},
+        {"transposed": noise.reshape(4, 6).T, "real_valued": special.reshape(3, 4)},
+        {"empty": np.zeros(0, dtype=complex), "empty_rows": np.zeros((2, 0), dtype=complex)},
+    ]
+    for payload in payloads:
+        assert _json_text(payload) == dumps_with_pairs(payload)
+
+
+def bipartite_spec(path, n, n_max, seed):
+    rng = np.random.default_rng(seed)
+    seeds = []
+    for _ in range(2):
+        a = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+        seeds.append(from_amplitudes(a / np.linalg.norm(a)))
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return write_bipartite(path, n, c, *seeds), BipartiteSpec(n, c, *seeds)
+
+
+@pytest.mark.parametrize("n, n_max", [(1, 8), (4, 32), (16, 64)])
+def test_entangle_output_bytes(tmp_path, n, n_max):
+    src, spec = bipartite_spec(tmp_path / "spec.json", n, n_max, n)
+    out = tmp_path / "res.json"
+    assert run("entangle", "--input", src, "--output", out) == 0
+    spec = bipartite_normalize(spec)
+    res = linear_entropy(spec)
+    oracle = linear_entropy_gram(spec)
+    text = out.read_text()
+    assert text == json.dumps({
+        "s_linear": res.s_linear, "s_linear_oracle": oracle,
+        "difference": abs(res.s_linear - oracle),
+        "f_matrix": _pairs(res.f_matrix), "d_tensor": _pairs(res.d_tensor),
+    }, indent=2) + "\n"
+    assert np.array(json.loads(text)["d_tensor"]).shape == (n, n, n, 2)
+
+
+def test_build_and_circle_limit_output_bytes(tmp_path):
+    seed = coherent(1.3 - 0.4j, 48)
+    out = tmp_path / "state.json"
+    for group, method, order, irrep in (("C", "erasure", 3, 2), ("C", "erasure", 1, 1),
+                                        ("D", "dihedral-difference", 4, 3)):
+        argv = ["build", "--coherent", 1.3, -0.4, "--n-max", 48, "--group", group,
+                "--order", order, "--irrep", irrep, "--output", out]
+        if group == "D":
+            argv += ["--variant", "difference"]
+            state, record = dihedral_state(seed, CyclicSpec(order, irrep), "difference")
+        else:
+            state = cyclic_erasure(seed, CyclicSpec(order, irrep))
+            record = None
+        assert run(*argv) == 0
+        data = json.loads(out.read_text())
+        payload = vector_to_dict(state)
+        payload["metadata"] = data["metadata"]
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert data["metadata"]["residue_class_masses"] == list(
+            residue_class_masses(seed, order))
+        if record is not None:
+            assert data["metadata"]["raw_norm"] == record.raw_norm
+    assert run("circle-limit", "--coherent", 1, 0.5, "--irrep", 3, "--n-max", 16,
+               "--output", out) == 0
+    payload = vector_to_dict(circle_limit(coherent(1 + 0.5j, 16), 3))
+    payload["metadata"] = json.loads(out.read_text())["metadata"]
+    assert set(payload["metadata"]) == {"irrep", "quadrature_gap"}
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
 
 # ---- verify ----

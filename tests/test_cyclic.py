@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import polystate.cli as cli
 import polystate.cyclic as cyclic
+import polystate.fock as fock
 import polystate.gaussian as gaussian
 import polystate.observables as observables
 from polystate.fock import (
@@ -166,7 +169,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     for mod in (cyclic, gaussian, observables, cli):
         for name in ("character", "rotate", "theta", "cyclic_superposition",
                      "_raw_superposition", "cyclic_gaussian_wavefunction",
-                     "rotate_params"):
+                     "rotate_params", "linear_entropy_oracle"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, oracle)
     for name in ("gaussian_to_fock_quadrature", "roots_hermite", "_gh_nodes"):
@@ -182,6 +185,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     two_mode = observables.bipartite_normalize(
         observables.BipartiteSpec(4, np.ones(4), phi, phi))
     observables.linear_entropy(two_mode)
+    observables.linear_entropy_gram(two_mode)
     # the Gaussian embedding never reaches the Gauss-Hermite nodes
     for params, n_max in ((gaussian.GaussianParams(0.8 + 0.3j, 1.0 - 0.5j), 64),
                           (gaussian.GaussianParams(0.5, 18 * np.sqrt(2.0)), 512)):
@@ -189,6 +193,25 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     gaussian.cyclic_gaussian(gaussian.GaussianParams(1.0, 1.0 + 1.0j), spec, 64)
     assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
                      "--irrep", "2", "--n-max", "32", "--method", "superposition",
+                     "--output", str(tmp_path / "s.json")]) == 0
+    # entangle cross-checks by the Gram route, and no array goes through json.dumps
+    dumps = json.dumps
+
+    def scalar_dumps(obj, *args, **kwargs):
+        if isinstance(obj, (list, np.ndarray)) or (
+                isinstance(obj, dict) and {"f_matrix", "amplitudes"} & obj.keys()):
+            raise AssertionError("an array payload went through json.dumps")
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", scalar_dumps)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps({"n": 4, "c": [[1.0, 0.0]] * 4,
+                                "seed_1": fock.vector_to_dict(phi),
+                                "seed_2": fock.vector_to_dict(phi)}))
+    assert cli.main(["entangle", "--input", str(spec_path),
+                     "--output", str(tmp_path / "e.json")]) == 0
+    assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
+                     "--irrep", "2", "--n-max", "32",
                      "--output", str(tmp_path / "s.json")]) == 0
 
 

@@ -19,6 +19,7 @@ from polystate.observables import (
     bipartite_norm_squared,
     bipartite_normalize,
     linear_entropy,
+    linear_entropy_gram,
     linear_entropy_oracle,
     mandel,
     reconstruct_rotated,
@@ -522,3 +523,26 @@ def test_oracle_memory_guard():
         2, np.array([1.0, 1.0]), coherent(1.0, 32), coherent(1.0, 32)))
     with pytest.raises(MemoryGuardError, match="budget"):
         linear_entropy_oracle(spec, memory_budget=100)
+
+
+@pytest.mark.parametrize("n_max", [64, 128, 300])
+def test_linear_entropy_gram_matches_dense_trace(n_max):
+    rng = np.random.default_rng(n_max)
+    for n in (1, 2, 3, 5, 7, 16, 32):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        spec = bipartite_normalize(BipartiteSpec(
+            n, c, random_state(rng, n_max), random_state(rng, n_max)))
+        gram = linear_entropy_gram(spec)
+        assert gram == pytest.approx(linear_entropy_oracle(spec), abs=1e-12)
+        assert gram == pytest.approx(linear_entropy(spec).s_linear, abs=1e-12)
+
+
+def test_linear_entropy_gram_beyond_the_memory_guard():
+    # d1 d2 = 4097^2 exceeds the dense oracle's budget; the Gram route holds
+    # only the n x d copies
+    spec = bipartite_normalize(BipartiteSpec(
+        2, np.array([1.0, 1.0]), coherent(1.0, 4096), coherent(1.0, 4096)))
+    with pytest.raises(MemoryGuardError):
+        linear_entropy_oracle(spec)
+    assert linear_entropy_gram(spec) == pytest.approx(
+        linear_entropy(spec).s_linear, abs=1e-12)
