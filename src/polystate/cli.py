@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 failed checks or runtime errors, 2 empty symmetry
 sector, 3 malformed input JSON. Every failure is one line on stderr.
+JSON output is json.dumps(payload, indent=2) and a newline, with complex
+arrays as nested [re, im] pairs (fock.vector_to_dict, fock._pairs).
 """
 from __future__ import annotations
 
@@ -11,7 +13,14 @@ import sys
 
 import numpy as np
 
-from .fock import FockVector, coherent, residue_class_masses, vector_from_dict
+from .fock import (
+    FockVector,
+    _pairs,
+    coherent,
+    residue_class_masses,
+    vector_from_dict,
+    vector_to_dict,
+)
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -74,29 +83,6 @@ def _seed_state(args) -> FockVector:
                             args.n_max)
 
 
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2) and a newline, byte for byte, with each
-    complex ndarray value standing for its nested [re, im] pairs (fock._pairs).
-
-    An array fills a template of its shape, one %s per float, in a single %
-    with float.__repr__, which is how json.dumps writes a finite float.
-    """
-    items = []
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            text = "%s"
-            for depth, size in reversed(list(enumerate(value.shape + (2,)))):
-                pad = "\n" + "  " * (depth + 2)  # this axis: depth + 2 levels in
-                text = ("[" + pad + ("," + pad).join([text] * size) + pad[:-2] + "]"
-                        if size else "[]")
-            floats = np.ascontiguousarray(value, dtype=complex).view(float).ravel()
-            text %= tuple(map(float.__repr__, floats.tolist()))
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
-
-
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -105,10 +91,13 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _write_json(payload: dict, path: str | None) -> None:
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
+
+
 def _write_state(state: FockVector, metadata: dict, path: str | None) -> None:
     """The state JSON of fock.vector_to_dict with a metadata block."""
-    _write_text(_json_text({"n_max": int(state.n_max), "amplitudes": state.amplitudes,
-                            "metadata": metadata}), path)
+    _write_json({**vector_to_dict(state), "metadata": metadata}, path)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -204,18 +193,16 @@ def cmd_entangle(args: argparse.Namespace) -> int:
     oracle = linear_entropy_gram(spec)
     for name, values in (("s_linear", result.s_linear),
                          ("s_linear_oracle", oracle),
-                         ("f_matrix", result.f_matrix),
-                         ("d_tensor", result.d_tensor)):
+                         ("f_matrix", result.f_matrix)):
         _require_finite(name, values)
     diff = abs(result.s_linear - oracle)
     payload = {
         "s_linear": result.s_linear,
         "s_linear_oracle": oracle,
         "difference": diff,
-        "f_matrix": result.f_matrix,
-        "d_tensor": result.d_tensor,
+        "f_matrix": _pairs(result.f_matrix),
     }
-    _write_text(_json_text(payload), args.output)
+    _write_json(payload, args.output)
     if diff > 1e-8:
         sys.stderr.write(
             f"error: decomposition and oracle disagree by {diff:.3e}\n")

@@ -262,12 +262,14 @@ def _circle_average(phi: FockVector, lam: int) -> np.ndarray:
     """(1/2pi) int dtheta e^{i theta (lam-1)} R(theta)|phi> by trapezoid rule.
 
     2 (n_max + 1) equispaced angles resolve every frequency present, so the
-    rule integrates the trigonometric-polynomial integrand exactly.
+    rule integrates the trigonometric-polynomial integrand exactly. The rule
+    weighs A_m by (1/N) sum_j e^{i theta_j (lam - 1 - m)}, the inverse FFT of
+    the N uniform angle weights at index lam - 1 - m (mod N), so it needs
+    O(n_max) memory at any truncation.
     """
     npts = 2 * (phi.n_max + 1)
-    thetas = 2.0 * np.pi * np.arange(npts) / npts
     m = np.arange(phi.n_max + 1)
-    return (np.exp(1j * np.outer(thetas, (lam - 1) - m)) * phi.amplitudes).mean(axis=0)
+    return np.fft.ifft(np.ones(npts))[(lam - 1 - m) % npts] * phi.amplitudes
 
 
 def circle_limit_quadrature_gap(phi: FockVector, lam: int) -> float:

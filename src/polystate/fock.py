@@ -286,6 +286,8 @@ def vector_to_dict(state: FockVector) -> dict:
 
 
 def vector_from_dict(data: dict) -> FockVector:
+    """The state of a JSON dict; a boolean metadata.tail_flagged (as build
+    writes it) is OR-ed into the flag that from_amplitudes derives."""
     try:
         n_max = int(data["n_max"])
         pairs = data["amplitudes"]
@@ -294,6 +296,11 @@ def vector_from_dict(data: dict) -> FockVector:
                 f"expected {n_max + 1} amplitude pairs, got {len(pairs)}"
             )
         amps = np.array([complex(re, im) for re, im in pairs])
+        metadata = data.get("metadata")
+        saved = metadata.get("tail_flagged", False) if isinstance(metadata, dict) else False
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state JSON: {exc}") from exc
-    return from_amplitudes(amps, n_max)
+    if not isinstance(saved, bool):
+        raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
+    state = from_amplitudes(amps, n_max)
+    return FockVector(n_max, state.amplitudes, state.tail_flagged or saved)

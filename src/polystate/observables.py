@@ -371,12 +371,10 @@ def reconstruct_rotated(pairs: Sequence[tuple[FockVector, NormalizationRecord]],
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """s_linear = 1 - Tr(rho_1^2); f_matrix = rho_1 in the sector basis;
-    d_tensor[r-1] is the per-element coefficient matrix before summation."""
+    """s_linear = 1 - Tr(rho_1^2); f_matrix = rho_1 in the sector basis."""
 
     s_linear: float
     f_matrix: np.ndarray
-    d_tensor: np.ndarray
 
 
 def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
@@ -388,8 +386,10 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     orthonormal, the reduced density matrix in that basis is G G^dag with
     the Hankel sector matrix
     G[la, lb] = sqrt(w1_la) sqrt(w2_lb) FFT(c)[k mod n] mu_n^(-k),
-    k = la + lb - 2. Empty sectors contribute zero rows and columns.
-    Requires a normalized spec (run bipartite_normalize first).
+    k = la + lb - 2: the sum over r = 1..n of the per-element matrices
+    c_r sqrt(w1_la) sqrt(w2_lb) mu_n^(-r k). Empty sectors contribute zero
+    rows and columns. Requires a normalized spec (run bipartite_normalize
+    first).
     """
     n = spec.n
     k = np.arange(n)
@@ -397,8 +397,6 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
                    np.sqrt(residue_class_masses(spec.seed_2, n)))
     g = amp * np.fft.fft(spec.c)[ksum % n] * _unit_root_powers(ksum, n)
-    d = (spec.c[:, None, None] * amp
-         * _unit_root_powers((k + 1)[:, None, None] * ksum, n))
 
     total = float(np.sum(np.abs(g) ** 2))
     if abs(total - 1.0) > 1e-8:
@@ -407,7 +405,7 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
             "call bipartite_normalize first")
     f = g @ g.conj().T
     s_linear = 1.0 - float(np.sum(np.abs(f) ** 2))
-    return EntanglementResult(s_linear=s_linear, f_matrix=f, d_tensor=d)
+    return EntanglementResult(s_linear=s_linear, f_matrix=f)
 
 
 def linear_entropy_gram(spec: BipartiteSpec) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from polystate.cli import _json_text, main
+from polystate.cli import main
 from polystate.cyclic import CyclicSpec, circle_limit, cyclic_erasure, dihedral_state
 from polystate.fock import (
     _pairs,
@@ -99,6 +99,19 @@ def test_build_respects_n_max(tmp_path):
                "--n-max", 32, "--output", out) == 0
     data = json.loads(out.read_text())
     assert data["n_max"] == 32 and len(data["amplitudes"]) == 33
+
+
+def test_build_tail_flag_survives_reload(tmp_path):
+    # coherent(9) at n_max 16 is flagged; the C_3 sector's last slot (m = 16)
+    # is off-class, so only the saved metadata can carry the flag forward
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("build", "--coherent", 9, 0, "--order", 3, "--irrep", 1,
+               "--n-max", 16, "--output", a) == 0
+    saved = json.loads(a.read_text())
+    assert saved["metadata"]["tail_flagged"] is True
+    assert saved["amplitudes"][16] == [0.0, 0.0]
+    assert run("build", "--input", a, "--order", 3, "--irrep", 1, "--output", b) == 0
+    assert json.loads(b.read_text())["metadata"]["tail_flagged"] is True
 
 
 def test_build_empty_sector_exit(tmp_path):
@@ -343,7 +356,17 @@ def test_wrong_pair_count_exit(tmp_path):
     assert run("build", "--input", bad, "--order", 2, "--irrep", 1) == 3
 
 
+def test_non_boolean_tail_flag_exit(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**vector_to_dict(coherent(1.0, 8)),
+                               "metadata": {"tail_flagged": "yes"}}))
+    assert run("build", "--input", bad, "--order", 2, "--irrep", 1) == 3
+    assert "tail_flagged" in one_line_error(capsys)
+
+
 # ---- entangle ----
+
+ENTANGLE_KEYS = {"s_linear", "s_linear_oracle", "difference", "f_matrix"}
 
 def write_bipartite(path, n, c, seed_1, seed_2):
     path.write_text(json.dumps({
@@ -363,8 +386,8 @@ def test_entangle_product_state(tmp_path):
     data = json.loads(out.read_text())
     assert abs(data["s_linear"]) < 1e-10
     assert data["difference"] < 1e-10
-    assert len(data["f_matrix"]) == 3
-    assert len(data["d_tensor"]) == 3 and len(data["d_tensor"][0][0]) == 3
+    assert data.keys() == ENTANGLE_KEYS
+    assert np.array(data["f_matrix"]).shape == (3, 3, 2)
 
 
 def test_entangle_bell_like(tmp_path):
@@ -410,7 +433,7 @@ def test_entangle_non_finite_not_written(tmp_path, capsys, monkeypatch):
         result = linear_entropy(spec)
         f = result.f_matrix.copy()
         f[0, 1] = complex(np.nan, 0.0)
-        return EntanglementResult(result.s_linear, f, result.d_tensor)
+        return EntanglementResult(result.s_linear, f)
 
     monkeypatch.setattr(cli, "linear_entropy", nan_entropy)
     src = write_bipartite(tmp_path / "spec.json", 2, [1.0, 1.0],
@@ -427,35 +450,7 @@ def test_entangle_malformed_spec(tmp_path):
     assert run("entangle", "--input", bad) == 3
 
 
-# ---- JSON writer ----
-
-def dumps_with_pairs(payload):
-    """What the writer must reproduce: json.dumps with arrays as [re, im] pairs."""
-    return json.dumps({k: _pairs(v) if isinstance(v, np.ndarray) else v
-                       for k, v in payload.items()}, indent=2) + "\n"
-
-
-def test_json_writer_matches_json_dumps():
-    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308,
-                        -1.7976931348623157e308, 0.1, -2.5e-300, 1 / 3, 7.0, -1e20, 0.0])
-    z = special + 1j * special[::-1]
-    rng = np.random.default_rng(2)
-    noise = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    payloads = [
-        {"rank1": z, "rank2": z.reshape(3, 4), "rank3": z.reshape(2, 3, 2)},
-        {"one": z[:1], "col": z.reshape(12, 1), "n1": z[:1].reshape(1, 1, 1),
-         "mid": noise.reshape(2, 1, 12)},
-        {"s_linear": 0.25, "s_linear_oracle": -0.0, "difference": 5e-324,
-         "f_matrix": noise[:4].reshape(2, 2), "d_tensor": noise[:8].reshape(2, 2, 2)},
-        {"n_max": 11, "amplitudes": z, "metadata": {
-            "method": "erasure", "n_lambda": [0.5, -0.0], "raw_norm": 1e16,
-            "residue_class_masses": list(np.abs(special[:3])), "tail_flagged": False}},
-        {"transposed": noise.reshape(4, 6).T, "real_valued": special.reshape(3, 4)},
-        {"empty": np.zeros(0, dtype=complex), "empty_rows": np.zeros((2, 0), dtype=complex)},
-    ]
-    for payload in payloads:
-        assert _json_text(payload) == dumps_with_pairs(payload)
-
+# ---- JSON output ----
 
 def bipartite_spec(path, n, n_max, seed):
     rng = np.random.default_rng(seed)
@@ -479,9 +474,9 @@ def test_entangle_output_bytes(tmp_path, n, n_max):
     assert text == json.dumps({
         "s_linear": res.s_linear, "s_linear_oracle": oracle,
         "difference": abs(res.s_linear - oracle),
-        "f_matrix": _pairs(res.f_matrix), "d_tensor": _pairs(res.d_tensor),
+        "f_matrix": _pairs(res.f_matrix),
     }, indent=2) + "\n"
-    assert np.array(json.loads(text)["d_tensor"]).shape == (n, n, n, 2)
+    assert json.loads(text).keys() == ENTANGLE_KEYS
 
 
 def test_build_and_circle_limit_output_bytes(tmp_path):

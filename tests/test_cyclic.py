@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,20 +195,10 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
                      "--irrep", "2", "--n-max", "32", "--method", "superposition",
                      "--output", str(tmp_path / "s.json")]) == 0
-    # entangle cross-checks by the Gram route, and no array goes through json.dumps
-    dumps = json.dumps
-
-    def scalar_dumps(obj, *args, **kwargs):
-        if isinstance(obj, (list, np.ndarray)) or (
-                isinstance(obj, dict) and {"f_matrix", "amplitudes"} & obj.keys()):
-            raise AssertionError("an array payload went through json.dumps")
-        return dumps(obj, *args, **kwargs)
-
-    monkeypatch.setattr(cli.json, "dumps", scalar_dumps)
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(dumps({"n": 4, "c": [[1.0, 0.0]] * 4,
-                                "seed_1": fock.vector_to_dict(phi),
-                                "seed_2": fock.vector_to_dict(phi)}))
+    spec_path.write_text(json.dumps({"n": 4, "c": [[1.0, 0.0]] * 4,
+                                     "seed_1": fock.vector_to_dict(phi),
+                                     "seed_2": fock.vector_to_dict(phi)}))
     assert cli.main(["entangle", "--input", str(spec_path),
                      "--output", str(tmp_path / "e.json")]) == 0
     assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
@@ -310,6 +301,20 @@ def test_circle_limit_fixed_point():
 
 def test_circle_limit_quadrature_gap():
     assert circle_limit_quadrature_gap(coherent(1.0, 32), 2) < 1e-10
+
+
+def test_circle_limit_quadrature_memory():
+    # the 2 (n_max + 1)-angle rule at n_max 1024 must not hold a table of
+    # rotated copies (67 MB); O(n_max) memory is about 0.1 MB
+    phi = coherent(1.0, 1024)
+    tracemalloc.start()
+    try:
+        gap = circle_limit_quadrature_gap(phi, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap <= 1e-10
+    assert peak < 4 * 2 ** 20
 
 
 def test_circle_limit_empty_raises():
