@@ -224,7 +224,7 @@ def cmd_circle_limit(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = None if args.suite == "all" else [args.suite]
-    rows = run_suites(names, seed=args.seed, order=args.order)
+    rows = run_suites(names, seed=args.seed)
     report = format_report(rows, timestamp=not args.no_timestamp)
     _write_text(report, args.output)
     return 0 if all(r.passed for r in rows) else 1
@@ -300,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which suite to run (default all)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized suites")
-    p.add_argument("--order", type=int, default=None,
-                   help="max group order for the characters suite")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the timestamp line (byte-identical reruns)")
     p.add_argument("--output", help="write the report here instead of stdout")

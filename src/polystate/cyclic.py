@@ -33,7 +33,6 @@ from .fock import (
     FockOperator,
     _class_sums,
     _rotated_copies,
-    _unit_root_powers,
     annihilate,
     basis_state,
     inner,
@@ -41,7 +40,7 @@ from .fock import (
     residue_class_masses,
     sector_mask,
 )
-from .group import character, mu
+from .group import unit_root
 
 __all__ = [
     "CyclicSpec",
@@ -98,24 +97,27 @@ class NormalizationRecord:
 
 
 class EmptyRepresentationError(ValueError):
-    """The seed has no component in the requested symmetry sector."""
+    """The seed has no component in the requested symmetry sector.
 
-    def __init__(self, n: int, lam: int, masses: np.ndarray, detail: str = ""):
+    masses is None where no residue-class masses apply (the circle limit);
+    detail is then the whole message.
+    """
+
+    def __init__(self, n: int, lam: int, masses: np.ndarray | None, detail: str = ""):
         self.n = n
         self.lam = lam
         self.masses = masses
-        msg = (f"seed carries no weight in the (n={n}, lam={lam}) sector; "
-               f"residue-class masses {np.array2string(masses, precision=3)}")
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        if masses is not None:
+            detail = (f"seed carries no weight in the (n={n}, lam={lam}) sector; "
+                      f"residue-class masses {np.array2string(masses, precision=3)}"
+                      + (f" ({detail})" if detail else ""))
+        super().__init__(detail)
 
 
 def _raw_superposition(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
     """sum_r chi^(lam)(g_r) R(theta_r)|phi>: the characters mu_n^((lam-1) r),
-    r 0-based, times the rotated copies, every exponent reduced mod n in
-    integers before exponentiating."""
-    chi = _unit_root_powers(-(spec.lam - 1) * np.arange(spec.n), spec.n)
+    r 0-based, times the rotated copies, all by unit_root."""
+    chi = unit_root((spec.lam - 1) * np.arange(spec.n), spec.n)
     return chi @ _rotated_copies(phi, spec.n)
 
 
@@ -138,7 +140,7 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < _EMPTY_TOL:
         raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
-    n_lambda = complex(mu(n) ** (lam - 1) / raw_norm)
+    n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
     amps = n_lambda * raw
 
     off = np.linalg.norm(amps[~sector_mask(phi.n_max, n, lam)])
@@ -169,7 +171,7 @@ def cyclic_state(phi: FockVector, spec: CyclicSpec
     seed, raw_norm = n sqrt(w_lam) and n_lambda = mu_n^(lam-1) / raw_norm.
     Raises EmptyRepresentationError where cyclic_erasure does."""
     part, nrm = _sector_part(phi, spec)
-    phase = mu(spec.n) ** (spec.lam - 1)
+    phase = complex(unit_root(spec.lam - 1, spec.n))
     record = NormalizationRecord(raw_norm=spec.n * nrm,
                                  n_lambda=complex(phase / (spec.n * nrm)))
     return FockVector(phi.n_max, (phase / nrm) * part, phi.tail_flagged), record
@@ -212,10 +214,10 @@ def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l: int
     difference wrapped to (-pi, pi]. l = n is the identity element.
     """
     n, lam = spec.n, spec.lam
-    rotated = _unit_root_powers(l * np.arange(psi.n_max + 1), n) * psi.amplitudes
+    rotated = unit_root(-l * np.arange(psi.n_max + 1), n) * psi.amplitudes
     ov = complex(np.vdot(psi.amplitudes, rotated))
     fid = abs(ov) / (psi.norm ** 2)
-    predicted = mu(n) ** ((1 - lam) * l)
+    predicted = complex(unit_root((1 - lam) * l, n))
     diff = np.angle(ov / predicted)
     return float(fid), float(abs(diff))
 
@@ -229,26 +231,23 @@ def _projected_density(rho: FockOperator, spec: CyclicSpec) -> np.ndarray:
 def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
     """Entrywise max difference between the double character sum and P rho P.
 
-    The double sum (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag is
-    the independent oracle for cyclic_density and is evaluated only here.
+    The double sum (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag
+    factorises as P_chi rho P_chi^dag, P_chi = (1/n) sum_r chi_r R_r diagonal.
+    The independent oracle for cyclic_density: no residue-class mask.
     """
-    n, lam = spec.n, spec.lam
-    chis = [character(n, lam, r) for r in range(1, n + 1)]
-    phases = _unit_root_powers(np.outer(np.arange(n), np.arange(rho.n_max + 1)), n)
-    acc = np.zeros_like(rho.matrix)
-    for chi_r, phase_r in zip(chis, phases):
-        for chi_rp, phase_rp in zip(chis, phases):
-            weight = chi_r * np.conj(chi_rp)
-            acc += weight * (phase_r[:, None] * rho.matrix * np.conj(phase_rp)[None, :])
-    return float(np.abs(acc / n ** 2 - _projected_density(rho, spec)).max())
+    n, m = spec.n, np.arange(rho.n_max + 1)
+    r = np.arange(n)
+    p_chi = unit_root((spec.lam - 1) * r, n) @ unit_root(-np.outer(r, m), n) / n
+    acc = p_chi[:, None] * rho.matrix * np.conj(p_chi)[None, :]
+    return float(np.abs(acc - _projected_density(rho, spec)).max())
 
 
 def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
     """Symmetry-adapted density matrix P rho P / tr, P the residue-class projector.
 
     P rho P equals the double character sum
-    (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag entrywise;
-    density_route_gap measures that agreement.
+    (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
+    entrywise; density_route_gap measures that agreement.
     """
     n, lam = spec.n, spec.lam
     projected = _projected_density(rho, spec)
@@ -289,11 +288,14 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
     if lam < 1:
         raise ValueError(f"irrep index lam={lam} must be >= 1")
     if lam - 1 > phi.n_max:
-        raise EmptyRepresentationError(
-            0, lam, np.abs(phi.amplitudes) ** 2, detail="lam - 1 beyond truncation")
+        raise EmptyRepresentationError(0, lam, None, (
+            f"circle limit |{lam - 1}> lies beyond the truncation: "
+            f"lam - 1 = {lam - 1} > n_max = {phi.n_max}"))
     a = phi.amplitudes[lam - 1]
     if abs(a) ** 2 < _EMPTY_TOL ** 2:
-        raise EmptyRepresentationError(0, lam, np.abs(phi.amplitudes) ** 2)
+        raise EmptyRepresentationError(0, lam, None, (
+            f"circle limit |{lam - 1}> is empty: seed mass |A_{lam - 1}|^2 = "
+            f"{abs(a) ** 2:.3e} is below {_EMPTY_TOL ** 2:.0e}"))
     limit = basis_state(lam - 1, phi.n_max).amplitudes * (a / abs(a))
     return FockVector(phi.n_max, limit)
 

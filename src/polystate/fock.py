@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .group import unit_root
+
 __all__ = [
     "TAIL_TOL",
     "default_n_max",
@@ -148,20 +150,23 @@ def coherent(alpha: complex, n_max: int | None = None) -> FockVector:
     """Coherent state amplitudes alpha^m e^{-|alpha|^2/2}/sqrt(m!), renormalized.
 
     Built in log space, m log|alpha| - |alpha|^2/2 - lgamma(m+1)/2 with phase
-    (alpha/|alpha|)^m, so no factorial or power is ever formed and no term
-    overflows or underflows early (|alpha| = 40 at n_max 2048 is exact).
-    The tail flag is set when |alpha|^2 exceeds n_max or when the truncated
-    tail mass is above TAIL_TOL.
+    (alpha/|alpha|)^m, shifted by its maximum, so no factorial or power is
+    ever formed and every finite alpha gives finite amplitudes (|alpha| = 40
+    at n_max 2048 is exact). |alpha|^2/2 only centres the logs, capped at
+    n_max/2. The tail flag is set when |alpha|^2 exceeds n_max or when the
+    truncated tail mass is above TAIL_TOL. A non-finite |alpha| raises.
     """
     n_max = _checked_n_max(n_max)
+    r = 2 * abs(alpha / 2)  # = |alpha|; abs(alpha) raises OverflowError past 1.8e308
+    if not np.isfinite(r):
+        raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
     m = np.arange(n_max + 1)
-    r = abs(alpha)
-    log_mod = xlogy(m, r) - 0.5 * r * r - 0.5 * gammaln(m + 1)
+    log_mod = xlogy(m, r) - 0.5 * min(r * r, n_max) - 0.5 * gammaln(m + 1)
     # (alpha/|alpha|)^m by running products, exact for real and imaginary alpha
     phase = np.ones(n_max + 1, dtype=complex)
     phase[1:] = np.cumprod(np.full(n_max, alpha / r if r > 0 else 1.0))
-    amps = np.exp(log_mod) * phase
-    flagged = r * r > n_max or np.abs(amps[-1]) ** 2 > TAIL_TOL
+    flagged = r * r > n_max or 2 * log_mod[-1] > np.log(TAIL_TOL)
+    amps = np.exp(log_mod - log_mod.max()) * phase
     amps /= np.linalg.norm(amps)
     return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=bool(flagged))
 
@@ -180,17 +185,12 @@ def rotate(state: FockVector, theta: float) -> FockVector:
                       state.tail_flagged)
 
 
-def _unit_root_powers(k: np.ndarray, n: int) -> np.ndarray:
-    """mu_n^(-k) for integer arrays k, reduced mod n before exponentiating."""
-    return np.exp(-2j * np.pi * (k % n) / n)
-
-
 def _rotated_copies(state: FockVector, n: int) -> np.ndarray:
     """The (n x d) copies R(theta_r)|state>, r = 1..n: row r-1 holds
     mu_n^(-((r-1) m mod n)) A_m, exact roots of unity rather than the
     floating angles theta_r m that rotate would form."""
     r = np.arange(n)[:, None]
-    return _unit_root_powers(r * np.arange(state.n_max + 1), n) * state.amplitudes
+    return unit_root(-r * np.arange(state.n_max + 1), n) * state.amplitudes
 
 
 def conjugate(state: FockVector) -> FockVector:
@@ -206,8 +206,8 @@ def inversion(state: FockVector, r: int, n: int) -> FockVector:
     """
     if not 1 <= r <= n:
         raise ValueError(f"element index r={r} outside 1..{n}")
-    phases = _unit_root_powers((r - 1) * np.arange(state.n_max + 1), n)
-    return FockVector(state.n_max, np.conj(state.amplitudes * phases), state.tail_flagged)
+    phases = unit_root((r - 1) * np.arange(state.n_max + 1), n)
+    return FockVector(state.n_max, np.conj(state.amplitudes) * phases, state.tail_flagged)
 
 
 def inner(bra: FockVector, ket: FockVector) -> complex:

@@ -35,7 +35,7 @@ from scipy.special import roots_hermite
 
 from .fock import FockVector, _checked_n_max
 from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
-from .group import character, mu, theta
+from .group import character, theta, unit_root
 
 __all__ = [
     "GaussianParams",
@@ -76,10 +76,19 @@ class GaussianParams:
     def __post_init__(self):
         a = complex(self.a)
         b = complex(self.b)
+        for name, value in (("a", a), ("b", b)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"Gaussian parameter {name} must be finite, got {value}")
         if not (a.real > 0):
             raise ValueError(f"Re(a) must be positive, got a={a}")
         if b == 0:
             raise ValueError("b must be nonzero (the seed must break rotation symmetry)")
+        with np.errstate(all="ignore"):  # |a| or |b|^2 / Re(a) past the float range
+            log_n = _log_prefactor(a, b)
+            if not cmath.isfinite(log_n):
+                name = "b" if cmath.isfinite(_log_prefactor(a, 0)) else "a"
+                raise ValueError(f"Gaussian parameter {name} overflows the "
+                                 f"normalization: log N(a={a}, b={b}) = {log_n}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -363,4 +372,4 @@ def c2_closed_form(params: GaussianParams, lam: int, x) -> np.ndarray:
     overlap = np.exp(-(b * bc) / (a + ac)).real  # parity overlap, real in (0, 1)
     norm = _prefactor(a, b) / np.sqrt(2.0 * (1.0 + sign * overlap))
     branch = np.exp(-a * x * x) * (np.exp(b * x) + sign * np.exp(-b * x))
-    return mu(2) ** (lam - 1) * norm * branch
+    return unit_root(lam - 1, 2) * norm * branch

@@ -3,14 +3,16 @@
 Conventions used across the package: group elements g_r are the discrete
 phase-space rotations by theta_r = 2 pi (r-1)/n, indices are 1-based, the
 irreducible representations of C_n are labeled lam = 1..n with character
-chi_n^(lam)(g_r) = exp(2 pi i (lam-1)(r-1)/n), and mu_n = exp(2 pi i / n)
-denotes the primitive n-th root of unity.
+chi_n^(lam)(g_r) = mu_n^((lam-1)(r-1)), and mu_n = exp(2 pi i / n)
+denotes the primitive n-th root of unity. unit_root is the package's one
+evaluator of mu_n^k: every character, rotation phase and sector phase.
 """
 from __future__ import annotations
 
 import numpy as np
 
 __all__ = [
+    "unit_root",
     "mu",
     "theta",
     "character",
@@ -19,9 +21,15 @@ __all__ = [
 ]
 
 
+def unit_root(k, n: int):
+    """mu_n^k for an integer or integer array k, reduced mod n in integers
+    before exponentiating: exp of the unreduced angle would leak ~|k| eps."""
+    return np.exp(2j * np.pi * (k % n) / n)
+
+
 def mu(n: int) -> complex:
     """Primitive n-th root of unity exp(2 pi i / n)."""
-    return complex(np.exp(2j * np.pi / n))
+    return complex(unit_root(1, n))
 
 
 def theta(n: int, r: int) -> float:
@@ -32,17 +40,15 @@ def theta(n: int, r: int) -> float:
 
 
 def character(n: int, lam: int, r: int) -> complex:
-    """Character chi_n^(lam)(g_r) = exp(2 pi i (lam-1)(r-1)/n).
+    """Character chi_n^(lam)(g_r) = mu_n^((lam-1)(r-1)), by unit_root.
 
-    Always evaluated from this single canonical expression rather than by
-    repeated multiplication, so the phase error stays at machine level for
-    any n. Indices lam and r are 1-based; out-of-range values raise.
+    Indices lam and r are 1-based; out-of-range values raise.
     """
     if not 1 <= lam <= n:
         raise ValueError(f"irrep index lam={lam} outside 1..{n}")
     if not 1 <= r <= n:
         raise ValueError(f"element index r={r} outside 1..{n}")
-    return complex(np.exp(2j * np.pi * (lam - 1) * (r - 1) / n))
+    return complex(unit_root((lam - 1) * (r - 1), n))
 
 
 def root_sum(n: int, r: int) -> complex:
@@ -54,10 +60,7 @@ def root_sum(n: int, r: int) -> complex:
     """
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
-    j = np.arange(1, n + 1, dtype=np.int64)
-    # reduce j*r mod n exactly in integers; exp of a large float angle
-    # would leak phase error ~|angle|*eps into every term
-    return complex(np.exp(2j * np.pi * ((j * int(r)) % n) / n).sum())
+    return complex(unit_root(np.arange(1, n + 1) * int(r), n).sum())
 
 
 def character_orthogonality_report(n: int) -> tuple[float, float]:
@@ -70,8 +73,8 @@ def character_orthogonality_report(n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
-    lam = np.arange(n)
-    tab = np.exp(2j * np.pi * np.outer(lam, lam) / n)  # tab[l-1, r-1] = chi^(l)(g_r)
+    k = np.arange(n)
+    tab = unit_root(np.outer(k, k), n)  # tab[l-1, r-1] = chi^(l)(g_r)
     eye = np.eye(n)
     rows = np.abs(tab @ tab.conj().T / n - eye).max()
     cols = np.abs(tab.conj().T @ tab / n - eye).max()

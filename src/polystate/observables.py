@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 from scipy.special import roots_hermite
 
-from .fock import (FockVector, _rotated_copies, _unit_root_powers,
-                   residue_class_masses, rotate)
+from .fock import FockVector, _rotated_copies, residue_class_masses
 from .cyclic import EmptyRepresentationError, NormalizationRecord
 from .gaussian import _gh_nodes, _hermite_rows, fock_wavefunction, hermite_functions
+from .group import unit_root
 
 __all__ = [
     "WignerGrid",
@@ -243,12 +243,16 @@ def wigner_rotation_residual(state: FockVector, n: int,
     A state in any C_n symmetry sector satisfies this exactly: the group
     element changes the state only by a phase, and the Wigner function is
     phase-blind. W at the rotated points of the square probe grid is the
-    Wigner function of rotate(state, 2 pi / n) on the grid itself, by the
-    covariance W_{R(theta) psi}(x, p) = W_psi(x cos - p sin, x sin + p cos).
+    Wigner function of R(2 pi / n)|state> on the grid itself, by the
+    covariance W_{R(theta) psi}(x, p) = W_psi(x cos - p sin, x sin + p cos),
+    with R's exact phases mu_n^(-m). n < 1 raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"symmetry order must be >= 1, got {n}")
     ax = np.linspace(bounds[0], bounds[1], points)
     base = _wigner_values(state, ax, ax)
-    moved = _wigner_values(rotate(state, 2 * np.pi / n), ax, ax)
+    turned = unit_root(-np.arange(state.n_max + 1), n) * state.amplitudes
+    moved = _wigner_values(FockVector(state.n_max, turned), ax, ax)
     return float(np.abs(moved - base).max())
 
 
@@ -359,7 +363,7 @@ def reconstruct_rotated(pairs: Sequence[tuple[FockVector, NormalizationRecord]],
     for state, record in pairs:
         lam = int(np.argmax(np.abs(state.amplitudes)) % n) + 1
         seen.add(lam)
-        weight = _unit_root_powers((r - 1) * (lam - 1), n) / (n * record.n_lambda)
+        weight = unit_root((1 - r) * (lam - 1), n) / (n * record.n_lambda)
         acc += weight * state.amplitudes
     missing = sorted(set(range(1, n + 1)) - seen)
     if missing:
@@ -396,7 +400,7 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     ksum = k[:, None] + k[None, :]
     amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
                    np.sqrt(residue_class_masses(spec.seed_2, n)))
-    g = amp * np.fft.fft(spec.c)[ksum % n] * _unit_root_powers(ksum, n)
+    g = amp * np.fft.fft(spec.c)[ksum % n] * unit_root(-ksum, n)
 
     total = float(np.sum(np.abs(g) ** 2))
     if abs(total - 1.0) > 1e-8:

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import character_orthogonality_report, mu, root_sum
+from .group import character_orthogonality_report, root_sum, unit_root
 from .fock import (
     FockOperator,
     FockVector,
     _rotated_copies,
-    _unit_root_powers,
     annihilate,
     basis_state,
     coherent,
@@ -99,14 +98,10 @@ def _random_state(rng: np.random.Generator, n_max: int = 64) -> FockVector:
 # ---------------------------------------------------------------------------
 
 
-def suite_characters(seed: int = DEFAULT_SEED, order: int | None = None):
-    max_n = order or 12
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        rows_res, cols_res = character_orthogonality_report(n)
-        worst = max(worst, rows_res, cols_res)
+def suite_characters(seed: int = DEFAULT_SEED):
+    worst = max(max(character_orthogonality_report(n)) for n in range(1, 13))
     out = [_row("characters", "orthogonality",
-                f"character Gram matrices are the identity for n <= {max_n}",
+                "character Gram matrices are the identity for n <= 12",
                 worst, 1e-12)]
     worst = 0.0
     for n in range(1, 65):
@@ -142,7 +137,7 @@ def _suite2_states(seed: int):
     return fam
 
 
-def suite_orthonormality(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_orthonormality(seed: int = DEFAULT_SEED):
     out = []
     for n, sets in _suite2_states(seed).items():
         worst = 0.0
@@ -156,7 +151,7 @@ def suite_orthonormality(seed: int = DEFAULT_SEED, order: int | None = None):
     return out
 
 
-def suite_erasure(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_erasure(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst = worst_record = 0.0
     for _ in range(100):
@@ -166,7 +161,7 @@ def suite_erasure(seed: int = DEFAULT_SEED, order: int | None = None):
         spec = CyclicSpec(n, lam)
         sup, orbit = cyclic_superposition(phi, spec)
         er = cyclic_erasure(phi, spec)
-        gap = np.abs(er.amplitudes - mu(n) ** (1 - lam) * sup.amplitudes).max()
+        gap = np.abs(er.amplitudes - unit_root(1 - lam, n) * sup.amplitudes).max()
         worst = max(worst, float(gap))
         closed = normalization_record(phi, spec)
         worst_record = max(worst_record,
@@ -183,7 +178,7 @@ def suite_erasure(seed: int = DEFAULT_SEED, order: int | None = None):
     ]
 
 
-def suite_rotation(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_rotation(seed: int = DEFAULT_SEED):
     worst_fid = 0.0
     worst_phase = 0.0
     for n, sets in _suite2_states(seed).items():
@@ -214,7 +209,7 @@ def _random_mixed_density(rng: np.random.Generator, n_max: int = 64) -> FockOper
     return FockOperator(n_max, mat)
 
 
-def suite_density(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_density(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_gap = worst_inv = worst_herm = worst_tr = worst_cross = 0.0
     for n in (2, 3, 4):
@@ -228,11 +223,10 @@ def suite_density(seed: int = DEFAULT_SEED, order: int | None = None):
                 sector[lam] = out
                 worst_herm = max(worst_herm, out.hermiticity_residual())
                 worst_tr = max(worst_tr, abs(out.trace() - 1.0))
-                m = np.arange(out.n_max + 1)
-                for ph in _unit_root_powers(np.outer(np.arange(n), m), n):
-                    rotated = ph[:, None] * out.matrix * np.conj(ph)[None, :]
-                    worst_inv = max(worst_inv,
-                                    float(np.abs(rotated - out.matrix).max()))
+                # R_r rho R_r^dag for every group element r at once
+                ph = unit_root(-np.outer(np.arange(n), np.arange(out.n_max + 1)), n)
+                rotated = ph[:, :, None] * out.matrix * np.conj(ph)[:, None, :]
+                worst_inv = max(worst_inv, float(np.abs(rotated - out.matrix).max()))
             for la in range(1, n + 1):
                 for lb in range(la + 1, n + 1):
                     cross = abs(np.trace(sector[la].matrix @ sector[lb].matrix))
@@ -263,7 +257,7 @@ _CIRCLE_ORDERS = (10, 15, 20)
 _WIGNER_SEED = GaussianParams(1.0, np.sqrt(2.0) * (1 + 1j))
 
 
-def suite_gaussian(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_gaussian(seed: int = DEFAULT_SEED):
     avals = (0.3, 0.85, 1.4, 2.0)
     bvals = (3.0, 3.0j, -3.0, 2.1 + 2.1j, 0.5 - 0.5j)
     thetas = sorted({Fraction(k, n) for n in range(2, 9) for k in range(1, n)})
@@ -307,7 +301,7 @@ def suite_gaussian(seed: int = DEFAULT_SEED, order: int | None = None):
     ]
 
 
-def suite_c2(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_c2(seed: int = DEFAULT_SEED):
     x = np.linspace(-5.0, 5.0, 201)
     nodes, w_eff = _gh_nodes(2000)
     worst_match = worst_orth = worst_norm = 0.0
@@ -351,7 +345,7 @@ def _mandel_scan(a: float) -> np.ndarray:
     return out
 
 
-def suite_mandel(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_mandel(seed: int = DEFAULT_SEED):
     out = []
     scans = {}
     for a in (0.25, 0.5, 1.0):
@@ -371,7 +365,7 @@ def suite_mandel(seed: int = DEFAULT_SEED, order: int | None = None):
     return out
 
 
-def suite_circle(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_circle(seed: int = DEFAULT_SEED):
     vacuum = basis_state(0, 64)
     fids = [fidelity(cyclic_gaussian(_CIRCLE_SEED, CyclicSpec(n, 1), 64)[0], vacuum)
             for n in _CIRCLE_ORDERS]
@@ -392,7 +386,7 @@ def suite_circle(seed: int = DEFAULT_SEED, order: int | None = None):
     ]
 
 
-def suite_entangle(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_entangle(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_pair = worst_gram = worst_bound = 0.0
     for n in (2, 3, 4):
@@ -440,7 +434,7 @@ def suite_entangle(seed: int = DEFAULT_SEED, order: int | None = None):
     ]
 
 
-def suite_inverse(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_inverse(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(2, 7):
@@ -455,7 +449,7 @@ def suite_inverse(seed: int = DEFAULT_SEED, order: int | None = None):
                  worst, 1e-10)]
 
 
-def suite_wigner(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_wigner(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     out = []
 
@@ -522,7 +516,7 @@ def suite_wigner(seed: int = DEFAULT_SEED, order: int | None = None):
     return out
 
 
-def suite_coherent(seed: int = DEFAULT_SEED, order: int | None = None):
+def suite_coherent(seed: int = DEFAULT_SEED):
     worst_leak = 0.0
     alpha = 1.3 + 0.4j
     for n in (2, 3, 5):
@@ -578,15 +572,14 @@ SUITES = {
 }
 
 
-def run_suites(names=None, seed: int = DEFAULT_SEED,
-               order: int | None = None) -> list[CheckRow]:
+def run_suites(names=None, seed: int = DEFAULT_SEED) -> list[CheckRow]:
     if names is None or names == ["all"]:
         names = list(SUITES)
     rows = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        rows.extend(SUITES[name](seed=seed, order=order))
+        rows.extend(SUITES[name](seed=seed))
     return rows
 
 

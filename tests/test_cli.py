@@ -195,6 +195,36 @@ def test_build_coherent_large_alpha(tmp_path, capsys):
     assert np.abs(amps - want / np.linalg.norm(want)).max() < 1e-9
 
 
+def test_build_coherent_far_past_truncation(tmp_path, capsys):
+    # coherent(40) at the default n_max 64: e^{-800} underflows every
+    # amplitude, so the state is normalized in log space and tail-flagged
+    out = tmp_path / "s.json"
+    assert run("build", "--coherent", 40, 0, "--order", 3, "--irrep", 1,
+               "--output", out) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads(out.read_text())
+    assert data["metadata"]["tail_flagged"] is True
+    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+    m = np.arange(65)
+    log_mod = m * np.log(40.0) - 0.5 * gammaln(m + 1)
+    want = np.where(m % 3 == 0, np.exp(log_mod - log_mod.max()), 0.0)
+    assert np.abs(amps - want / np.linalg.norm(want)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed, name", [
+    (("--coherent", "nan", 0), "alpha must be finite"),
+    (("--coherent", "inf", 0), "alpha must be finite"),
+    (("--gaussian", 1, 0, "nan", 0), "parameter b must be finite"),
+    (("--gaussian", 1, 0, 1e200, 0), "parameter b overflows"),
+    (("--gaussian", 1e300, 0, 1, 0), "parameter a overflows"),
+])
+def test_non_finite_seed_is_one_line(tmp_path, capsys, seed, name):
+    out = tmp_path / "s.json"
+    assert run("build", *seed, "--order", 3, "--irrep", 1, "--output", out) == 1
+    assert name in one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_empty_sector_message_is_one_line(tmp_path, capsys):
     # 32 class masses would wrap over several lines if printed as an array
     assert run("build", "--coherent", 0, 0, "--order", 32, "--irrep", 2,
@@ -246,6 +276,13 @@ def test_wigner_check_symmetry(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rotation symmetry residual (order 3):" in err
     assert float(err.strip().rsplit(" ", 1)[1]) < 1e-8
+
+
+def test_wigner_check_symmetry_order_zero(tmp_path, capsys):
+    src = write_state(tmp_path / "coh.json", coherent(1.0, 8))
+    assert run("wigner", "--input", src, "--points", 5, "--check-symmetry", 0,
+               "--output", tmp_path / "w.csv") == 1
+    assert "symmetry order must be >= 1" in one_line_error(capsys)
 
 
 def test_wigner_missing_input(tmp_path):
@@ -513,8 +550,7 @@ def test_build_and_circle_limit_output_bytes(tmp_path):
 
 def test_verify_single_suite(tmp_path):
     out = tmp_path / "report.txt"
-    assert run("verify", "--suite", "characters", "--order", 12,
-               "--output", out) == 0
+    assert run("verify", "--suite", "characters", "--output", out) == 0
     text = out.read_text()
     assert "pass" in text and "FAIL" not in text
 
@@ -561,6 +597,18 @@ def test_circle_limit_command(tmp_path):
 def test_circle_limit_empty_exit(tmp_path):
     assert run("circle-limit", "--coherent", 0, 0, "--irrep", 2,
                "--output", tmp_path / "x.json") == 2
+
+
+@pytest.mark.parametrize("seed, irrep, quantity", [
+    (("--coherent", 1, 0), 100, "lam - 1 = 99 > n_max = 64"),
+    (("--coherent", 0, 0), 2, "|A_1|^2 = 0.000e+00 is below 1e-24"),
+])
+def test_circle_limit_empty_message(tmp_path, capsys, seed, irrep, quantity):
+    # names the quantity, its value and the threshold, not 65 probabilities
+    assert run("circle-limit", *seed, "--irrep", irrep,
+               "--output", tmp_path / "x.json") == 2
+    err = one_line_error(capsys)
+    assert len(err) < 200 and quantity in err
 
 
 # ---- console wiring ----

@@ -19,7 +19,7 @@ from polystate.fock import (
     sector_mask,
 )
 from polystate.fock import FockOperator
-from polystate.group import mu
+from polystate.group import character, mu
 from polystate.cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -239,6 +239,23 @@ def test_rotation_every_element():
         assert phase < 1e-10
 
 
+def test_rotation_phase_exact_at_order_64():
+    # every group element's phase mu^((1-lam) l) holds to rounding at n = 64;
+    # float angles 2 pi l m / n leaked up to ~4e-14 here
+    rng = np.random.default_rng(64)
+    v = rng.standard_normal(257) + 1j * rng.standard_normal(257)
+    phi = from_amplitudes(v / np.linalg.norm(v), 256)
+    worst = 0.0
+    for lam in range(1, 65):
+        spec = CyclicSpec(64, lam)
+        psi, _ = cyclic_state(phi, spec)
+        for l in range(1, 65):
+            fid, phase = rotation_phase_check(psi, spec, l)
+            assert abs(fid - 1.0) < 1e-12
+            worst = max(worst, phase)
+    assert worst <= 1e-15
+
+
 # ---- density matrices ----
 
 def test_density_invariant_input_unchanged():
@@ -268,6 +285,45 @@ def test_density_mixture_class_projection():
 def test_density_route_gap_small():
     rho = pure_density(coherent(0.9 + 0.5j, 20))
     assert density_route_gap(rho, CyclicSpec(4, 2)) < 1e-13
+
+
+def _literal_double_sum(rho, spec):
+    """(1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag, term by term."""
+    n, m = spec.n, np.arange(rho.n_max + 1)
+    acc = np.zeros_like(rho.matrix)
+    for r in range(1, n + 1):
+        for rp in range(1, n + 1):
+            weight = character(n, spec.lam, r) * np.conj(character(n, spec.lam, rp))
+            acc += weight * (np.exp(-2j * np.pi * ((r - 1) * m % n) / n)[:, None]
+                             * rho.matrix
+                             * np.exp(2j * np.pi * ((rp - 1) * m % n) / n)[None, :])
+    return acc / n ** 2
+
+
+@pytest.mark.parametrize("n_max", [64, 128])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 32])
+def test_density_route_gap_is_the_double_sum(monkeypatch, n, n_max):
+    # the factorised P_chi rho P_chi^dag against the n^2-term double sum: with
+    # the residue-class projection swapped for the literal sum, the gap is
+    # the distance between the two evaluations of the oracle
+    rng = np.random.default_rng(n * n_max)
+    weights = rng.random(3)
+    mixed = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for w in weights / weights.sum():
+        v = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+        mixed += w * np.outer(v, v.conj()) / np.vdot(v, v).real
+    rho = FockOperator(n_max, mixed)
+    lam = n // 2 + 1
+    literal = _literal_double_sum(rho, CyclicSpec(n, lam))
+    monkeypatch.setattr(cyclic, "_projected_density", lambda *_: literal)
+    assert density_route_gap(rho, CyclicSpec(n, lam)) <= 1e-15
+    if n > 1:
+        # the oracle tells sectors apart: against the class-1 state's own
+        # density, sector lam != 1 misses its whole weight
+        phi = cyclic_erasure(coherent(1.0, n_max), CyclicSpec(n, 1))
+        pure = pure_density(phi)
+        monkeypatch.setattr(cyclic, "_projected_density", lambda *_: pure.matrix)
+        assert density_route_gap(pure, CyclicSpec(n, lam)) > 0.5
 
 
 def test_density_empty_sector_raises():

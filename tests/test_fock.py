@@ -299,6 +299,47 @@ def test_coherent_large_alpha_log_space():
     assert not st_.tail_flagged
 
 
+def test_coherent_far_past_truncation_is_finite():
+    # e^{-|alpha|^2/2} underflows every amplitude here; the log-space shift
+    # keeps them finite, flagged, with the ratios of alpha^m / sqrt(m!)
+    from scipy.special import gammaln
+
+    for alpha, n_max in ((40.0, 64), (-1e200j, 8), (1e300 + 1e300j, 4)):
+        st_ = coherent(alpha, n_max)
+        assert st_.tail_flagged and st_.norm == pytest.approx(1.0, abs=1e-12)
+    st_ = coherent(40.0, 64)
+    m = np.arange(65)
+    log_mod = m * np.log(40.0) - 0.5 * gammaln(m + 1)
+    want = np.exp(log_mod - log_mod.max())
+    assert np.abs(st_.amplitudes - want / np.linalg.norm(want)).max() < 1e-12
+    assert np.abs(coherent(1e200, 3).amplitudes - [0, 0, 0, 1]).max() < 1e-150
+
+
+@pytest.mark.parametrize("alpha", [complex("nan"), complex("inf"), complex(0, -np.inf),
+                                   complex(1.5e308, 1.5e308)])
+def test_coherent_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        coherent(alpha, 16)
+
+
+def test_coherent_moderate_alpha_matches_unshifted_formula():
+    # where e^{-|alpha|^2/2} is representable (|alpha|^2 <= n_max) the
+    # shifted log-space build equals the plain one to rounding
+    from scipy.special import gammaln, xlogy
+
+    rng = np.random.default_rng(7)
+    for n_max in (16, 64, 128):
+        m = np.arange(n_max + 1)
+        for _ in range(40):
+            alpha = np.sqrt(n_max * rng.random()) * np.exp(2j * np.pi * rng.random())
+            r = abs(alpha)
+            phase = np.ones(n_max + 1, dtype=complex)
+            phase[1:] = np.cumprod(np.full(n_max, alpha / r))
+            plain = np.exp(xlogy(m, r) - 0.5 * r * r - 0.5 * gammaln(m + 1)) * phase
+            got = coherent(alpha, n_max).amplitudes
+            assert np.abs(got - plain / np.linalg.norm(plain)).max() <= 1e-15
+
+
 def test_coherent_exact_phases_on_axes():
     # real and imaginary alpha give exactly real and imaginary amplitudes
     assert np.all(coherent(-1.5, 40).amplitudes.imag == 0.0)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,41 @@ from polystate.group import (
     mu,
     root_sum,
     theta,
+    unit_root,
 )
+
+
+def test_unit_root_reduces_the_exponent_exactly():
+    # a huge exponent is reduced in integers, so it lands on the same bits
+    assert unit_root(7 * 10**14 + 3, 7) == unit_root(3, 7)
+    assert unit_root(-4, 7) == unit_root(3, 7)
+    assert unit_root(0, 5) == 1.0
+    k = np.array([[7 * 10**14 + 3, -4], [3, -7 * 10**14 - 4]])
+    np.testing.assert_array_equal(unit_root(k, 7), np.full((2, 2), unit_root(3, 7)))
+    ks = np.arange(-40, 41)
+    for shift in (9, -9 * 10**12, 9 * 10**12):
+        np.testing.assert_array_equal(unit_root(ks + shift, 9), unit_root(ks, 9))
+    with mpmath.workdps(30):
+        exact = [complex(mpmath.expjpi(mpmath.mpf(2 * int(j)) / 9)) for j in ks]
+    np.testing.assert_allclose(unit_root(ks, 9), exact, rtol=0, atol=1e-15)
+    assert abs(unit_root(1, 12) - np.exp(2j * np.pi / 12)) < 1e-15
+
+
+def test_group_functions_evaluate_through_unit_root():
+    # mu, character, root_sum and the orthogonality table give the
+    # evaluator's bits, not a differently rounded exp of their own
+    for n in (1, 2, 7, 12, 64):
+        assert mu(n) == unit_root(1, n)
+        for lam in range(1, n + 1):
+            for r in range(1, n + 1):
+                assert character(n, lam, r) == unit_root((lam - 1) * (r - 1), n)
+        for r in (-3 * n - 1, -1, 0, 5, 10**12 + 1):
+            assert root_sum(n, r) == unit_root(np.arange(1, n + 1) * r, n).sum()
+        tab = unit_root(np.outer(np.arange(n), np.arange(n)), n)
+        eye = np.eye(n)
+        assert character_orthogonality_report(n) == (
+            float(np.abs(tab @ tab.conj().T / n - eye).max()),
+            float(np.abs(tab.conj().T @ tab / n - eye).max()))
 
 
 def test_character_direct_values():
