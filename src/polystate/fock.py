@@ -290,6 +290,8 @@ def vector_from_dict(data: dict) -> FockVector:
     writes it) is OR-ed into the flag that from_amplitudes derives."""
     try:
         n_max = int(data["n_max"])
+        if n_max < 0:
+            raise ValueError(f"n_max must be >= 0, got {n_max}")
         pairs = data["amplitudes"]
         if len(pairs) != n_max + 1:
             raise ValueError(

@@ -23,6 +23,14 @@ beta = b / (sqrt(2) s) and gamma = 1/s - 1,
 which gaussian_to_fock evaluates exactly. Adaptive Gauss-Hermite quadrature
 of <u_m|psi> (gaussian_to_fock_quadrature) is kept as its independent
 oracle for verify and the tests.
+
+The recurrence holds elementwise for any number of seeds, so verify embeds
+its seed grids (the mandel suite's 1680-point b scans and the gaussian
+suite's 1680 rotated seeds) through one array recurrence, _embedding_rows.
+A single seed keeps the Python-scalar loop of gaussian_to_fock: at
+n_max = 64 it takes about 80 us there against about 750 us through the
+array loop (2-vCPU x86_64, numpy 2.4), while 1680 seeds take about 6 ms
+through the array loop.
 """
 from __future__ import annotations
 
@@ -229,6 +237,19 @@ def _embedded(unit: np.ndarray, kept: float) -> FockVector:
     return FockVector(n_max=unit.size - 1, amplitudes=unit, tail_flagged=flagged)
 
 
+def _yuen_start(a, b, log):
+    """beta, gamma and log A_0 of the embedding recurrence for seeds (a, b).
+
+    Elementwise, so a and b may be scalars or arrays. log is cmath.log for
+    one seed, whose bits gaussian_to_fock keeps, and np.log for arrays; the
+    two differ in the last bit for about one argument in a hundred.
+    """
+    s = a + 0.5
+    log_a0 = (_log_prefactor(a, b) - 0.25 * math.log(math.pi)
+              + 0.5 * log(math.pi / s) + b * b / (4 * s))
+    return b / (math.sqrt(2.0) * s), 1.0 / s - 1.0, log_a0
+
+
 def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVector:
     """Project the seed onto |0>..|n_max> by the exact three-term recurrence.
 
@@ -247,12 +268,8 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
     this route.
     """
     n_max = _checked_n_max(n_max)
-    a, b = params.a, params.b
-    s = a + 0.5
-    beta = b / (math.sqrt(2.0) * s)
-    gamma = 1.0 / s - 1.0
-    log_a0 = complex(_log_prefactor(a, b) - 0.25 * math.log(math.pi)
-                     + 0.5 * cmath.log(math.pi / s) + b * b / (4 * s))
+    beta, gamma, log_a0 = _yuen_start(params.a, params.b, cmath.log)
+    log_a0 = complex(log_a0)
     root = np.sqrt(np.arange(n_max + 1)).tolist()
     log_scale = log_a0.real
     prev, cur = 0j, cmath.exp(1j * log_a0.imag)
@@ -267,6 +284,34 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
     amps = np.array(amps)
     nrm = float(np.linalg.norm(amps))
     return _embedded(amps / nrm, math.exp(2.0 * (log_scale + math.log(nrm))))
+
+
+def _embedding_rows(a, b, n_max: int) -> np.ndarray:
+    """gaussian_to_fock's normalized amplitudes for a grid of seeds at once.
+
+    The same recurrence, run elementwise over the broadcast arrays a and b
+    with the same per-row 2^200 rescale; returns the unit rows, shaped
+    a.shape + (n_max + 1,) after broadcasting. The seeds are not validated
+    as GaussianParams are. Only the loop over m differs from
+    gaussian_to_fock, which keeps Python complex scalars because one seed
+    through this array loop costs several times as much.
+    """
+    beta, gamma, log_a0 = _yuen_start(np.asarray(a, dtype=complex),
+                                      np.asarray(b, dtype=complex), np.log)
+    root = np.sqrt(np.arange(n_max + 1))
+    rows = np.empty(log_a0.shape + (n_max + 1,), dtype=complex)
+    prev, cur = np.zeros(log_a0.shape, dtype=complex), np.exp(1j * log_a0.imag)
+    rows[..., 0] = cur
+    for m in range(n_max):
+        prev, cur = cur, (beta * cur + gamma * root[m] * prev) / root[m + 1]
+        big = np.abs(cur)
+        if (big > _RESCALE).any():
+            big = np.where(big > _RESCALE, big, 1.0)
+            rows[..., :m + 1] /= big[..., None]
+            prev, cur = prev / big, cur / big
+        rows[..., m + 1] = cur
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows
 
 
 def gaussian_to_fock_quadrature(params: GaussianParams,

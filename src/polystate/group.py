@@ -51,16 +51,20 @@ def character(n: int, lam: int, r: int) -> complex:
     return complex(unit_root((lam - 1) * (r - 1), n))
 
 
-def root_sum(n: int, r: int) -> complex:
+def root_sum(n: int, r):
     """Sum of mu_n^(j r) over j = 1..n by explicit summation.
 
     Equals n when r is a multiple of n (negative r included) and 0
     otherwise. The closed form is deliberately not used here, so tests of
-    that identity are non-circular.
+    that identity are non-circular. An integer array r gives the array of
+    sums, each equal bit for bit to its scalar call; a scalar r gives a
+    complex.
     """
     if n < 1:
         raise ValueError(f"group order must be >= 1, got {n}")
-    return complex(unit_root(np.arange(1, n + 1) * int(r), n).sum())
+    k = np.multiply.outer(np.asarray(r, dtype=np.int64), np.arange(1, n + 1))
+    total = unit_root(k, n).sum(axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def character_orthogonality_report(n: int) -> tuple[float, float]:

@@ -285,18 +285,29 @@ def mandel(state: FockVector) -> float:
 
     Undefined for the zero vector and for the vacuum, which has <n> = 0.
     """
-    p = np.abs(state.amplitudes) ** 2
-    total = p.sum()
-    if total == 0.0:
+    return float(_fano(np.abs(state.amplitudes) ** 2))
+
+
+def _fano(p: np.ndarray) -> np.ndarray:
+    """Var(n)/<n> over the last axis of photon-number weights p, at any scale.
+
+    mandel applies it to one state; verify's mandel scan to a grid of rows.
+    ValueError if any row is zero or holds all its weight on the vacuum.
+    Written for the cost of one row, which mandel pays per call: the sums
+    are np.add.reduce without the sum method's wrapper, the zero checks
+    read a list, and a float m keeps the products free of casts.
+    """
+    total = np.add.reduce(p, -1, keepdims=True)
+    if 0.0 in total.ravel().tolist():
         raise ValueError("Mandel parameter is undefined for the zero vector "
                          "(total probability 0)")
     p = p / total
-    m = np.arange(p.size)
-    nbar = float((m * p).sum())
-    if nbar == 0.0:
+    m = np.arange(p.shape[-1], dtype=float)
+    nbar = np.add.reduce(m * p, -1, keepdims=True)
+    if 0.0 in nbar.ravel().tolist():
         raise ValueError("Mandel parameter is undefined for the vacuum (<n> = 0)")
-    var = float((m * m * p).sum()) - nbar * nbar
-    return var / nbar
+    nbar = nbar[..., 0]
+    return (np.add.reduce(m * m * p, -1) - nbar * nbar) / nbar
 
 
 # ---------------------------------------------------------------------------

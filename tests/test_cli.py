@@ -393,6 +393,15 @@ def test_wrong_pair_count_exit(tmp_path):
     assert run("build", "--input", bad, "--order", 2, "--irrep", 1) == 3
 
 
+@pytest.mark.parametrize("command", [["mandel"], ["erase", "--order", 2, "--irrep", 1]])
+def test_empty_state_file_exit(tmp_path, capsys, command):
+    # n_max -1 with no amplitudes is malformed, not an IndexError traceback
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps({"n_max": -1, "amplitudes": []}))
+    assert run(command[0], "--input", bad, *command[1:]) == 3
+    assert "n_max must be >= 0" in one_line_error(capsys)
+
+
 def test_non_boolean_tail_flag_exit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**vector_to_dict(coherent(1.0, 8)),

@@ -7,6 +7,7 @@ from polystate.cyclic import CyclicSpec, EmptyRepresentationError
 from polystate.gaussian import (
     EMBED_TAIL_TOL,
     GaussianParams,
+    _embedding_rows,
     c2_closed_form,
     cyclic_gaussian,
     cyclic_gaussian_wavefunction,
@@ -167,6 +168,56 @@ def test_embedding_large_displacement_rescales():
     assert np.abs(st.amplitudes - poisson_amplitudes(alpha, 2048)).max() < 1e-9
     assert st.norm == pytest.approx(1.0, abs=1e-12)
     assert not st.tail_flagged
+
+
+def test_embedding_rows_match_gaussian_to_fock():
+    # the batched recurrence against one scalar call per seed: random
+    # complex-a seeds, and |alpha| = 18 and 40, where the rescale fires
+    rng = np.random.default_rng(23)
+    a = rng.uniform(0.1, 3.0, 60) + 1j * rng.uniform(-2.0, 2.0, 60)
+    b = rng.uniform(-4.0, 4.0, 60) + 1j * rng.uniform(-4.0, 4.0, 60)
+    cases = [(a.reshape(3, 20), b.reshape(3, 20), 64), (a[:8], b[:8], 0)]
+    for alpha, n_max in ((18.0, 512), (40.0, 2048)):
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+        cases.append((np.array([0.5, 0.5, 0.45 + 0.05j]),
+                       np.sqrt(2.0) * alpha * phases, n_max))
+    for a, b, n_max in cases:
+        rows = _embedding_rows(a, b, n_max)
+        assert rows.shape == a.shape + (n_max + 1,)
+        for idx in np.ndindex(a.shape):
+            ref = gaussian_to_fock(GaussianParams(a[idx], b[idx]), n_max)
+            assert np.abs(rows[idx] - ref.amplitudes).max() <= 1e-14
+
+
+def test_verify_grids_use_the_batched_embedding(monkeypatch):
+    # the mandel and gaussian suites embed their seed grids in batches;
+    # one scalar embedding per grid point would be several thousand calls
+    import polystate.gaussian as gaussian
+    import polystate.verify as verify
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_to_fock(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "gaussian_to_fock", counted)
+    monkeypatch.setattr(verify, "gaussian_to_fock", counted)
+    rows = verify.suite_mandel() + verify.suite_gaussian()
+    assert all(r.passed for r in rows)
+    assert len(calls) <= 100
+
+
+def test_scan_route_row_reads_the_production_pipeline(monkeypatch):
+    # the batched scan takes M_Q from the Fano helper, not from mandel, so
+    # a fault in the per-seed pipeline shows only in this row
+    import polystate.verify as verify
+    from polystate.observables import mandel
+
+    monkeypatch.setattr(verify, "mandel", lambda state: mandel(state) * (1.0 + 1e-9))
+    rows = {r.name: r for r in verify.suite_mandel()}
+    assert not rows["scan route"].passed
+    assert rows["determinism"].passed and rows["subpoissonian a=1.0"].passed
 
 
 @pytest.mark.parametrize("a, b, n_max", [(0.8 + 0.2j, 30.0 - 12.0j, 1400),

@@ -99,6 +99,21 @@ def test_root_sum_property(n, k, off):
     assert abs(root_sum(n, r) - expected) < 1e-12
 
 
+def test_root_sum_array_matches_scalar_calls():
+    # one call over an integer array gives each scalar call's bits
+    for n in (1, 2, 7, 12, 64):
+        r = np.arange(-3 * n, 3 * n + 1)
+        sums = root_sum(n, r)
+        assert sums.shape == r.shape
+        np.testing.assert_array_equal(sums, [root_sum(n, int(k)) for k in r])
+    grid = np.array([[0, 5], [-10, 3]])
+    np.testing.assert_array_equal(root_sum(5, grid),
+                                  [[root_sum(5, 0), root_sum(5, 5)],
+                                   [root_sum(5, -10), root_sum(5, 3)]])
+    assert type(root_sum(5, 3)) is complex
+    assert type(root_sum(5, np.int64(3))) is complex
+
+
 def test_orthogonality_report():
     assert character_orthogonality_report(1) == (0.0, 0.0)
     r2 = character_orthogonality_report(2)

@@ -15,6 +15,7 @@ from polystate.fock import (basis_state, coherent, from_amplitudes,
 from polystate.group import theta
 from polystate.observables import (
     BipartiteSpec,
+    _fano,
     MemoryGuardError,
     WignerGrid,
     bipartite_norm_squared,
@@ -340,6 +341,29 @@ def test_mandel_vacuum_undefined():
 def test_mandel_zero_state_undefined():
     with pytest.raises(ValueError, match="zero vector"):
         mandel(from_amplitudes(np.zeros(9)))
+
+
+def test_mandel_is_the_fano_formula():
+    # mandel keeps the bits of its literal formula, and the row helper
+    # gives each row's value at any scale
+    rng = np.random.default_rng(17)
+    rows = []
+    for n_max in (1, 2, 16, 64, 300):
+        for scale in (1e-150, 1.0, 1e150):
+            amps = scale * random_state(rng, n_max).amplitudes
+            p = np.abs(amps) ** 2
+            q = p / p.sum()
+            m = np.arange(p.size)
+            nbar = float((m * q).sum())
+            expected = (float((m * m * q).sum()) - nbar * nbar) / nbar
+            assert mandel(from_amplitudes(amps)) == expected
+            if n_max == 64:
+                rows.append(p)
+    np.testing.assert_allclose(_fano(np.array(rows)),
+                               [mandel(from_amplitudes(np.sqrt(p))) for p in rows],
+                               rtol=1e-14, atol=0)
+    with pytest.raises(ValueError, match="vacuum"):
+        _fano(np.array([[1.0, 2.0], [3.0, 0.0]]))
 
 
 def test_mandel_cat_states_split():
