@@ -64,6 +64,8 @@ __all__ = [
 
 # Mass below tol^2 on the target residue class means the component is absent.
 _EMPTY_TOL = 1e-12
+# Norm off the target residue class above this fails a route's self-check.
+_LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class CyclicSpec:
     lam: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"group order n={self.n} must be >= 1")
+        if not 1 <= self.n < 2 ** 63:  # the residue arithmetic runs in int64
+            raise ValueError(f"group order n={self.n} outside 1..2^63 - 1")
         if not 1 <= self.lam <= self.n:
             raise ValueError(f"irrep index lam={self.lam} outside 1..{self.n}")
 
@@ -143,12 +145,20 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
     amps = n_lambda * raw
 
-    off = np.linalg.norm(amps[~sector_mask(phi.n_max, n, lam)])
-    if off > 1e-12:
-        raise AssertionError(f"off-class leakage {off:.3e} in superposition route")
+    _check_leakage(amps, n, lam, "superposition")
 
     out = FockVector(phi.n_max, amps, phi.tail_flagged)
     return out, NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)
+
+
+def _check_leakage(amps: np.ndarray, n: int, lam: int, route: str) -> None:
+    """AssertionError when the unit vector amps has norm above _LEAK_TOL off
+    the residue class m = lam - 1 (mod n)."""
+    off = float(np.linalg.norm(amps[~sector_mask(amps.size - 1, n, lam)]))
+    if off > _LEAK_TOL:
+        raise AssertionError(
+            f"off-class leakage {off:.3e} in the {route} route for (n={n}, "
+            f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
 
 
 def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
@@ -376,7 +386,5 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
             n, new_lam, residue_class_masses(psi, n),
             detail="annihilation gives the zero vector")
     amps = lowered.amplitudes / nrm
-    off = float(np.linalg.norm(amps[~sector_mask(psi.n_max, n, new_lam)]))
-    if off > 1e-12:
-        raise AssertionError(f"annihilation leaked {off:.3e} outside the shifted class")
+    _check_leakage(amps, n, new_lam, "annihilation")
     return FockVector(psi.n_max, amps, psi.tail_flagged), new_lam

@@ -285,9 +285,20 @@ def vector_to_dict(state: FockVector) -> dict:
     return {"n_max": int(state.n_max), "amplitudes": _pairs(state.amplitudes)}
 
 
+def _ray_scale(amps: np.ndarray) -> np.ndarray:
+    """amps, or, when sum |A_m|^2 is not a normal double, amps times the
+    exact power of two that brings its largest real or imaginary part into
+    [1/2, 1): the same ray with a squared norm that is."""
+    _, e = np.frexp(np.abs(amps.view(float)).max())
+    scaled = np.ldexp(amps.view(float), -e).view(complex)
+    _, e_norm = np.frexp(np.vdot(scaled, scaled).real)  # sum |A_m|^2 / 4^e
+    return amps if -1021 <= e_norm + 2 * e <= 1024 else scaled
+
+
 def vector_from_dict(data: dict) -> FockVector:
-    """The state of a JSON dict; a boolean metadata.tail_flagged (as build
-    writes it) is OR-ed into the flag that from_amplitudes derives."""
+    """The state of a JSON dict, read as a ray (_ray_scale); a boolean
+    metadata.tail_flagged (as build writes it) is OR-ed into the flag that
+    from_amplitudes derives."""
     try:
         n_max = int(data["n_max"])
         if n_max < 0:
@@ -304,5 +315,5 @@ def vector_from_dict(data: dict) -> FockVector:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if not isinstance(saved, bool):
         raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
-    state = from_amplitudes(amps, n_max)
+    state = from_amplitudes(_ray_scale(amps), n_max)
     return FockVector(n_max, state.amplitudes, state.tail_flagged or saved)

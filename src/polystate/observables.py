@@ -42,7 +42,6 @@ __all__ = [
     "wigner",
     "wigner_direct",
     "wigner_normalization_error",
-    "wigner_rotation_residual",
     "wigner_reflection_residual",
     "write_wigner_csv",
     "mandel",
@@ -233,27 +232,6 @@ def wigner_normalization_error(grid: WignerGrid) -> float:
     wx = _trapezoid_weights(grid.x_min, grid.x_max, grid.points_per_axis)
     wp = _trapezoid_weights(grid.p_min, grid.p_max, grid.points_per_axis)
     return float(abs(wx @ grid.values @ wp - 1.0))
-
-
-def wigner_rotation_residual(state: FockVector, n: int,
-                             bounds: tuple[float, float] = (-5.0, 5.0),
-                             points: int = 61) -> float:
-    """max |W(rotated point) - W(point)| for rotation by 2 pi / n.
-
-    A state in any C_n symmetry sector satisfies this exactly: the group
-    element changes the state only by a phase, and the Wigner function is
-    phase-blind. W at the rotated points of the square probe grid is the
-    Wigner function of R(2 pi / n)|state> on the grid itself, by the
-    covariance W_{R(theta) psi}(x, p) = W_psi(x cos - p sin, x sin + p cos),
-    with R's exact phases mu_n^(-m). n < 1 raises ValueError.
-    """
-    if n < 1:
-        raise ValueError(f"symmetry order must be >= 1, got {n}")
-    ax = np.linspace(bounds[0], bounds[1], points)
-    base = _wigner_values(state, ax, ax)
-    turned = unit_root(-np.arange(state.n_max + 1), n) * state.amplitudes
-    moved = _wigner_values(FockVector(state.n_max, turned), ax, ax)
-    return float(np.abs(moved - base).max())
 
 
 def wigner_reflection_residual(state: FockVector,

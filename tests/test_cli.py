@@ -232,6 +232,12 @@ def test_empty_sector_message_is_one_line(tmp_path, capsys):
     assert "lam=2" in one_line_error(capsys)
 
 
+def test_order_past_int64_is_one_line(tmp_path, capsys):
+    assert run("erase", "--coherent", 1, 0, "--order", 10 ** 30, "--irrep", 2,
+               "--n-max", 8, "--output", tmp_path / "x.json") == 1
+    assert f"group order n={10 ** 30} outside" in one_line_error(capsys)
+
+
 def test_build_seed_flags_exclusive(tmp_path):
     src = write_state(tmp_path / "phi.json", coherent(1.0, 16))
     assert run("build", "--input", src, "--coherent", 1, 0,
@@ -268,14 +274,28 @@ def test_wigner_one_photon_negative_center(tmp_path):
 
 
 def test_wigner_check_symmetry(tmp_path, capsys):
+    # the residual is the mass off the heaviest residue class mod N
+    def residual(src, order):
+        code = run("wigner", "--input", src, "--points", 3,
+                   "--check-symmetry", order, "--output", tmp_path / "w.csv")
+        err = capsys.readouterr().err
+        prefix = f"rotation symmetry residual (order {order}): "
+        assert code == 0 and err.startswith(prefix) and err.count("\n") == 1, err
+        return err[len(prefix):-1]
+
     b = np.sqrt(2.0)
     assert run("build", "--gaussian", 1, 0, b, b, "--order", 3, "--irrep", 1,
                "--output", tmp_path / "c3.json") == 0
-    assert run("wigner", "--input", tmp_path / "c3.json", "--points", 5,
-               "--check-symmetry", 3, "--output", tmp_path / "w.csv") == 0
-    err = capsys.readouterr().err
-    assert "rotation symmetry residual (order 3):" in err
-    assert float(err.strip().rsplit(" ", 1)[1]) < 1e-8
+    assert residual(tmp_path / "c3.json", 3) == "0.000e+00"
+    coh = write_state(tmp_path / "coh.json", coherent(1.0, 64))
+    assert residual(coh, 2) == f"{(1 - np.exp(-2)) / 2:.3e}"
+    assert residual(coh, 1) == "0.000e+00"
+    # past n_max + 1 every class is one photon number or empty
+    p = np.abs(coherent(1.0, 64).amplitudes) ** 2
+    assert residual(coh, 10 ** 30) == f"{1 - p.max() / p.sum():.3e}"
+    assert run("wigner", "--input", coh, "--points", 3, "--check-symmetry", -3,
+               "--output", tmp_path / "w.csv") == 1
+    assert "symmetry order must be >= 1" in one_line_error(capsys)
 
 
 def test_wigner_check_symmetry_order_zero(tmp_path, capsys):
@@ -364,6 +384,36 @@ def test_mandel_vacuum_fails(tmp_path, capsys):
     src = write_state(tmp_path / "vac.json", basis_state(0, 8))
     assert run("mandel", "--input", src) == 1
     assert "vacuum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_state_file_is_a_ray_at_any_scale(tmp_path, capsys, scale):
+    # |A|^2 overflows or underflows at these scales; the observables do not
+    state = coherent(1.0 + 0.5j, 16)
+    unit = write_state(tmp_path / "unit.json", state)
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps({"n_max": 16,
+                                  "amplitudes": _pairs(state.amplitudes * scale)}))
+    outputs = []
+    for src in (unit, scaled):
+        assert run("wigner", "--input", src, "--points", 5, "--check-symmetry", 2,
+                   "--output", tmp_path / "w.csv") == 0
+        assert run("mandel", "--input", src, "--output", tmp_path / "m.txt") == 0
+        w = np.loadtxt(tmp_path / "w.csv", delimiter=",", skiprows=1)[:, 2]
+        m_q = float((tmp_path / "m.txt").read_text().split()[2])
+        outputs.append((w, m_q, capsys.readouterr().err))
+    (w_unit, m_unit, err_unit), (w_scaled, m_scaled, err_scaled) = outputs
+    assert np.abs(w_scaled - w_unit).max() < 1e-14
+    assert m_scaled == pytest.approx(m_unit, rel=1e-12)
+    assert err_scaled == err_unit
+
+
+def test_wigner_zero_state_is_one_line(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({"n_max": 2, "amplitudes": [[0.0, 0.0]] * 3}))
+    assert run("wigner", "--input", src, "--points", 3,
+               "--output", tmp_path / "w.csv") == 1
+    assert "Wigner grid: 9 of 9 values are not finite" in one_line_error(capsys)
 
 
 def test_mandel_zero_state_fails(tmp_path, capsys):

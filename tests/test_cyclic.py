@@ -43,6 +43,9 @@ from polystate.cyclic import (
 def test_spec_validation():
     with pytest.raises(ValueError):
         CyclicSpec(0, 1)
+    CyclicSpec(2 ** 63 - 1, 1)
+    with pytest.raises(ValueError, match=f"n={2 ** 63}"):
+        CyclicSpec(2 ** 63, 1)
     with pytest.raises(ValueError):
         CyclicSpec(3, 0)
     with pytest.raises(ValueError):
@@ -150,6 +153,24 @@ def test_superposition_route_on_light_sectors():
         assert np.abs(sup.amplitudes - state.amplitudes).max() < 1e-12
         assert orbit.raw_norm == pytest.approx(record.raw_norm, rel=1e-12)
         assert abs(orbit.n_lambda - record.n_lambda) * record.raw_norm < 1e-12
+
+
+@pytest.mark.parametrize("route, construct, lam", [
+    # the orbit sum leaks about eps / sqrt(w_lam) off the light sector
+    ("superposition", cyclic_superposition, 2),
+    # the seed is no sector state, so its shift leaves class lam - 1 = 1
+    ("annihilation", annihilation_irrep_shift, 1),
+])
+def test_leakage_failure_names_its_threshold(route, construct, lam):
+    # a random seed whose class 1 mod 3 (the lam = 2 sector) is scaled by 1e-11
+    amps = [1, 1j] @ np.random.default_rng(0).normal(size=(2, 33))
+    amps[1::3] *= 1e-11
+    with pytest.raises(AssertionError) as exc:
+        construct(from_amplitudes(amps / np.linalg.norm(amps)), CyclicSpec(3, 2))
+    message = str(exc.value)
+    assert message.startswith("off-class leakage ")
+    assert message.endswith(f"in the {route} route for (n=3, lam={lam}) "
+                            "exceeds the threshold 1e-12")
 
 
 def test_cyclic_set_matches_superposition_route():

@@ -30,7 +30,6 @@ from polystate.observables import (
     wigner_normalization_error,
     wigner_points,
     wigner_reflection_residual,
-    wigner_rotation_residual,
     write_wigner_csv,
 )
 
@@ -254,16 +253,28 @@ def test_wigner_rotation_covariance():
     np.testing.assert_allclose(moved, base, atol=1e-10)
 
 
-def test_wigner_rotation_residual_sector_state():
+def _threefold_residual(state):
+    """max |W(R_{2 pi/3}(x, p)) - W(x, p)| over the 31^2 grid on [-5, 5]^2,
+    rotating the points, not the state, as verify's threefold row does."""
+    grid = wigner(state, (-5.0, 5.0), points_per_axis=31)
+    xs, ps = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    return np.abs(wigner_points(state, c * xs - s * ps, s * xs + c * ps)
+                  - grid.values).max()
+
+
+def test_wigner_threefold_symmetry_sector_state():
     cat, _ = cyclic_superposition(coherent(2.0, 64), CyclicSpec(3, 2))
-    assert wigner_rotation_residual(cat, 3, points=31) < 1e-10
+    assert _threefold_residual(cat) < 1e-10
+    # the unsymmetrised seed is not invariant
+    assert _threefold_residual(coherent(2.0, 64)) > 1e-2
 
 
-def test_wigner_rotation_residual_cyclic_gaussian():
+def test_wigner_threefold_symmetry_cyclic_gaussian():
     from polystate.gaussian import GaussianParams, cyclic_gaussian
     st, _ = cyclic_gaussian(GaussianParams(1.0, np.sqrt(2) * (1 + 1j)),
                             CyclicSpec(3, 1), 64)
-    assert wigner_rotation_residual(st, 3, points=31) < 1e-8
+    assert _threefold_residual(st) < 1e-8
 
 
 def test_wigner_reflection_residual():
