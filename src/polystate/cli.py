@@ -17,9 +17,9 @@ import numpy as np
 
 from .fock import (
     FockVector,
+    _class_sums,
     _pairs,
     coherent,
-    residue_class_masses,
     vector_from_dict,
     vector_to_dict,
 )
@@ -119,7 +119,8 @@ def cmd_build(args: argparse.Namespace) -> int:
         "irrep": args.irrep,
         "n_lambda": [record.n_lambda.real, record.n_lambda.imag],
         "raw_norm": record.raw_norm,
-        "residue_class_masses": list(residue_class_masses(seed, args.order)),
+        "residue_class_masses": list(_class_sums(np.abs(seed.amplitudes) ** 2,
+                                                 args.order)),
         "tail_flagged": state.tail_flagged,
     }, args.output)
     return 0
@@ -154,9 +155,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         with open(args.output, "w") as fh:
             write_wigner_csv(grid, fh)
     if order is not None:
-        # past N = n_max + 1 each photon number is its own class, so the
-        # clamp keeps V exact at O(n_max) cost for any N
-        w = residue_class_masses(state, min(order, state.n_max + 1))
+        w = _class_sums(np.abs(state.amplitudes) ** 2, order)
         sys.stderr.write(f"rotation symmetry residual (order {order}): "
                          f"{(w.sum() - w.max()) / w.sum():.3e}\n")
     return 0

@@ -37,7 +37,6 @@ from .fock import (
     basis_state,
     inner,
     inversion,
-    residue_class_masses,
     sector_mask,
 )
 from .group import unit_root
@@ -141,7 +140,8 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     raw = _raw_superposition(phi, spec)
     raw_norm = float(np.linalg.norm(raw))
     if raw_norm < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam, residue_class_masses(phi, n))
+        raise EmptyRepresentationError(n, lam,
+                                       _class_sums(np.abs(phi.amplitudes) ** 2, n))
     n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
     amps = n_lambda * raw
 
@@ -169,8 +169,8 @@ def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
     part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
     nrm = float(np.linalg.norm(part))
     if nrm < _EMPTY_TOL:
-        raise EmptyRepresentationError(spec.n, spec.lam,
-                                       residue_class_masses(phi, spec.n), detail)
+        raise EmptyRepresentationError(
+            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n), detail)
     return part, nrm
 
 
@@ -214,22 +214,22 @@ def cyclic_set(phi: FockVector, n: int
     return out
 
 
-def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l: int
-                         ) -> tuple[float, float]:
+def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l):
     """Apply l elementary rotations and compare against the predicted phase.
 
     R(2 pi l / n) acting on the lam-sector state reproduces it up to the
     phase mu_n^((1-lam) l). Returns (fidelity, phase_residual): fidelity is
     |<psi|R|psi>| for the unit-normalized state, the residual is the angle
-    difference wrapped to (-pi, pi]. l = n is the identity element.
+    difference wrapped to (-pi, pi]. l = n is the identity element. An integer
+    array l gives arrays shaped like l, each entry its scalar call's float bit
+    for bit, from all overlaps sum_m |A_m|^2 mu_n^(-l m) in one pass.
     """
-    n, lam = spec.n, spec.lam
-    rotated = unit_root(-l * np.arange(psi.n_max + 1), n) * psi.amplitudes
-    ov = complex(np.vdot(psi.amplitudes, rotated))
-    fid = abs(ov) / (psi.norm ** 2)
-    predicted = complex(unit_root((1 - lam) * l, n))
-    diff = np.angle(ov / predicted)
-    return float(fid), float(abs(diff))
+    l = np.asarray(l)
+    w = np.abs(psi.amplitudes) ** 2
+    ov = (unit_root(-np.multiply.outer(l, np.arange(w.size)), spec.n) * w).sum(axis=-1)
+    fid = np.abs(ov) / w.sum()
+    diff = np.abs(np.angle(ov / unit_root((1 - spec.lam) * l, spec.n)))
+    return (float(fid), float(diff)) if l.ndim == 0 else (fid, diff)
 
 
 def _projected_density(rho: FockOperator, spec: CyclicSpec) -> np.ndarray:
@@ -356,16 +356,17 @@ def dihedral_gram(phi: FockVector, n: int, variant: str = "sum") -> np.ndarray:
     Entries for sectors that raise EmptyRepresentationError are left as
     identity rows so the residual against the identity stays meaningful.
     """
-    states: dict[int, FockVector] = {}
+    built, amps = [], []
     for lam in range(1, n + 1):
         try:
-            states[lam], _ = dihedral_state(phi, CyclicSpec(n, lam), variant)
+            gamma, _ = dihedral_state(phi, CyclicSpec(n, lam), variant)
         except EmptyRepresentationError:
             continue
+        built.append(lam - 1)
+        amps.append(gamma.amplitudes)
+    a = np.reshape(amps, (len(built), phi.n_max + 1))
     g = np.eye(n, dtype=complex)
-    for i in states:
-        for j in states:
-            g[i - 1, j - 1] = inner(states[i], states[j])
+    g[np.ix_(built, built)] = a.conj() @ a.T
     return g
 
 
@@ -383,7 +384,7 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
     nrm = lowered.norm
     if nrm < _EMPTY_TOL:
         raise EmptyRepresentationError(
-            n, new_lam, residue_class_masses(psi, n),
+            n, new_lam, _class_sums(np.abs(psi.amplitudes) ** 2, n),
             detail="annihilation gives the zero vector")
     amps = lowered.amplitudes / nrm
     _check_leakage(amps, n, new_lam, "annihilation")

@@ -55,8 +55,8 @@ class FockVector:
     """State vector on |0>..|n_max|; amplitudes has length n_max + 1.
 
     tail_flagged is set by constructors when the tail mass |A_{n_max}|^2
-    exceeds TAIL_TOL (or a constructor-specific threshold), meaning the
-    truncation is too tight for the state.
+    exceeds TAIL_TOL times sum |A_m|^2 (or a constructor-specific threshold),
+    meaning the truncation is too tight for the state.
     """
 
     n_max: int
@@ -119,11 +119,12 @@ class QuadratureMeans:
 
 
 def from_amplitudes(amps, n_max: int | None = None) -> FockVector:
-    """Wrap an amplitude array, flagging excessive tail mass."""
+    """Wrap an amplitude array, flagging a tail mass above TAIL_TOL sum |A_m|^2."""
     amps = np.asarray(amps, dtype=complex)
     if n_max is None:
         n_max = amps.size - 1
-    flagged = bool(np.abs(amps[-1]) ** 2 > TAIL_TOL)
+    ray = _ray_scale(amps)
+    flagged = bool(np.abs(ray[-1]) ** 2 > TAIL_TOL * np.vdot(ray, ray).real)
     return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=flagged)
 
 
@@ -248,13 +249,16 @@ def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
 
 
 def _class_sums(p: np.ndarray, n: int) -> np.ndarray:
-    """Sums of the per-photon-number weights p over each residue class mod n."""
+    """Sums of the weights p over the residue classes lam = 1..min(n, p.size)
+    mod n; no photon number lies past them, so any order n costs O(p.size)."""
+    n = min(n, p.size)  # the same classes for every n >= p.size
     return np.bincount(np.arange(p.size) % n, weights=p, minlength=n)
 
 
 def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
     """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n)."""
-    return _class_sums(np.abs(state.amplitudes) ** 2, n)
+    return np.bincount(np.arange(state.n_max + 1) % n,
+                       weights=np.abs(state.amplitudes) ** 2, minlength=n)
 
 
 def pure_density(state: FockVector) -> FockOperator:
@@ -289,10 +293,10 @@ def _ray_scale(amps: np.ndarray) -> np.ndarray:
     """amps, or, when sum |A_m|^2 is not a normal double, amps times the
     exact power of two that brings its largest real or imaginary part into
     [1/2, 1): the same ray with a squared norm that is."""
+    if np.finfo(float).tiny <= np.vdot(amps, amps).real < np.inf:
+        return amps
     _, e = np.frexp(np.abs(amps.view(float)).max())
-    scaled = np.ldexp(amps.view(float), -e).view(complex)
-    _, e_norm = np.frexp(np.vdot(scaled, scaled).real)  # sum |A_m|^2 / 4^e
-    return amps if -1021 <= e_norm + 2 * e <= 1024 else scaled
+    return np.ldexp(amps.view(float), -e).view(complex)
 
 
 def vector_from_dict(data: dict) -> FockVector:

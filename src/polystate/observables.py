@@ -234,15 +234,14 @@ def wigner_normalization_error(grid: WignerGrid) -> float:
     return float(abs(wx @ grid.values @ wp - 1.0))
 
 
-def wigner_reflection_residual(state: FockVector,
-                               bounds: tuple[float, float] = (-5.0, 5.0),
-                               points: int = 61) -> float:
-    """max |W(x, -p) - W(x, p)|; zero when the state is a phase times a
-    real-amplitude vector."""
-    ax = np.linspace(bounds[0], bounds[1], points)
-    base = _wigner_values(state, ax, ax)
-    flipped = _wigner_values(state, ax, -ax)
-    return float(np.abs(flipped - base).max())
+def wigner_reflection_residual(state: FockVector) -> float:
+    """max |W(x, -p) - W(x, p)| on the 61 x 61 grid over [-5, 5]^2; zero when
+    the state is a phase times a real-amplitude vector. The axis is exactly
+    antisymmetric, so W(x, -p) is the grid's reversed p columns."""
+    ax = np.linspace(-5.0, 5.0, 61)
+    ax = 0.5 * (ax - ax[::-1])  # as in _wigner_nodes
+    values = _wigner_values(state, ax, ax)
+    return float(np.abs(values[:, ::-1] - values).max())
 
 
 def write_wigner_csv(grid: WignerGrid, stream) -> None:

@@ -238,6 +238,22 @@ def test_order_past_int64_is_one_line(tmp_path, capsys):
     assert f"group order n={10 ** 30} outside" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("order", [10 ** 11, 2 ** 63 - 1])
+def test_huge_order_lists_the_occupied_classes(tmp_path, order):
+    # past n_max + 1 each photon number is its own class: 17 masses, not 10^11
+    out = tmp_path / "s.json"
+    assert run("build", "--coherent", 1, 0, "--n-max", 16, "--order", order,
+               "--irrep", 2, "--output", out) == 0
+    masses = json.loads(out.read_text())["metadata"]["residue_class_masses"]
+    assert masses == list(np.abs(coherent(1.0, 16).amplitudes) ** 2)
+
+
+def test_huge_order_empty_sector_is_one_line(tmp_path, capsys):
+    assert run("build", "--coherent", 1, 0, "--n-max", 16, "--order", 10 ** 11,
+               "--irrep", 50, "--output", tmp_path / "x.json") == 2
+    assert "(n=100000000000, lam=50)" in one_line_error(capsys)
+
+
 def test_build_seed_flags_exclusive(tmp_path):
     src = write_state(tmp_path / "phi.json", coherent(1.0, 16))
     assert run("build", "--input", src, "--coherent", 1, 0,

@@ -19,7 +19,7 @@ from polystate.fock import (
     sector_mask,
 )
 from polystate.fock import FockOperator
-from polystate.group import character, mu
+from polystate.group import character, mu, unit_root
 from polystate.cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -188,12 +188,15 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     def oracle(*args, **kwargs):
         raise AssertionError("production path ran an oracle route")
 
-    for mod in (cyclic, gaussian, observables, cli):
-        for name in ("character", "rotate", "theta", "cyclic_superposition",
-                     "_raw_superposition", "cyclic_gaussian_wavefunction",
-                     "rotate_params", "linear_entropy_oracle"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, oracle)
+    modules = (cyclic, fock, gaussian, observables, cli)
+    for name in ("character", "rotate", "theta", "cyclic_superposition",
+                 "_raw_superposition", "cyclic_gaussian_wavefunction",
+                 "rotate_params", "linear_entropy_oracle", "density_route_gap",
+                 "wigner_direct"):
+        owners = [mod for mod in modules if hasattr(mod, name)]
+        assert owners, f"oracle {name} is in none of the patched modules"
+        for mod in owners:
+            monkeypatch.setattr(mod, name, oracle)
     for name in ("gaussian_to_fock_quadrature", "roots_hermite", "_gh_nodes"):
         monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
@@ -225,6 +228,23 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     assert cli.main(["build", "--coherent", "1", "0.5", "--order", "4",
                      "--irrep", "2", "--n-max", "32",
                      "--output", str(tmp_path / "s.json")]) == 0
+    assert cli.main(["wigner", "--input", str(tmp_path / "s.json"), "--points", "21",
+                     "--check-symmetry", "4", "--output", str(tmp_path / "w.csv")]) == 0
+
+
+def test_empty_sector_masses_at_huge_order():
+    # every raise site lists the n_max + 1 classes that can hold mass
+    phi = coherent(1.0 + 0.5j, 16)
+    for build in (lambda spec: cyclic_state(phi, spec),
+                  lambda spec: dihedral_state(phi, spec, "difference"),
+                  lambda spec: cyclic_density(pure_density(phi), spec)):
+        with pytest.raises(EmptyRepresentationError) as exc:
+            build(CyclicSpec(10 ** 11, 50))
+        np.testing.assert_allclose(exc.value.masses, np.abs(phi.amplitudes) ** 2,
+                                   rtol=0, atol=1e-16)
+    with pytest.raises(EmptyRepresentationError) as exc:
+        annihilation_irrep_shift(basis_state(0, 16), CyclicSpec(2 ** 63 - 1, 1))
+    np.testing.assert_array_equal(exc.value.masses, basis_state(0, 16).amplitudes.real)
 
 
 # ---- rotation eigenphase ----
@@ -238,10 +258,9 @@ def test_rotation_full_cycle_is_identity():
 
 def test_rotation_trivial_irrep_phase_zero():
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(3, 1))
-    for l in (1, 2, 3):
-        fid, phase = rotation_phase_check(psi, CyclicSpec(3, 1), l)
-        assert fid == pytest.approx(1.0, abs=1e-12)
-        assert phase < 1e-12
+    fid, phase = rotation_phase_check(psi, CyclicSpec(3, 1), np.array([1, 2, 3]))
+    assert fid == pytest.approx(np.ones(3), abs=1e-12)
+    assert (phase < 1e-12).all()
 
 
 def test_rotation_phase_n4_lam3_l2():
@@ -254,10 +273,35 @@ def test_rotation_phase_n4_lam3_l2():
 
 def test_rotation_every_element():
     psi, _ = cyclic_superposition(coherent(1.2, 48), CyclicSpec(5, 4))
-    for l in range(1, 6):
-        fid, phase = rotation_phase_check(psi, CyclicSpec(5, 4), l)
-        assert abs(fid - 1.0) < 1e-10
-        assert phase < 1e-10
+    fid, phase = rotation_phase_check(psi, CyclicSpec(5, 4), np.arange(1, 6))
+    assert fid.shape == phase.shape == (5,)
+    assert (np.abs(fid - 1.0) < 1e-10).all()
+    assert (phase < 1e-10).all()
+
+
+def test_rotation_array_matches_scalar_calls():
+    # an element array gives the scalar calls' values; a scalar l gives floats
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+    phi = from_amplitudes(v / np.linalg.norm(v), 32)
+    for spec, elements in ((CyclicSpec(5, 2), np.arange(-6, 12)),
+                           (CyclicSpec(4, 3), np.arange(1, 9).reshape(2, 4))):
+        psi, _ = cyclic_state(phi, spec)
+        fid, phase = rotation_phase_check(psi, spec, elements)
+        assert fid.shape == phase.shape == elements.shape
+        for l, f, p in zip(elements.ravel().tolist(), fid.ravel(), phase.ravel()):
+            one = rotation_phase_check(psi, spec, l)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert one == (f, p)
+            # the per-element overlap the array form replaced
+            ov = np.vdot(psi.amplitudes,
+                         unit_root(-l * np.arange(33), spec.n) * psi.amplitudes)
+            predicted = unit_root((1 - spec.lam) * l, spec.n)
+            assert abs(abs(ov) / psi.norm ** 2 - f) < 1e-15
+            assert abs(abs(np.angle(ov / predicted)) - p) < 1e-15
+    # off the sector the modulus drops below 1 and the array shows which element
+    fid, _ = rotation_phase_check(phi, CyclicSpec(4, 1), np.arange(1, 5))
+    assert fid[-1] == pytest.approx(1.0, abs=1e-14) and (fid[:-1] < 0.9).all()
 
 
 def test_rotation_phase_exact_at_order_64():
@@ -270,10 +314,9 @@ def test_rotation_phase_exact_at_order_64():
     for lam in range(1, 65):
         spec = CyclicSpec(64, lam)
         psi, _ = cyclic_state(phi, spec)
-        for l in range(1, 65):
-            fid, phase = rotation_phase_check(psi, spec, l)
-            assert abs(fid - 1.0) < 1e-12
-            worst = max(worst, phase)
+        fid, phase = rotation_phase_check(psi, spec, np.arange(1, 65))
+        assert (np.abs(fid - 1.0) < 1e-12).all()
+        worst = max(worst, phase.max())
     assert worst <= 1e-15
 
 
@@ -469,6 +512,26 @@ def test_dihedral_state_matches_rotation_plus_inversion_sum():
 def test_dihedral_gram_identity():
     g = dihedral_gram(coherent(1.0 + 0.8j, 40), 3, "sum")
     assert np.abs(g - np.eye(3)).max() < 1e-10
+
+
+def test_dihedral_gram_empty_sectors():
+    # a real seed has no difference variant: every sector is empty
+    np.testing.assert_array_equal(dihedral_gram(coherent(1.3, 40), 4, "difference"),
+                                  np.eye(4))
+    # no weight on m = 2 (mod 4) leaves sector lam = 3 of C_4 empty
+    amps = np.zeros(41, dtype=complex)
+    amps[[0, 1, 3, 4, 5, 7]] = [0.5, 0.3 + 0.4j, 0.1 - 0.2j, -0.2j, 0.6 + 0.1j, 0.2j]
+    phi = from_amplitudes(amps / np.linalg.norm(amps))
+    for variant in ("sum", "difference"):
+        g = dihedral_gram(phi, 4, variant)
+        np.testing.assert_array_equal(g[2], np.eye(4)[2])
+        np.testing.assert_array_equal(g[:, 2], np.eye(4)[2])
+        assert np.abs(g - np.eye(4)).max() < 1e-15
+    # off-diagonal entries of the built block are the states' overlaps
+    states = [dihedral_state(phi, CyclicSpec(4, lam), "sum")[0] for lam in (1, 2, 4)]
+    block = dihedral_gram(phi, 4, "sum")[np.ix_([0, 1, 3], [0, 1, 3])]
+    want = [[fock.inner(a, b) for b in states] for a in states]
+    assert np.abs(block - want).max() < 1e-16
 
 
 # ---- annihilation shift ----

@@ -382,6 +382,21 @@ def test_from_amplitudes_tail_flag():
     assert TAIL_TOL == 1e-10
 
 
+def test_from_amplitudes_tail_flag_is_scale_free():
+    # the flag reads the tail mass relative to sum |A_m|^2, so a ray gets the
+    # same flag at any scale, with no overflow past |A| ~ 1e154
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    for tail, flagged in ((1e-3, True), (1e-7, False)):
+        v[-1] = tail * np.linalg.norm(v[:-1])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            flags = [from_amplitudes(v * scale).tail_flagged
+                     for scale in (1.0, 1e200, 1e-200, 1e4, 1e-4)]
+        assert flags == [flagged] * 5
+    with np.errstate(all="raise"):
+        assert not from_amplitudes(np.zeros(9, dtype=complex)).tail_flagged
+
+
 def test_fock_vector_validation():
     with pytest.raises(ValueError):
         FockVector(3, np.zeros(3, dtype=complex))  # needs n_max + 1 entries

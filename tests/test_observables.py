@@ -279,10 +279,28 @@ def test_wigner_threefold_symmetry_cyclic_gaussian():
 
 def test_wigner_reflection_residual():
     even, _ = cyclic_superposition(coherent(1.5, 64), CyclicSpec(2, 1))
-    assert wigner_reflection_residual(even, points=31) < 1e-13
+    assert wigner_reflection_residual(even) < 1e-13
     # a rotated coherent state breaks p -> -p symmetry
     tilted = rotate(coherent(1.5, 64), 0.7)
-    assert wigner_reflection_residual(tilted, points=31) > 1e-3
+    assert wigner_reflection_residual(tilted) > 1e-3
+
+
+def test_wigner_reflection_residual_is_one_grid(monkeypatch):
+    # one kernel call; W(x, -p) read from the reversed columns matches
+    # max |W(x, -p) - W(x, p)| evaluated point by point on [-5, 5]^2
+    from polystate import observables
+
+    calls = []
+    kernel = observables._wigner_kernel
+    monkeypatch.setattr(observables, "_wigner_kernel",
+                        lambda *args: calls.append(1) or kernel(*args))
+    st = random_state(np.random.default_rng(9), 24)
+    residual = wigner_reflection_residual(st)
+    assert len(calls) == 1
+    xs, ps = np.meshgrid(np.linspace(-5.0, 5.0, 61), np.linspace(-5.0, 5.0, 61))
+    want = np.abs(wigner_points(st, xs, -ps) - wigner_points(st, xs, ps)).max()
+    assert residual > 1e-2
+    assert residual == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def test_wigner_grid_layout():
