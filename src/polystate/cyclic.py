@@ -115,13 +115,6 @@ class EmptyRepresentationError(ValueError):
         super().__init__(detail)
 
 
-def _raw_superposition(phi: FockVector, spec: CyclicSpec) -> np.ndarray:
-    """sum_r chi^(lam)(g_r) R(theta_r)|phi>: the characters mu_n^((lam-1) r),
-    r 0-based, times the rotated copies, all by unit_root."""
-    chi = unit_root((spec.lam - 1) * np.arange(spec.n), spec.n)
-    return chi @ _rotated_copies(phi, spec.n)
-
-
 def cyclic_superposition(phi: FockVector, spec: CyclicSpec
                          ) -> tuple[FockVector, NormalizationRecord]:
     """Character-weighted sum over the rotated seed copies, normalized.
@@ -134,21 +127,28 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
     sectors far lighter than the seed's other classes can still trip the
-    check.
+    check. This is the one-lam call of _superpositions.
     """
-    n, lam = spec.n, spec.lam
-    raw = _raw_superposition(phi, spec)
-    raw_norm = float(np.linalg.norm(raw))
-    if raw_norm < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam,
-                                       _class_sums(np.abs(phi.amplitudes) ** 2, n))
-    n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
-    amps = n_lambda * raw
+    return _superpositions(phi, spec.n, [spec.lam])[0]
 
-    _check_leakage(amps, n, lam, "superposition")
 
-    out = FockVector(phi.n_max, amps, phi.tail_flagged)
-    return out, NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)
+def _superpositions(phi: FockVector, n: int, lams
+                    ) -> list[tuple[FockVector, NormalizationRecord]]:
+    """cyclic_superposition for each int lam in lams: one product of the
+    character table mu_n^((lam-1) r), r 0-based, with the rotated copies, then
+    that function's checks row by row in Python scalars, which keep its bits."""
+    chi = unit_root(np.multiply.outer(np.subtract(lams, 1), np.arange(n)), n)
+    out = []
+    for lam, row in zip(lams, chi @ _rotated_copies(phi, n)):
+        raw_norm = float(np.linalg.norm(row))
+        if raw_norm < _EMPTY_TOL:
+            raise EmptyRepresentationError(n, lam, _class_sums(np.abs(phi.amplitudes) ** 2, n))
+        n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
+        amps = n_lambda * row
+        _check_leakage(amps, n, lam, "superposition")
+        out.append((FockVector(phi.n_max, amps, phi.tail_flagged),
+                    NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)))
+    return out
 
 
 def _check_leakage(amps: np.ndarray, n: int, lam: int, route: str) -> None:

@@ -69,7 +69,7 @@ class FockVector:
             raise ValueError(
                 f"amplitudes must have length n_max+1={self.n_max + 1}, got {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)  # value semantics
         object.__setattr__(self, "amplitudes", amps)
@@ -80,7 +80,8 @@ class FockVector:
 
     @property
     def tail_mass(self) -> float:
-        return float(np.abs(self.amplitudes[-1]) ** 2)
+        """|A_(n_max)|^2 / sum |A_m|^2: relative, so the same at any scale."""
+        return _tail_mass(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class FockOperator:
         d = self.n_max + 1
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {mat.shape}")
-        if not np.all(np.isfinite(mat.view(float))):
+        if not np.isfinite(mat.view(float)).all():
             raise ValueError("matrix entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -123,9 +124,7 @@ def from_amplitudes(amps, n_max: int | None = None) -> FockVector:
     amps = np.asarray(amps, dtype=complex)
     if n_max is None:
         n_max = amps.size - 1
-    ray = _ray_scale(amps)
-    flagged = bool(np.abs(ray[-1]) ** 2 > TAIL_TOL * np.vdot(ray, ray).real)
-    return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=flagged)
+    return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=_tail_mass(amps) > TAIL_TOL)
 
 
 def _checked_n_max(n_max: int | None) -> int:
@@ -181,9 +180,13 @@ def normalize(state: FockVector) -> FockVector:
 
 def rotate(state: FockVector, theta: float) -> FockVector:
     """R(theta) = exp(-i theta n): amplitude m picks up exp(-i theta m)."""
-    m = np.arange(state.n_max + 1)
-    return FockVector(state.n_max, state.amplitudes * np.exp(-1j * theta * m),
+    return FockVector(state.n_max, state.amplitudes * _rotation_phases(theta, state.n_max),
                       state.tail_flagged)
+
+
+def _rotation_phases(theta, n_max: int) -> np.ndarray:
+    """rotate's phases exp(-i theta m), m = 0..n_max, for an angle or an array."""
+    return np.exp(-1j * np.multiply.outer(theta, np.arange(n_max + 1)))
 
 
 def _rotated_copies(state: FockVector, n: int) -> np.ndarray:
@@ -287,6 +290,13 @@ def _pairs(arr: np.ndarray) -> list:
 
 def vector_to_dict(state: FockVector) -> dict:
     return {"n_max": int(state.n_max), "amplitudes": _pairs(state.amplitudes)}
+
+
+def _tail_mass(amps: np.ndarray) -> float:
+    """|A_(n_max)|^2 / sum |A_m|^2 on _ray_scale's copy; 0.0 for zero amps."""
+    ray = _ray_scale(amps)
+    total = np.vdot(ray, ray).real
+    return float(np.abs(ray[-1]) ** 2 / total) if total else 0.0
 
 
 def _ray_scale(amps: np.ndarray) -> np.ndarray:

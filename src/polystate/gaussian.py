@@ -22,7 +22,7 @@ beta = b / (sqrt(2) s) and gamma = 1/s - 1,
 
 which gaussian_to_fock evaluates exactly. Adaptive Gauss-Hermite quadrature
 of <u_m|psi> (gaussian_to_fock_quadrature) is kept as its independent
-oracle for verify and the tests.
+oracle for verify and the tests, batched over seeds by _quadrature_rows.
 
 The recurrence holds elementwise for any number of seeds, so verify embeds
 its seed grids (the mandel suite's 1680-point b scans and the gaussian
@@ -153,14 +153,19 @@ def rotate_params(params: GaussianParams, theta_: float) -> GaussianParams:
 
     The denominator cannot vanish for Re(a) > 0; the guard is defensive.
     """
-    a, b = params.a, params.b
-    c, s = np.cos(theta_), np.sin(theta_)
-    den = c + 2j * a * s
+    a_t, b_t, den = _rotated_exponents(params.a, params.b, theta_)
     if abs(den) < 1e-14:
         raise ValueError(f"rotation denominator vanished at theta={theta_}")
-    a_t = (2j * a * c - s) / (2 * (1j * c - 2 * a * s))
-    b_t = b / den
     return GaussianParams(a=a_t, b=b_t)
+
+
+def _rotated_exponents(a, b, theta_):
+    """rotate_params' a(theta), b(theta) and denominator over broadcast arrays,
+    unvalidated; one seed too takes numpy's complex division (not Python's)."""
+    a = np.asarray(a, dtype=complex)
+    c, s = np.cos(theta_), np.sin(theta_)
+    den = c + 2j * a * s
+    return (2j * a * c - s) / (2 * (1j * c - 2 * a * s)), b / den, den
 
 
 def _hermite_rows(n_max: int, x: np.ndarray):
@@ -320,42 +325,48 @@ def gaussian_to_fock_quadrature(params: GaussianParams,
 
     Node counts start at 2 n_max + 32 and grow by 1.6x until two successive
     rules agree on the normalized amplitude vector to 1e-13 in the sup
-    norm. The floor alone is not enough: weakly confined seeds (Re a well
-    below 1/2) have slowly decaying integrands and need several thousand
+    norm; weakly confined seeds (Re a well below 1/2) need several thousand
     nodes. Strongly chirped seeds (large Im a) cancellation-limit the
-    achievable agreement near 1e-12, so a refinement that has stopped
-    gaining while already below 1e-10 also counts as converged. The
-    renormalization and tail flag are those of gaussian_to_fock.
-    Seeds centred near |x| ~ 26 or beyond, where _gh_nodes drops
-    underflowed weights, do not converge within the 30000-node cap and
-    raise RuntimeError (the coherent-like seed at alpha = 18 is one).
+    agreement near 1e-12, so a refinement that has stopped gaining while
+    below 1e-10 also counts as converged. The renormalization and tail flag
+    are those of gaussian_to_fock. Seeds centred near |x| ~ 26 or beyond,
+    where _gh_nodes drops underflowed weights, meet the 30000-node cap and
+    raise RuntimeError (the coherent-like seed at alpha = 18 is one). This
+    is the one-seed call of _quadrature_rows.
     """
-    n_max = _checked_n_max(n_max)
+    return _quadrature_rows([params], _checked_n_max(n_max))[0][0]
+
+
+def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
+    """gaussian_to_fock_quadrature of each seed, and its final node count. The
+    seeds still refining at a rule share its one hermite_functions matrix and
+    one product; each keeps its own convergence test, node cap and tail flag."""
+    states, nodes = [None] * len(seeds), np.zeros(len(seeds), dtype=int)
+    live, prev, prev_diff = np.arange(len(seeds)), None, np.full(len(seeds), np.inf)
     n_nodes = 2 * n_max + 32
-    prev = None
-    prev_diff = None
-    while True:
+    while live.size:
         x, w_eff = _gh_nodes(n_nodes)
-        vals = w_eff * wavefunction(params, x)
-        raw = hermite_functions(n_max, x) @ vals
-        nrm = float(np.linalg.norm(raw))
-        if nrm == 0.0:
+        vals = w_eff * np.array([wavefunction(seeds[i], x) for i in live])
+        raw = vals @ hermite_functions(n_max, x).T
+        nrm = np.linalg.norm(raw, axis=-1)
+        if not nrm.all():
             raise RuntimeError("quadrature annihilated the seed; parameters degenerate")
-        cur = raw / nrm
+        cur = raw / nrm[:, None]
+        done = np.zeros(live.size, dtype=bool)
         if prev is not None:
-            diff = float(np.abs(cur - prev).max())
-            if diff <= 1e-13:
-                break
-            stalled = prev_diff is not None and diff > 0.5 * prev_diff
-            if stalled and diff <= 1e-10:
-                break
-            prev_diff = diff
-        if n_nodes >= 30000:
+            diff = np.abs(cur - prev).max(axis=-1)
+            stalled = diff > 0.5 * prev_diff[live]
+            done = (diff <= 1e-13) | (stalled & (diff <= 1e-10))
+            prev_diff[live] = diff
+        for k in np.flatnonzero(done):
+            states[live[k]] = _embedded(cur[k], float(nrm[k] * nrm[k]))
+            nodes[live[k]] = n_nodes
+        if n_nodes >= 30000 and not done.all():
             raise RuntimeError(
                 "Fock embedding did not converge within 30000 quadrature nodes")
-        prev = cur
+        live, prev = live[~done], cur[~done]
         n_nodes = int(np.ceil(n_nodes * 1.6))
-    return _embedded(cur, nrm * nrm)
+    return states, nodes
 
 
 def fock_wavefunction(state: FockVector, x) -> np.ndarray:

@@ -271,19 +271,19 @@ def _fano(p: np.ndarray) -> np.ndarray:
     mandel applies it to one state; verify's mandel scan to a grid of rows.
     ValueError if any row is zero or holds all its weight on the vacuum.
     Written for the cost of one row, which mandel pays per call: the sums
-    are np.add.reduce without the sum method's wrapper, the zero checks
-    read a list, and a float m keeps the products free of casts.
+    are np.add.reduce without the sum method's wrapper, a float m keeps the
+    products free of casts, and one row reduces to scalars with plain truth tests.
     """
-    total = np.add.reduce(p, -1, keepdims=True)
-    if 0.0 in total.ravel().tolist():
+    rows = p.ndim > 1
+    total = np.add.reduce(p, -1, keepdims=rows)
+    if not (total.all() if rows else total):
         raise ValueError("Mandel parameter is undefined for the zero vector "
                          "(total probability 0)")
     p = p / total
     m = np.arange(p.shape[-1], dtype=float)
-    nbar = np.add.reduce(m * p, -1, keepdims=True)
-    if 0.0 in nbar.ravel().tolist():
+    nbar = np.add.reduce(m * p, -1)
+    if not (nbar.all() if rows else nbar):
         raise ValueError("Mandel parameter is undefined for the vacuum (<n> = 0)")
-    nbar = nbar[..., 0]
     return (np.add.reduce(m * m * p, -1) - nbar * nbar) / nbar
 
 

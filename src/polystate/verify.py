@@ -18,6 +18,7 @@ from .fock import (
     FockOperator,
     FockVector,
     _rotated_copies,
+    _rotation_phases,
     annihilate,
     basis_state,
     coherent,
@@ -29,6 +30,7 @@ from .fock import (
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
+    _superpositions,
     annihilation_irrep_shift,
     circle_limit,
     circle_limit_quadrature_gap,
@@ -44,13 +46,13 @@ from .gaussian import (
     GaussianParams,
     _embedding_rows,
     _gh_nodes,
+    _quadrature_rows,
+    _rotated_exponents,
     c2_closed_form,
     cyclic_gaussian,
     cyclic_gaussian_wavefunction,
     fock_wavefunction,
     gaussian_to_fock,
-    gaussian_to_fock_quadrature,
-    rotate_params,
 )
 from .observables import (
     BipartiteSpec,
@@ -125,7 +127,7 @@ def _orbit_family(phi: FockVector, n: int):
     families here rather than with the closed-form cyclic_set. Random seeds
     carry weight in every sector.
     """
-    return [cyclic_superposition(phi, CyclicSpec(n, lam)) for lam in range(1, n + 1)]
+    return _superpositions(phi, n, range(1, n + 1))
 
 
 def _suite2_states(seed: int):
@@ -255,26 +257,18 @@ _WIGNER_SEED = GaussianParams(1.0, np.sqrt(2.0) * (1 + 1j))
 def suite_gaussian(seed: int = DEFAULT_SEED):
     avals = (0.3, 0.85, 1.4, 2.0)
     bvals = (3.0, 3.0j, -3.0, 2.1 + 2.1j, 0.5 - 0.5j)
-    thetas = [2.0 * np.pi * float(frac) for frac in
-              sorted({Fraction(k, n) for n in range(2, 9) for k in range(1, n)})]
-    worst_route = 0.0
-    seeds, turned = [], []
-    for ar in avals:
-        for ai in avals:
-            for b in bvals:
-                params = GaussianParams(ar + 1j * ai, b)
-                seed_f = gaussian_to_fock(params, 64)
-                quad = gaussian_to_fock_quadrature(params, 64)
-                worst_route = max(worst_route, float(np.abs(
-                    seed_f.amplitudes - quad.amplitudes).max()))
-                seeds.append(seed_f)
-                turned += [rotate_params(params, th) for th in thetas]
-    # every rotated-parameter seed through one batched recurrence
-    via_params = _embedding_rows([p.a for p in turned], [p.b for p in turned], 64)
-    worst = float(max(
-        1.0 - abs(np.vdot(rotate(seed_f, th).amplitudes, row)) ** 2
-        for seed_f, rows in zip(seeds, via_params.reshape(len(seeds), len(thetas), -1))
-        for th, row in zip(thetas, rows)))
+    thetas = np.array([2.0 * np.pi * float(frac) for frac in
+                       sorted({Fraction(k, n) for n in range(2, 9) for k in range(1, n)})])
+    base = [GaussianParams(ar + 1j * ai, b) for ar in avals for ai in avals for b in bvals]
+    seeds = np.array([gaussian_to_fock(p, 64).amplitudes for p in base])
+    quad, _ = _quadrature_rows(base, 64)
+    worst_route = float(np.abs(seeds - [q.amplitudes for q in quad]).max())
+    # all (seed, theta) pairs: rotated-parameter embeddings against Fock rotations
+    a_t, b_t, _ = _rotated_exponents(np.array([[p.a] for p in base]),
+                                     np.array([[p.b] for p in base]), thetas)
+    overlaps = np.einsum("sm,tm,stm->st", seeds.conj(), _rotation_phases(thetas, 64).conj(),
+                         _embedding_rows(a_t, b_t, 64))
+    worst = float((1.0 - np.abs(overlaps) ** 2).max())
     x = np.linspace(-6.0, 6.0, 241)
     worst_position = 0.0
     for params, spec, n_max in (

@@ -160,6 +160,9 @@ def test_superposition_route_on_light_sectors():
     ("superposition", cyclic_superposition, 2),
     # the seed is no sector state, so its shift leaves class lam - 1 = 1
     ("annihilation", annihilation_irrep_shift, 1),
+    # the all-lam family call names the one row that leaks
+    ("superposition",
+     lambda phi, spec: cyclic._superpositions(phi, spec.n, range(1, spec.n + 1)), 2),
 ])
 def test_leakage_failure_names_its_threshold(route, construct, lam):
     # a random seed whose class 1 mod 3 (the lam = 2 sector) is scaled by 1e-11
@@ -171,6 +174,49 @@ def test_leakage_failure_names_its_threshold(route, construct, lam):
     assert message.startswith("off-class leakage ")
     assert message.endswith(f"in the {route} route for (n=3, lam={lam}) "
                             "exceeds the threshold 1e-12")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_superposition_family_matches_one_lam_calls(n):
+    # all n orbit sums from one character-table product against one call per lam
+    amps = np.random.default_rng(n).normal(size=(2, 65)).T @ [1, 1j]
+    phi = from_amplitudes(amps / np.linalg.norm(amps))
+    family = cyclic._superpositions(phi, n, range(1, n + 1))
+    assert len(family) == n
+    for lam, (state, record) in enumerate(family, 1):
+        one, one_record = cyclic_superposition(phi, CyclicSpec(n, lam))
+        assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-15
+        assert abs(record.raw_norm - one_record.raw_norm) <= 1e-15 * one_record.raw_norm
+        assert abs(record.n_lambda - one_record.n_lambda) <= 1e-15 * abs(one_record.n_lambda)
+        assert record.phase_convention == one_record.phase_convention
+
+
+def test_superposition_family_names_its_empty_sector():
+    amps = np.random.default_rng(3).normal(size=33) + 0.5j
+    amps[2::5] = 0.0  # class 2 mod 5, the lam = 3 sector of C_5
+    phi = from_amplitudes(amps / np.linalg.norm(amps))
+    with pytest.raises(EmptyRepresentationError) as exc:
+        cyclic._superpositions(phi, 5, range(1, 6))
+    assert exc.value.lam == 3 and "(n=5, lam=3)" in str(exc.value)
+    assert exc.value.masses[2] == 0.0
+
+
+def test_verify_families_take_one_product_each(monkeypatch):
+    # the orthonormality, rotation and inverse suites build every family by
+    # one _superpositions call, never by one cyclic_superposition per lam
+    import polystate.verify as verify
+
+    calls = []
+
+    def counted(phi, n, lams):
+        calls.append(n)
+        return cyclic._superpositions(phi, n, lams)
+
+    monkeypatch.setattr(verify, "_superpositions", counted)
+    monkeypatch.setattr(verify, "cyclic_superposition", None)
+    rows = verify.suite_orthonormality() + verify.suite_rotation() + verify.suite_inverse()
+    assert all(r.passed for r in rows)
+    assert len(calls) == 2 * 4 * 50 + 5 * 20
 
 
 def test_cyclic_set_matches_superposition_route():
@@ -190,14 +236,15 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
 
     modules = (cyclic, fock, gaussian, observables, cli)
     for name in ("character", "rotate", "theta", "cyclic_superposition",
-                 "_raw_superposition", "cyclic_gaussian_wavefunction",
-                 "rotate_params", "linear_entropy_oracle", "density_route_gap",
-                 "wigner_direct"):
+                 "_superpositions", "cyclic_gaussian_wavefunction",
+                 "rotate_params", "_rotated_exponents", "_rotation_phases",
+                 "linear_entropy_oracle", "density_route_gap", "wigner_direct"):
         owners = [mod for mod in modules if hasattr(mod, name)]
         assert owners, f"oracle {name} is in none of the patched modules"
         for mod in owners:
             monkeypatch.setattr(mod, name, oracle)
-    for name in ("gaussian_to_fock_quadrature", "roots_hermite", "_gh_nodes"):
+    for name in ("gaussian_to_fock_quadrature", "_quadrature_rows", "roots_hermite",
+                 "_gh_nodes"):
         monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)

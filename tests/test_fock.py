@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from polystate.fock import (
     TAIL_TOL,
+    FockOperator,
     FockVector,
     annihilate,
     basis_state,
@@ -24,6 +25,7 @@ from polystate.fock import (
     sector_mask,
     _pairs,
     _rotated_copies,
+    _rotation_phases,
     vector_from_dict,
     vector_to_dict,
 )
@@ -397,11 +399,35 @@ def test_from_amplitudes_tail_flag_is_scale_free():
         assert not from_amplitudes(np.zeros(9, dtype=complex)).tail_flagged
 
 
+def test_tail_mass_is_relative_at_any_scale():
+    # |A_(n_max)|^2 / sum |A_m|^2: no overflow at 1e200, no zero at 1e-200
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    v[-1] = 1e-3 * np.linalg.norm(v[:-1])
+    ref = from_amplitudes(v).tail_mass
+    assert ref == pytest.approx(1e-6 / (1.0 + 1e-6), rel=1e-12)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for scale in (1e200, 1e-200):
+            assert from_amplitudes(v * scale).tail_mass == pytest.approx(ref, rel=1e-15)
+        assert from_amplitudes(np.ones(5) * 1e200).tail_mass == pytest.approx(0.2, rel=1e-15)
+        assert from_amplitudes(np.zeros(9)).tail_mass == 0.0
+
+
 def test_fock_vector_validation():
     with pytest.raises(ValueError):
         FockVector(3, np.zeros(3, dtype=complex))  # needs n_max + 1 entries
     with pytest.raises(ValueError):
         from_amplitudes(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, -np.inf)])
+def test_non_finite_entries_rejected(bad):
+    # a NaN or infinity in either part of any entry
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        FockVector(2, np.array([0.5, bad, 0.5]))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        FockOperator(1, np.array([[1.0, 0.0], [bad, 0.0]]))
 
 
 def test_amplitudes_immutable():
@@ -433,6 +459,19 @@ def test_rotated_copies_on_exact_roots_of_unity():
         m = np.arange(301)
         np.testing.assert_array_equal(phases, phases[:, m % n])
         np.testing.assert_array_equal(phases[0], 1.0)
+
+
+def test_rotation_phases_for_an_angle_array():
+    # each row of the array call has its scalar call's bits, which are rotate's
+    thetas = np.concatenate([2.0 * np.pi * np.arange(1, 8) / 7, [0.7, -3.1, 11.0]])
+    phases = _rotation_phases(thetas, 32)
+    assert phases.shape == (thetas.size, 33)
+    state = coherent(1.2 - 0.4j, 32)
+    m = np.arange(33)
+    for th, row in zip(thetas, phases):
+        assert np.array_equal(row, _rotation_phases(th, 32))
+        assert np.array_equal(rotate(state, th).amplitudes,
+                              state.amplitudes * np.exp(-1j * th * m))
 
 
 # ---- JSON ----

@@ -8,6 +8,8 @@ from polystate.gaussian import (
     EMBED_TAIL_TOL,
     GaussianParams,
     _embedding_rows,
+    _quadrature_rows,
+    _rotated_exponents,
     c2_closed_form,
     cyclic_gaussian,
     cyclic_gaussian_wavefunction,
@@ -161,6 +163,45 @@ def test_embedding_matches_quadrature_oracle(n_max):
             assert st.tail_flagged == oracle.tail_flagged
 
 
+def test_quadrature_rows_match_one_seed_calls():
+    # the batched adaptive rule against one call per seed: the same vector,
+    # tail flag and converged node count; the seeds stop at several rules
+    seeds = [GaussianParams(a, b)
+             for a in (0.3, 1.4, 0.6 - 0.4j, 0.3 + 1.5j, 0.05, 6.0)
+             for b in (3.0, -2.1 + 2.1j, 1e-6)]
+    states, nodes = _quadrature_rows(seeds, 63)
+    for p, state, count in zip(seeds, states, nodes):
+        (one,), (one_count,) = _quadrature_rows([p], 63)
+        assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-15
+        assert state.tail_flagged is one.tail_flagged  # a bool, as _embedded gives
+        assert count == one_count
+        assert np.array_equal(gaussian_to_fock_quadrature(p, 63).amplitudes, one.amplitudes)
+    assert len(set(nodes.tolist())) >= 3
+    assert any(s.tail_flagged for s in states) and not all(s.tail_flagged for s in states)
+
+
+def test_quadrature_cap_still_raises():
+    # the coherent-like seed at alpha = 18 lies beyond the kept nodes: alone
+    # or beside a seed that converges, it meets the 30000-node cap
+    far = GaussianParams(0.5, 18.0 * np.sqrt(2.0))
+    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
+        gaussian_to_fock_quadrature(far, 512)
+    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
+        _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), far], 512)
+
+
+def test_rotated_exponents_match_rotate_params():
+    # the array helper gives every (seed, angle) pair rotate_params' bits
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.05, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
+    b = rng.uniform(-4.0, 4.0, 40) + 1j * rng.uniform(-4.0, 4.0, 40)
+    thetas = np.concatenate([2.0 * np.pi * np.arange(1, 8) / 8, rng.uniform(-9.0, 9.0, 9)])
+    a_t, b_t, _ = _rotated_exponents(a[:, None], b[:, None], thetas)
+    for i, j in np.ndindex(a_t.shape):
+        turned = rotate_params(GaussianParams(a[i], b[i]), thetas[j])
+        assert (turned.a, turned.b) == (a_t[i, j], b_t[i, j])
+
+
 def test_embedding_large_displacement_rescales():
     # A_0 = e^{-800} underflows; the running rescale keeps every slot finite
     alpha = 40.0 * np.exp(0.7j)
@@ -206,6 +247,31 @@ def test_verify_grids_use_the_batched_embedding(monkeypatch):
     rows = verify.suite_mandel() + verify.suite_gaussian()
     assert all(r.passed for r in rows)
     assert len(calls) <= 100
+
+
+def test_gaussian_suite_batches_its_oracles(monkeypatch):
+    # one Hermite matrix per quadrature rule for all 80 base seeds, and no
+    # rotate_params or rotate call per (seed, theta) pair: the 1680 pairs
+    # run through the array helpers
+    import polystate.gaussian as gaussian
+    import polystate.verify as verify
+
+    calls = {"hermite_functions": 0, "rotate_params": 0, "rotate": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(gaussian, "hermite_functions", counting(gaussian, "hermite_functions"))
+    monkeypatch.setattr(gaussian, "rotate_params", counting(gaussian, "rotate_params"))
+    monkeypatch.setattr(verify, "rotate", counting(verify, "rotate"))
+    assert all(r.passed for r in verify.suite_gaussian())
+    # the position route's 64 rotated copies are the only rotate_params calls
+    assert calls == {"hermite_functions": 6, "rotate_params": 64, "rotate": 0}
 
 
 def test_scan_route_row_reads_the_production_pipeline(monkeypatch):

@@ -395,6 +395,22 @@ def test_mandel_is_the_fano_formula():
         _fano(np.array([[1.0, 2.0], [3.0, 0.0]]))
 
 
+def test_fano_one_row_matches_the_row_path():
+    # the scalar path of one state against the same state as a 1-row stack
+    rng = np.random.default_rng(29)
+    for _ in range(1000):
+        n_max = int(rng.integers(1, 301))
+        amps = random_state(rng, n_max).amplitudes * 10.0 ** rng.uniform(-5.0, 5.0)
+        p = np.abs(amps) ** 2
+        one, row = _fano(p), _fano(p[None])
+        assert np.ndim(one) == 0 and row.shape == (1,)
+        np.testing.assert_array_max_ulp(one, row[0], maxulp=1)
+    with pytest.raises(ValueError, match="zero vector"):
+        _fano(np.zeros(5))
+    with pytest.raises(ValueError, match="vacuum"):
+        _fano(np.array([2.0, 0.0, 0.0]))
+
+
 def test_mandel_cat_states_split():
     # even cat is superpoissonian, odd cat subpoissonian at small alpha
     even, _ = cyclic_superposition(coherent(0.8, 64), CyclicSpec(2, 1))
