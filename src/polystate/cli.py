@@ -1,7 +1,8 @@
 """Command line surface: state construction, observables, and the verify suites.
 
-Exit codes: 0 success, 1 failed checks or runtime errors, 2 empty symmetry
-sector, 3 malformed input JSON. Every failure is one line on stderr.
+Exit codes: 0 success, 1 failed checks, runtime errors or an unallocatable
+array, 2 empty symmetry sector, 3 malformed input JSON. Every failure is
+one line on stderr.
 wigner --check-symmetry N reports, from the amplitudes, the mass outside the
 state's heaviest residue class mod N (0 exactly for a C_N sector state).
 JSON output is json.dumps(payload, indent=2) and a newline, with complex
@@ -334,6 +335,10 @@ def main(argv=None) -> int:
     # an oracle route did not converge or failed its self-check (verify only).
     except (OSError, ValueError, RuntimeError, AssertionError) as exc:
         return _fail(exc, 1)
+    # an array too large for this machine, e.g. wigner --points 40000;
+    # numpy's message names the allocation's size, shape and dtype
+    except MemoryError as exc:
+        return _fail(MemoryError(f"out of memory: {str(exc) or 'allocation failed'}"), 1)
 
 
 if __name__ == "__main__":

@@ -329,10 +329,15 @@ def gaussian_to_fock_quadrature(params: GaussianParams,
     nodes. Strongly chirped seeds (large Im a) cancellation-limit the
     agreement near 1e-12, so a refinement that has stopped gaining while
     below 1e-10 also counts as converged. The renormalization and tail flag
-    are those of gaussian_to_fock. Seeds centred near |x| ~ 26 or beyond,
-    where _gh_nodes drops underflowed weights, meet the 30000-node cap and
-    raise RuntimeError (the coherent-like seed at alpha = 18 is one). This
-    is the one-seed call of _quadrature_rows.
+    are those of gaussian_to_fock. Two kinds of seed meet the 30000-node cap
+    and raise RuntimeError. Seeds centred near |x| ~ 26 or beyond lie where
+    _gh_nodes drops underflowed weights (the coherent-like seed at
+    alpha = 18 is one). Seeds whose photon number lies far beyond n_max fail
+    too, though they sit well inside the nodes: GaussianParams(0.1 + 2j, 3.0)
+    at n_max 63 (<x> = 15, <p> = -60, <n> above 1900) keeps a norm of only
+    7e-8 in the truncation, so rounding in its integrand leaves successive
+    rules agreeing to about 1e-7 from about 1000 nodes on. This is the
+    one-seed call of _quadrature_rows.
     """
     return _quadrature_rows([params], _checked_n_max(n_max))[0][0]
 

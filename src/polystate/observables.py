@@ -62,6 +62,11 @@ _MIN_NODES = 151
 # Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
 # rows, and entries of the node matrix G per chunk of k.
 _WIGNER_BLOCK = 2 ** 14
+# Lines per block of write_wigner_csv (72 bytes each in its byte buffer).
+_CSV_BLOCK = 2 ** 13
+# Distance from 1/2 within which _e12_fields leaves a mantissa's rounding to
+# Python: over twice its 2.3e-3 error bound.
+_ROUND_MARGIN = 0.005
 
 
 @dataclass(frozen=True)
@@ -247,14 +252,110 @@ def wigner_reflection_residual(state: FockVector) -> float:
 def write_wigner_csv(grid: WignerGrid, stream) -> None:
     """CSV rows x,p,w in %.12e, x varying fastest (p is the outer loop).
 
-    The x column is formatted once into a template for one p-row; each row
-    then costs one str.replace for p and one % call for its W values.
+    The text is exactly f"{x:.12e},{p:.12e},{w:.12e}\\n" per point. The axes
+    go through Python's formatter and the W column through _e12_fields,
+    which rounds by array arithmetic. For |w| in [1e-290, 1e290] it takes
+    e = floor(log10|w|) and m = |w| s, with s = float("1e{12-e}") the
+    correctly rounded power of ten. Two roundings of relative size at most
+    2^-53 put m < 1e13 within 2.3e-3 of the exact |w| 10^(12-e), so rint(m)
+    is the correctly rounded 13-digit mantissa whenever frac(m) is more
+    than _ROUND_MARGIN = 0.005 from 1/2. The other values (about 1 % of a
+    Wigner grid: mantissas within the margin, zeros, non-finite values and
+    |w| outside that range) also go through Python's formatter, so every
+    field is Python's by construction.
+
+    Lines are made a block of p-rows (_CSV_BLOCK lines) at a time, as three
+    NUL-padded 24-byte fields a line whose NULs are deleted on output. A
+    201 x 201 grid takes about 5.5 ms to write to a file, against 15.3 ms
+    for one Python format per point (2-vCPU x86_64, Python 3.11, numpy 2.4).
     """
     stream.write("x,p,w\n")
-    row = "".join(f"{x:.12e},{{p}},%.12e\n" for x in grid.x_axis.tolist())
-    for j, pv in enumerate(grid.p_axis.tolist()):
-        stream.write(row.replace("{p}", f"{pv:.12e}")
-                     % tuple(grid.values[:, j].tolist()))
+    n = grid.points_per_axis
+    x_cols = _python_fields(grid.x_axis, ",")
+    p_cols = _python_fields(grid.p_axis, ",")
+    tables = _digit_tables()
+    step = max(1, _CSV_BLOCK // n)
+    for j0 in range(0, n, step):
+        rows = grid.values[:, j0:j0 + step].T
+        buf = np.empty((rows.size, 18), np.uint32)
+        lines = buf.reshape(rows.shape + (18,))
+        lines[..., :6] = x_cols
+        lines[..., 6:12] = p_cols[j0:j0 + step, None]
+        buf[:, 12:] = _e12_fields(rows.ravel(), tables).T
+        stream.write(buf.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _python_fields(values: np.ndarray, end: str) -> np.ndarray:
+    """f"{v:.12e}{end}" of each value, NUL-padded to 24 bytes: (len, 6) uint32."""
+    text = [f"{v:.12e}{end}".encode() for v in values.tolist()]
+    return np.array(text, dtype="S24").view(np.uint32).reshape(-1, 6)
+
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """4-byte ASCII words, indexed by value: head[100 s + d] = sign (NUL or
+    '-'), the two digits of d with '.' between; four[d] = the digits of
+    0000..9999; tail[d] = the digits of 000..999 and 'e'."""
+    d = np.arange(100)
+    two = np.stack([d // 10, d % 10], axis=1).astype(np.uint8) + 48
+    head = np.zeros((2, 100, 4), np.uint8)
+    head[1, :, 0] = 45
+    head[..., 1], head[..., 2], head[..., 3] = two[:, 0], 46, two[:, 1]
+    four = np.empty((100, 100, 4), np.uint8)
+    four[..., :2], four[..., 2:] = two[:, None], two
+    four = four.reshape(10000, 4)
+    tail = np.empty((1000, 4), np.uint8)
+    tail[:, :3], tail[:, 3] = four[:1000, 1:], 101
+    return tuple(t.view(np.uint32).ravel() for t in (head, four, tail))
+
+
+def _e12_fields(v: np.ndarray, tables) -> np.ndarray:
+    """f"{x:.12e}\\n" of each x in v as a (6, len(v)) array of 4-byte words,
+    NUL-padded like _python_fields and transposed. The rounding argument is
+    write_wigner_csv's. e moves by one where m falls outside [1e12, 1e13),
+    a mantissa rounding up to 1e13 carries into the exponent, and a
+    mantissa still outside [1e12, 1e13] is left to _python_fields. The
+    digits come from float splits of the integer-valued mantissa, exact
+    below 2^53, and table lookups.
+    """
+    head, four, tail = tables
+    a = np.abs(v)
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    e_lo = int(e.min()) - 1
+    powers = range(e_lo, int(e.max()) + 3)  # e - 1 to e + 2: shift and carry
+    scale = np.array([float(f"1e{12 - k}") for k in powers])
+    m = a * scale[e - e_lo]
+    shift = (m >= 1e13).astype(np.int64) - (m < 1e12)
+    moved = shift != 0
+    if moved.any():
+        e += shift
+        m[moved] = a[moved] * scale[e[moved] - e_lo]
+    r = np.rint(m)
+    fast &= (np.abs(m - r) < 0.5 - _ROUND_MARGIN) & (r >= 1e12) & (r <= 1e13)
+    carry = r == 1e13
+    r[carry] = 1e12
+    e += carry
+    top = np.floor(r / 1e11)
+    r -= top * 1e11
+    high = np.floor(r / 1e7)
+    r -= high * 1e7
+    mid = np.floor(r / 1e3)
+    r -= mid * 1e3
+    top += 100.0 * (v < 0)
+    exps = np.array([f"{k:+03d}".encode() for k in powers], dtype="S4")
+    out = np.empty((6, v.size), np.uint32)
+    # clip: an index only leaves its table for a value left to Python
+    np.take(head, top.astype(np.intp), out=out[0], mode="clip")
+    np.take(four, high.astype(np.intp), out=out[1], mode="clip")
+    np.take(four, mid.astype(np.intp), out=out[2], mode="clip")
+    np.take(tail, r.astype(np.intp), out=out[3], mode="clip")
+    np.take(exps.view(np.uint32), e - e_lo, out=out[4], mode="clip")
+    out[5] = np.array([10, 0, 0, 0], np.uint8).view(np.uint32)[0]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[:, slow] = _python_fields(v[slow], "\n").T
+    return out
 
 
 def mandel(state: FockVector) -> float:

@@ -363,6 +363,28 @@ def test_wigner_non_finite_grid_not_written(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 11.9 GiB for an array with shape (40000, 40000) "
+     "and data type float64", "shape (40000, 40000)"),
+    ("", "allocation failed"),
+])
+def test_wigner_unallocatable_grid_is_one_line(tmp_path, capsys, monkeypatch,
+                                               message, shown):
+    # the kernel's MemoryError, as for --points 40000, without allocating it
+    import polystate.cli as cli
+
+    def too_large(state, x_range, p_range, points):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "wigner", too_large)
+    src = write_state(tmp_path / "vac.json", basis_state(0, 8))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--input", src, "--points", 40000, "--output", out) == 1
+    err = one_line_error(capsys)
+    assert err.startswith("error: out of memory: ") and shown in err
+    assert not out.exists()
+
+
 def test_mandel_non_finite_not_written(tmp_path, capsys, monkeypatch):
     import polystate.cli as cli
 

@@ -190,6 +190,17 @@ def test_quadrature_cap_still_raises():
         _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), far], 512)
 
 
+def test_quadrature_cap_raises_for_mass_beyond_n_max():
+    # centred well inside the nodes (<x> = 15, <p> = -60), but with a norm of
+    # only 7e-8 below n_max = 63: successive rules stall near 1e-7 and the
+    # cap is met, alone or beside a seed that converges
+    beyond = GaussianParams(0.1 + 2j, 3.0)
+    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
+        gaussian_to_fock_quadrature(beyond, 63)
+    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
+        _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), beyond], 63)
+
+
 def test_rotated_exponents_match_rotate_params():
     # the array helper gives every (seed, angle) pair rotate_params' bits
     rng = np.random.default_rng(31)

@@ -1,4 +1,5 @@
 import io
+import json
 
 import mpmath
 import numpy as np
@@ -10,11 +11,15 @@ from polystate.cyclic import (
     cyclic_set,
     cyclic_superposition,
 )
+import polystate.observables as observables
+from polystate.cli import main
 from polystate.fock import (basis_state, coherent, from_amplitudes,
-                            residue_class_masses, rotate)
+                            residue_class_masses, rotate, vector_from_dict)
 from polystate.group import theta
 from polystate.observables import (
     BipartiteSpec,
+    _digit_tables,
+    _e12_fields,
     _fano,
     MemoryGuardError,
     WignerGrid,
@@ -349,6 +354,115 @@ def test_wigner_csv_format():
         assert sx == f"{grid.x_axis[i]:.12e}"
         assert sp == f"{grid.p_axis[j]:.12e}"
         assert sw == f"{grid.values[i, j]:.12e}"
+
+
+def _template_csv(grid):
+    """The CSV text by one Python format per point: a template of the x
+    column per p-row, filled by str.replace for p and % for the W values."""
+    text = ["x,p,w\n"]
+    row = "".join(f"{x:.12e},{{p}},%.12e\n" for x in grid.x_axis.tolist())
+    for j, pv in enumerate(grid.p_axis.tolist()):
+        text.append(row.replace("{p}", f"{pv:.12e}")
+                    % tuple(grid.values[:, j].tolist()))
+    return "".join(text)
+
+
+def _csv(grid):
+    buf = io.StringIO()
+    write_wigner_csv(grid, buf)
+    return buf.getvalue()
+
+
+def _e12_text(values):
+    fields = _e12_fields(np.asarray(values, dtype=float), _digit_tables())
+    return fields.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _python_text(values):
+    return "".join(f"{v:.12e}\n" for v in values)
+
+
+def test_e12_fields_match_python_on_log_uniform_values():
+    rng = np.random.default_rng(41)
+    v = 10.0 ** rng.uniform(-300.0, 300.0, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    assert _e12_text(v) == _python_text(v.tolist())
+
+
+def test_e12_fields_carry_and_exponent_width():
+    v = [9.99999999999996, -9.9999999999995, 0.99999999999995,
+         9.9999999999996e99, 9.9999999999996e-100, 9.99999999999996e-101,
+         9.999999999999e99, 1e99, 1e100, -1e-99, 1e-100, 1e-101, 1e101,
+         1e22, 1e23, 1e-22, 1e-23, 1e-290, 1e290, 123.0, 0.1]
+    text = _e12_text(v)
+    assert text == _python_text(v)
+    lines = text.splitlines()
+    assert lines[:6] == ["1.000000000000e+01", "-1.000000000000e+01",
+                         "1.000000000000e+00", "1.000000000000e+100",
+                         "1.000000000000e-99", "1.000000000000e-100"]
+
+
+def test_e12_fields_leave_half_way_mantissas_to_python(monkeypatch):
+    # these mantissas lie within the margin of a half-integer, where the
+    # array rounding cannot settle the digit: two computed ties (Python
+    # rounds the first down, the second up) and two 3e-3 away from one
+    seen = []
+    python_fields = observables._python_fields
+
+    def spy(values, end):
+        seen.extend(values.tolist())
+        return python_fields(values, end)
+
+    monkeypatch.setattr(observables, "_python_fields", spy)
+    near = [1.2345678901235, 7.0000000000005e-3, 1.234567890123503, -1.234567890123497]
+    v = [0.25, near[0], -3.5, near[1], near[2], 2.0 ** -30, near[3]]
+    assert _e12_text(v) == _python_text(v)
+    assert seen == near
+    assert f"{1.2345678901235:.12e}" == "1.234567890123e+00"
+
+
+def test_wigner_csv_special_values():
+    # zeros, subnormals, huge, non-finite and out-of-range values all go
+    # through Python's formatter; exponents of 2 and 3 digits on the axes
+    v = np.resize([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, np.nan,
+                   np.inf, -np.inf, 1e-295, -1e295, 0.25, -0.5, 1e-100,
+                   -9.9999999999996e99], (4, 4))
+    grid = WignerGrid(-2.0, 3.0, -1e-120, 1e120, 4, v)
+    text = _csv(grid)
+    assert text == _template_csv(grid)
+    assert "nan" in text and "-inf" in text and "-0.000000000000e+00" in text
+
+
+def test_wigner_csv_blocks_agree(monkeypatch):
+    grid = wigner(coherent(1.2 + 0.7j, 24), (-4.0, 4.0), points_per_axis=37)
+    one_block = _csv(grid)
+    assert one_block == _template_csv(grid)
+    for lines in (100, 10):  # 2 p-rows per block, and 1 when a row is longer
+        monkeypatch.setattr(observables, "_CSV_BLOCK", lines)
+        assert _csv(grid) == one_block
+
+
+@pytest.mark.parametrize("seed", [
+    ["--coherent", 1.7, 0.9, "--order", 2, "--irrep", 1],
+    ["--coherent", -1.2, 1.6, "--order", 3, "--irrep", 2, "--method", "superposition"],
+    ["--coherent", 0.3, -2.2, "--order", 4, "--irrep", 4],
+    ["--coherent", 2.0, 0.4, "--order", 5, "--irrep", 3, "--method", "superposition"],
+    ["--coherent", -1.5, -1.1, "--order", 6, "--irrep", 1],
+    ["--gaussian", 0.9, 0.2, 1.1, -0.8, "--order", 3, "--irrep", 1,
+     "--method", "superposition"],
+    ["--gaussian", 0.7, -0.1, -0.6, 1.3, "--order", 4, "--irrep", 2,
+     "--method", "superposition", "--n-max", 128],
+    ["--coherent", 1.6, 0.8, "--group", "D", "--order", 3, "--irrep", 2],
+], ids=["C2", "C3", "C4", "C5", "C6", "gauss-C3", "gauss-C4-128", "D3"])
+def test_wigner_cli_grid_matches_template(tmp_path, seed):
+    # the 201 x 201 grids of the phase-space benchmark round, written by the
+    # CLI, byte for byte the per-point template of the same grid
+    state_path, csv_path = tmp_path / "state.json", tmp_path / "w.csv"
+    argv = ["build", "--n-max", 64, *seed, "--output", state_path]
+    assert main([str(a) for a in argv]) == 0
+    assert main(["wigner", "--input", str(state_path), "--output", str(csv_path)]) == 0
+    state = vector_from_dict(json.loads(state_path.read_text()))
+    grid = wigner(state, (-6.0, 6.0), (-6.0, 6.0), 201)
+    assert csv_path.read_text() == _template_csv(grid)
 
 
 # ---- Mandel parameter ----
