@@ -137,6 +137,8 @@ def _require_finite(name: str, values) -> None:
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
+    if args.points < 2:
+        raise ValueError(f"--points must be at least 2, got {args.points}")
     for flag in ("x_min", "x_max", "p_min", "p_max"):
         value = getattr(args, flag)
         if not np.isfinite(value):

@@ -23,7 +23,13 @@ __all__ = [
 
 def unit_root(k, n: int):
     """mu_n^k for an integer or integer array k, reduced mod n in integers
-    before exponentiating: exp of the unreduced angle would leak ~|k| eps."""
+    before exponentiating: exp of the unreduced angle would leak ~|k| eps.
+
+    An array with more entries than n reads its values from the n residues'
+    exponentials, the same bits as exponentiating each entry.
+    """
+    if np.size(k) > n:
+        return np.exp(2j * np.pi * np.arange(n) / n)[k % n]
     return np.exp(2j * np.pi * (k % n) / n)
 
 

@@ -6,7 +6,7 @@ normalized so that int W dx dp = 1 and bounded below by -1/pi.
 
 W is evaluated by an exact Hermite-Gauss factorisation. For a state
 truncated at n_max, psi^*(x+y) psi(x-y) is e^{-y^2} times a polynomial in y
-of degree <= 2 n_max, so a K-node Gauss-Hermite rule with K >= 2 n_max + 1
+of degree <= 2 n_max, so the K-node Gauss-Hermite rule with K = 2 n_max + 1
 gives its coefficients on the Hermite functions h_k(sqrt(2) y), k < K,
 without error, and h_k is an eigenfunction of the Fourier transform:
 int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k h_k(sqrt(2) p). On a grid,
@@ -16,12 +16,22 @@ int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k h_k(sqrt(2) p). On a grid,
 with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
 h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
 w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
-K x K matrix is held), exact up to rounding at any n_max. Scattered points
-(x_i, p_i) run the same pipeline and differ only in the last contraction,
-which pairs the coefficient row of x_i with column i of H_p. The number-basis Laguerre
-double sum (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)) gives the same
-W; wigner_direct, the defining integral by quadrature on a grid, is the
-oracle.
+K x K matrix is held), exact up to rounding at any n_max. The nodes are
+numpy's eigvalsh of the Hermite Jacobi matrix, Newton-polished, below
+K = 151, and scipy's asymptotic roots_hermite from there on.
+
+F(x, a) is also e^{-x^2} times a polynomial of degree <= 2 n_max in x, so
+it lies in span{h_j(sqrt(2) x), j < K}. With more than K distinct x (and
+K < 151), F is therefore formed only at the K Gauss rows x_b = t_b/sqrt2
+and mapped to x exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i)
+and G = H: the rule integrates the degree <= 4 n_max <= 2K - 2 products
+exactly.
+
+Scattered points (x_i, p_i) run the same pipeline and differ only in the
+last contraction, which pairs the coefficient row of x_i with column i of
+H_p. The number-basis Laguerre double sum (Cahill & Glauber, Phys. Rev.
+177, 1857 (1969)) gives the same W; wigner_direct, the defining integral
+by quadrature on a grid, is the oracle.
 """
 from __future__ import annotations
 
@@ -57,8 +67,9 @@ __all__ = [
 ]
 
 
-# Fewest Gauss-Hermite nodes the Wigner rule takes (see _wigner_nodes).
-_MIN_NODES = 151
+# Rule size from which scipy's roots_hermite takes its asymptotic route
+# (see _wigner_nodes).
+_ASYMPTOTIC_NODES = 151
 # Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
 # rows, and entries of the node matrix G per chunk of k.
 _WIGNER_BLOCK = 2 ** 14
@@ -101,16 +112,24 @@ class WignerGrid:
 
 
 def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """K Gauss-Hermite nodes t_a and their Christoffel weights.
+    """The K = 2 n_max + 1 Gauss-Hermite nodes t_a and their Christoffel weights.
 
-    w_a = 1 / sum_{k<K} h_k(t_a)^2 is the Gauss weight times e^{t_a^2},
-    free of underflow. K = 2 n_max + 1 is the exactness condition; K is
-    raised to at least _MIN_NODES because roots_hermite switches below
-    that to an eigenvalue solver that loads scipy.linalg, and a larger K
-    stays exact.
+    K is the exactness condition, and the rule has exactly K nodes. Below
+    _ASYMPTOTIC_NODES they are the eigenvalues of the K x K Hermite Jacobi
+    matrix (zero diagonal, off-diagonal sqrt(k/2); Golub & Welsch, Math.
+    Comp. 23, 221 (1969)) by numpy's eigvalsh, polished by one Newton step
+    on h_K(t) = 0; scipy's roots_hermite would load scipy.linalg there,
+    which nothing else in the package needs. From _ASYMPTOTIC_NODES on they
+    are roots_hermite's asymptotic nodes. w_a = 1 / sum_{k<K} h_k(t_a)^2 is
+    the Gauss weight times e^{t_a^2}, free of underflow.
     """
-    k = max(2 * n_max + 1, _MIN_NODES)
-    t, _ = roots_hermite(k)
+    k = 2 * n_max + 1
+    if k < _ASYMPTOTIC_NODES:
+        t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, k)), -1))
+        below, last = hermite_functions(k, t)[-2:]
+        t = t - last / (np.sqrt(2.0 * k) * below)  # h_K' = sqrt(2K) h_{K-1} at a root
+    else:
+        t, _ = roots_hermite(k)
     t = 0.5 * (t - t[::-1])  # exactly antisymmetric: t[K-1-a] = -t[a]
     total = np.zeros(k)
     for row in _hermite_rows(k - 1, t):
@@ -155,13 +174,54 @@ def _coefficient_chunks(fr: np.ndarray, fi: np.ndarray, t: np.ndarray):
             yield slice(k - j + 1, k + 1, 2), fi @ g[1:j + 1:2].T
 
 
+def _gauss_row_coefficients(state: FockVector, x: np.ndarray, t: np.ndarray,
+                            w: np.ndarray) -> np.ndarray:
+    """c[i, k] = Re(i^k b_ik) for every k < K, from the K Gauss rows
+    x_b = t_b / sqrt2 mapped exactly to the requested x.
+
+    At fixed t_a, F(x, a) is e^{-x^2} times a polynomial of degree
+    <= 2 n_max in x, so it lies in span{h_j(sqrt(2) x), j < K}, and so does
+    each coefficient row b_k(x), a fixed combination of the F(., a). Its
+    coefficient on h_j is the integral of b_k(X/sqrt2) h_j(X) dX, an
+    e^{-X^2}-weighted polynomial of degree <= 4 n_max <= 2K - 2, which the
+    K-node rule takes exactly: c = H_x^T (G o w) c_rows with
+    H_x[j, i] = h_j(sqrt(2) x_i) and G[j, b] = h_j(t_b). At the rows,
+    psi((t_b + t_a)/sqrt2) is symmetric in (a, b), so one triangle of it is
+    evaluated.
+    """
+    k = t.size
+    i, j = np.triu_indices(k)
+    psi = np.empty((k, k), dtype=complex)
+    psi[i, j] = fock_wavefunction(state, (t[i] + t[j]) / np.sqrt(2.0))
+    psi[j, i] = psi[i, j]
+    f = np.conj(psi) * psi[:, ::-1]  # as in _weighted_products
+    w = w / state.norm ** 2
+    h = hermite_functions(k - 1, np.concatenate([t, np.sqrt(2.0) * x]))
+    g, hx = h[:, :k], h[:, k:]
+    signed = np.where(np.arange(k) % 4 % 3 == 0, 1.0, -1.0)[:, None] * g  # sigma_k
+    rows = np.empty((k, k))
+    rows[:, 0::2] = (f.real * w) @ signed[0::2].T
+    rows[:, 1::2] = (f.imag * w) @ signed[1::2].T
+    return hx.T @ ((g * w) @ rows)
+
+
 def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
-    """pi^{-1/2} sum over chunks of k of contract(c, H_p[ks]): the row
-    coefficients c of x times H_p[k, j] = h_k(sqrt(2) p_j), with the nodes,
-    F o w and H_p formed once."""
+    """pi^{-1/2} contract(c, H_p) over the row coefficients c of x and
+    H_p[k, j] = h_k(sqrt(2) p_j), with the nodes and H_p formed once.
+
+    Up to K distinct x, c comes from F o w at x itself (K wavefunction
+    values per x), over chunks of k; beyond K, from the K Gauss rows
+    (_gauss_row_coefficients, K (K + 1) / 2 values in all). The row map
+    needs the rule's discrete orthogonality to rounding, so it runs only
+    on the Newton-polished nodes below _ASYMPTOTIC_NODES: roots_hermite's
+    nodes hold it to about 1.5e-13 at K = 601, and through the map W at
+    n_max 600 was 1.4e-13 off, against 1e-14 for the rows at x.
+    """
     t, w = _wigner_nodes(state.n_max)
-    fr, fi = _weighted_products(state, x, t, w)
     hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
+    if t.size < x.size and t.size < _ASYMPTOTIC_NODES:
+        return contract(_gauss_row_coefficients(state, x, t, w), hp) / np.sqrt(np.pi)
+    fr, fi = _weighted_products(state, x, t, w)
     out = sum(contract(c, hp[ks]) for ks, c in _coefficient_chunks(fr, fi, t))
     return out / np.sqrt(np.pi)
 
@@ -171,10 +231,11 @@ def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
 
     W(x, p) = pi^{-1/2} sum_k Re(i^k b_k(x)) h_k(sqrt(2) p), from the same
     row coefficients as the grid, exact for the truncated state since
-    K >= 2 n_max + 1. All points go through one pass, which holds K values
+    K = 2 n_max + 1. All points go through one pass, which holds K values
     per point and per distinct x: the coefficients do not depend on p, so
-    they are formed once per distinct x and a meshgrid costs about what
-    its grid does.
+    they are formed once per distinct x (from the K Gauss rows when there
+    are more than K and K < 151), and a meshgrid costs about what its grid
+    does.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))

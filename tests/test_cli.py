@@ -321,6 +321,19 @@ def test_wigner_check_symmetry_order_zero(tmp_path, capsys):
     assert "symmetry order must be >= 1" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("points", [-5, 0, 1])
+def test_wigner_points_below_two_is_one_line(tmp_path, capsys, points):
+    # checked before the state loads: a missing input still reports --points
+    out = tmp_path / "w.csv"
+    for src in (write_state(tmp_path / "coh.json", coherent(1.0, 8)),
+                tmp_path / "nope.json"):
+        assert run("wigner", "--input", src, "--points", points,
+                   "--output", out) == 1
+        assert (f"--points must be at least 2, got {points}"
+                in one_line_error(capsys))
+        assert not out.exists()
+
+
 def test_wigner_missing_input(tmp_path):
     assert run("wigner", "--input", tmp_path / "nope.json") == 1
 

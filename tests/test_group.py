@@ -29,6 +29,23 @@ def test_unit_root_reduces_the_exponent_exactly():
     assert abs(unit_root(1, 12) - np.exp(2j * np.pi / 12)) < 1e-15
 
 
+def test_unit_root_arrays_match_the_exp_expression_bit_for_bit():
+    # arrays longer than n read the n residues' exponentials; shorter ones
+    # and scalars exponentiate each entry: both give the same bits
+    rng = np.random.default_rng(15)
+    for n in (*range(1, 70), 97, 128, 10**3, 10**6):
+        for k in (rng.integers(-2**62, 2**62, 300),
+                  rng.integers(-3 * n, 3 * n, (4, 25)),
+                  np.arange(-n - 2, 0),
+                  rng.integers(-5, 5, 3)):
+            want = np.exp(2j * np.pi * (k % n) / n)
+            got = unit_root(k, n)
+            assert got.shape == k.shape and got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert unit_root(np.array([], dtype=np.int64), 3).shape == (0,)
+    assert unit_root(-4, 7) == np.exp(2j * np.pi * (-4 % 7) / 7)
+
+
 def test_group_functions_evaluate_through_unit_root():
     # mu, character, root_sum and the orthogonality table give the
     # evaluator's bits, not a differently rounded exp of their own

@@ -188,27 +188,105 @@ def test_wigner_points_scattered():
 
 
 def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
+    # each branch forms every Hermite table in one pass, whatever the number
+    # of points: up to K distinct x the rows at x (K wavefunction values per
+    # x), beyond that the K Gauss rows (K (K + 1) / 2 values)
     from polystate import observables
 
-    calls = {"nodes": 0, "h_p": 0}
+    calls = {"nodes": 0, "tables": 0, "psi": 0}
 
-    def counted(key, fn):
+    def counted(key, fn, size=False):
         def wrapper(*args):
-            calls[key] += 1
+            calls[key] += np.size(args[1]) if size else 1
             return fn(*args)
         return wrapper
 
     monkeypatch.setattr(observables, "_hermite_rows",
                         counted("nodes", observables._hermite_rows))
     monkeypatch.setattr(observables, "hermite_functions",
-                        counted("h_p", observables.hermite_functions))
-    st = random_state(np.random.default_rng(6), 64)
-    for points in (1, 1000):  # 1000 points spanned 10 blocks of the old kernel
-        calls.update(nodes=0, h_p=0)
+                        counted("tables", observables.hermite_functions))
+    monkeypatch.setattr(observables, "fock_wavefunction",
+                        counted("psi", observables.fock_wavefunction, size=True))
+    for n_max, points, want in (
+            # weights and coefficient rows; Newton step and H_p
+            (64, 1, {"nodes": 2, "tables": 2, "psi": 129}),
+            (64, 129, {"nodes": 2, "tables": 2, "psi": 129 * 129}),
+            # weights; Newton step, H_p, and G with H_x
+            (64, 130, {"nodes": 1, "tables": 3, "psi": 129 * 130 // 2}),
+            (64, 1000, {"nodes": 1, "tables": 3, "psi": 129 * 130 // 2}),
+            # roots_hermite's nodes (K = 151) keep the rows at x
+            (75, 1000, {"nodes": 2, "tables": 1, "psi": 151 * 1000})):
+        st = random_state(np.random.default_rng(6), n_max)
+        calls.update(nodes=0, tables=0, psi=0)
         xs, ps = np.random.default_rng(points).uniform(-3.0, 3.0, (2, points))
         wigner_points(st, xs, ps)
-        # one pass for the Christoffel weights, one for the coefficient rows
-        assert calls == {"nodes": 2, "h_p": 1}
+        assert calls == want, (n_max, points)
+
+
+def test_wigner_eigvalsh_nodes_match_roots_hermite():
+    from scipy.special import roots_hermite
+
+    for n_max in range(75):  # K = 1 ... 149, below roots_hermite's asymptotic route
+        t, _ = observables._wigner_nodes(n_max)
+        want, _ = roots_hermite(2 * n_max + 1)
+        np.testing.assert_allclose(t, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_max, tol", [
+    (0, 1e-13), (1, 1e-13), (16, 1e-13), (74, 1e-13), (75, 1e-13),
+    # roots_hermite's asymptotic nodes hold it to 1.5e-13 at K = 601
+    (300, 3e-13),
+])
+def test_wigner_nodes_are_an_orthonormal_rule_of_2n_plus_1(n_max, tol):
+    # sum_a w_a h_j(t_a) h_k(t_a) = delta_jk over exactly K = 2 n_max + 1 nodes
+    from polystate.gaussian import hermite_functions
+
+    t, w = observables._wigner_nodes(n_max)
+    assert t.shape == w.shape == (2 * n_max + 1,)
+    np.testing.assert_array_equal(t, -t[::-1])
+    g = hermite_functions(t.size - 1, t)
+    np.testing.assert_allclose((g * w) @ g.T, np.eye(t.size), rtol=0, atol=tol)
+
+
+def _branch_values(state, x, p):
+    """W on the x by p grid by the rows at x and by the Gauss rows."""
+    from polystate.gaussian import hermite_functions
+
+    t, w = observables._wigner_nodes(state.n_max)
+    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p) / np.sqrt(np.pi)
+    fr, fi = observables._weighted_products(state, x, t, w)
+    at_x = sum(c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
+    return at_x, observables._gauss_row_coefficients(state, x, t, w) @ hp
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 7, 16, 40, 74])
+def test_wigner_gauss_rows_match_the_rows_at_x(n_max):
+    st = random_state(np.random.default_rng(n_max + 40), n_max)
+    k = 2 * n_max + 1
+    p = np.linspace(-4.0, 4.5, 23)
+    for lo, hi in ((-6.0, 6.0), (5.0, 9.0), (-30.0, 30.0), (-0.01, 0.01), (-2.0, -1.0)):
+        for count in (max(2, k // 2), max(2, k), k + 1, 3 * k):  # both sides of x.size > K
+            at_x, gauss = _branch_values(st, np.linspace(lo, hi, count), p)
+            assert np.abs(gauss - at_x).max() <= 2e-14 * np.abs(at_x).max(), (lo, hi, count)
+
+
+def test_wigner_kernel_leaves_scipy_linalg_unloaded():
+    # the nodes below K = 151 come from numpy's eigvalsh: scipy's own
+    # small-K route would load scipy.linalg into every process
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from polystate.fock import coherent\n"
+            "from polystate.observables import wigner, wigner_points\n"
+            "for n_max in (0, 16, 74, 75):\n"
+            "    wigner(coherent(1.0, n_max), points_per_axis=41)\n"
+            "    wigner_points(coherent(1.0, n_max), np.linspace(-3, 3, 400), np.zeros(400))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_wigner_normalizes_the_state():
