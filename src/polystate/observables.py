@@ -137,15 +137,29 @@ def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 / total
 
 
-def _weighted_products(state: FockVector, x: np.ndarray, t: np.ndarray,
+def _weighted_products(state: FockVector, x: np.ndarray | None, t: np.ndarray,
                        w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of F[i, a] w_a / |psi|^2, with
-    F[i, a] = psi*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), in row blocks."""
-    fr, fi = np.empty((x.size, t.size)), np.empty((x.size, t.size))
+    F[i, a] = psi*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), in row blocks.
+
+    x None stands for the K Gauss rows x_b = t_b / sqrt2, where
+    psi((t_b + t_a)/sqrt2) is symmetric in (a, b): one triangle of it,
+    K (K + 1) / 2 values, is evaluated, in one block of K^2 entries.
+    """
+    if x is None:
+        i, j = np.triu_indices(t.size)
+        psi = np.empty((t.size, t.size), dtype=complex)
+        psi[i, j] = fock_wavefunction(state, (t[i] + t[j]) / np.sqrt(2.0))
+        psi[j, i] = psi[i, j]
+        blocks = [(slice(None), psi)]
+    else:
+        step = max(1, _WIGNER_BLOCK // t.size)
+        blocks = ((blk, fock_wavefunction(state, (x[blk, None] + t / np.sqrt(2.0)).ravel()))
+                  for blk in (slice(lo, lo + step) for lo in range(0, x.size, step)))
+    rows = t.size if x is None else x.size
+    fr, fi = np.empty((rows, t.size)), np.empty((rows, t.size))
     w = w / state.norm ** 2
-    step = max(1, _WIGNER_BLOCK // t.size)
-    for blk in (slice(lo, lo + step) for lo in range(0, x.size, step)):
-        psi = fock_wavefunction(state, (x[blk, None] + t / np.sqrt(2.0)).ravel())
+    for blk, psi in blocks:
         psi = psi.reshape(-1, t.size)
         f = np.conj(psi) * psi[:, ::-1]  # psi(x - t_a/sqrt2) = psi(x + t_{K-1-a}/sqrt2)
         np.multiply(f.real, w, out=fr[blk])
@@ -174,35 +188,21 @@ def _coefficient_chunks(fr: np.ndarray, fi: np.ndarray, t: np.ndarray):
             yield slice(k - j + 1, k + 1, 2), fi @ g[1:j + 1:2].T
 
 
-def _gauss_row_coefficients(state: FockVector, x: np.ndarray, t: np.ndarray,
-                            w: np.ndarray) -> np.ndarray:
-    """c[i, k] = Re(i^k b_ik) for every k < K, from the K Gauss rows
-    x_b = t_b / sqrt2 mapped exactly to the requested x.
+def _gauss_row_map(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M = H_x^T (G o w), which maps coefficient rows at the K Gauss rows
+    x_b = t_b / sqrt2 to the rows at x exactly; H_x[j, i] = h_j(sqrt(2) x_i)
+    and G[j, b] = h_j(t_b).
 
     At fixed t_a, F(x, a) is e^{-x^2} times a polynomial of degree
     <= 2 n_max in x, so it lies in span{h_j(sqrt(2) x), j < K}, and so does
     each coefficient row b_k(x), a fixed combination of the F(., a). Its
     coefficient on h_j is the integral of b_k(X/sqrt2) h_j(X) dX, an
     e^{-X^2}-weighted polynomial of degree <= 4 n_max <= 2K - 2, which the
-    K-node rule takes exactly: c = H_x^T (G o w) c_rows with
-    H_x[j, i] = h_j(sqrt(2) x_i) and G[j, b] = h_j(t_b). At the rows,
-    psi((t_b + t_a)/sqrt2) is symmetric in (a, b), so one triangle of it is
-    evaluated.
+    K-node rule takes exactly. The weights here are the plain Christoffel
+    weights: the rows carry 1/|psi|^2 already.
     """
-    k = t.size
-    i, j = np.triu_indices(k)
-    psi = np.empty((k, k), dtype=complex)
-    psi[i, j] = fock_wavefunction(state, (t[i] + t[j]) / np.sqrt(2.0))
-    psi[j, i] = psi[i, j]
-    f = np.conj(psi) * psi[:, ::-1]  # as in _weighted_products
-    w = w / state.norm ** 2
-    h = hermite_functions(k - 1, np.concatenate([t, np.sqrt(2.0) * x]))
-    g, hx = h[:, :k], h[:, k:]
-    signed = np.where(np.arange(k) % 4 % 3 == 0, 1.0, -1.0)[:, None] * g  # sigma_k
-    rows = np.empty((k, k))
-    rows[:, 0::2] = (f.real * w) @ signed[0::2].T
-    rows[:, 1::2] = (f.imag * w) @ signed[1::2].T
-    return hx.T @ ((g * w) @ rows)
+    h = hermite_functions(t.size - 1, np.concatenate([t, np.sqrt(2.0) * x]))
+    return h[:, t.size:].T @ (h[:, :t.size] * w)
 
 
 def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
@@ -210,19 +210,22 @@ def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
     H_p[k, j] = h_k(sqrt(2) p_j), with the nodes and H_p formed once.
 
     Up to K distinct x, c comes from F o w at x itself (K wavefunction
-    values per x), over chunks of k; beyond K, from the K Gauss rows
-    (_gauss_row_coefficients, K (K + 1) / 2 values in all). The row map
-    needs the rule's discrete orthogonality to rounding, so it runs only
-    on the Newton-polished nodes below _ASYMPTOTIC_NODES: roots_hermite's
-    nodes hold it to about 1.5e-13 at K = 601, and through the map W at
-    n_max 600 was 1.4e-13 off, against 1e-14 for the rows at x.
+    values per x), over chunks of k; beyond K, from the same chunks at the
+    K Gauss rows (K (K + 1) / 2 values in all), mapped to x by
+    _gauss_row_map. The
+    row map needs the rule's discrete orthogonality to rounding, so it runs
+    only on the Newton-polished nodes below _ASYMPTOTIC_NODES:
+    roots_hermite's nodes hold it to about 1.5e-13 at K = 601, and through
+    the map W at n_max 600 was 1.4e-13 off, against 1e-14 for the rows at x.
     """
     t, w = _wigner_nodes(state.n_max)
     hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
+    rows, to_x = x, None
     if t.size < x.size and t.size < _ASYMPTOTIC_NODES:
-        return contract(_gauss_row_coefficients(state, x, t, w), hp) / np.sqrt(np.pi)
-    fr, fi = _weighted_products(state, x, t, w)
-    out = sum(contract(c, hp[ks]) for ks, c in _coefficient_chunks(fr, fi, t))
+        rows, to_x = None, _gauss_row_map(x, t, w)
+    fr, fi = _weighted_products(state, rows, t, w)
+    out = sum(contract(c if to_x is None else to_x @ c, hp[ks])
+              for ks, c in _coefficient_chunks(fr, fi, t))
     return out / np.sqrt(np.pi)
 
 

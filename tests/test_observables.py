@@ -211,9 +211,9 @@ def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
             # weights and coefficient rows; Newton step and H_p
             (64, 1, {"nodes": 2, "tables": 2, "psi": 129}),
             (64, 129, {"nodes": 2, "tables": 2, "psi": 129 * 129}),
-            # weights; Newton step, H_p, and G with H_x
-            (64, 130, {"nodes": 1, "tables": 3, "psi": 129 * 130 // 2}),
-            (64, 1000, {"nodes": 1, "tables": 3, "psi": 129 * 130 // 2}),
+            # weights and coefficient rows; Newton step, H_p, and G with H_x
+            (64, 130, {"nodes": 2, "tables": 3, "psi": 129 * 130 // 2}),
+            (64, 1000, {"nodes": 2, "tables": 3, "psi": 129 * 130 // 2}),
             # roots_hermite's nodes (K = 151) keep the rows at x
             (75, 1000, {"nodes": 2, "tables": 1, "psi": 151 * 1000})):
         st = random_state(np.random.default_rng(6), n_max)
@@ -256,12 +256,17 @@ def _branch_values(state, x, p):
     hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p) / np.sqrt(np.pi)
     fr, fi = observables._weighted_products(state, x, t, w)
     at_x = sum(c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
-    return at_x, observables._gauss_row_coefficients(state, x, t, w) @ hp
+    to_x = observables._gauss_row_map(x, t, w)
+    fr, fi = observables._weighted_products(state, None, t, w)
+    gauss = sum(to_x @ c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
+    return at_x, gauss
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 7, 16, 40, 74])
 def test_wigner_gauss_rows_match_the_rows_at_x(n_max):
+    # a state of norm 1.7: the rows carry 1/|psi|^2 and the row map must not
     st = random_state(np.random.default_rng(n_max + 40), n_max)
+    st = from_amplitudes(1.7 * st.amplitudes)
     k = 2 * n_max + 1
     p = np.linspace(-4.0, 4.5, 23)
     for lo, hi in ((-6.0, 6.0), (5.0, 9.0), (-30.0, 30.0), (-0.01, 0.01), (-2.0, -1.0)):
@@ -270,33 +275,49 @@ def test_wigner_gauss_rows_match_the_rows_at_x(n_max):
             assert np.abs(gauss - at_x).max() <= 2e-14 * np.abs(at_x).max(), (lo, hi, count)
 
 
-def test_wigner_kernel_leaves_scipy_linalg_unloaded():
+def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
     # the nodes below K = 151 come from numpy's eigvalsh: scipy's own
-    # small-K route would load scipy.linalg into every process
+    # small-K route would load scipy.linalg (about 6 MB) into every process.
+    # One interpreter runs the kernel on both branches and at both node
+    # sources, verify's wigner suite and a 201^2 CLI grid at n_max 16.
     import subprocess
     import sys
 
     code = ("import sys\n"
             "import numpy as np\n"
+            "from polystate.cli import main\n"
             "from polystate.fock import coherent\n"
             "from polystate.observables import wigner, wigner_points\n"
+            "tmp = sys.argv[1]\n"
             "for n_max in (0, 16, 74, 75):\n"
             "    wigner(coherent(1.0, n_max), points_per_axis=41)\n"
             "    wigner_points(coherent(1.0, n_max), np.linspace(-3, 3, 400), np.zeros(400))\n"
+            "assert main(['verify', '--suite', 'wigner', '--no-timestamp',\n"
+            "             '--output', f'{tmp}/verify_wigner.txt']) == 0\n"
+            "assert main(['build', '--coherent', '1.7', '0.9', '--order', '3', '--irrep', '2',\n"
+            "             '--n-max', '16', '--output', f'{tmp}/c3_16.json']) == 0\n"
+            "assert main(['wigner', '--input', f'{tmp}/c3_16.json', '--points', '201',\n"
+            "             '--output', f'{tmp}/c3_16.csv']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert len((tmp_path / "c3_16.csv").read_text().splitlines()) == 1 + 201 ** 2
 
 
 def test_wigner_normalizes_the_state():
+    # on both sides of K = 49 distinct x: rows at x and Gauss rows
     st = random_state(np.random.default_rng(4), 24)
     scaled = from_amplitudes(3.0 * st.amplitudes)
-    np.testing.assert_allclose(wigner(scaled, points_per_axis=11).values,
-                               wigner(st, points_per_axis=11).values,
-                               rtol=0, atol=1e-14)
-    assert wigner_points(scaled, 0.3, -0.2)[0] == pytest.approx(
-        wigner_points(st, 0.3, -0.2)[0], abs=1e-14)
+    for points in (11, 61):
+        np.testing.assert_allclose(wigner(scaled, points_per_axis=points).values,
+                                   wigner(st, points_per_axis=points).values,
+                                   rtol=0, atol=1e-14)
+    xs, ps = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 100))
+    for x, p in ((0.3, -0.2), (xs, ps)):
+        np.testing.assert_allclose(wigner_points(scaled, x, p),
+                                   wigner_points(st, x, p), rtol=0, atol=1e-14)
 
 
 def test_wigner_lower_bound():
