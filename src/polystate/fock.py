@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .group import unit_root
 
@@ -47,7 +46,11 @@ TAIL_TOL = 1e-10
 
 def default_n_max() -> int:
     """Default truncation, 64 unless overridden by the POLYSTATE_NMAX env var."""
-    return int(os.environ.get("POLYSTATE_NMAX", "64"))
+    text = os.environ.get("POLYSTATE_NMAX", "64")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"POLYSTATE_NMAX must be an integer, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,7 @@ def coherent(alpha: complex, n_max: int | None = None) -> FockVector:
     n_max/2. The tail flag is set when |alpha|^2 exceeds n_max or when the
     truncated tail mass is above TAIL_TOL. A non-finite |alpha| raises.
     """
+    from scipy.special import gammaln, xlogy  # production's one scipy use
     n_max = _checked_n_max(n_max)
     r = 2 * abs(alpha / 2)  # = |alpha|; abs(alpha) raises OverflowError past 1.8e308
     if not np.isfinite(r):

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .fock import FockVector, _checked_n_max
 from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
@@ -223,6 +222,7 @@ def _gh_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     feeds in are far below resolvable size at those nodes.
     """
     if n_nodes not in _gh_cache:
+        from scipy.special import roots_hermite
         x, w = roots_hermite(n_nodes)
         keep = w > 0
         x = x[keep]

@@ -17,15 +17,14 @@ with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
 h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
 w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
 K x K matrix is held), exact up to rounding at any n_max. The nodes are
-numpy's eigvalsh of the Hermite Jacobi matrix, Newton-polished, below
-K = 151, and scipy's asymptotic roots_hermite from there on.
+0 and the square roots of numpy's eigvalsh of the n_max x n_max Laguerre
+Jacobi matrix (K is odd), mirrored and Newton-polished on h_K, at every K.
 
 F(x, a) is also e^{-x^2} times a polynomial of degree <= 2 n_max in x, so
-it lies in span{h_j(sqrt(2) x), j < K}. With more than K distinct x (and
-K < 151), F is therefore formed only at the K Gauss rows x_b = t_b/sqrt2
-and mapped to x exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i)
-and G = H: the rule integrates the degree <= 4 n_max <= 2K - 2 products
-exactly.
+it lies in span{h_j(sqrt(2) x), j < K}. With more than K distinct x, F is
+therefore formed only at the K Gauss rows x_b = t_b/sqrt2 and mapped to x
+exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i) and G = H: the
+rule integrates the degree <= 4 n_max <= 2K - 2 products exactly.
 
 Scattered points (x_i, p_i) run the same pipeline and differ only in the
 last contraction, which pairs the coefficient row of x_i with column i of
@@ -39,9 +38,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_hermite
 
-from .fock import FockVector, _rotated_copies, residue_class_masses
+from .fock import FockVector, _ray_scale, _rotated_copies, residue_class_masses
 from .cyclic import EmptyRepresentationError, NormalizationRecord
 from .gaussian import _gh_nodes, _hermite_rows, fock_wavefunction, hermite_functions
 from .group import unit_root
@@ -67,9 +65,6 @@ __all__ = [
 ]
 
 
-# Rule size from which scipy's roots_hermite takes its asymptotic route
-# (see _wigner_nodes).
-_ASYMPTOTIC_NODES = 151
 # Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
 # rows, and entries of the node matrix G per chunk of k.
 _WIGNER_BLOCK = 2 ** 14
@@ -114,27 +109,27 @@ class WignerGrid:
 def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The K = 2 n_max + 1 Gauss-Hermite nodes t_a and their Christoffel weights.
 
-    K is the exactness condition, and the rule has exactly K nodes. Below
-    _ASYMPTOTIC_NODES they are the eigenvalues of the K x K Hermite Jacobi
-    matrix (zero diagonal, off-diagonal sqrt(k/2); Golub & Welsch, Math.
-    Comp. 23, 221 (1969)) by numpy's eigvalsh, polished by one Newton step
-    on h_K(t) = 0; scipy's roots_hermite would load scipy.linalg there,
-    which nothing else in the package needs. From _ASYMPTOTIC_NODES on they
-    are roots_hermite's asymptotic nodes. w_a = 1 / sum_{k<K} h_k(t_a)^2 is
-    the Gauss weight times e^{t_a^2}, free of underflow.
+    K is the exactness condition and is odd, so h_K(t) is t L_n^(1/2)(t^2)
+    e^{-t^2/2} up to a constant, n = n_max (Szego, Orthogonal Polynomials,
+    5.6): the nodes are 0 and +-sqrt(xi), xi the eigenvalues of the n x n
+    Laguerre Jacobi matrix (diagonal 2j + 3/2, off-diagonal sqrt(j (j + 1/2));
+    Golub & Welsch, Math. Comp. 23, 221 (1969)) by numpy's eigvalsh, polished
+    by one Newton step on h_K(t) = 0 and mirrored: t[K-1-a] = -t[a] exactly.
+    w_a = 1 / sum_{k<K} h_k(t_a)^2 is the Gauss weight times e^{t_a^2}.
     """
     k = 2 * n_max + 1
-    if k < _ASYMPTOTIC_NODES:
-        t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, k)), -1))
-        below, last = hermite_functions(k, t)[-2:]
-        t = t - last / (np.sqrt(2.0 * k) * below)  # h_K' = sqrt(2K) h_{K-1} at a root
-    else:
-        t, _ = roots_hermite(k)
-    t = 0.5 * (t - t[::-1])  # exactly antisymmetric: t[K-1-a] = -t[a]
-    total = np.zeros(k)
-    for row in _hermite_rows(k - 1, t):
+    j = np.arange(1, n_max)
+    jacobi = np.diag(2.0 * np.arange(n_max) + 1.5) + np.diag(np.sqrt(j * (j + 0.5)), -1)
+    s = np.sqrt(np.linalg.eigvalsh(jacobi))
+    for m, row in enumerate(_hermite_rows(k, s)):
+        if m == k - 1:
+            below = row.copy()
+    s = s - row / (np.sqrt(2.0 * k) * below)  # h_K' = sqrt(2K) h_{K-1} at a root
+    half = np.concatenate([[0.0], s])
+    total = np.zeros(n_max + 1)
+    for row in _hermite_rows(k - 1, half):
         total += row * row
-    return t, 1.0 / total
+    return np.concatenate([-s[::-1], half]), 1.0 / np.concatenate([total[:0:-1], total])
 
 
 def _weighted_products(state: FockVector, x: np.ndarray | None, t: np.ndarray,
@@ -212,18 +207,14 @@ def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
     Up to K distinct x, c comes from F o w at x itself (K wavefunction
     values per x), over chunks of k; beyond K, from the same chunks at the
     K Gauss rows (K (K + 1) / 2 values in all), mapped to x by
-    _gauss_row_map. The
-    row map needs the rule's discrete orthogonality to rounding, so it runs
-    only on the Newton-polished nodes below _ASYMPTOTIC_NODES:
-    roots_hermite's nodes hold it to about 1.5e-13 at K = 601, and through
-    the map W at n_max 600 was 1.4e-13 off, against 1e-14 for the rows at x.
+    _gauss_row_map, which needs the rule's discrete orthogonality to
+    rounding: the Newton-polished nodes hold it to about 1e-14 up to
+    K = 1201.
     """
     t, w = _wigner_nodes(state.n_max)
     hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
-    rows, to_x = x, None
-    if t.size < x.size and t.size < _ASYMPTOTIC_NODES:
-        rows, to_x = None, _gauss_row_map(x, t, w)
-    fr, fi = _weighted_products(state, rows, t, w)
+    to_x = _gauss_row_map(x, t, w) if t.size < x.size else None
+    fr, fi = _weighted_products(state, x if to_x is None else None, t, w)
     out = sum(contract(c if to_x is None else to_x @ c, hp[ks])
               for ks, c in _coefficient_chunks(fr, fi, t))
     return out / np.sqrt(np.pi)
@@ -237,8 +228,7 @@ def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
     K = 2 n_max + 1. All points go through one pass, which holds K values
     per point and per distinct x: the coefficients do not depend on p, so
     they are formed once per distinct x (from the K Gauss rows when there
-    are more than K and K < 151), and a meshgrid costs about what its grid
-    does.
+    are more than K), and a meshgrid costs about what its grid does.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
@@ -308,7 +298,7 @@ def wigner_reflection_residual(state: FockVector) -> float:
     the state is a phase times a real-amplitude vector. The axis is exactly
     antisymmetric, so W(x, -p) is the grid's reversed p columns."""
     ax = np.linspace(-5.0, 5.0, 61)
-    ax = 0.5 * (ax - ax[::-1])  # as in _wigner_nodes
+    ax = 0.5 * (ax - ax[::-1])  # exactly antisymmetric
     values = _wigner_values(state, ax, ax)
     return float(np.abs(values[:, ::-1] - values).max())
 
@@ -470,6 +460,8 @@ class BipartiteSpec:
     seed_2: FockVector
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"group order n must be >= 1, got {self.n}")
         c = np.asarray(self.c, dtype=complex)
         if c.shape != (self.n,):
             raise ValueError(f"c must have length n={self.n}, got shape {c.shape}")
@@ -494,7 +486,9 @@ def bipartite_norm_squared(spec: BipartiteSpec) -> float:
 
 
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
-    """Rescale c by a positive constant so the two-mode state has unit norm."""
+    """Rescale c by a positive constant so the two-mode state has unit norm;
+    c is read as a ray (fock._ray_scale), as state files are."""
+    spec = BipartiteSpec(spec.n, _ray_scale(spec.c), spec.seed_1, spec.seed_2)
     nsq = bipartite_norm_squared(spec)
     if nsq <= 0:
         raise ValueError("two-mode state has zero norm; coefficients degenerate")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -595,6 +596,37 @@ def test_entangle_malformed_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "c": [[1.0, 0.0], [1.0, 0.0]]}))
     assert run("entangle", "--input", bad) == 3
+
+
+def test_entangle_group_order_below_one_is_exit_3(tmp_path, capsys):
+    # checked before any array work: no remainder by zero, no warning
+    seed = coherent(1.0, 8)
+    src = write_bipartite(tmp_path / "spec.json", 0, [], seed, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("entangle", "--input", src) == 3
+    assert "group order n must be >= 1, got 0" in one_line_error(capsys)
+
+
+def test_entangle_reads_c_as_a_ray(tmp_path):
+    # c is a ray, as state files are: power-of-two copies whose sum |c|^2
+    # underflows or overflows write the bytes of the unscaled c, other
+    # scales the same S_L up to rounding
+    seed_1, seed_2 = coherent(1.0 + 0.5j, 24), coherent(0.8, 24)
+    outputs = {}
+    for name, c in (("unit", [1.0, 1.0, 2.0]), ("tiny", np.ldexp([1.0, 1.0, 2.0], -700)),
+                    ("huge", np.ldexp([1.0, 1.0, 2.0], 1020)),
+                    ("1e-200", [1e-200, 1e-200, 2e-200]),
+                    ("ones", [1.0, 1.0, 1.0]), ("1e308", [1e308] * 3)):
+        src = write_bipartite(tmp_path / f"{name}.json", 3, c, seed_1, seed_2)
+        out = tmp_path / f"{name}.out.json"
+        assert run("entangle", "--input", src, "--output", out) == 0, name
+        outputs[name] = out.read_text()
+    assert outputs["tiny"] == outputs["unit"]
+    assert outputs["huge"] == outputs["unit"]
+    for name, like in (("1e-200", "unit"), ("1e308", "ones")):
+        assert json.loads(outputs[name])["s_linear"] == pytest.approx(
+            json.loads(outputs[like])["s_linear"], rel=1e-12, abs=0)
 
 
 # ---- JSON output ----

@@ -243,8 +243,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
         assert owners, f"oracle {name} is in none of the patched modules"
         for mod in owners:
             monkeypatch.setattr(mod, name, oracle)
-    for name in ("gaussian_to_fock_quadrature", "_quadrature_rows", "roots_hermite",
-                 "_gh_nodes"):
+    for name in ("gaussian_to_fock_quadrature", "_quadrature_rows", "_gh_nodes"):
         monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)

@@ -443,6 +443,12 @@ def test_default_n_max_env(monkeypatch):
     assert default_n_max() == 48
 
 
+def test_default_n_max_names_a_bad_value(monkeypatch):
+    monkeypatch.setenv("POLYSTATE_NMAX", "abc")
+    with pytest.raises(ValueError, match=r"^POLYSTATE_NMAX must be an integer, got 'abc'$"):
+        default_n_max()
+
+
 def test_rotated_copies_on_exact_roots_of_unity():
     from polystate.group import theta
     rng = np.random.default_rng(4)

@@ -208,14 +208,15 @@ def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
     monkeypatch.setattr(observables, "fock_wavefunction",
                         counted("psi", observables.fock_wavefunction, size=True))
     for n_max, points, want in (
-            # weights and coefficient rows; Newton step and H_p
-            (64, 1, {"nodes": 2, "tables": 2, "psi": 129}),
-            (64, 129, {"nodes": 2, "tables": 2, "psi": 129 * 129}),
-            # weights and coefficient rows; Newton step, H_p, and G with H_x
-            (64, 130, {"nodes": 2, "tables": 3, "psi": 129 * 130 // 2}),
-            (64, 1000, {"nodes": 2, "tables": 3, "psi": 129 * 130 // 2}),
-            # roots_hermite's nodes (K = 151) keep the rows at x
-            (75, 1000, {"nodes": 2, "tables": 1, "psi": 151 * 1000})):
+            # Newton step, weights and coefficient rows; H_p
+            (64, 1, {"nodes": 3, "tables": 1, "psi": 129}),
+            (64, 129, {"nodes": 3, "tables": 1, "psi": 129 * 129}),
+            # Newton step, weights and coefficient rows; H_p, and G with H_x
+            (64, 130, {"nodes": 3, "tables": 2, "psi": 129 * 130 // 2}),
+            (64, 1000, {"nodes": 3, "tables": 2, "psi": 129 * 130 // 2}),
+            # the Gauss rows at K = 151 and beyond, on the same node route
+            (75, 1000, {"nodes": 3, "tables": 2, "psi": 151 * 152 // 2}),
+            (128, 1000, {"nodes": 3, "tables": 2, "psi": 257 * 258 // 2})):
         st = random_state(np.random.default_rng(6), n_max)
         calls.update(nodes=0, tables=0, psi=0)
         xs, ps = np.random.default_rng(points).uniform(-3.0, 3.0, (2, points))
@@ -226,16 +227,34 @@ def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
 def test_wigner_eigvalsh_nodes_match_roots_hermite():
     from scipy.special import roots_hermite
 
-    for n_max in range(75):  # K = 1 ... 149, below roots_hermite's asymptotic route
+    # K = 1 ... 149 (scipy's small-K route) and 257 ... 2049 (its asymptotic one)
+    for n_max in [*range(75), 128, 300, 600, 1024]:
         t, _ = observables._wigner_nodes(n_max)
         want, _ = roots_hermite(2 * n_max + 1)
         np.testing.assert_allclose(t, want, rtol=1e-13, atol=1e-13)
 
 
+def test_wigner_nodes_match_mpmath_at_151():
+    # the positive nodes of h_151, Newton-polished from float starts at 32
+    # digits; roots_hermite(151), unpolished, is 1.0e-14 off them
+    k = 151
+    t, _ = observables._wigner_nodes(k // 2)
+    with mpmath.workdps(32):
+        for got in t[k // 2 + 1:]:
+            root = mpmath.mpf(got)
+            for _ in range(2):
+                below, last = mpmath.mpf(0), mpmath.pi ** -0.25 * mpmath.exp(-root ** 2 / 2)
+                for m in range(k):
+                    below, last = last, (mpmath.sqrt(mpmath.mpf(2) / (m + 1)) * root * last
+                                         - mpmath.sqrt(mpmath.mpf(m) / (m + 1)) * below)
+                root -= last / (mpmath.sqrt(2 * k) * below)
+            assert abs(got - root) <= 6e-15, (got, root)
+
+
 @pytest.mark.parametrize("n_max, tol", [
     (0, 1e-13), (1, 1e-13), (16, 1e-13), (74, 1e-13), (75, 1e-13),
-    # roots_hermite's asymptotic nodes hold it to 1.5e-13 at K = 601
-    (300, 3e-13),
+    # roots_hermite's unpolished nodes hold it only to 1.5e-13 at K = 601
+    (300, 1e-13), (600, 1e-13),
 ])
 def test_wigner_nodes_are_an_orthonormal_rule_of_2n_plus_1(n_max, tol):
     # sum_a w_a h_j(t_a) h_k(t_a) = delta_jk over exactly K = 2 n_max + 1 nodes
@@ -275,34 +294,67 @@ def test_wigner_gauss_rows_match_the_rows_at_x(n_max):
             assert np.abs(gauss - at_x).max() <= 2e-14 * np.abs(at_x).max(), (lo, hi, count)
 
 
+@pytest.mark.parametrize("n_max, alpha, weights", [
+    (128, 3.0, [1.0]), (128, 3.0, [1.0, 1.0]), (300, 5.0, [1.0, 1.0])],
+    ids=["coherent-128", "cat-128", "cat-300"])
+def test_wigner_both_branches_match_the_closed_form_beyond_k_rows(n_max, alpha, weights):
+    # K + 50 distinct x at K = 257 and 601: through roots_hermite's unpolished
+    # nodes the Gauss rows of a cat at n_max 600 were 1.4e-13 off
+    betas = [alpha, -alpha][:len(weights)]
+    amps = sum(w * coherent(b, n_max).amplitudes for w, b in zip(weights, betas))
+    state = from_amplitudes(amps / np.linalg.norm(amps))
+    edge = np.sqrt(2.0) * alpha + 6.0
+    x = np.linspace(-edge, edge, 2 * n_max + 51)
+    p = np.linspace(-4.0, 4.0, 9)
+    want = coherent_sum_wigner(weights, betas, x[:, None], p)
+    for got in _branch_values(state, x, p):
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-14)
+
+
 def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
-    # the nodes below K = 151 come from numpy's eigvalsh: scipy's own
-    # small-K route would load scipy.linalg (about 6 MB) into every process.
-    # One interpreter runs the kernel on both branches and at both node
-    # sources, verify's wigner suite and a 201^2 CLI grid at n_max 16.
+    # production needs scipy only in fock.coherent: one interpreter runs the
+    # kernel on both branches on either side of K = 151, and build
+    # --gaussian, wigner, mandel, entangle and circle-limit through cli.main,
+    # with no scipy module loaded. verify's wigner suite then loads
+    # scipy.special for its oracle, and no scipy.linalg (about 6 MB).
     import subprocess
     import sys
 
     code = ("import sys\n"
+            "import json\n"
             "import numpy as np\n"
             "from polystate.cli import main\n"
-            "from polystate.fock import coherent\n"
+            "from polystate.fock import vector_to_dict\n"
+            "from polystate.gaussian import GaussianParams, gaussian_to_fock\n"
             "from polystate.observables import wigner, wigner_points\n"
             "tmp = sys.argv[1]\n"
-            "for n_max in (0, 16, 74, 75):\n"
-            "    wigner(coherent(1.0, n_max), points_per_axis=41)\n"
-            "    wigner_points(coherent(1.0, n_max), np.linspace(-3, 3, 400), np.zeros(400))\n"
-            "assert main(['verify', '--suite', 'wigner', '--no-timestamp',\n"
-            "             '--output', f'{tmp}/verify_wigner.txt']) == 0\n"
-            "assert main(['build', '--coherent', '1.7', '0.9', '--order', '3', '--irrep', '2',\n"
-            "             '--n-max', '16', '--output', f'{tmp}/c3_16.json']) == 0\n"
+            "seed = GaussianParams(0.5, np.sqrt(2.0))\n"
+            "for n_max in (0, 16, 74, 75, 128):\n"
+            "    state = gaussian_to_fock(seed, n_max)\n"
+            "    wigner(state, points_per_axis=41)\n"
+            "    wigner_points(state, np.linspace(-3, 3, 400), np.zeros(400))\n"
+            "gauss = ['--gaussian', '0.8', '0.3', '1.0', '-0.5', '--n-max', '16']\n"
+            "assert main(['build', *gauss, '--order', '3', '--irrep', '2',\n"
+            "             '--output', f'{tmp}/c3_16.json']) == 0\n"
             "assert main(['wigner', '--input', f'{tmp}/c3_16.json', '--points', '201',\n"
             "             '--output', f'{tmp}/c3_16.csv']) == 0\n"
+            "assert main(['mandel', '--input', f'{tmp}/c3_16.json',\n"
+            "             '--output', f'{tmp}/mandel.txt']) == 0\n"
+            "seed_16 = vector_to_dict(gaussian_to_fock(seed, 16))\n"
+            "spec = {'n': 3, 'c': [[1.0, 0.0]] * 3, 'seed_1': seed_16, 'seed_2': seed_16}\n"
+            "open(f'{tmp}/spec.json', 'w').write(json.dumps(spec))\n"
+            "assert main(['entangle', '--input', f'{tmp}/spec.json',\n"
+            "             '--output', f'{tmp}/e.json']) == 0\n"
+            "assert main(['circle-limit', *gauss, '--irrep', '2',\n"
+            "             '--output', f'{tmp}/limit.json']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "assert main(['verify', '--suite', 'wigner', '--no-timestamp',\n"
+            "             '--output', f'{tmp}/verify_wigner.txt']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
     assert len((tmp_path / "c3_16.csv").read_text().splitlines()) == 1 + 201 ** 2
 
 
