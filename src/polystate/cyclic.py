@@ -65,6 +65,8 @@ __all__ = [
 _EMPTY_TOL = 1e-12
 # Norm off the target residue class above this fails a route's self-check.
 _LEAK_TOL = 1e-12
+# Entries per block of _rotation_checks' (row, element, m) phase products.
+_ROTATION_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -127,28 +129,60 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
     sectors far lighter than the seed's other classes can still trip the
-    check. This is the one-lam call of _superpositions.
+    check. This is the one-seed, one-lam call of _superpositions.
     """
-    return _superpositions(phi, spec.n, [spec.lam])[0]
+    states, raw_norm, n_lambda = _superpositions(phi.amplitudes, spec.n, [spec.lam])
+    return (FockVector(phi.n_max, states[0], phi.tail_flagged),
+            NormalizationRecord(raw_norm=float(raw_norm[0]), n_lambda=complex(n_lambda[0])))
 
 
-def _superpositions(phi: FockVector, n: int, lams
-                    ) -> list[tuple[FockVector, NormalizationRecord]]:
-    """cyclic_superposition for each int lam in lams: one product of the
-    character table mu_n^((lam-1) r), r 0-based, with the rotated copies, then
-    that function's checks row by row in Python scalars, which keep its bits."""
-    chi = unit_root(np.multiply.outer(np.subtract(lams, 1), np.arange(n)), n)
-    out = []
-    for lam, row in zip(lams, chi @ _rotated_copies(phi, n)):
-        raw_norm = float(np.linalg.norm(row))
-        if raw_norm < _EMPTY_TOL:
-            raise EmptyRepresentationError(n, lam, _class_sums(np.abs(phi.amplitudes) ** 2, n))
-        n_lambda = complex(unit_root(lam - 1, n)) / raw_norm
-        amps = n_lambda * row
-        _check_leakage(amps, n, lam, "superposition")
-        out.append((FockVector(phi.n_max, amps, phi.tail_flagged),
-                    NormalizationRecord(raw_norm=raw_norm, n_lambda=n_lambda)))
-    return out
+def _superpositions(amps: np.ndarray, n: int, lams
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cyclic_superposition for a stack of seeds amps (..., d) and each int lam
+    in lams (L of them), from one product of the character table
+    mu_n^((lam-1) r), r 0-based, with the rotated copies.
+
+    Returns the unit states (..., L, d) and their records' raw_norm and
+    n_lambda, each (..., L). The empty-sector and leakage checks run over the
+    whole stack; the first failing (seed, lam) in C order raises, as one
+    call per seed and lam in that order would. The norms and the scaling
+    take the per-row bits of the one-row call.
+    """
+    lams = np.asarray(lams)
+    chi = unit_root(np.multiply.outer(lams - 1, np.arange(n)), n)
+    states = chi @ _rotated_copies(amps, n)
+    raw_norm = _norms(states)
+    empty = raw_norm < _EMPTY_TOL
+    # Python-int exponents and real / real per part: the bits of the one-row
+    # call's Python complex mu_n^(lam-1) over a float
+    phase = np.array([complex(unit_root(lam - 1, n)) for lam in lams.tolist()])
+    scale = np.where(empty, 1.0, raw_norm)  # empty rows raise below
+    n_lambda = phase.real / scale + 1j * (phase.imag / scale)
+    states = n_lambda[..., None] * states
+    off = _norms(np.where(sector_mask(amps.shape[-1] - 1, n, lams[:, None]), 0, states))
+    failed = empty | (off > _LEAK_TOL)
+    if failed.any():
+        first = np.unravel_index(np.argmax(failed), failed.shape)
+        lam = int(lams[first[-1]])
+        if empty[first]:
+            raise EmptyRepresentationError(
+                n, lam, _class_sums(np.abs(amps[first[:-1]]) ** 2, n))
+        raise _leakage_error(float(off[first]), n, lam, "superposition")
+    return states, raw_norm, n_lambda
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x (..., d), bit for bit: the same two
+    real dot products, as one (1 x d) @ (d x 1) product per row."""
+    re, im = x.real, x.imag
+    sq = re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None]
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
+    return AssertionError(
+        f"off-class leakage {off:.3e} in the {route} route for (n={n}, "
+        f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
 
 
 def _check_leakage(amps: np.ndarray, n: int, lam: int, route: str) -> None:
@@ -156,9 +190,7 @@ def _check_leakage(amps: np.ndarray, n: int, lam: int, route: str) -> None:
     the residue class m = lam - 1 (mod n)."""
     off = float(np.linalg.norm(amps[~sector_mask(amps.size - 1, n, lam)]))
     if off > _LEAK_TOL:
-        raise AssertionError(
-            f"off-class leakage {off:.3e} in the {route} route for (n={n}, "
-            f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
+        raise _leakage_error(off, n, lam, route)
 
 
 def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
@@ -222,14 +254,32 @@ def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l):
     |<psi|R|psi>| for the unit-normalized state, the residual is the angle
     difference wrapped to (-pi, pi]. l = n is the identity element. An integer
     array l gives arrays shaped like l, each entry its scalar call's float bit
-    for bit, from all overlaps sum_m |A_m|^2 mu_n^(-l m) in one pass.
+    for bit. This is the one-state call of _rotation_checks.
     """
-    l = np.asarray(l)
-    w = np.abs(psi.amplitudes) ** 2
-    ov = (unit_root(-np.multiply.outer(l, np.arange(w.size)), spec.n) * w).sum(axis=-1)
-    fid = np.abs(ov) / w.sum()
-    diff = np.abs(np.angle(ov / unit_root((1 - spec.lam) * l, spec.n)))
-    return (float(fid), float(diff)) if l.ndim == 0 else (fid, diff)
+    fid, diff = _rotation_checks(np.abs(psi.amplitudes) ** 2, spec.n, spec.lam, l)
+    return (float(fid), float(diff)) if fid.ndim == 0 else (fid, diff)
+
+
+def _rotation_checks(w: np.ndarray, n: int, lam, l) -> tuple[np.ndarray, np.ndarray]:
+    """rotation_phase_check's (fidelity, phase_residual) for a stack of
+    weights w = |A_m|^2 (..., d), one label per row in lam (an int or an array
+    broadcast against w.shape[:-1]) and the integer elements l, shaped
+    w.shape[:-1] + l.shape. All overlaps sum_m w_m mu_n^(-l m) come from the
+    products with one phase table, taken over blocks of rows and each
+    (row, element) summed on its own, so every entry is its one-state call's
+    float bit for bit."""
+    l, lam = np.asarray(l), np.asarray(lam)
+    lead, d = w.shape[:-1], w.shape[-1]
+    table = unit_root(-np.multiply.outer(l.ravel(), np.arange(d)), n)
+    rows = w.reshape(-1, 1, d)
+    ov = np.empty((rows.shape[0], l.size), dtype=complex)
+    step = max(1, _ROTATION_BLOCK // max(1, table.size))
+    for i in range(0, rows.shape[0], step):
+        ov[i:i + step] = (table * rows[i:i + step]).sum(axis=-1)
+    ov = ov.reshape(lead + l.shape)
+    fid = np.abs(ov) / w.sum(axis=-1).reshape(lead + (1,) * l.ndim)
+    predicted = unit_root(np.multiply.outer(1 - lam, l), n)
+    return fid, np.abs(np.angle(ov / predicted))
 
 
 def _projected_density(rho: FockOperator, spec: CyclicSpec) -> np.ndarray:

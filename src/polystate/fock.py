@@ -193,12 +193,12 @@ def _rotation_phases(theta, n_max: int) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(theta, np.arange(n_max + 1)))
 
 
-def _rotated_copies(state: FockVector, n: int) -> np.ndarray:
-    """The (n x d) copies R(theta_r)|state>, r = 1..n: row r-1 holds
-    mu_n^(-((r-1) m mod n)) A_m, exact roots of unity rather than the
-    floating angles theta_r m that rotate would form."""
+def _rotated_copies(amps: np.ndarray, n: int) -> np.ndarray:
+    """The copies R(theta_r)|A>, r = 1..n, of amplitudes amps (..., d), shaped
+    (..., n, d): row r-1 holds mu_n^(-((r-1) m mod n)) A_m, exact roots of
+    unity rather than the floating angles theta_r m that rotate would form."""
     r = np.arange(n)[:, None]
-    return unit_root(-r * np.arange(state.n_max + 1), n) * state.amplitudes
+    return unit_root(-r * np.arange(amps.shape[-1]), n) * amps[..., None, :]
 
 
 def conjugate(state: FockVector) -> FockVector:

@@ -465,6 +465,8 @@ class BipartiteSpec:
         c = np.asarray(self.c, dtype=complex)
         if c.shape != (self.n,):
             raise ValueError(f"c must have length n={self.n}, got shape {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError(f"c must be finite, got {np.array2string(c, precision=3)}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
@@ -501,23 +503,32 @@ def reconstruct_rotated(pairs: Sequence[tuple[FockVector, NormalizationRecord]],
 
     pairs holds the (state, record) outputs of the superposition route, one
     per sector; each state's sector label is read off its support. All n
-    sectors must be present for the inversion to be exact.
+    sectors must be present for the inversion to be exact. This is the
+    one-family, one-r call of _reconstructions.
     """
     if not pairs:
         raise ValueError("no sector states to reconstruct from")
-    acc = np.zeros(pairs[0][0].n_max + 1, dtype=complex)
-    seen = set()
-    for state, record in pairs:
-        lam = int(np.argmax(np.abs(state.amplitudes)) % n) + 1
-        seen.add(lam)
-        weight = unit_root((1 - r) * (lam - 1), n) / (n * record.n_lambda)
-        acc += weight * state.amplitudes
-    missing = sorted(set(range(1, n + 1)) - seen)
-    if missing:
+    states = np.array([state.amplitudes for state, _ in pairs])
+    n_lambda = np.array([record.n_lambda for _, record in pairs])
+    return FockVector(pairs[0][0].n_max, _reconstructions(states, n_lambda, n, [r])[0])
+
+
+def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.ndarray:
+    """R(theta_r)|phi> for every element index in the 1-D r, from a stack of
+    families: the superposition route's unit states (..., L, d) with their
+    records' n_lambda (..., L). Returns (..., r.size, d), one weight product
+    mu_n^((1-r)(lam-1)) / (n n_lambda) with the states per family. Each
+    state's lam is read off its support; a family without all n sectors
+    raises EmptyRepresentationError naming the first such family's first
+    missing lam."""
+    lam = np.argmax(np.abs(states), axis=-1) % n + 1
+    seen = (lam[..., None] == np.arange(1, n + 1)).any(axis=-2)
+    if not seen.all():
         raise EmptyRepresentationError(
-            n, missing[0], np.zeros(n),
+            n, int(np.argmax(~seen)) % n + 1, np.zeros(n),
             detail="reconstruction needs every sector")
-    return FockVector(pairs[0][0].n_max, acc)
+    k = (1 - np.asarray(r))[:, None] * (lam - 1)[..., None, :]
+    return (unit_root(k, n) / (n * n_lambda[..., None, :])) @ states
 
 
 @dataclass(frozen=True)
@@ -568,8 +579,8 @@ def linear_entropy_gram(spec: BipartiteSpec) -> float:
     residue-class or FFT algebra, so it stays independent of the Hankel
     route. Requires a normalized spec.
     """
-    a = _rotated_copies(spec.seed_1, spec.n)
-    b = _rotated_copies(spec.seed_2, spec.n)
+    a = _rotated_copies(spec.seed_1.amplitudes, spec.n)
+    b = _rotated_copies(spec.seed_2.amplitudes, spec.n)
     xa = (np.outer(spec.c, spec.c.conj()) * (b @ b.conj().T)) @ (a.conj() @ a.T)
     return 1.0 - float(np.sum(xa * xa.T).real)
 
@@ -589,7 +600,7 @@ def linear_entropy_oracle(spec: BipartiteSpec,
         raise MemoryGuardError(
             f"joint amplitude matrix needs {d1 * d2} entries, "
             f"budget is {memory_budget}")
-    t = (_rotated_copies(spec.seed_1, spec.n).T * spec.c) @ _rotated_copies(
-        spec.seed_2, spec.n)
+    a = _rotated_copies(spec.seed_1.amplitudes, spec.n)
+    t = (a.T * spec.c) @ _rotated_copies(spec.seed_2.amplitudes, spec.n)
     rho_1 = t @ t.conj().T
     return 1.0 - float(np.sum(np.abs(rho_1) ** 2))  # Tr rho^2, rho Hermitian

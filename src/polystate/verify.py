@@ -30,6 +30,7 @@ from .fock import (
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
+    _rotation_checks,
     _superpositions,
     annihilation_irrep_shift,
     circle_limit,
@@ -40,7 +41,6 @@ from .cyclic import (
     density_route_gap,
     dihedral_state,
     normalization_record,
-    rotation_phase_check,
 )
 from .gaussian import (
     GaussianParams,
@@ -57,12 +57,12 @@ from .gaussian import (
 from .observables import (
     BipartiteSpec,
     _fano,
+    _reconstructions,
     bipartite_normalize,
     linear_entropy,
     linear_entropy_gram,
     linear_entropy_oracle,
     mandel,
-    reconstruct_rotated,
     wigner,
     wigner_direct,
     wigner_normalization_error,
@@ -120,35 +120,37 @@ _SUITE2_ORDERS = (2, 3, 5, 8)
 _SUITE2_SEEDS = 50
 
 
-def _orbit_family(phi: FockVector, n: int):
-    """(state, record) for lam = 1..n by the character-weighted orbit route.
+def _orbit_families(amps: np.ndarray, n: int):
+    """(states, raw_norm, n_lambda) for lam = 1..n of each seed in the stack
+    amps, by the character-weighted orbit route.
 
     The suites test the character construction itself, so they build their
     families here rather than with the closed-form cyclic_set. Random seeds
     carry weight in every sector.
     """
-    return _superpositions(phi, n, range(1, n + 1))
+    return _superpositions(amps, n, range(1, n + 1))
+
+
+def _random_stack(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The amplitudes of count successive _random_state draws, stacked."""
+    return np.array([_random_state(rng).amplitudes for _ in range(count)])
 
 
 def _suite2_states(seed: int):
-    """The (n -> list of cyclic families) shared by suites 2 and 4."""
+    """n -> the stacked orbit families (states (50, n, d), raw_norm,
+    n_lambda) of 50 random seeds, shared by suites 2 and 4."""
     rng = np.random.default_rng(seed)
-    fam = {}
-    for n in _SUITE2_ORDERS:
-        fam[n] = [_orbit_family(_random_state(rng), n) for _ in range(_SUITE2_SEEDS)]
-    return fam
+    return {n: _orbit_families(_random_stack(rng, _SUITE2_SEEDS), n)
+            for n in _SUITE2_ORDERS}
 
 
 def suite_orthonormality(seed: int = DEFAULT_SEED):
     out = []
-    for n, sets in _suite2_states(seed).items():
-        worst = 0.0
-        for pairs in sets:
-            amps = np.array([s.amplitudes for s, _ in pairs])
-            worst = max(worst, float(np.abs(amps.conj() @ amps.T - np.eye(n)).max()))
+    for n, (states, _, _) in _suite2_states(seed).items():
+        gram = states.conj() @ np.swapaxes(states, -1, -2)
         out.append(_row("orthonormality", f"gram n={n}",
                         f"{_SUITE2_SEEDS} random seeds: cyclic family is orthonormal",
-                        worst, 1e-10))
+                        float(np.abs(gram - np.eye(n)).max()), 1e-10))
     return out
 
 
@@ -181,13 +183,12 @@ def suite_erasure(seed: int = DEFAULT_SEED):
 
 def suite_rotation(seed: int = DEFAULT_SEED):
     worst_fid = worst_phase = 0.0
-    for n, sets in _suite2_states(seed).items():
-        elements = np.arange(1, n + 1)
-        for pairs in sets:
-            for lam, (state, _) in enumerate(pairs, 1):
-                fid, phase = rotation_phase_check(state, CyclicSpec(n, lam), elements)
-                worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
-                worst_phase = max(worst_phase, float(phase.max()))
+    for n, (states, _, _) in _suite2_states(seed).items():
+        # every (seed, lam) row against every group element l = 1..n
+        fid, phase = _rotation_checks(np.abs(states) ** 2, n, np.arange(1, n + 1),
+                                      np.arange(1, n + 1))
+        worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
+        worst_phase = max(worst_phase, float(phase.max()))
     return [
         _row("rotation", "modulus",
              "every group element holds each cyclic state fixed up to phase",
@@ -442,12 +443,10 @@ def suite_inverse(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in range(2, 7):
-        for _ in range(20):
-            phi = _random_state(rng)
-            pairs = _orbit_family(phi, n)
-            for r, target in enumerate(_rotated_copies(phi, n), 1):
-                rec = reconstruct_rotated(pairs, n, r)
-                worst = max(worst, float(np.abs(rec.amplitudes - target).max()))
+        amps = _random_stack(rng, 20)
+        states, _, n_lambda = _orbit_families(amps, n)
+        rec = _reconstructions(states, n_lambda, n, np.arange(1, n + 1))
+        worst = max(worst, float(np.abs(rec - _rotated_copies(amps, n)).max()))
     return [_row("inverse", "seed recovery",
                  "weighted sector sums reproduce every rotated seed, n <= 6",
                  worst, 1e-10)]

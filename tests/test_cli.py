@@ -608,6 +608,21 @@ def test_entangle_group_order_below_one_is_exit_3(tmp_path, capsys):
     assert "group order n must be >= 1, got 0" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("c", [[1e309, 1.0], [1.0, complex(0.0, np.nan)]])
+def test_entangle_non_finite_c_is_exit_3(tmp_path, capsys, c):
+    # rejected when the spec is read: no numpy warning, one line naming c
+    seed = coherent(1.0, 8)
+    src = write_bipartite(tmp_path / "spec.json", 2, c, seed, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("entangle", "--input", src) == 3
+    assert "malformed bipartite spec (c must be finite, got [" in one_line_error(capsys)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "polystate.cli",
+         "entangle", "--input", src], capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_entangle_reads_c_as_a_ray(tmp_path):
     # c is a ray, as state files are: power-of-two copies whose sum |c|^2
     # underflows or overflows write the bytes of the unscaled c, other

@@ -162,7 +162,7 @@ def test_superposition_route_on_light_sectors():
     ("annihilation", annihilation_irrep_shift, 1),
     # the all-lam family call names the one row that leaks
     ("superposition",
-     lambda phi, spec: cyclic._superpositions(phi, spec.n, range(1, spec.n + 1)), 2),
+     lambda phi, spec: cyclic._superpositions(phi.amplitudes, spec.n, range(1, spec.n + 1)), 2),
 ])
 def test_leakage_failure_names_its_threshold(route, construct, lam):
     # a random seed whose class 1 mod 3 (the lam = 2 sector) is scaled by 1e-11
@@ -178,17 +178,19 @@ def test_leakage_failure_names_its_threshold(route, construct, lam):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_superposition_family_matches_one_lam_calls(n):
-    # all n orbit sums from one character-table product against one call per lam
-    amps = np.random.default_rng(n).normal(size=(2, 65)).T @ [1, 1j]
-    phi = from_amplitudes(amps / np.linalg.norm(amps))
-    family = cyclic._superpositions(phi, n, range(1, n + 1))
-    assert len(family) == n
-    for lam, (state, record) in enumerate(family, 1):
-        one, one_record = cyclic_superposition(phi, CyclicSpec(n, lam))
-        assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-15
-        assert abs(record.raw_norm - one_record.raw_norm) <= 1e-15 * one_record.raw_norm
-        assert abs(record.n_lambda - one_record.n_lambda) <= 1e-15 * abs(one_record.n_lambda)
-        assert record.phase_convention == one_record.phase_convention
+    # the families of 50 seeds from one character-table product against one
+    # call per seed and lam
+    amps = np.random.default_rng(n).normal(size=(50, 65, 2)) @ [1, 1j]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    states, raw_norm, n_lambda = cyclic._superpositions(amps, n, range(1, n + 1))
+    assert states.shape == (50, n, 65) and raw_norm.shape == n_lambda.shape == (50, n)
+    for seed, family, norms, constants in zip(amps, states, raw_norm, n_lambda):
+        phi = from_amplitudes(seed)
+        for lam, (state, norm, constant) in enumerate(zip(family, norms, constants), 1):
+            one, record = cyclic_superposition(phi, CyclicSpec(n, lam))
+            assert np.abs(state - one.amplitudes).max() <= 1e-15
+            assert abs(norm - record.raw_norm) <= 1e-15 * record.raw_norm
+            assert abs(constant - record.n_lambda) <= 1e-15 * abs(record.n_lambda)
 
 
 def test_superposition_family_names_its_empty_sector():
@@ -196,27 +198,47 @@ def test_superposition_family_names_its_empty_sector():
     amps[2::5] = 0.0  # class 2 mod 5, the lam = 3 sector of C_5
     phi = from_amplitudes(amps / np.linalg.norm(amps))
     with pytest.raises(EmptyRepresentationError) as exc:
-        cyclic._superpositions(phi, 5, range(1, 6))
+        cyclic._superpositions(phi.amplitudes, 5, range(1, 6))
     assert exc.value.lam == 3 and "(n=5, lam=3)" in str(exc.value)
     assert exc.value.masses[2] == 0.0
 
 
+def test_superposition_stack_names_its_first_failing_row():
+    # C_3 seeds: one good, one with an empty lam = 3 sector (class 2 mod 3)
+    # and one whose light lam = 2 sector (class 1 mod 3, scaled by 1e-11)
+    # leaks; the first failing (seed, lam) in stack order is the one named
+    good, empty, leaky = np.random.default_rng(0).normal(size=(3, 33, 2)) @ [1, 1j]
+    empty[2::3] = 0.0
+    leaky[1::3] *= 1e-11
+    good, empty, leaky = (a / np.linalg.norm(a) for a in (good, empty, leaky))
+    for stack in (np.array([good, empty, leaky]), np.array([[good, good], [good, empty]])):
+        with pytest.raises(EmptyRepresentationError) as exc:
+            cyclic._superpositions(stack, 3, range(1, 4))
+        assert exc.value.lam == 3
+        np.testing.assert_array_equal(exc.value.masses,
+                                      fock.residue_class_masses(from_amplitudes(empty), 3))
+    with pytest.raises(AssertionError, match=r"superposition route for \(n=3, lam=2\)"):
+        cyclic._superpositions(np.array([good, leaky, empty]), 3, range(1, 4))
+
+
 def test_verify_families_take_one_product_each(monkeypatch):
-    # the orthonormality, rotation and inverse suites build every family by
-    # one _superpositions call, never by one cyclic_superposition per lam
+    # the orthonormality, rotation and inverse suites build the families of
+    # each group order's whole seed stack by one _superpositions call, never by
+    # one call per seed or one cyclic_superposition per lam
     import polystate.verify as verify
 
     calls = []
 
-    def counted(phi, n, lams):
-        calls.append(n)
-        return cyclic._superpositions(phi, n, lams)
+    def counted(amps, n, lams):
+        calls.append((amps.shape, n))
+        return cyclic._superpositions(amps, n, lams)
 
     monkeypatch.setattr(verify, "_superpositions", counted)
     monkeypatch.setattr(verify, "cyclic_superposition", None)
     rows = verify.suite_orthonormality() + verify.suite_rotation() + verify.suite_inverse()
     assert all(r.passed for r in rows)
-    assert len(calls) == 2 * 4 * 50 + 5 * 20
+    assert calls == 2 * [((50, 65), n) for n in (2, 3, 5, 8)] + [
+        ((20, 65), n) for n in range(2, 7)]
 
 
 def test_cyclic_set_matches_superposition_route():
@@ -348,6 +370,30 @@ def test_rotation_array_matches_scalar_calls():
     # off the sector the modulus drops below 1 and the array shows which element
     fid, _ = rotation_phase_check(phi, CyclicSpec(4, 1), np.arange(1, 5))
     assert fid[-1] == pytest.approx(1.0, abs=1e-14) and (fid[:-1] < 0.9).all()
+
+
+@pytest.mark.parametrize("block", [None, 500])
+def test_rotation_stack_matches_one_state_calls(monkeypatch, block):
+    # the stacked kernel over (seed, lam) rows and all elements gives each
+    # state's rotation_phase_check floats bit for bit, in one block of rows
+    # or in blocks of one or two rows
+    if block is not None:
+        monkeypatch.setattr(cyclic, "_ROTATION_BLOCK", block)
+    amps = np.random.default_rng(9).normal(size=(6, 41, 2)) @ [1, 1j]
+    for n in (1, 3, 5):
+        states, _, _ = cyclic._superpositions(amps, n, range(1, n + 1))
+        elements = np.arange(-2, n + 3)
+        fid, phase = cyclic._rotation_checks(np.abs(states) ** 2, n, np.arange(1, n + 1),
+                                             elements)
+        assert fid.shape == phase.shape == (6, n, elements.size)
+        for family, f_rows, p_rows in zip(states, fid, phase):
+            for lam, (state, f, p) in enumerate(zip(family, f_rows, p_rows), 1):
+                psi = from_amplitudes(state)
+                one_f, one_p = rotation_phase_check(psi, CyclicSpec(n, lam), elements)
+                np.testing.assert_array_equal(f, one_f)
+                np.testing.assert_array_equal(p, one_p)
+        # no elements, no checks
+        assert cyclic._rotation_checks(np.abs(states) ** 2, n, 1, [])[0].shape == (6, n, 0)
 
 
 def test_rotation_phase_exact_at_order_64():

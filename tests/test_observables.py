@@ -8,12 +8,13 @@ import pytest
 from polystate.cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
+    _superpositions,
     cyclic_set,
     cyclic_superposition,
 )
 import polystate.observables as observables
 from polystate.cli import main
-from polystate.fock import (basis_state, coherent, from_amplitudes,
+from polystate.fock import (_rotated_copies, basis_state, coherent, from_amplitudes,
                             residue_class_masses, rotate, vector_from_dict)
 from polystate.group import theta
 from polystate.observables import (
@@ -21,6 +22,7 @@ from polystate.observables import (
     _digit_tables,
     _e12_fields,
     _fano,
+    _reconstructions,
     MemoryGuardError,
     WignerGrid,
     bipartite_norm_squared,
@@ -769,6 +771,23 @@ def test_reconstruct_every_element():
         out = reconstruct_rotated(pairs, 5, r)
         target = rotate(seed, theta(5, r))
         assert np.abs(out.amplitudes - target.amplitudes).max() < 1e-10
+
+
+def test_reconstruct_stack_matches_one_r_calls():
+    # every R(theta_r)|phi> of a stack of families from one weight product
+    # against reconstruct_rotated per family and r
+    amps = np.random.default_rng(11).normal(size=(4, 33, 2)) @ [1, 1j]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    for n in (1, 2, 5):
+        states, _, n_lambda = _superpositions(amps, n, range(1, n + 1))
+        rec = _reconstructions(states, n_lambda, n, np.arange(1, n + 1))
+        assert rec.shape == (4, n, 33)
+        for seed, rows in zip(amps, rec):
+            pairs = [cyclic_superposition(from_amplitudes(seed), CyclicSpec(n, lam))
+                     for lam in range(1, n + 1)]
+            for r, row in enumerate(rows, 1):
+                assert np.abs(row - reconstruct_rotated(pairs, n, r).amplitudes).max() <= 1e-15
+            np.testing.assert_allclose(rows, _rotated_copies(seed, n), rtol=0, atol=1e-14)
 
 
 def test_reconstruct_missing_sector():
