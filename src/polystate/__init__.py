@@ -6,173 +6,15 @@ character-weighted superposition of rotated copies, plus the observables
 used to certify them: Wigner functions, Mandel parameter, and bipartite
 linear entropy.
 """
-from .group import (
-    character,
-    character_orthogonality_report,
-    mu,
-    root_sum,
-    theta,
-    unit_root,
-)
-from .fock import (
-    TAIL_TOL,
-    FockOperator,
-    FockVector,
-    QuadratureMeans,
-    annihilate,
-    basis_state,
-    coherent,
-    conjugate,
-    default_n_max,
-    fidelity,
-    from_amplitudes,
-    inner,
-    inversion,
-    normalize,
-    pure_density,
-    quadrature_means,
-    residue_class_masses,
-    rotate,
-    sector_mask,
-    vector_from_dict,
-    vector_to_dict,
-)
-from .cyclic import (
-    CyclicSpec,
-    EmptyRepresentationError,
-    NormalizationRecord,
-    annihilation_irrep_shift,
-    circle_limit,
-    circle_limit_quadrature_gap,
-    cyclic_density,
-    cyclic_erasure,
-    cyclic_set,
-    cyclic_state,
-    cyclic_superposition,
-    density_route_gap,
-    dihedral_gram,
-    dihedral_inversion_check,
-    dihedral_state,
-    normalization_record,
-    rotation_phase_check,
-)
-from .gaussian import (
-    EMBED_TAIL_TOL,
-    GaussianMoments,
-    GaussianParams,
-    c2_closed_form,
-    cyclic_gaussian,
-    cyclic_gaussian_wavefunction,
-    fock_wavefunction,
-    gaussian_to_fock,
-    gaussian_to_fock_quadrature,
-    hermite_functions,
-    moments,
-    rotate_params,
-    wavefunction,
-)
-from .observables import (
-    BipartiteSpec,
-    EntanglementResult,
-    MemoryGuardError,
-    WignerGrid,
-    bipartite_norm_squared,
-    bipartite_normalize,
-    linear_entropy,
-    linear_entropy_gram,
-    linear_entropy_oracle,
-    mandel,
-    reconstruct_rotated,
-    wigner,
-    wigner_direct,
-    wigner_normalization_error,
-    wigner_points,
-    wigner_reflection_residual,
-    write_wigner_csv,
-)
-from .verify import CheckRow, DEFAULT_SEED, SUITES, format_report, run_suites
+from . import cyclic, fock, gaussian, group, observables, verify
+from .group import *
+from .fock import *
+from .cyclic import *
+from .gaussian import *
+from .observables import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "character",
-    "character_orthogonality_report",
-    "mu",
-    "root_sum",
-    "unit_root",
-    "theta",
-    "TAIL_TOL",
-    "FockOperator",
-    "FockVector",
-    "QuadratureMeans",
-    "annihilate",
-    "basis_state",
-    "coherent",
-    "conjugate",
-    "default_n_max",
-    "fidelity",
-    "from_amplitudes",
-    "inner",
-    "inversion",
-    "normalize",
-    "pure_density",
-    "quadrature_means",
-    "residue_class_masses",
-    "rotate",
-    "sector_mask",
-    "vector_from_dict",
-    "vector_to_dict",
-    "CyclicSpec",
-    "EmptyRepresentationError",
-    "NormalizationRecord",
-    "annihilation_irrep_shift",
-    "circle_limit",
-    "circle_limit_quadrature_gap",
-    "cyclic_density",
-    "cyclic_erasure",
-    "cyclic_set",
-    "cyclic_state",
-    "cyclic_superposition",
-    "density_route_gap",
-    "dihedral_gram",
-    "dihedral_inversion_check",
-    "dihedral_state",
-    "normalization_record",
-    "rotation_phase_check",
-    "EMBED_TAIL_TOL",
-    "GaussianMoments",
-    "GaussianParams",
-    "c2_closed_form",
-    "cyclic_gaussian",
-    "cyclic_gaussian_wavefunction",
-    "fock_wavefunction",
-    "gaussian_to_fock",
-    "gaussian_to_fock_quadrature",
-    "hermite_functions",
-    "moments",
-    "rotate_params",
-    "wavefunction",
-    "BipartiteSpec",
-    "EntanglementResult",
-    "MemoryGuardError",
-    "WignerGrid",
-    "bipartite_norm_squared",
-    "bipartite_normalize",
-    "linear_entropy",
-    "linear_entropy_gram",
-    "linear_entropy_oracle",
-    "mandel",
-    "reconstruct_rotated",
-    "wigner",
-    "wigner_direct",
-    "wigner_normalization_error",
-    "wigner_points",
-    "wigner_reflection_residual",
-    "write_wigner_csv",
-    "CheckRow",
-    "DEFAULT_SEED",
-    "SUITES",
-    "format_report",
-    "run_suites",
-    "__version__",
-]
+__all__ = [name for module in (group, fock, cyclic, gaussian, observables, verify)
+           for name in module.__all__] + ["__version__"]

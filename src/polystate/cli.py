@@ -241,8 +241,8 @@ def _add_seed_flags(p: argparse.ArgumentParser) -> None:
                    metavar=("A_RE", "A_IM", "B_RE", "B_IM"),
                    help="Gaussian seed exp(-a x^2 + b x)")
     p.add_argument("--n-max", type=int, default=None,
-                   help="truncation for constructed seeds (default: "
-                        "POLYSTATE_NMAX or 64; file input keeps its own)")
+                   help="truncation for constructed seeds (default: 64; "
+                        "file input keeps its own)")
     p.add_argument("--output", help="write here instead of stdout")
 
 

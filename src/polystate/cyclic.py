@@ -145,21 +145,17 @@ def _superpositions(amps: np.ndarray, n: int, lams
     Returns the unit states (..., L, d) and their records' raw_norm and
     n_lambda, each (..., L). The empty-sector and leakage checks run over the
     whole stack; the first failing (seed, lam) in C order raises, as one
-    call per seed and lam in that order would. The norms and the scaling
-    take the per-row bits of the one-row call.
+    call per seed and lam in that order would.
     """
     lams = np.asarray(lams)
     chi = unit_root(np.multiply.outer(lams - 1, np.arange(n)), n)
     states = chi @ _rotated_copies(amps, n)
-    raw_norm = _norms(states)
+    raw_norm = np.linalg.norm(states, axis=-1)
     empty = raw_norm < _EMPTY_TOL
-    # Python-int exponents and real / real per part: the bits of the one-row
-    # call's Python complex mu_n^(lam-1) over a float
-    phase = np.array([complex(unit_root(lam - 1, n)) for lam in lams.tolist()])
     scale = np.where(empty, 1.0, raw_norm)  # empty rows raise below
-    n_lambda = phase.real / scale + 1j * (phase.imag / scale)
+    n_lambda = unit_root(lams - 1, n) / scale
     states = n_lambda[..., None] * states
-    off = _norms(np.where(sector_mask(amps.shape[-1] - 1, n, lams[:, None]), 0, states))
+    off = _off_class(states, n, lams)
     failed = empty | (off > _LEAK_TOL)
     if failed.any():
         first = np.unravel_index(np.argmax(failed), failed.shape)
@@ -171,26 +167,18 @@ def _superpositions(amps: np.ndarray, n: int, lams
     return states, raw_norm, n_lambda
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of x (..., d), bit for bit: the same two
-    real dot products, as one (1 x d) @ (d x 1) product per row."""
-    re, im = x.real, x.imag
-    sq = re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None]
-    return np.sqrt(sq[..., 0, 0])
+def _off_class(states: np.ndarray, n: int, lam) -> np.ndarray:
+    """The norm of each row of states (..., d) off its residue class
+    m = lam - 1 (mod n), lam an int or an array broadcast against
+    states.shape[:-1]."""
+    keep = sector_mask(states.shape[-1] - 1, n, np.asarray(lam)[..., None])
+    return np.linalg.norm(np.where(keep, 0, states), axis=-1)
 
 
 def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
     return AssertionError(
         f"off-class leakage {off:.3e} in the {route} route for (n={n}, "
         f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
-
-
-def _check_leakage(amps: np.ndarray, n: int, lam: int, route: str) -> None:
-    """AssertionError when the unit vector amps has norm above _LEAK_TOL off
-    the residue class m = lam - 1 (mod n)."""
-    off = float(np.linalg.norm(amps[~sector_mask(amps.size - 1, n, lam)]))
-    if off > _LEAK_TOL:
-        raise _leakage_error(off, n, lam, route)
 
 
 def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
@@ -437,5 +425,7 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
             n, new_lam, _class_sums(np.abs(psi.amplitudes) ** 2, n),
             detail="annihilation gives the zero vector")
     amps = lowered.amplitudes / nrm
-    _check_leakage(amps, n, new_lam, "annihilation")
+    off = float(_off_class(amps, n, new_lam))
+    if off > _LEAK_TOL:
+        raise _leakage_error(off, n, new_lam, "annihilation")
     return FockVector(psi.n_max, amps, psi.tail_flagged), new_lam

@@ -9,7 +9,6 @@ With these choices the coherent state with real alpha > 0 has
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .group import unit_root
 
 __all__ = [
     "TAIL_TOL",
-    "default_n_max",
     "FockVector",
     "FockOperator",
     "QuadratureMeans",
@@ -44,15 +42,6 @@ __all__ = [
 TAIL_TOL = 1e-10
 
 
-def default_n_max() -> int:
-    """Default truncation, 64 unless overridden by the POLYSTATE_NMAX env var."""
-    text = os.environ.get("POLYSTATE_NMAX", "64")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"POLYSTATE_NMAX must be an integer, got {text!r}") from None
-
-
 @dataclass(frozen=True)
 class FockVector:
     """State vector on |0>..|n_max|; amplitudes has length n_max + 1.
@@ -72,7 +61,7 @@ class FockVector:
             raise ValueError(
                 f"amplitudes must have length n_max+1={self.n_max + 1}, got {amps.shape}"
             )
-        if not np.isfinite(amps.view(float)).all():
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)  # value semantics
         object.__setattr__(self, "amplitudes", amps)
@@ -99,7 +88,7 @@ class FockOperator:
         d = self.n_max + 1
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {mat.shape}")
-        if not np.isfinite(mat.view(float)).all():
+        if not np.isfinite(mat).all():
             raise ValueError("matrix entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -131,9 +120,9 @@ def from_amplitudes(amps, n_max: int | None = None) -> FockVector:
 
 
 def _checked_n_max(n_max: int | None) -> int:
-    """n_max, or the default when None; a negative truncation raises ValueError."""
+    """n_max, or the default 64 when None; a negative truncation raises ValueError."""
     if n_max is None:
-        n_max = default_n_max()
+        n_max = 64
     if n_max < 0:
         raise ValueError(f"truncation n_max={n_max} must be >= 0")
     return n_max
@@ -263,9 +252,10 @@ def _class_sums(p: np.ndarray, n: int) -> np.ndarray:
 
 
 def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
-    """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n)."""
-    return np.bincount(np.arange(state.n_max + 1) % n,
-                       weights=np.abs(state.amplitudes) ** 2, minlength=n)
+    """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n), the
+    _class_sums of |A_m|^2 with zeros for the classes past n_max."""
+    w = _class_sums(np.abs(state.amplitudes) ** 2, n)
+    return np.concatenate((w, np.zeros(n - w.size)))
 
 
 def pure_density(state: FockVector) -> FockOperator:
@@ -309,8 +299,9 @@ def _ray_scale(amps: np.ndarray) -> np.ndarray:
     [1/2, 1): the same ray with a squared norm that is."""
     if np.finfo(float).tiny <= np.vdot(amps, amps).real < np.inf:
         return amps
-    _, e = np.frexp(np.abs(amps.view(float)).max())
-    return np.ldexp(amps.view(float), -e).view(complex)
+    parts = np.ascontiguousarray(amps).view(float)
+    _, e = np.frexp(np.abs(parts).max())
+    return np.ldexp(parts, -e).view(complex)
 
 
 def vector_from_dict(data: dict) -> FockVector:

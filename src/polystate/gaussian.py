@@ -45,6 +45,7 @@ from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
 from .group import character, theta, unit_root
 
 __all__ = [
+    "EMBED_TAIL_TOL",
     "GaussianParams",
     "GaussianMoments",
     "wavefunction",

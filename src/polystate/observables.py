@@ -73,6 +73,8 @@ _CSV_BLOCK = 2 ** 13
 # Distance from 1/2 within which _e12_fields leaves a mantissa's rounding to
 # Python: over twice its 2.3e-3 error bound.
 _ROUND_MARGIN = 0.005
+# Most entries of linear_entropy_oracle's joint amplitude matrix.
+_ORACLE_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -471,20 +473,30 @@ class BipartiteSpec:
         object.__setattr__(self, "c", c)
 
 
-def _rotated_gram(seed: FockVector, n: int) -> np.ndarray:
-    """g[r'-1, r-1] = <R_{r'} seed | R_r seed>.
+def _sector_matrix(spec: BipartiteSpec) -> np.ndarray:
+    """The Hankel sector matrix G of the two-mode state: its amplitudes on the
+    products |la>|lb> of the seeds' unit sector states.
 
-    Circulant in r - r': g[i, j] = sum_l w_l mu_n^(-(j-i) l), the FFT of the
-    residue-class masses w_l (class l holds m = l mod n).
+    Each rotated seed expands over its sectors as
+    R_r|seed> = sum_lam mu_n^(-(r-1)(lam-1)) sqrt(w_lam) |lam>, with w_lam
+    the seed's residue-class masses, so
+    G[la, lb] = sqrt(w1_la) sqrt(w2_lb) FFT(c)[k mod n] mu_n^(-k),
+    k = la + lb - 2: the sum over r = 1..n of the per-element matrices
+    c_r sqrt(w1_la) sqrt(w2_lb) mu_n^(-r k). Empty sectors give zero rows
+    and columns.
     """
-    h = np.fft.fft(residue_class_masses(seed, n))
+    n = spec.n
     k = np.arange(n)
-    return h[(k[None, :] - k[:, None]) % n]
+    ksum = k[:, None] + k[None, :]
+    amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
+                   np.sqrt(residue_class_masses(spec.seed_2, n)))
+    return amp * np.fft.fft(spec.c)[ksum % n] * unit_root(-ksum, n)
 
 
 def bipartite_norm_squared(spec: BipartiteSpec) -> float:
-    g = _rotated_gram(spec.seed_1, spec.n) * _rotated_gram(spec.seed_2, spec.n)
-    return float(np.real(np.conj(spec.c) @ g @ spec.c))
+    """||Psi||^2 = sum |G|^2 over the sector matrix: the sector states of
+    distinct lam are orthonormal."""
+    return float(np.sum(np.abs(_sector_matrix(spec)) ** 2))
 
 
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
@@ -542,24 +554,11 @@ class EntanglementResult:
 def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     """Reduced-state linear entropy of the two-mode superposition.
 
-    Expands each rotated seed over its symmetry sectors,
-    R_r|seed> = sum_lam mu_n^(-(r-1)(lam-1)) sqrt(w_lam) |lam>, with w_lam the
-    seed's residue-class masses. Since sector states of distinct lam are
-    orthonormal, the reduced density matrix in that basis is G G^dag with
-    the Hankel sector matrix
-    G[la, lb] = sqrt(w1_la) sqrt(w2_lb) FFT(c)[k mod n] mu_n^(-k),
-    k = la + lb - 2: the sum over r = 1..n of the per-element matrices
-    c_r sqrt(w1_la) sqrt(w2_lb) mu_n^(-r k). Empty sectors contribute zero
-    rows and columns. Requires a normalized spec (run bipartite_normalize
-    first).
+    The reduced density matrix in the seeds' sector basis is G G^dag, with G
+    the Hankel sector matrix (_sector_matrix). Seeds with empty sectors are
+    accepted. Requires a normalized spec (run bipartite_normalize first).
     """
-    n = spec.n
-    k = np.arange(n)
-    ksum = k[:, None] + k[None, :]
-    amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
-                   np.sqrt(residue_class_masses(spec.seed_2, n)))
-    g = amp * np.fft.fft(spec.c)[ksum % n] * unit_root(-ksum, n)
-
+    g = _sector_matrix(spec)
     total = float(np.sum(np.abs(g) ** 2))
     if abs(total - 1.0) > 1e-8:
         raise ValueError(
@@ -585,21 +584,20 @@ def linear_entropy_gram(spec: BipartiteSpec) -> float:
     return 1.0 - float(np.sum(xa * xa.T).real)
 
 
-def linear_entropy_oracle(spec: BipartiteSpec,
-                          memory_budget: int = 2 ** 24) -> float:
+def linear_entropy_oracle(spec: BipartiteSpec) -> float:
     """Dense two-mode computation of the same quantity, for cross-checks.
 
     Builds the full (n_max+1)^2 joint amplitude matrix T = a^T diag(c) b
     from the rotated copies, so it refuses inputs whose T would exceed
-    memory_budget entries. Only verify (the entangle suite) and the tests
+    _ORACLE_BUDGET entries. Only verify (the entangle suite) and the tests
     call it; the CLI cross-checks with linear_entropy_gram.
     """
     d1 = spec.seed_1.n_max + 1
     d2 = spec.seed_2.n_max + 1
-    if d1 * d2 > memory_budget:
+    if d1 * d2 > _ORACLE_BUDGET:
         raise MemoryGuardError(
             f"joint amplitude matrix needs {d1 * d2} entries, "
-            f"budget is {memory_budget}")
+            f"budget is {_ORACLE_BUDGET}")
     a = _rotated_copies(spec.seed_1.amplitudes, spec.n)
     t = (a.T * spec.c) @ _rotated_copies(spec.seed_2.amplitudes, spec.n)
     rho_1 = t @ t.conj().T

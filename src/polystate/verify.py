@@ -30,6 +30,7 @@ from .fock import (
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
+    _off_class,
     _rotation_checks,
     _superpositions,
     annihilation_irrep_shift,
@@ -120,17 +121,6 @@ _SUITE2_ORDERS = (2, 3, 5, 8)
 _SUITE2_SEEDS = 50
 
 
-def _orbit_families(amps: np.ndarray, n: int):
-    """(states, raw_norm, n_lambda) for lam = 1..n of each seed in the stack
-    amps, by the character-weighted orbit route.
-
-    The suites test the character construction itself, so they build their
-    families here rather than with the closed-form cyclic_set. Random seeds
-    carry weight in every sector.
-    """
-    return _superpositions(amps, n, range(1, n + 1))
-
-
 def _random_stack(rng: np.random.Generator, count: int) -> np.ndarray:
     """The amplitudes of count successive _random_state draws, stacked."""
     return np.array([_random_state(rng).amplitudes for _ in range(count)])
@@ -138,9 +128,14 @@ def _random_stack(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _suite2_states(seed: int):
     """n -> the stacked orbit families (states (50, n, d), raw_norm,
-    n_lambda) of 50 random seeds, shared by suites 2 and 4."""
+    n_lambda) of 50 random seeds, shared by suites 2 and 4.
+
+    The suites test the character construction itself, so they build their
+    families by the orbit route (_superpositions) rather than with the
+    closed-form cyclic_set. Random seeds carry weight in every sector.
+    """
     rng = np.random.default_rng(seed)
-    return {n: _orbit_families(_random_stack(rng, _SUITE2_SEEDS), n)
+    return {n: _superpositions(_random_stack(rng, _SUITE2_SEEDS), n, range(1, n + 1))
             for n in _SUITE2_ORDERS}
 
 
@@ -444,7 +439,7 @@ def suite_inverse(seed: int = DEFAULT_SEED):
     worst = 0.0
     for n in range(2, 7):
         amps = _random_stack(rng, 20)
-        states, _, n_lambda = _orbit_families(amps, n)
+        states, _, n_lambda = _superpositions(amps, n, range(1, n + 1))
         rec = _reconstructions(states, n_lambda, n, np.arange(1, n + 1))
         worst = max(worst, float(np.abs(rec - _rotated_copies(amps, n)).max()))
     return [_row("inverse", "seed recovery",
@@ -532,8 +527,7 @@ def suite_coherent(seed: int = DEFAULT_SEED):
         for lam in range(1, n + 1):
             psi, _ = cyclic_superposition(coherent(alpha, 64), CyclicSpec(n, lam))
             shifted, new_lam = annihilation_irrep_shift(psi, CyclicSpec(n, lam))
-            off = np.linalg.norm(
-                shifted.amplitudes[~sector_mask(shifted.n_max, n, new_lam)])
+            off = _off_class(shifted.amplitudes, n, new_lam)
             expected = lam - 1 if lam >= 2 else n
             if new_lam != expected:
                 off = 1.0

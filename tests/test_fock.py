@@ -12,7 +12,6 @@ from polystate.fock import (
     basis_state,
     coherent,
     conjugate,
-    default_n_max,
     fidelity,
     from_amplitudes,
     inner,
@@ -235,11 +234,14 @@ def test_sector_mask_residue_class():
 def test_residue_class_masses_match_masks():
     rng = np.random.default_rng(3)
     st_ = random_state(rng)
-    for n in (1, 2, 5, 7, 40):  # n = 40 exceeds the 21 amplitudes
+    p = np.abs(st_.amplitudes) ** 2
+    for n in (1, 2, 5, 7, 21, 22, 40):  # from n = 22 on, past the 21 amplitudes
         w = residue_class_masses(st_, n)
-        p = np.abs(st_.amplitudes) ** 2
         expected = [p[sector_mask(st_.n_max, n, lam)].sum() for lam in range(1, n + 1)]
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-15)
+        # one class per photon number, then zeros for the classes past n_max
+        if n >= p.size:
+            np.testing.assert_array_equal(w, np.pad(p, (0, n - p.size)))
 
 
 def test_residue_class_masses_sum_to_one():
@@ -256,7 +258,7 @@ def test_coherent_zero_is_vacuum():
     np.testing.assert_array_equal(st_.amplitudes, basis_state(0, 10).amplitudes)
 
 
-def test_negative_n_max_rejected(monkeypatch):
+def test_negative_n_max_rejected():
     from polystate.gaussian import GaussianParams, gaussian_to_fock
 
     for build in (lambda n_max: coherent(1.0, n_max),
@@ -264,9 +266,6 @@ def test_negative_n_max_rejected(monkeypatch):
                   lambda n_max: gaussian_to_fock(GaussianParams(1.0, 1.0), n_max)):
         with pytest.raises(ValueError, match="n_max=-1"):
             build(-1)
-    monkeypatch.setenv("POLYSTATE_NMAX", "-3")
-    with pytest.raises(ValueError, match="n_max=-3"):
-        coherent(1.0)
 
 
 def test_coherent_mean_photon_number():
@@ -413,6 +412,25 @@ def test_tail_mass_is_relative_at_any_scale():
         assert from_amplitudes(np.zeros(9)).tail_mass == 0.0
 
 
+def test_strided_amplitudes_accepted():
+    # finiteness and ray scaling read views whose last axis is not contiguous
+    column = np.ones((9, 2), dtype=complex)[:, 0]
+    every_other = np.ones(18, dtype=complex)[::2]
+    for amps in (column, every_other):
+        st_ = from_amplitudes(amps)
+        np.testing.assert_array_equal(st_.amplitudes, np.ones(9))
+        assert st_.tail_mass == pytest.approx(1 / 9, rel=1e-15)
+    tiny = from_amplitudes(1e-200 * every_other)
+    assert tiny.tail_mass == pytest.approx(1 / 9, rel=1e-15)
+
+
+def test_transposed_matrix_accepted():
+    m = np.arange(16, dtype=complex).reshape(4, 4)
+    np.testing.assert_array_equal(FockOperator(3, m.T).matrix, m.T)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        FockOperator(3, np.where(m == 6, np.nan, m).T)
+
+
 def test_fock_vector_validation():
     with pytest.raises(ValueError):
         FockVector(3, np.zeros(3, dtype=complex))  # needs n_max + 1 entries
@@ -436,17 +454,12 @@ def test_amplitudes_immutable():
         st_.amplitudes[0] = 5.0
 
 
-def test_default_n_max_env(monkeypatch):
-    monkeypatch.delenv("POLYSTATE_NMAX", raising=False)
-    assert default_n_max() == 64
-    monkeypatch.setenv("POLYSTATE_NMAX", "48")
-    assert default_n_max() == 48
+def test_default_truncation_is_64():
+    from polystate.gaussian import GaussianParams, gaussian_to_fock
 
-
-def test_default_n_max_names_a_bad_value(monkeypatch):
-    monkeypatch.setenv("POLYSTATE_NMAX", "abc")
-    with pytest.raises(ValueError, match=r"^POLYSTATE_NMAX must be an integer, got 'abc'$"):
-        default_n_max()
+    assert coherent(1.0).n_max == 64
+    assert basis_state(3).n_max == 64
+    assert gaussian_to_fock(GaussianParams(1.0, 1.0)).n_max == 64
 
 
 def test_rotated_copies_on_exact_roots_of_unity():

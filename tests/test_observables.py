@@ -886,11 +886,15 @@ def test_linear_entropy_empty_sectors():
     assert np.abs(res.f_matrix[1::2]).max() == 0.0
 
 
-def test_oracle_memory_guard():
+def test_oracle_memory_guard(monkeypatch):
     spec = bipartite_normalize(BipartiteSpec(
         2, np.array([1.0, 1.0]), coherent(1.0, 32), coherent(1.0, 32)))
-    with pytest.raises(MemoryGuardError, match="budget"):
-        linear_entropy_oracle(spec, memory_budget=100)
+    monkeypatch.setattr(observables, "_ORACLE_BUDGET", 100)
+    with pytest.raises(MemoryGuardError, match="needs 1089 entries, budget is 100"):
+        linear_entropy_oracle(spec)
+    monkeypatch.setattr(observables, "_ORACLE_BUDGET", 33 * 33)
+    assert linear_entropy_oracle(spec) == pytest.approx(
+        linear_entropy_gram(spec), abs=1e-12)
 
 
 @pytest.mark.parametrize("n_max", [64, 128, 300])
@@ -910,7 +914,7 @@ def test_linear_entropy_gram_beyond_the_memory_guard():
     # only the n x d copies
     spec = bipartite_normalize(BipartiteSpec(
         2, np.array([1.0, 1.0]), coherent(1.0, 4096), coherent(1.0, 4096)))
-    with pytest.raises(MemoryGuardError):
+    with pytest.raises(MemoryGuardError, match="budget"):
         linear_entropy_oracle(spec)
     assert linear_entropy_gram(spec) == pytest.approx(
         linear_entropy(spec).s_linear, abs=1e-12)
