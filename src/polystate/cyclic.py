@@ -50,7 +50,6 @@ __all__ = [
     "cyclic_erasure",
     "cyclic_set",
     "normalization_record",
-    "rotation_phase_check",
     "cyclic_density",
     "density_route_gap",
     "circle_limit",
@@ -234,28 +233,20 @@ def cyclic_set(phi: FockVector, n: int
     return out
 
 
-def rotation_phase_check(psi: FockVector, spec: CyclicSpec, l):
-    """Apply l elementary rotations and compare against the predicted phase.
+def _rotation_checks(w: np.ndarray, n: int, lam, l) -> tuple[np.ndarray, np.ndarray]:
+    """Apply l elementary rotations to lam-sector states and compare against
+    the predicted phase.
 
     R(2 pi l / n) acting on the lam-sector state reproduces it up to the
-    phase mu_n^((1-lam) l). Returns (fidelity, phase_residual): fidelity is
-    |<psi|R|psi>| for the unit-normalized state, the residual is the angle
-    difference wrapped to (-pi, pi]. l = n is the identity element. An integer
-    array l gives arrays shaped like l, each entry its scalar call's float bit
-    for bit. This is the one-state call of _rotation_checks.
-    """
-    fid, diff = _rotation_checks(np.abs(psi.amplitudes) ** 2, spec.n, spec.lam, l)
-    return (float(fid), float(diff)) if fid.ndim == 0 else (fid, diff)
-
-
-def _rotation_checks(w: np.ndarray, n: int, lam, l) -> tuple[np.ndarray, np.ndarray]:
-    """rotation_phase_check's (fidelity, phase_residual) for a stack of
-    weights w = |A_m|^2 (..., d), one label per row in lam (an int or an array
-    broadcast against w.shape[:-1]) and the integer elements l, shaped
-    w.shape[:-1] + l.shape. All overlaps sum_m w_m mu_n^(-l m) come from the
-    products with one phase table, taken over blocks of rows and each
-    (row, element) summed on its own, so every entry is its one-state call's
-    float bit for bit."""
+    phase mu_n^((1-lam) l); l = n is the identity element. Returns
+    (fidelity, phase_residual): fidelity is |<psi|R|psi>| / <psi|psi>, the
+    residual is the angle difference wrapped to (-pi, pi]. Takes a stack of
+    weights w = |A_m|^2 (..., d), one label per row in lam (an int or an
+    array broadcast against w.shape[:-1]) and the integer elements l, and
+    returns arrays shaped w.shape[:-1] + l.shape. All overlaps
+    sum_m w_m mu_n^(-l m) come from the products with one phase table, taken
+    over blocks of rows and each (row, element) summed on its own, so every
+    entry is its one-row call's float bit for bit."""
     l, lam = np.asarray(l), np.asarray(lam)
     lead, d = w.shape[:-1], w.shape[-1]
     table = unit_root(-np.multiply.outer(l.ravel(), np.arange(d)), n)
@@ -374,7 +365,7 @@ def dihedral_inversion_check(gamma: FockVector, spec: CyclicSpec, l: int
                              ) -> tuple[float, complex]:
     """Apply the inversion U_l = C R(2 pi l / n); return (fidelity, phase).
 
-    l counts elementary rotation units, matching rotation_phase_check. The
+    l counts elementary rotation units, matching _rotation_checks. The
     sum variant reproduces itself with phase mu_n^((lam-1) l), the
     difference variant with the opposite sign (its amplitudes are purely
     imaginary, and U is antilinear in the global phase, so the sign is a

@@ -27,7 +27,8 @@ oracle for verify and the tests, batched over seeds by _quadrature_rows.
 The recurrence holds elementwise for any number of seeds, so verify embeds
 its seed grids (the mandel suite's 1680-point b scans and the gaussian
 suite's 1680 rotated seeds) through one array recurrence, _embedding_rows.
-A single seed keeps the Python-scalar loop of gaussian_to_fock: at
+A single seed keeps the Python-scalar loop of gaussian_to_fock
+(fock._yuen_amplitudes, which fock.coherent shares): at
 n_max = 64 it takes about 80 us there against about 750 us through the
 array loop (2-vCPU x86_64, numpy 2.4), while 1680 seeds take about 6 ms
 through the array loop.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, _checked_n_max
+from .fock import _RESCALE, FockVector, _checked_n_max, _yuen_amplitudes
 from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
 from .group import character, theta, unit_root
 
@@ -62,9 +63,7 @@ __all__ = [
 
 EMBED_TAIL_TOL = 1e-8
 
-# Running rescale threshold for the recurrences; squares of values below it,
-# summed over thousands of slots, stay far from overflow.
-_RESCALE = 2.0 ** 200
+# log of fock._RESCALE, the running rescale the Hermite rows share.
 _LOG_RESCALE = 200.0 * math.log(2.0)
 # hermite_functions seeds u_0 no lower than e^{-600}, well inside the normal
 # range; points beyond |x| = sqrt(1200) carry the rest as a log scale.
@@ -266,30 +265,18 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
 
     the displaced squeezed-state number expansion (Yuen, Phys. Rev. A 13,
     2226 (1976)). |gamma| = |1/2 - a| / |1/2 + a| < 1 for every Re a > 0.
-    A_0 is taken in log space and the recurrence carries a log scale,
-    rescaling whenever a value passes 2^200, so large displacements (where
-    A_0 itself underflows, |alpha| beyond ~38) neither underflow nor
+    It runs in fock._yuen_amplitudes, the scalar loop that fock.coherent
+    (a = 1/2) also uses: A_0 is taken in log space and the recurrence carries a log
+    scale, rescaling whenever a value passes 2^200, so large displacements
+    (where A_0 itself underflows, |alpha| beyond ~38) neither underflow nor
     overflow. The returned vector is renormalized and tail-flagged by
     _embedded. gaussian_to_fock_quadrature is the independent oracle for
     this route.
     """
     n_max = _checked_n_max(n_max)
     beta, gamma, log_a0 = _yuen_start(params.a, params.b, cmath.log)
-    log_a0 = complex(log_a0)
-    root = np.sqrt(np.arange(n_max + 1)).tolist()
-    log_scale = log_a0.real
-    prev, cur = 0j, cmath.exp(1j * log_a0.imag)
-    amps = [cur]
-    for m in range(n_max):
-        prev, cur = cur, (beta * cur + gamma * root[m] * prev) / root[m + 1]
-        if (big := abs(cur)) > _RESCALE:
-            amps = [v / big for v in amps]
-            prev, cur = prev / big, cur / big
-            log_scale += math.log(big)
-        amps.append(cur)
-    amps = np.array(amps)
-    nrm = float(np.linalg.norm(amps))
-    return _embedded(amps / nrm, math.exp(2.0 * (log_scale + math.log(nrm))))
+    unit, log_norm = _yuen_amplitudes(beta, gamma, complex(log_a0), n_max)
+    return _embedded(unit, math.exp(2.0 * log_norm))
 
 
 def _embedding_rows(a, b, n_max: int) -> np.ndarray:
@@ -299,8 +286,9 @@ def _embedding_rows(a, b, n_max: int) -> np.ndarray:
     with the same per-row 2^200 rescale; returns the unit rows, shaped
     a.shape + (n_max + 1,) after broadcasting. The seeds are not validated
     as GaussianParams are. Only the loop over m differs from
-    gaussian_to_fock, which keeps Python complex scalars because one seed
-    through this array loop costs several times as much.
+    gaussian_to_fock, whose fock._yuen_amplitudes keeps Python complex
+    scalars because one seed through this array loop costs several times as
+    much.
     """
     beta, gamma, log_a0 = _yuen_start(np.asarray(a, dtype=complex),
                                       np.asarray(b, dtype=complex), np.log)

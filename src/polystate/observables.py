@@ -35,12 +35,11 @@ by quadrature on a grid, is the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .fock import FockVector, _ray_scale, _rotated_copies, residue_class_masses
-from .cyclic import EmptyRepresentationError, NormalizationRecord
+from .cyclic import EmptyRepresentationError
 from .gaussian import _gh_nodes, _hermite_rows, fock_wavefunction, hermite_functions
 from .group import unit_root
 
@@ -57,7 +56,6 @@ __all__ = [
     "MemoryGuardError",
     "bipartite_norm_squared",
     "bipartite_normalize",
-    "reconstruct_rotated",
     "EntanglementResult",
     "linear_entropy",
     "linear_entropy_gram",
@@ -509,30 +507,14 @@ def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
     return BipartiteSpec(spec.n, spec.c / np.sqrt(nsq), spec.seed_1, spec.seed_2)
 
 
-def reconstruct_rotated(pairs: Sequence[tuple[FockVector, NormalizationRecord]],
-                        n: int, r: int) -> FockVector:
-    """Invert the symmetry adaptation: recover R(theta_r)|phi> from the family.
-
-    pairs holds the (state, record) outputs of the superposition route, one
-    per sector; each state's sector label is read off its support. All n
-    sectors must be present for the inversion to be exact. This is the
-    one-family, one-r call of _reconstructions.
-    """
-    if not pairs:
-        raise ValueError("no sector states to reconstruct from")
-    states = np.array([state.amplitudes for state, _ in pairs])
-    n_lambda = np.array([record.n_lambda for _, record in pairs])
-    return FockVector(pairs[0][0].n_max, _reconstructions(states, n_lambda, n, [r])[0])
-
-
 def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.ndarray:
-    """R(theta_r)|phi> for every element index in the 1-D r, from a stack of
-    families: the superposition route's unit states (..., L, d) with their
-    records' n_lambda (..., L). Returns (..., r.size, d), one weight product
-    mu_n^((1-r)(lam-1)) / (n n_lambda) with the states per family. Each
-    state's lam is read off its support; a family without all n sectors
-    raises EmptyRepresentationError naming the first such family's first
-    missing lam."""
+    """Invert the symmetry adaptation: R(theta_r)|phi> for every element
+    index in the 1-D r, from a stack of families: the superposition route's
+    unit states (..., L, d) with their records' n_lambda (..., L). Returns
+    (..., r.size, d), one weight product mu_n^((1-r)(lam-1)) / (n n_lambda)
+    with the states per family. Each state's lam is read off its support; a
+    family without all n sectors raises EmptyRepresentationError naming the
+    first such family's first missing lam."""
     lam = np.argmax(np.abs(states), axis=-1) % n + 1
     seen = (lam[..., None] == np.arange(1, n + 1)).any(axis=-2)
     if not seen.all():

@@ -14,10 +14,9 @@ PUBLIC = {
              "vector_to_dict", "vector_from_dict"},
     "cyclic": {"CyclicSpec", "NormalizationRecord", "EmptyRepresentationError",
                "cyclic_superposition", "cyclic_state", "cyclic_erasure",
-               "cyclic_set", "normalization_record", "rotation_phase_check",
-               "cyclic_density", "density_route_gap", "circle_limit",
-               "circle_limit_quadrature_gap", "dihedral_state",
-               "dihedral_inversion_check", "dihedral_gram",
+               "cyclic_set", "normalization_record", "cyclic_density",
+               "density_route_gap", "circle_limit", "circle_limit_quadrature_gap",
+               "dihedral_state", "dihedral_inversion_check", "dihedral_gram",
                "annihilation_irrep_shift"},
     "gaussian": {"EMBED_TAIL_TOL", "GaussianParams", "GaussianMoments",
                  "wavefunction", "moments", "rotate_params", "hermite_functions",
@@ -28,16 +27,15 @@ PUBLIC = {
                     "wigner_normalization_error", "wigner_reflection_residual",
                     "write_wigner_csv", "mandel", "BipartiteSpec",
                     "MemoryGuardError", "bipartite_norm_squared",
-                    "bipartite_normalize", "reconstruct_rotated",
-                    "EntanglementResult", "linear_entropy", "linear_entropy_gram",
-                    "linear_entropy_oracle"},
+                    "bipartite_normalize", "EntanglementResult", "linear_entropy",
+                    "linear_entropy_gram", "linear_entropy_oracle"},
     "verify": {"CheckRow", "DEFAULT_SEED", "SUITES", "run_suites", "format_report"},
 }
 
 
 def test_package_exports_the_public_names():
     expected = set().union(*PUBLIC.values()) | {"__version__"}
-    assert len(polystate.__all__) == len(set(polystate.__all__)) == 79
+    assert len(polystate.__all__) == len(set(polystate.__all__)) == 77
     assert set(polystate.__all__) == expected
     missing = [name for name in polystate.__all__ if not hasattr(polystate, name)]
     assert not missing, f"exported but not defined: {missing}"

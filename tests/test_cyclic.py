@@ -36,7 +36,6 @@ from polystate.cyclic import (
     dihedral_inversion_check,
     dihedral_state,
     normalization_record,
-    rotation_phase_check,
 )
 
 
@@ -302,14 +301,17 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
 
 def test_empty_sector_masses_at_huge_order():
     # every raise site lists the n_max + 1 classes that can hold mass
+    # (the density site reports the diagonal of the rho it was given, which
+    # pure_density renormalizes)
     phi = coherent(1.0 + 0.5j, 16)
-    for build in (lambda spec: cyclic_state(phi, spec),
-                  lambda spec: dihedral_state(phi, spec, "difference"),
-                  lambda spec: cyclic_density(pure_density(phi), spec)):
+    rho = pure_density(phi)
+    for build, masses in ((lambda spec: cyclic_state(phi, spec), np.abs(phi.amplitudes) ** 2),
+                          (lambda spec: dihedral_state(phi, spec, "difference"),
+                           np.abs(phi.amplitudes) ** 2),
+                          (lambda spec: cyclic_density(rho, spec), np.diag(rho.matrix).real)):
         with pytest.raises(EmptyRepresentationError) as exc:
             build(CyclicSpec(10 ** 11, 50))
-        np.testing.assert_allclose(exc.value.masses, np.abs(phi.amplitudes) ** 2,
-                                   rtol=0, atol=1e-16)
+        np.testing.assert_allclose(exc.value.masses, masses, rtol=0, atol=1e-16)
     with pytest.raises(EmptyRepresentationError) as exc:
         annihilation_irrep_shift(basis_state(0, 16), CyclicSpec(2 ** 63 - 1, 1))
     np.testing.assert_array_equal(exc.value.masses, basis_state(0, 16).amplitudes.real)
@@ -319,14 +321,14 @@ def test_empty_sector_masses_at_huge_order():
 
 def test_rotation_full_cycle_is_identity():
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(4, 2))
-    fid, phase = rotation_phase_check(psi, CyclicSpec(4, 2), 4)
+    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 4, 2, 4)
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert phase < 1e-12
 
 
 def test_rotation_trivial_irrep_phase_zero():
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(3, 1))
-    fid, phase = rotation_phase_check(psi, CyclicSpec(3, 1), np.array([1, 2, 3]))
+    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 3, 1, [1, 2, 3])
     assert fid == pytest.approx(np.ones(3), abs=1e-12)
     assert (phase < 1e-12).all()
 
@@ -334,33 +336,35 @@ def test_rotation_trivial_irrep_phase_zero():
 def test_rotation_phase_n4_lam3_l2():
     # mu_4^((1-3)*2) = mu_4^(-4) = 1, so the picked-up phase vanishes
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(4, 3))
-    fid, phase = rotation_phase_check(psi, CyclicSpec(4, 3), 2)
+    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 4, 3, 2)
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert phase < 1e-12
 
 
 def test_rotation_every_element():
     psi, _ = cyclic_superposition(coherent(1.2, 48), CyclicSpec(5, 4))
-    fid, phase = rotation_phase_check(psi, CyclicSpec(5, 4), np.arange(1, 6))
+    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 5, 4, np.arange(1, 6))
     assert fid.shape == phase.shape == (5,)
     assert (np.abs(fid - 1.0) < 1e-10).all()
     assert (phase < 1e-10).all()
 
 
 def test_rotation_array_matches_scalar_calls():
-    # an element array gives the scalar calls' values; a scalar l gives floats
+    # an element array gives the scalar-element calls' values and the
+    # per-element overlaps <psi|R(theta_l)|psi>
     rng = np.random.default_rng(5)
     v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
     phi = from_amplitudes(v / np.linalg.norm(v), 32)
     for spec, elements in ((CyclicSpec(5, 2), np.arange(-6, 12)),
                            (CyclicSpec(4, 3), np.arange(1, 9).reshape(2, 4))):
         psi, _ = cyclic_state(phi, spec)
-        fid, phase = rotation_phase_check(psi, spec, elements)
+        w = np.abs(psi.amplitudes) ** 2
+        fid, phase = cyclic._rotation_checks(w, spec.n, spec.lam, elements)
         assert fid.shape == phase.shape == elements.shape
         for l, f, p in zip(elements.ravel().tolist(), fid.ravel(), phase.ravel()):
-            one = rotation_phase_check(psi, spec, l)
-            assert type(one[0]) is float and type(one[1]) is float
-            assert one == (f, p)
+            one = cyclic._rotation_checks(w, spec.n, spec.lam, l)
+            assert one[0].shape == one[1].shape == ()
+            assert (float(one[0]), float(one[1])) == (f, p)
             # the per-element overlap the array form replaced
             ov = np.vdot(psi.amplitudes,
                          unit_root(-l * np.arange(33), spec.n) * psi.amplitudes)
@@ -368,15 +372,15 @@ def test_rotation_array_matches_scalar_calls():
             assert abs(abs(ov) / psi.norm ** 2 - f) < 1e-15
             assert abs(abs(np.angle(ov / predicted)) - p) < 1e-15
     # off the sector the modulus drops below 1 and the array shows which element
-    fid, _ = rotation_phase_check(phi, CyclicSpec(4, 1), np.arange(1, 5))
+    fid, _ = cyclic._rotation_checks(np.abs(phi.amplitudes) ** 2, 4, 1, np.arange(1, 5))
     assert fid[-1] == pytest.approx(1.0, abs=1e-14) and (fid[:-1] < 0.9).all()
 
 
 @pytest.mark.parametrize("block", [None, 500])
 def test_rotation_stack_matches_one_state_calls(monkeypatch, block):
     # the stacked kernel over (seed, lam) rows and all elements gives each
-    # state's rotation_phase_check floats bit for bit, in one block of rows
-    # or in blocks of one or two rows
+    # state's one-row floats bit for bit, in one block of rows or in blocks
+    # of one or two rows
     if block is not None:
         monkeypatch.setattr(cyclic, "_ROTATION_BLOCK", block)
     amps = np.random.default_rng(9).normal(size=(6, 41, 2)) @ [1, 1j]
@@ -388,8 +392,7 @@ def test_rotation_stack_matches_one_state_calls(monkeypatch, block):
         assert fid.shape == phase.shape == (6, n, elements.size)
         for family, f_rows, p_rows in zip(states, fid, phase):
             for lam, (state, f, p) in enumerate(zip(family, f_rows, p_rows), 1):
-                psi = from_amplitudes(state)
-                one_f, one_p = rotation_phase_check(psi, CyclicSpec(n, lam), elements)
+                one_f, one_p = cyclic._rotation_checks(np.abs(state) ** 2, n, lam, elements)
                 np.testing.assert_array_equal(f, one_f)
                 np.testing.assert_array_equal(p, one_p)
         # no elements, no checks
@@ -404,9 +407,9 @@ def test_rotation_phase_exact_at_order_64():
     phi = from_amplitudes(v / np.linalg.norm(v), 256)
     worst = 0.0
     for lam in range(1, 65):
-        spec = CyclicSpec(64, lam)
-        psi, _ = cyclic_state(phi, spec)
-        fid, phase = rotation_phase_check(psi, spec, np.arange(1, 65))
+        psi, _ = cyclic_state(phi, CyclicSpec(64, lam))
+        fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 64, lam,
+                                             np.arange(1, 65))
         assert (np.abs(fid - 1.0) < 1e-12).all()
         worst = max(worst, phase.max())
     assert worst <= 1e-15

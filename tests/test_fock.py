@@ -285,8 +285,8 @@ def test_coherent_overflow_flags_tail():
 
 
 def test_coherent_large_alpha_log_space():
-    # alpha^m / sqrt(m!) alone would overflow here; the amplitudes are built
-    # in log space
+    # alpha^m / sqrt(m!) alone would overflow here; the recurrence carries
+    # a log scale
     from scipy.special import gammaln
 
     alpha = 40.0 * np.exp(0.3j)
@@ -301,8 +301,8 @@ def test_coherent_large_alpha_log_space():
 
 
 def test_coherent_far_past_truncation_is_finite():
-    # e^{-|alpha|^2/2} underflows every amplitude here; the log-space shift
-    # keeps them finite, flagged, with the ratios of alpha^m / sqrt(m!)
+    # e^{-|alpha|^2/2} underflows every amplitude here; the recurrence's log
+    # scale keeps them finite, flagged, with the ratios of alpha^m / sqrt(m!)
     from scipy.special import gammaln
 
     for alpha, n_max in ((40.0, 64), (-1e200j, 8), (1e300 + 1e300j, 4)):
@@ -325,20 +325,23 @@ def test_coherent_rejects_non_finite_alpha(alpha):
 
 def test_coherent_moderate_alpha_matches_unshifted_formula():
     # where e^{-|alpha|^2/2} is representable (|alpha|^2 <= n_max) the
-    # shifted log-space build equals the plain one to rounding
-    from scipy.special import gammaln, xlogy
+    # recurrence equals alpha^m e^{-|alpha|^2/2} / sqrt(m!), renormalized on
+    # the kept slots, in 40-digit mpmath to rounding
+    import mpmath
 
     rng = np.random.default_rng(7)
-    for n_max in (16, 64, 128):
-        m = np.arange(n_max + 1)
-        for _ in range(40):
-            alpha = np.sqrt(n_max * rng.random()) * np.exp(2j * np.pi * rng.random())
-            r = abs(alpha)
-            phase = np.ones(n_max + 1, dtype=complex)
-            phase[1:] = np.cumprod(np.full(n_max, alpha / r))
-            plain = np.exp(xlogy(m, r) - 0.5 * r * r - 0.5 * gammaln(m + 1)) * phase
-            got = coherent(alpha, n_max).amplitudes
-            assert np.abs(got - plain / np.linalg.norm(plain)).max() <= 1e-15
+    with mpmath.workdps(40):
+        for n_max in (16, 64, 128):
+            for _ in range(40):
+                alpha = np.sqrt(n_max * rng.random()) * np.exp(2j * np.pi * rng.random())
+                a = mpmath.mpc(alpha.real, alpha.imag)
+                damp = mpmath.exp(-abs(a) ** 2 / 2)
+                plain = [a ** m * damp / mpmath.sqrt(mpmath.factorial(m))
+                         for m in range(n_max + 1)]
+                norm = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in plain))
+                want = np.array([complex(v / norm) for v in plain])
+                got = coherent(alpha, n_max).amplitudes
+                assert np.abs(got - want).max() <= 1e-15
 
 
 def test_coherent_exact_phases_on_axes():

@@ -31,7 +31,6 @@ from polystate.observables import (
     linear_entropy_gram,
     linear_entropy_oracle,
     mandel,
-    reconstruct_rotated,
     wigner,
     wigner_direct,
     wigner_normalization_error,
@@ -314,9 +313,9 @@ def test_wigner_both_branches_match_the_closed_form_beyond_k_rows(n_max, alpha, 
 
 
 def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
-    # production needs scipy only in fock.coherent: one interpreter runs the
-    # kernel on both branches on either side of K = 151, and build
-    # --gaussian, wigner, mandel, entangle and circle-limit through cli.main,
+    # production needs numpy alone: one interpreter runs the kernel on both
+    # branches on either side of K = 151, and build --gaussian, build
+    # --coherent, wigner, mandel, entangle and circle-limit through cli.main,
     # with no scipy module loaded. verify's wigner suite then loads
     # scipy.special for its oracle, and no scipy.linalg (about 6 MB).
     import subprocess
@@ -349,6 +348,8 @@ def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
             "             '--output', f'{tmp}/e.json']) == 0\n"
             "assert main(['circle-limit', *gauss, '--irrep', '2',\n"
             "             '--output', f'{tmp}/limit.json']) == 0\n"
+            "assert main(['build', '--coherent', '1.7', '0.9', '--order', '3',\n"
+            "             '--irrep', '2', '--output', f'{tmp}/c3_coherent.json']) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "assert main(['verify', '--suite', 'wigner', '--no-timestamp',\n"
             "             '--output', f'{tmp}/verify_wigner.txt']) == 0\n"
@@ -747,35 +748,42 @@ def test_bipartite_normalize_degenerate():
 
 # ---- reconstruction ----
 
+def _family(pairs):
+    """The superposition route's (state, record) pairs as _reconstructions'
+    stacked unit states and n_lambda."""
+    return (np.array([state.amplitudes for state, _ in pairs]),
+            np.array([record.n_lambda for _, record in pairs]))
+
+
 def test_reconstruct_trivial_group():
     seed = coherent(1.0, 32)
     pairs = [cyclic_superposition(seed, CyclicSpec(1, 1))]
-    out = reconstruct_rotated(pairs, 1, 1)
-    assert np.abs(out.amplitudes - seed.amplitudes).max() < 1e-12
+    out = _reconstructions(*_family(pairs), 1, [1])[0]
+    assert np.abs(out - seed.amplitudes).max() < 1e-12
 
 
 def test_reconstruct_coherent_branches():
     seed = coherent(1.2, 48)
     pairs = [cyclic_superposition(seed, CyclicSpec(2, lam)) for lam in (1, 2)]
-    for r in (1, 2):
-        out = reconstruct_rotated(pairs, 2, r)
+    out = _reconstructions(*_family(pairs), 2, [1, 2])
+    for r, row in enumerate(out, 1):
         target = rotate(seed, theta(2, r))
-        assert np.abs(out.amplitudes - target.amplitudes).max() < 1e-10
+        assert np.abs(row - target.amplitudes).max() < 1e-10
 
 
 def test_reconstruct_every_element():
     seed = random_state(np.random.default_rng(7), 40)
     pairs = [cyclic_superposition(seed, CyclicSpec(5, lam))
              for lam in range(1, 6)]
-    for r in range(1, 6):
-        out = reconstruct_rotated(pairs, 5, r)
+    out = _reconstructions(*_family(pairs), 5, np.arange(1, 6))
+    for r, row in enumerate(out, 1):
         target = rotate(seed, theta(5, r))
-        assert np.abs(out.amplitudes - target.amplitudes).max() < 1e-10
+        assert np.abs(row - target.amplitudes).max() < 1e-10
 
 
 def test_reconstruct_stack_matches_one_r_calls():
     # every R(theta_r)|phi> of a stack of families from one weight product
-    # against reconstruct_rotated per family and r
+    # against one family and one r at a time, from the public route's pairs
     amps = np.random.default_rng(11).normal(size=(4, 33, 2)) @ [1, 1j]
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     for n in (1, 2, 5):
@@ -783,19 +791,17 @@ def test_reconstruct_stack_matches_one_r_calls():
         rec = _reconstructions(states, n_lambda, n, np.arange(1, n + 1))
         assert rec.shape == (4, n, 33)
         for seed, rows in zip(amps, rec):
-            pairs = [cyclic_superposition(from_amplitudes(seed), CyclicSpec(n, lam))
-                     for lam in range(1, n + 1)]
+            family = _family([cyclic_superposition(from_amplitudes(seed), CyclicSpec(n, lam))
+                              for lam in range(1, n + 1)])
             for r, row in enumerate(rows, 1):
-                assert np.abs(row - reconstruct_rotated(pairs, n, r).amplitudes).max() <= 1e-15
+                assert np.abs(row - _reconstructions(*family, n, [r])[0]).max() <= 1e-15
             np.testing.assert_allclose(rows, _rotated_copies(seed, n), rtol=0, atol=1e-14)
 
 
 def test_reconstruct_missing_sector():
     pairs = cyclic_set(basis_state(0, 8), 3)  # only lam = 1 survives
     with pytest.raises(EmptyRepresentationError):
-        reconstruct_rotated(pairs, 3, 1)
-    with pytest.raises(ValueError):
-        reconstruct_rotated([], 3, 1)
+        _reconstructions(*_family(pairs), 3, [1])
 
 
 # ---- linear entropy ----
