@@ -176,19 +176,32 @@ def _yuen_amplitudes(beta: complex, gamma: complex, log_a0: complex, n_max: int
     scale that divides every value by |A_m| whenever |A_m| passes 2^200. So
     neither an underflowing A_0 nor a large beta leaves the float range;
     log |A| is the log of the kept amplitudes' norm at their true scale.
+
+    The loop divides only the two live values and records where it
+    rescaled, so it takes O(n_max) Python steps. The values kept before
+    each rescale are divided afterwards by the same factors in the same
+    order, one array pass per rescale with the quotient that Python's
+    complex / float takes: the bits are those of dividing every kept value
+    at each rescale inside the loop.
     """
     root = np.sqrt(np.arange(n_max + 1)).tolist()
     log_scale = log_a0.real
     prev, cur = 0j, cmath.exp(1j * log_a0.imag)
     amps = [cur]
+    rescales = []  # (number of values kept before the rescale, its divisor)
     for m in range(n_max):
         prev, cur = cur, (beta * cur + gamma * root[m] * prev) / root[m + 1]
         if (big := abs(cur)) > _RESCALE:
-            amps = [v / big for v in amps]
+            rescales.append((m + 1, big))
             prev, cur = prev / big, cur / big
             log_scale += math.log(big)
         amps.append(cur)
     amps = np.array(amps)
+    re, im = amps.real, amps.imag
+    for end, big in rescales:
+        # CPython's z / big is ((re + im 0) / big, (im - re 0) / big): signed zeros too
+        re_, im_ = re[:end], im[:end]
+        re[:end], im[:end] = (re_ + im_ * 0.0) / big, (im_ - re_ * 0.0) / big
     nrm = float(np.linalg.norm(amps))
     return amps / nrm, log_scale + math.log(nrm)
 

@@ -4,12 +4,15 @@ and bipartite entanglement of two-mode rotated superpositions.
 The Wigner convention is W(x, p) = (1/pi) int dy psi^*(x+y) psi(x-y) e^{2ipy},
 normalized so that int W dx dp = 1 and bounded below by -1/pi.
 
-W is evaluated by an exact Hermite-Gauss factorisation. For a state
-truncated at n_max, psi^*(x+y) psi(x-y) is e^{-y^2} times a polynomial in y
-of degree <= 2 n_max, so the K-node Gauss-Hermite rule with K = 2 n_max + 1
-gives its coefficients on the Hermite functions h_k(sqrt(2) y), k < K,
-without error, and h_k is an eigenfunction of the Fourier transform:
-int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k h_k(sqrt(2) p). On a grid,
+W is evaluated by an exact Hermite-Gauss factorisation. The state is first
+cut at its support m*, the last m whose amplitude tail sum_{k>=m} |A_k|^2
+exceeds 2^-120 of the norm squared (m* <= n_max; the dropped tail moves W
+by at most 2 * 2^-60 / pi = 5.5e-19). Then psi^*(x+y) psi(x-y) is e^{-y^2}
+times a polynomial in y of degree <= 2 m*, so the K-node Gauss-Hermite rule
+with K = 2 m* + 1 gives its coefficients on the Hermite functions
+h_k(sqrt(2) y), k < K, without error, and h_k is an eigenfunction of the
+Fourier transform: int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k
+h_k(sqrt(2) p). On a grid,
 
     W = pi^{-1/2} [(F o w) H^T diag(i^k)] H_p,
 
@@ -17,14 +20,14 @@ with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
 h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
 w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
 K x K matrix is held), exact up to rounding at any n_max. The nodes are
-0 and the square roots of numpy's eigvalsh of the n_max x n_max Laguerre
-Jacobi matrix (K is odd), mirrored and Newton-polished on h_K, at every K.
+0 and the square roots of numpy's eigvalsh of the m* x m* Laguerre Jacobi
+matrix (K is odd), mirrored and Newton-polished on h_K, at every K.
 
-F(x, a) is also e^{-x^2} times a polynomial of degree <= 2 n_max in x, so
+F(x, a) is also e^{-x^2} times a polynomial of degree <= 2 m* in x, so
 it lies in span{h_j(sqrt(2) x), j < K}. With more than K distinct x, F is
 therefore formed only at the K Gauss rows x_b = t_b/sqrt2 and mapped to x
 exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i) and G = H: the
-rule integrates the degree <= 4 n_max <= 2K - 2 products exactly.
+rule integrates the degree <= 4 m* <= 2K - 2 products exactly.
 
 Scattered points (x_i, p_i) run the same pipeline and differ only in the
 last contraction, which pairs the coefficient row of x_i with column i of
@@ -66,6 +69,9 @@ __all__ = [
 # Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
 # rows, and entries of the node matrix G per chunk of k.
 _WIGNER_BLOCK = 2 ** 14
+# Relative norm of the amplitude tail that _support_cut drops: W moves by at
+# most 2 * 2^-60 / pi = 5.5e-19, since W = <Pi(x, p)>/pi with ||Pi|| = 1.
+_SUPPORT_TOL = 2.0 ** -60
 # Lines per block of write_wigner_csv (72 bytes each in its byte buffer).
 _CSV_BLOCK = 2 ** 13
 # Distance from 1/2 within which _e12_fields leaves a mantissa's rounding to
@@ -200,17 +206,39 @@ def _gauss_row_map(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h[:, t.size:].T @ (h[:, :t.size] * w)
 
 
+def _support_cut(state: FockVector) -> FockVector:
+    """The state cut at its support m*, the last m with
+    sum_{k>=m} |A_k|^2 > _SUPPORT_TOL^2 sum_k |A_k|^2.
+
+    The dropped tail has norm eps <= _SUPPORT_TOL relative to the state's,
+    so the two normalized projectors are 2 eps apart in trace norm, and
+    W = <Pi(x, p)>/pi with a displaced parity Pi of norm 1 (Royer, Phys.
+    Rev. A 15, 449 (1977)) moves by at most 2 eps / pi = 5.5e-19. Exact
+    trailing zeros are cut without loss. A state whose support reaches
+    n_max, and the zero vector, are returned as they are.
+    """
+    mass = np.abs(_ray_scale(state.amplitudes)) ** 2
+    tail = np.cumsum(mass[::-1])[::-1]  # tail[m] = sum_{k>=m}, non-increasing
+    m = int(np.count_nonzero(tail > _SUPPORT_TOL ** 2 * tail[0])) - 1
+    if m in (-1, state.n_max):
+        return state
+    return FockVector(m, state.amplitudes[:m + 1])
+
+
 def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
     """pi^{-1/2} contract(c, H_p) over the row coefficients c of x and
     H_p[k, j] = h_k(sqrt(2) p_j), with the nodes and H_p formed once.
 
-    Up to K distinct x, c comes from F o w at x itself (K wavefunction
-    values per x), over chunks of k; beyond K, from the same chunks at the
-    K Gauss rows (K (K + 1) / 2 values in all), mapped to x by
-    _gauss_row_map, which needs the rule's discrete orthogonality to
-    rounding: the Newton-polished nodes hold it to about 1e-14 up to
-    K = 1201.
+    The state is first cut at its support m* (_support_cut), so K = 2 m* + 1
+    and every table below is sized to the amplitudes the state uses, not to
+    n_max; W moves by at most 5.5e-19. Up to K distinct x, c comes from
+    F o w at x itself (K wavefunction values per x), over chunks of k;
+    beyond K, from the same chunks at the K Gauss rows (K (K + 1) / 2 values
+    in all), mapped to x by _gauss_row_map, which needs the rule's discrete
+    orthogonality to rounding: the Newton-polished nodes hold it to about
+    1e-14 up to K = 1201.
     """
+    state = _support_cut(state)
     t, w = _wigner_nodes(state.n_max)
     hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
     to_x = _gauss_row_map(x, t, w) if t.size < x.size else None
@@ -224,11 +252,13 @@ def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
     """W at arbitrary phase-space points, shaped like xs.
 
     W(x, p) = pi^{-1/2} sum_k Re(i^k b_k(x)) h_k(sqrt(2) p), from the same
-    row coefficients as the grid, exact for the truncated state since
-    K = 2 n_max + 1. All points go through one pass, which holds K values
-    per point and per distinct x: the coefficients do not depend on p, so
-    they are formed once per distinct x (from the K Gauss rows when there
-    are more than K), and a meshgrid costs about what its grid does.
+    row coefficients as the grid, exact for the state cut at its support m*
+    since K = 2 m* + 1 (the cut moves W by at most 5.5e-19; m* = n_max when
+    the amplitudes reach the truncation). All points go through one pass,
+    which holds K values per point and per distinct x: the coefficients do
+    not depend on p, so they are formed once per distinct x (from the K
+    Gauss rows when there are more than K), and a meshgrid costs about what
+    its grid does.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))

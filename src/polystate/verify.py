@@ -470,6 +470,15 @@ def suite_wigner(seed: int = DEFAULT_SEED):
                     "Gaussian on the +-6, 61x61 grid",
                     float(np.abs(grid.values - closed).max()), 1e-10))
 
+    centre = 11.5 * np.sqrt(2.0)
+    grid = wigner(coherent(11.5, 400), (centre - 6.0, centre + 6.0), (-6.0, 6.0),
+                  points_per_axis=11)
+    closed = np.exp(-(grid.x_axis[:, None] - centre) ** 2 - grid.p_axis[None, :] ** 2) / np.pi
+    out.append(_row("wigner", "large support",
+                    "coherent(11.5) at n_max = 400, support m* = 302 (K = 605 "
+                    "nodes), matches the closed-form Gaussian on an 11x11 grid",
+                    float(np.abs(grid.values - closed).max()), 1e-10))
+
     c3, _ = cyclic_gaussian(_WIGNER_SEED, CyclicSpec(3, 1), 64)
     errs = [wigner_normalization_error(wigner(c3, (-9.0, 9.0), points_per_axis=k))
             for k in (21, 41, 81)]

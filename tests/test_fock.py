@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polystate.fock as fock
 from polystate.fock import (
     TAIL_TOL,
     FockOperator,
@@ -349,6 +350,88 @@ def test_coherent_exact_phases_on_axes():
     assert np.all(coherent(-1.5, 40).amplitudes.imag == 0.0)
     amps = coherent(1.5j, 40).amplitudes
     assert np.all(amps[0::2].imag == 0.0) and np.all(amps[1::2].real == 0.0)
+
+
+def _yuen_dividing_every_value(beta, gamma, log_a0, n_max):
+    """fock._yuen_amplitudes with every kept value divided at each rescale,
+    as Python complex / float: the reference for its bits. Also returns the
+    number of rescales."""
+    import cmath
+    import math
+
+    root = np.sqrt(np.arange(n_max + 1)).tolist()
+    log_scale = log_a0.real
+    prev, cur = 0j, cmath.exp(1j * log_a0.imag)
+    amps = [cur]
+    rescales = 0
+    for m in range(n_max):
+        prev, cur = cur, (beta * cur + gamma * root[m] * prev) / root[m + 1]
+        if (big := abs(cur)) > fock._RESCALE:
+            rescales += 1
+            amps = [v / big for v in amps]
+            prev, cur = prev / big, cur / big
+            log_scale += math.log(big)
+        amps.append(cur)
+    amps = np.array(amps)
+    nrm = float(np.linalg.norm(amps))
+    return amps / nrm, log_scale + math.log(nrm), rescales
+
+
+def test_yuen_rescale_keeps_the_bits():
+    # the deferred division gives the bits of dividing every kept value at
+    # each rescale, signed zeros included: coherent seeds on and off the
+    # axes, past and far past the truncation, and Gaussian seeds whose
+    # A_0 underflows
+    import cmath
+
+    from polystate.gaussian import _yuen_start
+
+    cases = []
+    for alpha, n_max in ((40.0, 64), (-1e200j, 8), (1e300 + 1e300j, 4), (1e200, 3),
+                         (1e300 + 1e300j, 64), (5.0 + 5.0j, 400), (-25.0 + 25.0j, 1024),
+                         (40.0 * np.exp(0.3j), 2048), (18.0, 512), (-18.0, 512),
+                         (20j, 300), (-20j, 300), (complex(-17.0, -0.0), 64),
+                         (1e80, 2048), (1e200, 2000), (1.3, 64), (0.0, 16)):
+        r = abs(alpha)
+        cases.append((complex(alpha), 0.0, complex(-0.5 * r * r), n_max))
+    for a, b, n_max in ((0.5, np.sqrt(2.0) * 40.0 * np.exp(0.7j), 2048),
+                        (0.45 + 0.05j, 25.0 - 14.0j, 512), (1.0, 1.0 + 1.0j, 64),
+                        (2.0 - 1.5j, 60.0, 300)):
+        beta, gamma, log_a0 = _yuen_start(complex(a), complex(b), cmath.log)
+        cases.append((beta, gamma, complex(log_a0), n_max))
+    rescaled = 0
+    for args in cases:
+        got, log_norm = fock._yuen_amplitudes(*args)
+        want, want_log, rescales = _yuen_dividing_every_value(*args)
+        assert got.tobytes() == want.tobytes() and log_norm == want_log, args
+        rescaled += rescales > 0
+    assert rescaled >= 10  # the rescale fires in most of these
+
+
+def test_yuen_rescale_work_is_linear():
+    # coherent(1e200) rescales at every step; the loop's Python lines stay
+    # O(n_max) (dividing every kept value at each rescale ran O(n_max^2))
+    import sys
+
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != fock.__file__:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    for n_max in (500, 2000):
+        lines = 0
+        sys.settrace(tracer)
+        try:
+            st_ = coherent(1e200, n_max)
+        finally:
+            sys.settrace(None)
+        assert st_.tail_flagged and abs(st_.amplitudes[-1]) == 1.0
+        assert lines <= 12 * (n_max + 1), (n_max, lines)
 
 
 # ---- annihilation ----

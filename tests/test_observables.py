@@ -144,7 +144,16 @@ def test_wigner_coherent_large_n_max(n_max):
                                rtol=0, atol=1e-10)
 
 
-def test_wigner_coherent_and_cat_at_n_max_1024():
+def test_wigner_coherent_and_cat_at_n_max_1024(monkeypatch):
+    # the support of coherent(20) ends at m* = 678 of 1024: K = 1357 nodes
+    sizes = []
+
+    def spy(n_max):
+        sizes.append(n_max)
+        return nodes(n_max)
+
+    nodes = observables._wigner_nodes
+    monkeypatch.setattr(observables, "_wigner_nodes", spy)
     alpha = 20.0
     centre = np.sqrt(2.0) * alpha
     st = coherent(alpha, 1024)
@@ -162,6 +171,7 @@ def test_wigner_coherent_and_cat_at_n_max_1024():
         np.testing.assert_allclose(
             grid.values, coherent_sum_wigner(weights, betas, x, p),
             rtol=0, atol=1e-10)
+    assert sizes == [678] * 3 and 2 * min(sizes) + 1 >= 1201
 
 
 def test_wigner_grid_equals_points():
@@ -280,6 +290,91 @@ def _branch_values(state, x, p):
     fr, fi = observables._weighted_products(state, None, t, w)
     gauss = sum(to_x @ c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
     return at_x, gauss
+
+
+def _uncut_values(state, x, p):
+    """W on the x by p grid through the kernel's helpers at K = 2 n_max + 1,
+    without the support cut: _wigner_kernel's steps for a grid."""
+    from polystate.gaussian import hermite_functions
+
+    t, w = observables._wigner_nodes(state.n_max)
+    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
+    to_x = observables._gauss_row_map(x, t, w) if t.size < x.size else None
+    fr, fi = observables._weighted_products(state, x if to_x is None else None, t, w)
+    out = sum((c if to_x is None else to_x @ c) @ hp[ks]
+              for ks, c in observables._coefficient_chunks(fr, fi, t))
+    return out / np.sqrt(np.pi)
+
+
+def test_wigner_full_support_is_not_cut():
+    # random states reach n_max: the kernel runs K = 2 n_max + 1, bit for bit
+    # (41 rows: the Gauss rows at n_max 16, the rows at x above)
+    rng = np.random.default_rng(22)
+    for n_max in (16, 64, 300):
+        st = random_state(rng, n_max)
+        assert observables._support_cut(st) is st
+        grid = wigner(st, (-5.0, 4.0), (-3.0, 6.0), points_per_axis=41)
+        np.testing.assert_array_equal(
+            grid.values, _uncut_values(st, grid.x_axis, grid.p_axis))
+
+
+@pytest.mark.parametrize("alpha, n_max, support", [
+    (1.5 + 0.5j, 1024, 42), (5.0, 300, 111), (2.0, 64, 50), (-3.0j, 128, 68)])
+def test_wigner_support_cut_matches_the_uncut_grid(alpha, n_max, support):
+    st = coherent(alpha, n_max)
+    cut = observables._support_cut(st)
+    assert cut.n_max == support
+    np.testing.assert_array_equal(cut.amplitudes, st.amplitudes[:support + 1])
+    grid = wigner(st, (-6.0, 6.0), points_per_axis=41)
+    np.testing.assert_allclose(grid.values, _uncut_values(st, grid.x_axis, grid.p_axis),
+                               rtol=0, atol=1e-15)
+
+
+def test_wigner_vacuum_at_n_max_64_runs_one_node(monkeypatch):
+    sizes = []
+    nodes = observables._wigner_nodes
+    monkeypatch.setattr(observables, "_wigner_nodes",
+                        lambda n_max: sizes.append(n_max) or nodes(n_max))
+    grid = wigner(basis_state(0, 64), (-4.0, 4.0), points_per_axis=31)
+    assert sizes == [0]  # m* = 0, K = 1
+    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    np.testing.assert_allclose(grid.values, np.exp(-x ** 2 - p ** 2) / np.pi,
+                               rtol=1e-14, atol=1e-17)
+
+
+def test_wigner_support_cut_threshold():
+    # a last amplitude of relative norm just above 2^-60 is kept, one just
+    # below it is cut, and so are the exact zeros before it; exact trailing
+    # zeros are cut at any size
+    for factor, support in ((1.0 + 1e-9, 10), (1.0 - 1e-9, 0)):
+        amps = np.zeros(11, dtype=complex)
+        amps[0], amps[10] = 1.0, 2.0 ** -60 * factor
+        st = from_amplitudes(amps)
+        assert observables._support_cut(st).n_max == support, factor
+    for scale in (1.0, 1e-200, 1e200):
+        st = from_amplitudes(scale * basis_state(3, 64).amplitudes)
+        assert observables._support_cut(st).n_max == 3
+    # the dropped tail moves W by far less than rounding
+    amps = coherent(1.0, 40).amplitudes.copy()
+    amps[-1] = 2.0 ** -61
+    st = from_amplitudes(amps)
+    assert observables._support_cut(st).n_max < 40
+    xs, ps = np.random.default_rng(9).uniform(-3.0, 3.0, (2, 50))
+    np.testing.assert_allclose(wigner_points(st, xs, ps),
+                               coherent_sum_wigner([1.0], [1.0], xs, ps), rtol=0, atol=1e-15)
+
+
+def test_wigner_zero_state_exits_one_with_one_line(tmp_path, capsys):
+    # the zero vector passes the cut unchanged and fails the finite check
+    assert observables._support_cut(from_amplitudes(np.zeros(65))).n_max == 64
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({"n_max": 64, "amplitudes": [[0.0, 0.0]] * 65}))
+    assert main(["wigner", "--input", str(src), "--points", "5",
+                 "--output", str(tmp_path / "w.csv")]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: Wigner grid: 25 of 25 values are not finite")
+    assert not (tmp_path / "w.csv").exists()
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 7, 16, 40, 74])
