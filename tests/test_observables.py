@@ -144,16 +144,19 @@ def test_wigner_coherent_large_n_max(n_max):
                                rtol=0, atol=1e-10)
 
 
+def _node_sizes(monkeypatch):
+    """The list of every n_max (K = 2 n_max + 1) the kernel passes to
+    _wigner_nodes from now on."""
+    sizes = []
+    nodes = observables._wigner_nodes
+    monkeypatch.setattr(observables, "_wigner_nodes",
+                        lambda n_max: sizes.append(n_max) or nodes(n_max))
+    return sizes
+
+
 def test_wigner_coherent_and_cat_at_n_max_1024(monkeypatch):
     # the support of coherent(20) ends at m* = 678 of 1024: K = 1357 nodes
-    sizes = []
-
-    def spy(n_max):
-        sizes.append(n_max)
-        return nodes(n_max)
-
-    nodes = observables._wigner_nodes
-    monkeypatch.setattr(observables, "_wigner_nodes", spy)
+    sizes = _node_sizes(monkeypatch)
     alpha = 20.0
     centre = np.sqrt(2.0) * alpha
     st = coherent(alpha, 1024)
@@ -331,10 +334,7 @@ def test_wigner_support_cut_matches_the_uncut_grid(alpha, n_max, support):
 
 
 def test_wigner_vacuum_at_n_max_64_runs_one_node(monkeypatch):
-    sizes = []
-    nodes = observables._wigner_nodes
-    monkeypatch.setattr(observables, "_wigner_nodes",
-                        lambda n_max: sizes.append(n_max) or nodes(n_max))
+    sizes = _node_sizes(monkeypatch)
     grid = wigner(basis_state(0, 64), (-4.0, 4.0), points_per_axis=31)
     assert sizes == [0]  # m* = 0, K = 1
     x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
