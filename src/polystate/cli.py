@@ -226,6 +226,8 @@ def cmd_circle_limit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # numpy's own error would name no flag, and some suites draw nothing
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     names = None if args.suite == "all" else [args.suite]
     rows = run_suites(names, seed=args.seed)
     report = format_report(rows, timestamp=not args.no_timestamp)

@@ -35,8 +35,6 @@ from .fock import (
     _rotated_copies,
     annihilate,
     basis_state,
-    inner,
-    inversion,
     sector_mask,
 )
 from .group import unit_root
@@ -55,8 +53,6 @@ __all__ = [
     "circle_limit",
     "circle_limit_quadrature_gap",
     "dihedral_state",
-    "dihedral_inversion_check",
-    "dihedral_gram",
     "annihilation_irrep_shift",
 ]
 
@@ -359,44 +355,6 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
     record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
     return FockVector(phi.n_max, part / nrm, phi.tail_flagged), record
-
-
-def dihedral_inversion_check(gamma: FockVector, spec: CyclicSpec, l: int
-                             ) -> tuple[float, complex]:
-    """Apply the inversion U_l = C R(2 pi l / n); return (fidelity, phase).
-
-    l counts elementary rotation units, matching _rotation_checks. The
-    sum variant reproduces itself with phase mu_n^((lam-1) l), the
-    difference variant with the opposite sign (its amplitudes are purely
-    imaginary, and U is antilinear in the global phase, so the sign is a
-    convention, which is why the phase is returned rather than judged).
-    Fidelity alone certifies the state is an eigenvector of the inversion.
-    """
-    r = (l % spec.n) + 1  # theta_r = 2 pi l / n mod 2 pi
-    inverted = inversion(gamma, r, spec.n)
-    ov = inner(gamma, inverted)
-    fid = abs(ov) ** 2 / (gamma.norm ** 4)
-    return float(fid), complex(ov / abs(ov)) if abs(ov) > 0 else complex(0)
-
-
-def dihedral_gram(phi: FockVector, n: int, variant: str = "sum") -> np.ndarray:
-    """Gram matrix of the constructible dihedral states over lam = 1..n.
-
-    Entries for sectors that raise EmptyRepresentationError are left as
-    identity rows so the residual against the identity stays meaningful.
-    """
-    built, amps = [], []
-    for lam in range(1, n + 1):
-        try:
-            gamma, _ = dihedral_state(phi, CyclicSpec(n, lam), variant)
-        except EmptyRepresentationError:
-            continue
-        built.append(lam - 1)
-        amps.append(gamma.amplitudes)
-    a = np.reshape(amps, (len(built), phi.n_max + 1))
-    g = np.eye(n, dtype=complex)
-    g[np.ix_(built, built)] = a.conj() @ a.T
-    return g
 
 
 def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec

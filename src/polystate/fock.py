@@ -25,16 +25,13 @@ __all__ = [
     "from_amplitudes",
     "basis_state",
     "coherent",
-    "normalize",
     "rotate",
-    "conjugate",
     "inversion",
     "inner",
     "fidelity",
     "quadrature_means",
     "sector_mask",
     "residue_class_masses",
-    "pure_density",
     "annihilate",
     "vector_to_dict",
     "vector_from_dict",
@@ -105,11 +102,6 @@ class FockOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part; positivity check on demand."""
-        h = (self.matrix + self.matrix.conj().T) / 2
-        return float(np.linalg.eigvalsh(h)[0])
-
 
 @dataclass(frozen=True)
 class QuadratureMeans:
@@ -117,12 +109,11 @@ class QuadratureMeans:
     mean_p: float
 
 
-def from_amplitudes(amps, n_max: int | None = None) -> FockVector:
+def from_amplitudes(amps) -> FockVector:
     """Wrap an amplitude array, flagging a tail mass above TAIL_TOL sum |A_m|^2."""
     amps = np.asarray(amps, dtype=complex)
-    if n_max is None:
-        n_max = amps.size - 1
-    return FockVector(n_max=n_max, amplitudes=amps, tail_flagged=_tail_mass(amps) > TAIL_TOL)
+    return FockVector(n_max=amps.size - 1, amplitudes=amps,
+                      tail_flagged=_tail_mass(amps) > TAIL_TOL)
 
 
 def _checked_n_max(n_max: int | None) -> int:
@@ -206,13 +197,6 @@ def _yuen_amplitudes(beta: complex, gamma: complex, log_a0: complex, n_max: int
     return amps / nrm, log_scale + math.log(nrm)
 
 
-def normalize(state: FockVector) -> FockVector:
-    nrm = state.norm
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return FockVector(state.n_max, state.amplitudes / nrm, state.tail_flagged)
-
-
 def rotate(state: FockVector, theta: float) -> FockVector:
     """R(theta) = exp(-i theta n): amplitude m picks up exp(-i theta m)."""
     return FockVector(state.n_max, state.amplitudes * _rotation_phases(theta, state.n_max),
@@ -230,11 +214,6 @@ def _rotated_copies(amps: np.ndarray, n: int) -> np.ndarray:
     unity rather than the floating angles theta_r m that rotate would form."""
     r = np.arange(n)[:, None]
     return unit_root(-r * np.arange(amps.shape[-1]), n) * amps[..., None, :]
-
-
-def conjugate(state: FockVector) -> FockVector:
-    """Complex conjugation of the number-basis amplitudes."""
-    return FockVector(state.n_max, np.conj(state.amplitudes), state.tail_flagged)
 
 
 def inversion(state: FockVector, r: int, n: int) -> FockVector:
@@ -300,12 +279,6 @@ def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
     return np.concatenate((w, np.zeros(n - w.size)))
 
 
-def pure_density(state: FockVector) -> FockOperator:
-    """Rank-one density matrix |psi><psi| of a unit-normalized state."""
-    psi = normalize(state).amplitudes
-    return FockOperator(state.n_max, np.outer(psi, np.conj(psi)))
-
-
 def annihilate(state: FockVector) -> FockVector:
     """a|psi>: amplitude m of the result is sqrt(m+1) A_{m+1}. Unnormalized."""
     A = state.amplitudes
@@ -366,5 +339,5 @@ def vector_from_dict(data: dict) -> FockVector:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if not isinstance(saved, bool):
         raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
-    state = from_amplitudes(_ray_scale(amps), n_max)
+    state = from_amplitudes(_ray_scale(amps))
     return FockVector(n_max, state.amplitudes, state.tail_flagged or saved)

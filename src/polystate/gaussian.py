@@ -21,8 +21,8 @@ beta = b / (sqrt(2) s) and gamma = 1/s - 1,
     A_{m+1} = (beta A_m + gamma sqrt(m) A_{m-1}) / sqrt(m + 1),
 
 which gaussian_to_fock evaluates exactly. Adaptive Gauss-Hermite quadrature
-of <u_m|psi> (gaussian_to_fock_quadrature) is kept as its independent
-oracle for verify and the tests, batched over seeds by _quadrature_rows.
+of <u_m|psi>, batched over seeds (_quadrature_rows), is kept as its
+independent oracle for verify and the tests.
 
 The recurrence holds elementwise for any number of seeds, so verify embeds
 its seed grids (the mandel suite's 1680-point b scans and the gaussian
@@ -54,7 +54,6 @@ __all__ = [
     "rotate_params",
     "hermite_functions",
     "gaussian_to_fock",
-    "gaussian_to_fock_quadrature",
     "fock_wavefunction",
     "cyclic_gaussian",
     "cyclic_gaussian_wavefunction",
@@ -270,8 +269,7 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
     scale, rescaling whenever a value passes 2^200, so large displacements
     (where A_0 itself underflows, |alpha| beyond ~38) neither underflow nor
     overflow. The returned vector is renormalized and tail-flagged by
-    _embedded. gaussian_to_fock_quadrature is the independent oracle for
-    this route.
+    _embedded. _quadrature_rows is the independent oracle for this route.
     """
     n_max = _checked_n_max(n_max)
     beta, gamma, log_a0 = _yuen_start(params.a, params.b, cmath.log)
@@ -308,9 +306,9 @@ def _embedding_rows(a, b, n_max: int) -> np.ndarray:
     return rows
 
 
-def gaussian_to_fock_quadrature(params: GaussianParams,
-                                n_max: int | None = None) -> FockVector:
-    """Oracle for gaussian_to_fock: <u_m|psi> by adaptive Gauss-Hermite quadrature.
+def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
+    """Oracle for gaussian_to_fock: <u_m|psi> of each seed by adaptive
+    Gauss-Hermite quadrature, and its final node count.
 
     Node counts start at 2 n_max + 32 and grow by 1.6x until two successive
     rules agree on the normalized amplitude vector to 1e-13 in the sup
@@ -325,16 +323,12 @@ def gaussian_to_fock_quadrature(params: GaussianParams,
     too, though they sit well inside the nodes: GaussianParams(0.1 + 2j, 3.0)
     at n_max 63 (<x> = 15, <p> = -60, <n> above 1900) keeps a norm of only
     7e-8 in the truncation, so rounding in its integrand leaves successive
-    rules agreeing to about 1e-7 from about 1000 nodes on. This is the
-    one-seed call of _quadrature_rows.
+    rules agreeing to about 1e-7 from about 1000 nodes on.
+
+    The seeds still refining at a rule share its one hermite_functions
+    matrix and one product; each keeps its own convergence test, node cap
+    and tail flag.
     """
-    return _quadrature_rows([params], _checked_n_max(n_max))[0][0]
-
-
-def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
-    """gaussian_to_fock_quadrature of each seed, and its final node count. The
-    seeds still refining at a rule share its one hermite_functions matrix and
-    one product; each keeps its own convergence test, node cap and tail flag."""
     states, nodes = [None] * len(seeds), np.zeros(len(seeds), dtype=int)
     live, prev, prev_diff = np.arange(len(seeds)), None, np.full(len(seeds), np.inf)
     n_nodes = 2 * n_max + 32

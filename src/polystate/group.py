@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "unit_root",
-    "mu",
     "theta",
     "character",
     "root_sum",
@@ -31,11 +30,6 @@ def unit_root(k, n: int):
     if np.size(k) > n:
         return np.exp(2j * np.pi * np.arange(n) / n)[k % n]
     return np.exp(2j * np.pi * (k % n) / n)
-
-
-def mu(n: int) -> complex:
-    """Primitive n-th root of unity exp(2 pi i / n)."""
-    return complex(unit_root(1, n))
 
 
 def theta(n: int, r: int) -> float:

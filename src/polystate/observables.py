@@ -270,11 +270,6 @@ def wigner_points(state: FockVector, xs, ps) -> np.ndarray:
     return out.reshape(xs.shape)
 
 
-def _wigner_values(state: FockVector, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """values[i, j] = W(x_i, p_j): two GEMMs per chunk of k."""
-    return _wigner_kernel(state, x, p, np.matmul)
-
-
 def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
            p_range: tuple[float, float] | None = None,
            points_per_axis: int = 201) -> WignerGrid:
@@ -286,7 +281,7 @@ def wigner(state: FockVector, x_range: tuple[float, float] = (-6.0, 6.0),
     return WignerGrid(x_min=float(x_range[0]), x_max=float(x_range[1]),
                       p_min=float(p_range[0]), p_max=float(p_range[1]),
                       points_per_axis=points_per_axis,
-                      values=_wigner_values(state, x, p))
+                      values=_wigner_kernel(state, x, p, np.matmul))
 
 
 def wigner_direct(state: FockVector, x, p) -> np.ndarray:
@@ -329,7 +324,7 @@ def wigner_reflection_residual(state: FockVector) -> float:
     antisymmetric, so W(x, -p) is the grid's reversed p columns."""
     ax = np.linspace(-5.0, 5.0, 61)
     ax = 0.5 * (ax - ax[::-1])  # exactly antisymmetric
-    values = _wigner_values(state, ax, ax)
+    values = _wigner_kernel(state, ax, ax, np.matmul)
     return float(np.abs(values[:, ::-1] - values).max())
 
 

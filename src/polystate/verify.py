@@ -24,6 +24,8 @@ from .fock import (
     coherent,
     fidelity,
     from_amplitudes,
+    inversion,
+    quadrature_means,
     rotate,
     sector_mask,
 )
@@ -54,6 +56,7 @@ from .gaussian import (
     cyclic_gaussian_wavefunction,
     fock_wavefunction,
     gaussian_to_fock,
+    moments,
 )
 from .observables import (
     BipartiteSpec,
@@ -95,7 +98,7 @@ def _row(suite: str, name: str, prop: str, residual: float, tolerance: float,
 
 def _random_state(rng: np.random.Generator, n_max: int = 64) -> FockVector:
     v = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    return from_amplitudes(v / np.linalg.norm(v), n_max)
+    return from_amplitudes(v / np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,21 @@ def _suite2_states(seed: int):
             for n in _SUITE2_ORDERS}
 
 
+def _dihedral_families(seed: int, count: int):
+    """(n, variant) -> the dihedral states for lam = 1..n of count random
+    seeds, as lists [seed][lam - 1], for the orders of _SUITE2_ORDERS.
+
+    The seeds come from a generator of their own, so the orbit-family rows
+    keep their bits. Random seeds have complex amplitudes on every class,
+    so no sector of either variant is empty.
+    """
+    rng = np.random.default_rng(seed)
+    phis = [_random_state(rng) for _ in range(count)]
+    return {(n, variant): [[dihedral_state(phi, CyclicSpec(n, lam), variant)[0]
+                            for lam in range(1, n + 1)] for phi in phis]
+            for n in _SUITE2_ORDERS for variant in ("sum", "difference")}
+
+
 def suite_orthonormality(seed: int = DEFAULT_SEED):
     out = []
     for n, (states, _, _) in _suite2_states(seed).items():
@@ -146,6 +164,16 @@ def suite_orthonormality(seed: int = DEFAULT_SEED):
         out.append(_row("orthonormality", f"gram n={n}",
                         f"{_SUITE2_SEEDS} random seeds: cyclic family is orthonormal",
                         float(np.abs(gram - np.eye(n)).max()), 1e-10))
+    worst = 0.0
+    for (n, _), families in _dihedral_families(seed, 5).items():
+        states = np.array([[g.amplitudes for g in family] for family in families])
+        gram = states.conj() @ np.swapaxes(states, -1, -2)
+        worst = max(worst, float(np.abs(gram - np.eye(n)).max()))
+    # the sum and difference states of one lam overlap, so each variant's
+    # family is checked on its own and no 2n-state set is claimed
+    out.append(_row("orthonormality", "dihedral gram",
+                    "5 random seeds: each dihedral variant's family over "
+                    "lam = 1..n is orthonormal, n in {2,3,5,8}", worst, 1e-10))
     return out
 
 
@@ -184,6 +212,14 @@ def suite_rotation(seed: int = DEFAULT_SEED):
                                       np.arange(1, n + 1))
         worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
         worst_phase = max(worst_phase, float(phase.max()))
+    worst_inv = 0.0
+    for (n, variant), [family] in _dihedral_families(seed, 1).items():
+        sign = 1.0 if variant == "sum" else -1.0
+        for lam, gamma in enumerate(family, 1):
+            for r in range(1, n + 1):
+                expected = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
+                worst_inv = max(worst_inv, float(np.abs(
+                    inversion(gamma, r, n).amplitudes - expected).max()))
     return [
         _row("rotation", "modulus",
              "every group element holds each cyclic state fixed up to phase",
@@ -191,6 +227,10 @@ def suite_rotation(seed: int = DEFAULT_SEED):
         _row("rotation", "phase",
              "the picked-up phase is mu^((1-lam) l) for every element",
              worst_phase, 1e-10),
+        _row("rotation", "dihedral inversion",
+             "every inversion U_r maps each dihedral state to +-mu^((lam-1)(r-1)) "
+             "times itself (+ sum, - difference), n in {2,3,5,8}",
+             worst_inv, 1e-10),
     ]
 
 
@@ -275,6 +315,13 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
         direct = cyclic_gaussian_wavefunction(params, spec, x, record.n_lambda)
         worst_position = max(worst_position, float(np.abs(
             direct - fock_wavefunction(state, x)).max()))
+    # squeezed seeds centred beyond the quadrature oracle's nodes
+    worst_moments = 0.0
+    for params, n_max in ((GaussianParams(0.8 + 0.2j, 30.0 - 12.0j), 1400),
+                          (GaussianParams(0.15 + 0.1j, 20.0 + 25.0j), 3000)):
+        embedded, closed = quadrature_means(gaussian_to_fock(params, n_max)), moments(params)
+        worst_moments = max(worst_moments, abs(embedded.mean_x - closed.mean_x),
+                            abs(embedded.mean_p - closed.mean_p))
     return [
         _row("gaussian", "rotation commutation",
              "Fock-space rotation matches the rotated-parameter embedding "
@@ -288,6 +335,10 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
              "the c2, circle and wigner suites' cyclic Gaussian states match "
              "the rotated-parameter position sum on [-6, 6]",
              worst_position, 1e-6),
+        _row("gaussian", "large displacement",
+             "the embedding's <x>, <p> match the closed-form moments for two "
+             "squeezed seeds beyond the quadrature nodes (n_max 1400, 3000)",
+             worst_moments, 1e-10),
     ]
 
 
@@ -585,7 +636,7 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = DEFAULT_SEED) -> list[CheckRow]:
-    if names is None or names == ["all"]:
+    if names is None:
         names = list(SUITES)
     rows = []
     for name in names:

@@ -737,6 +737,15 @@ def test_verify_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("suite", ["characters", "erasure"])
+def test_verify_negative_seed_names_the_flag(tmp_path, capsys, suite):
+    # rejected before any suite runs, whether or not the suite draws numbers
+    out = tmp_path / "report.txt"
+    assert run("verify", "--suite", suite, "--seed", -1, "--output", out) == 1
+    assert one_line_error(capsys) == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 # ---- circle-limit ----
 
 def test_circle_limit_command(tmp_path):

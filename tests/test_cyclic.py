@@ -14,12 +14,10 @@ from polystate.fock import (
     coherent,
     fidelity,
     from_amplitudes,
-    normalize,
-    pure_density,
     sector_mask,
 )
-from polystate.fock import FockOperator
-from polystate.group import character, mu, unit_root
+from polystate.fock import FockOperator, inversion
+from polystate.group import character, unit_root
 from polystate.cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -32,11 +30,14 @@ from polystate.cyclic import (
     cyclic_state,
     cyclic_superposition,
     density_route_gap,
-    dihedral_gram,
-    dihedral_inversion_check,
     dihedral_state,
     normalization_record,
 )
+
+
+def _pure(phi):
+    """|phi><phi| of a unit state."""
+    return FockOperator(phi.n_max, np.outer(phi.amplitudes, phi.amplitudes.conj()))
 
 
 def test_spec_validation():
@@ -54,7 +55,7 @@ def test_spec_validation():
 # ---- superposition route ----
 
 def test_superposition_even_class_projection():
-    phi = normalize(from_amplitudes(np.array([1.0, 1.0, 0.0])))
+    phi = from_amplitudes(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     psi, _ = cyclic_superposition(phi, CyclicSpec(2, 1))
     assert np.abs(psi.amplitudes - basis_state(0, 2).amplitudes).max() < 1e-15
 
@@ -101,7 +102,7 @@ def test_empty_sector_raises_with_diagnostics():
 # ---- erasure route ----
 
 def test_erasure_single_survivor():
-    phi = normalize(from_amplitudes(np.array([1.0, 1.0, 1.0]) / np.sqrt(3)))
+    phi = from_amplitudes(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
     out = cyclic_erasure(phi, CyclicSpec(3, 2))
     assert np.abs(out.amplitudes - basis_state(1, 2).amplitudes).max() < 1e-15
 
@@ -119,11 +120,11 @@ def test_route_equivalence_seeded():
     spec = CyclicSpec(5, 3)
     er = cyclic_erasure(phi, spec)
     sup, _ = cyclic_superposition(phi, spec)
-    assert np.abs(er.amplitudes - mu(5) ** (1 - 3) * sup.amplitudes).max() < 1e-12
+    assert np.abs(er.amplitudes - unit_root(1 - 3, 5) * sup.amplitudes).max() < 1e-12
 
 
 def test_cyclic_set_skips_empty_sectors():
-    phi = normalize(from_amplitudes(np.array([1.0, 1.0, 0.0])))
+    phi = from_amplitudes(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     pairs = cyclic_set(phi, 3)
     assert len(pairs) == 2  # class 2 carries no mass
 
@@ -137,7 +138,7 @@ def test_cyclic_set_light_sectors():
     assert np.abs(states.conj() @ states.T - np.eye(32)).max() < 1e-12
     for lam, (state, record) in enumerate(pairs, 1):
         er = cyclic_erasure(phi, CyclicSpec(32, lam)).amplitudes
-        assert np.abs(state.amplitudes - mu(32) ** (lam - 1) * er).max() < 1e-14
+        assert np.abs(state.amplitudes - unit_root(lam - 1, 32) * er).max() < 1e-14
         assert abs(record.n_lambda) * record.raw_norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -264,7 +265,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
         assert owners, f"oracle {name} is in none of the patched modules"
         for mod in owners:
             monkeypatch.setattr(mod, name, oracle)
-    for name in ("gaussian_to_fock_quadrature", "_quadrature_rows", "_gh_nodes"):
+    for name in ("_quadrature_rows", "_gh_nodes"):
         monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)
@@ -272,7 +273,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     normalization_record(phi, spec)
     assert len(cyclic_set(phi, 4)) == 4
     dihedral_state(phi, spec, "difference")
-    cyclic_density(pure_density(phi), spec)
+    cyclic_density(_pure(phi), spec)
     circle_limit(phi, 2)
     two_mode = observables.bipartite_normalize(
         observables.BipartiteSpec(4, np.ones(4), phi, phi))
@@ -301,10 +302,9 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
 
 def test_empty_sector_masses_at_huge_order():
     # every raise site lists the n_max + 1 classes that can hold mass
-    # (the density site reports the diagonal of the rho it was given, which
-    # pure_density renormalizes)
+    # (the density site reports the diagonal of the rho it was given)
     phi = coherent(1.0 + 0.5j, 16)
-    rho = pure_density(phi)
+    rho = _pure(phi)
     for build, masses in ((lambda spec: cyclic_state(phi, spec), np.abs(phi.amplitudes) ** 2),
                           (lambda spec: dihedral_state(phi, spec, "difference"),
                            np.abs(phi.amplitudes) ** 2),
@@ -354,7 +354,7 @@ def test_rotation_array_matches_scalar_calls():
     # per-element overlaps <psi|R(theta_l)|psi>
     rng = np.random.default_rng(5)
     v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
-    phi = from_amplitudes(v / np.linalg.norm(v), 32)
+    phi = from_amplitudes(v / np.linalg.norm(v))
     for spec, elements in ((CyclicSpec(5, 2), np.arange(-6, 12)),
                            (CyclicSpec(4, 3), np.arange(1, 9).reshape(2, 4))):
         psi, _ = cyclic_state(phi, spec)
@@ -404,7 +404,7 @@ def test_rotation_phase_exact_at_order_64():
     # float angles 2 pi l m / n leaked up to ~4e-14 here
     rng = np.random.default_rng(64)
     v = rng.standard_normal(257) + 1j * rng.standard_normal(257)
-    phi = from_amplitudes(v / np.linalg.norm(v), 256)
+    phi = from_amplitudes(v / np.linalg.norm(v))
     worst = 0.0
     for lam in range(1, 65):
         psi, _ = cyclic_state(phi, CyclicSpec(64, lam))
@@ -418,7 +418,7 @@ def test_rotation_phase_exact_at_order_64():
 # ---- density matrices ----
 
 def test_density_invariant_input_unchanged():
-    rho = pure_density(basis_state(0, 4))
+    rho = _pure(basis_state(0, 4))
     out = cyclic_density(rho, CyclicSpec(2, 1))
     assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
@@ -426,23 +426,23 @@ def test_density_invariant_input_unchanged():
 def test_density_pure_state_matches_erasure_outer_product():
     phi = coherent(1.0, 24)
     spec = CyclicSpec(3, 2)
-    out = cyclic_density(pure_density(phi), spec)
+    out = cyclic_density(_pure(phi), spec)
     er = cyclic_erasure(phi, spec)
     expected = np.outer(er.amplitudes, np.conj(er.amplitudes))
     assert np.abs(out.matrix - expected).max() < 1e-12
 
 
 def test_density_mixture_class_projection():
-    half = 0.5 * (pure_density(basis_state(0, 4)).matrix
-                  + pure_density(basis_state(1, 4)).matrix)
+    half = 0.5 * (_pure(basis_state(0, 4)).matrix
+                  + _pure(basis_state(1, 4)).matrix)
     rho = FockOperator(4, half)
     out = cyclic_density(rho, CyclicSpec(2, 2))
-    expected = pure_density(basis_state(1, 4)).matrix
+    expected = _pure(basis_state(1, 4)).matrix
     assert np.abs(out.matrix - expected).max() < 1e-14
 
 
 def test_density_route_gap_small():
-    rho = pure_density(coherent(0.9 + 0.5j, 20))
+    rho = _pure(coherent(0.9 + 0.5j, 20))
     assert density_route_gap(rho, CyclicSpec(4, 2)) < 1e-13
 
 
@@ -480,20 +480,20 @@ def test_density_route_gap_is_the_double_sum(monkeypatch, n, n_max):
         # the oracle tells sectors apart: against the class-1 state's own
         # density, sector lam != 1 misses its whole weight
         phi = cyclic_erasure(coherent(1.0, n_max), CyclicSpec(n, 1))
-        pure = pure_density(phi)
+        pure = _pure(phi)
         monkeypatch.setattr(cyclic, "_projected_density", lambda *_: pure.matrix)
         assert density_route_gap(pure, CyclicSpec(n, lam)) > 0.5
 
 
 def test_density_empty_sector_raises():
     with pytest.raises(EmptyRepresentationError):
-        cyclic_density(pure_density(basis_state(0, 6)), CyclicSpec(2, 2))
+        cyclic_density(_pure(basis_state(0, 6)), CyclicSpec(2, 2))
 
 
 def test_density_empty_sector_reports_class_masses():
     # the n residue-class masses of diag(rho), not the d-entry diagonal
     with pytest.raises(EmptyRepresentationError) as exc:
-        cyclic_density(pure_density(basis_state(0, 6)), CyclicSpec(2, 2))
+        cyclic_density(_pure(basis_state(0, 6)), CyclicSpec(2, 2))
     np.testing.assert_array_equal(exc.value.masses, [1.0, 0.0])
 
 
@@ -576,11 +576,10 @@ def test_dihedral_inversion_eigenstate():
     for lam in (1, 2, 3):
         for variant, sign in (("sum", 1.0), ("difference", -1.0)):
             gamma, _ = dihedral_state(phi, CyclicSpec(n, lam), variant)
-            for l in range(n):
-                fid, phase = dihedral_inversion_check(gamma, CyclicSpec(n, lam), l)
-                assert fid == pytest.approx(1.0, abs=1e-10)
-                predicted = sign * mu(n) ** ((lam - 1) * l)
-                assert abs(phase - predicted) < 1e-10
+            for r in range(1, n + 1):
+                # U_r gamma = +-mu^((lam-1)(r-1)) gamma: an eigenvector, phase and all
+                predicted = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
+                assert np.abs(inversion(gamma, r, n).amplitudes - predicted).max() < 1e-10
 
 
 def test_dihedral_state_matches_rotation_plus_inversion_sum():
@@ -604,29 +603,30 @@ def test_dihedral_state_matches_rotation_plus_inversion_sum():
             assert np.abs(gamma.amplitudes - acc / raw_norm).max() < 1e-12
 
 
+def _dihedral_gram(phi, n, variant, lams):
+    states = [dihedral_state(phi, CyclicSpec(n, lam), variant)[0] for lam in lams]
+    return np.array([[fock.inner(a, b) for b in states] for a in states])
+
+
 def test_dihedral_gram_identity():
-    g = dihedral_gram(coherent(1.0 + 0.8j, 40), 3, "sum")
+    g = _dihedral_gram(coherent(1.0 + 0.8j, 40), 3, "sum", (1, 2, 3))
     assert np.abs(g - np.eye(3)).max() < 1e-10
 
 
 def test_dihedral_gram_empty_sectors():
     # a real seed has no difference variant: every sector is empty
-    np.testing.assert_array_equal(dihedral_gram(coherent(1.3, 40), 4, "difference"),
-                                  np.eye(4))
-    # no weight on m = 2 (mod 4) leaves sector lam = 3 of C_4 empty
+    for lam in range(1, 5):
+        with pytest.raises(EmptyRepresentationError, match="difference variant vanishes"):
+            dihedral_state(coherent(1.3, 40), CyclicSpec(4, lam), "difference")
+    # no weight on m = 2 (mod 4) leaves sector lam = 3 of C_4 empty; the
+    # three built states of each variant stay orthonormal
     amps = np.zeros(41, dtype=complex)
     amps[[0, 1, 3, 4, 5, 7]] = [0.5, 0.3 + 0.4j, 0.1 - 0.2j, -0.2j, 0.6 + 0.1j, 0.2j]
     phi = from_amplitudes(amps / np.linalg.norm(amps))
     for variant in ("sum", "difference"):
-        g = dihedral_gram(phi, 4, variant)
-        np.testing.assert_array_equal(g[2], np.eye(4)[2])
-        np.testing.assert_array_equal(g[:, 2], np.eye(4)[2])
-        assert np.abs(g - np.eye(4)).max() < 1e-15
-    # off-diagonal entries of the built block are the states' overlaps
-    states = [dihedral_state(phi, CyclicSpec(4, lam), "sum")[0] for lam in (1, 2, 4)]
-    block = dihedral_gram(phi, 4, "sum")[np.ix_([0, 1, 3], [0, 1, 3])]
-    want = [[fock.inner(a, b) for b in states] for a in states]
-    assert np.abs(block - want).max() < 1e-16
+        with pytest.raises(EmptyRepresentationError):
+            dihedral_state(phi, CyclicSpec(4, 3), variant)
+        assert np.abs(_dihedral_gram(phi, 4, variant, (1, 2, 4)) - np.eye(3)).max() < 1e-15
 
 
 # ---- annihilation shift ----

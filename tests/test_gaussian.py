@@ -15,7 +15,6 @@ from polystate.gaussian import (
     cyclic_gaussian_wavefunction,
     fock_wavefunction,
     gaussian_to_fock,
-    gaussian_to_fock_quadrature,
     hermite_functions,
     moments,
     rotate_params,
@@ -158,7 +157,7 @@ def test_embedding_matches_quadrature_oracle(n_max):
         for b in (3.0, -2.1 + 2.1j, 0.5 - 0.5j, 1e-3j):
             p = GaussianParams(a, b)
             st = gaussian_to_fock(p, n_max)
-            oracle = gaussian_to_fock_quadrature(p, n_max)
+            (oracle,), _ = _quadrature_rows([p], n_max)
             assert np.abs(st.amplitudes - oracle.amplitudes).max() < 1e-10
             assert st.tail_flagged == oracle.tail_flagged
 
@@ -175,7 +174,6 @@ def test_quadrature_rows_match_one_seed_calls():
         assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-15
         assert state.tail_flagged is one.tail_flagged  # a bool, as _embedded gives
         assert count == one_count
-        assert np.array_equal(gaussian_to_fock_quadrature(p, 63).amplitudes, one.amplitudes)
     assert len(set(nodes.tolist())) >= 3
     assert any(s.tail_flagged for s in states) and not all(s.tail_flagged for s in states)
 
@@ -185,7 +183,7 @@ def test_quadrature_cap_still_raises():
     # or beside a seed that converges, it meets the 30000-node cap
     far = GaussianParams(0.5, 18.0 * np.sqrt(2.0))
     with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
-        gaussian_to_fock_quadrature(far, 512)
+        _quadrature_rows([far], 512)
     with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
         _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), far], 512)
 
@@ -196,7 +194,7 @@ def test_quadrature_cap_raises_for_mass_beyond_n_max():
     # cap is met, alone or beside a seed that converges
     beyond = GaussianParams(0.1 + 2j, 3.0)
     with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
-        gaussian_to_fock_quadrature(beyond, 63)
+        _quadrature_rows([beyond], 63)
     with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
         _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), beyond], 63)
 
@@ -328,7 +326,7 @@ def test_embedding_tail_flag_counts_lost_norm(a):
     st = gaussian_to_fock(p, 63)
     assert st.tail_mass < EMBED_TAIL_TOL
     assert st.tail_flagged
-    assert gaussian_to_fock_quadrature(p, 63).tail_flagged
+    assert _quadrature_rows([p], 63)[0][0].tail_flagged
 
 
 def test_embedding_far_outside_truncation_is_flagged_not_nan():

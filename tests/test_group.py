@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from polystate.group import (
     character,
     character_orthogonality_report,
-    mu,
     root_sum,
     theta,
     unit_root,
@@ -47,10 +46,9 @@ def test_unit_root_arrays_match_the_exp_expression_bit_for_bit():
 
 
 def test_group_functions_evaluate_through_unit_root():
-    # mu, character, root_sum and the orthogonality table give the
+    # character, root_sum and the orthogonality table give the
     # evaluator's bits, not a differently rounded exp of their own
     for n in (1, 2, 7, 12, 64):
-        assert mu(n) == unit_root(1, n)
         for lam in range(1, n + 1):
             for r in range(1, n + 1):
                 assert character(n, lam, r) == unit_root((lam - 1) * (r - 1), n)
@@ -91,8 +89,8 @@ def test_theta_values():
 
 def test_mu_is_primitive_root():
     for n in (1, 2, 3, 8, 17):
-        assert mu(n) ** n == pytest.approx(1.0)
-    assert abs(mu(5) - np.exp(2j * np.pi / 5)) < 1e-15
+        assert unit_root(1, n) ** n == pytest.approx(1.0)
+    assert abs(unit_root(1, 5) - np.exp(2j * np.pi / 5)) < 1e-15
 
 
 def test_root_sum_known_values():
