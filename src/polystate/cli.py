@@ -1,8 +1,8 @@
 """Command line surface: state construction, observables, and the verify suites.
 
-Exit codes: 0 success, 1 failed checks, runtime errors or an unallocatable
-array, 2 empty symmetry sector, 3 malformed input JSON. Every failure is
-one line on stderr.
+Exit codes: 0 success, 1 failed checks, runtime errors, an unallocatable
+array or a --n-max above _N_MAX_LIMIT, 2 empty symmetry sector, 3 malformed
+input JSON. Every failure is one line on stderr.
 wigner --check-symmetry N reports, from the amplitudes, the mass outside the
 state's heaviest residue class mod N (0 exactly for a C_N sector state).
 JSON output is json.dumps(payload, indent=2) and a newline, with complex
@@ -47,6 +47,11 @@ from .verify import DEFAULT_SEED, SUITES, format_report, run_suites
 
 __all__ = ["main"]
 
+# Largest --n-max for constructed seeds. The constructors hold n_max + 1
+# Python values before any check runs, so a far larger value would exhaust
+# memory instead of failing with a message; the tests reach 4096.
+_N_MAX_LIMIT = 2 ** 20
+
 
 class InputFormatError(ValueError):
     """Input file exists but does not parse as the documented JSON shape."""
@@ -70,6 +75,8 @@ def _load_state(path: str) -> FockVector:
 
 def _seed_state(args) -> FockVector:
     """The seed named by --input / --coherent / --gaussian."""
+    if args.n_max is not None and args.n_max > _N_MAX_LIMIT:
+        raise ValueError(f"--n-max must be <= {_N_MAX_LIMIT}, got {args.n_max}")
     given = [name for name in ("input", "coherent", "gaussian")
              if getattr(args, name, None) is not None]
     if len(given) != 1:

@@ -3,9 +3,10 @@
 A C_n sector state is supported on the single residue class
 m = lam - 1 (mod n) (fock.sector_mask), so the production routes work on
 that class directly: one kernel (_sector_part) keeps the seed's amplitudes
-there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure,
-normalization_record and dihedral_state scale that part in closed form,
-and density matrices are projected onto the class. Two independent routes
+there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure
+and normalization_record scale that part in closed form, dihedral_state
+does the same with the real or imaginary parts (_dihedral_states), and
+density matrices are projected onto the class. Two independent routes
 are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
@@ -133,9 +134,10 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
 
 def _superpositions(amps: np.ndarray, n: int, lams
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cyclic_superposition for a stack of seeds amps (..., d) and each int lam
-    in lams (L of them), from one product of the character table
-    mu_n^((lam-1) r), r 0-based, with the rotated copies.
+    """cyclic_superposition for a stack of seeds amps (..., d) and L labels
+    lam: every seed with each int of a 1-D lams, or each seed with its own
+    row of an array lams (..., L). One product of the character table
+    mu_n^((lam-1) r), r 0-based, with the rotated copies gives them all.
 
     Returns the unit states (..., L, d) and their records' raw_norm and
     n_lambda, each (..., L). The empty-sector and leakage checks run over the
@@ -154,7 +156,7 @@ def _superpositions(amps: np.ndarray, n: int, lams
     failed = empty | (off > _LEAK_TOL)
     if failed.any():
         first = np.unravel_index(np.argmax(failed), failed.shape)
-        lam = int(lams[first[-1]])
+        lam = int(np.broadcast_to(lams, failed.shape)[first])
         if empty[first]:
             raise EmptyRepresentationError(
                 n, lam, _class_sums(np.abs(amps[first[:-1]]) ** 2, n))
@@ -176,16 +178,14 @@ def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
         f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
 
 
-def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
-                 ) -> tuple[np.ndarray, float]:
-    """amps (default: the seed's) zeroed off the sector's residue class, and
-    their norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
-    amps = phi.amplitudes if amps is None else amps
-    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
+def _sector_part(phi: FockVector, spec: CyclicSpec) -> tuple[np.ndarray, float]:
+    """The seed's amplitudes zeroed off the sector's residue class, and their
+    norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
+    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), phi.amplitudes, 0)
     nrm = float(np.linalg.norm(part))
     if nrm < _EMPTY_TOL:
         raise EmptyRepresentationError(
-            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n), detail)
+            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n))
     return part, nrm
 
 
@@ -257,10 +257,12 @@ def _rotation_checks(w: np.ndarray, n: int, lam, l) -> tuple[np.ndarray, np.ndar
     return fid, np.abs(np.angle(ov / predicted))
 
 
-def _projected_density(rho: FockOperator, spec: CyclicSpec) -> np.ndarray:
-    """P rho P, unnormalized, with P the projector onto the residue class."""
-    keep = sector_mask(rho.n_max, spec.n, spec.lam)
-    return np.where(keep[:, None] & keep[None, :], rho.matrix, 0)
+def _projected_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
+    """P rho P, unnormalized, for a stack of matrices rho (..., d, d) and each
+    int lam in the 1-D lams (L of them), P the projector onto lam's residue
+    class: (..., L, d, d)."""
+    keep = sector_mask(rho.shape[-1] - 1, n, np.asarray(lams)[:, None])
+    return np.where(keep[:, :, None] & keep[:, None, :], rho[..., None, :, :], 0)
 
 
 def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
@@ -268,13 +270,22 @@ def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
 
     The double sum (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag
     factorises as P_chi rho P_chi^dag, P_chi = (1/n) sum_r chi_r R_r diagonal.
-    The independent oracle for cyclic_density: no residue-class mask.
+    The independent oracle for cyclic_density: no residue-class mask. This
+    is the one-matrix, one-lam call of _density_route_gaps.
     """
-    n, m = spec.n, np.arange(rho.n_max + 1)
-    r = np.arange(n)
-    p_chi = unit_root((spec.lam - 1) * r, n) @ unit_root(-np.outer(r, m), n) / n
-    acc = p_chi[:, None] * rho.matrix * np.conj(p_chi)[None, :]
-    return float(np.abs(acc - _projected_density(rho, spec)).max())
+    return float(_density_route_gaps(rho.matrix, spec.n, [spec.lam])[0])
+
+
+def _density_route_gaps(rho: np.ndarray, n: int, lams) -> np.ndarray:
+    """density_route_gap for a stack of matrices rho (..., d, d) and each int
+    lam in the 1-D lams: (..., L). Each lam's diagonal P_chi is its own
+    vector-matrix product with the phase table, as in a one-lam call, so
+    every gap is that call's float bit for bit."""
+    lams, r = np.asarray(lams), np.arange(n)
+    table = unit_root(-np.outer(r, np.arange(rho.shape[-1])), n)
+    p_chi = (unit_root(np.multiply.outer(lams - 1, r), n)[:, None, :] @ table)[:, 0] / n
+    acc = p_chi[:, :, None] * rho[..., None, :, :] * np.conj(p_chi)[:, None, :]
+    return np.abs(acc - _projected_densities(rho, n, lams)).max(axis=(-2, -1))
 
 
 def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
@@ -282,14 +293,26 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
 
     P rho P equals the double character sum
     (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
-    entrywise; density_route_gap measures that agreement.
+    entrywise; density_route_gap measures that agreement. This is the
+    one-matrix, one-lam call of _cyclic_densities.
     """
-    n, lam = spec.n, spec.lam
-    projected = _projected_density(rho, spec)
-    tr = projected.trace().real
-    if tr < _EMPTY_TOL:
-        raise EmptyRepresentationError(n, lam, _class_sums(np.diag(rho.matrix).real, n))
-    return FockOperator(rho.n_max, projected / tr)
+    return FockOperator(rho.n_max, _cyclic_densities(rho.matrix, spec.n, [spec.lam])[0])
+
+
+def _cyclic_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
+    """cyclic_density's matrices for a stack rho (..., d, d) and each int lam
+    in the 1-D lams: (..., L, d, d). The first (matrix, lam) in C order whose
+    projection has trace below _EMPTY_TOL raises EmptyRepresentationError, as
+    one call per matrix and lam in that order would."""
+    projected = _projected_densities(rho, n, lams)
+    tr = np.trace(projected, axis1=-2, axis2=-1).real
+    empty = tr < _EMPTY_TOL
+    if empty.any():
+        first = np.unravel_index(np.argmax(empty), empty.shape)
+        raise EmptyRepresentationError(
+            n, int(np.asarray(lams)[first[-1]]),
+            _class_sums(np.diagonal(rho[first[:-1]]).real, n))
+    return projected / tr[..., None, None]
 
 
 def _circle_average(phi: FockVector, lam: int) -> np.ndarray:
@@ -346,15 +369,55 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
     the real-positive constant 1 / raw_norm, so sum amplitudes come out real
     and difference amplitudes purely imaginary. A seed with real amplitudes
     has a vanishing difference variant, which raises EmptyRepresentationError.
+    This is the one-seed, one-lam call of _dihedral_states.
     """
     if variant not in ("sum", "difference"):
         raise ValueError(f"variant must be 'sum' or 'difference', got {variant!r}")
-    amps = phi.amplitudes.real if variant == "sum" else 1j * phi.amplitudes.imag
-    part, nrm = _sector_part(phi, spec, amps, f"dihedral {variant} variant vanishes")
-    raw_norm = 2 * spec.n * nrm
+    states, nrm = _dihedral_states(phi.amplitudes, spec.n, [spec.lam], variant)
+    raw_norm = 2 * spec.n * float(nrm[0])
     record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
-    return FockVector(phi.n_max, part / nrm, phi.tail_flagged), record
+    return FockVector(phi.n_max, states[0], phi.tail_flagged), record
+
+
+def _dihedral_states(amps: np.ndarray, n: int, lams, variant: str
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """dihedral_state of one variant for each seed of the stack amps (..., d)
+    and each int lam in the 1-D lams (L of them), from one residue-class
+    mask: the unit states (..., L, d) and the norms (..., L) of the masked
+    parts, raw_norm / 2n.
+
+    A difference part is i Im A_m as a complex array and each norm is
+    _row_norms', so every state and norm is its one-row call's bit for bit.
+    The first empty (seed, lam) in C order raises, as one call per seed and
+    lam in that order would.
+    """
+    lams = np.asarray(lams)
+    keep = sector_mask(amps.shape[-1] - 1, n, lams[:, None])
+    if variant == "sum":
+        part = np.where(keep, amps.real[..., None, :], 0.0)
+    else:
+        part = np.where(keep, 1j * amps.imag[..., None, :], 0)
+    nrm = _row_norms(part)
+    empty = nrm < _EMPTY_TOL
+    if empty.any():
+        first = np.unravel_index(np.argmax(empty), empty.shape)
+        raise EmptyRepresentationError(
+            n, int(lams[first[-1]]), _class_sums(np.abs(amps[first[:-1]]) ** 2, n),
+            f"dihedral {variant} variant vanishes")
+    return part / nrm[..., None], nrm
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of x (..., d), bit for bit. That norm takes
+    the BLAS dot of a contiguous copy's real part with itself (and of its
+    imaginary part, for complex x); matmul takes the same dot for each
+    (1, d) @ (d, 1) product of rows of x, which must be C-contiguous."""
+    def dots(part):
+        return (part[..., None, :] @ part[..., :, None])[..., 0, 0]
+    if np.iscomplexobj(x):
+        return np.sqrt(dots(x.real) + dots(x.imag))
+    return np.sqrt(dots(x))
 
 
 def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec

@@ -266,17 +266,32 @@ def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
 
 
 def _class_sums(p: np.ndarray, n: int) -> np.ndarray:
-    """Sums of the weights p over the residue classes lam = 1..min(n, p.size)
-    mod n; no photon number lies past them, so any order n costs O(p.size)."""
-    n = min(n, p.size)  # the same classes for every n >= p.size
-    return np.bincount(np.arange(p.size) % n, weights=p, minlength=n)
+    """Sums of each row of the weights p (..., d) over the residue classes
+    lam = 1..min(n, d) mod n, shaped (..., min(n, d)); no photon number lies
+    past them, so any order n costs O(p.size). One bincount takes every row,
+    each in its own n bins, so each sum adds its row's weights in the order
+    of m, as a one-row call does."""
+    d = p.shape[-1]
+    n = min(n, d)  # the same classes for every n >= d
+    bins = np.arange(d) % n
+    if p.ndim > 1:
+        bins = (bins + np.arange(0, p.size // d * n, n)[:, None]).ravel()
+    return np.bincount(bins, weights=p.ravel(),
+                       minlength=bins.size // d * n).reshape(p.shape[:-1] + (n,))
+
+
+def _class_masses(amps: np.ndarray, n: int) -> np.ndarray:
+    """residue_class_masses of each row of the amplitudes amps (..., d): (..., n)."""
+    w = _class_sums(np.abs(amps) ** 2, n)
+    if w.shape[-1] == n:
+        return w
+    return np.concatenate((w, np.zeros(w.shape[:-1] + (n - w.shape[-1],))), axis=-1)
 
 
 def residue_class_masses(state: FockVector, n: int) -> np.ndarray:
     """w_lam for lam = 1..n: mass on photon numbers m = lam - 1 (mod n), the
     _class_sums of |A_m|^2 with zeros for the classes past n_max."""
-    w = _class_sums(np.abs(state.amplitudes) ** 2, n)
-    return np.concatenate((w, np.zeros(n - w.size)))
+    return _class_masses(state.amplitudes, n)
 
 
 def annihilate(state: FockVector) -> FockVector:

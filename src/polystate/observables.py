@@ -57,7 +57,6 @@ __all__ = [
     "mandel",
     "BipartiteSpec",
     "MemoryGuardError",
-    "bipartite_norm_squared",
     "bipartite_normalize",
     "EntanglementResult",
     "linear_entropy",
@@ -79,6 +78,8 @@ _CSV_BLOCK = 2 ** 13
 _ROUND_MARGIN = 0.005
 # Most entries of linear_entropy_oracle's joint amplitude matrix.
 _ORACLE_BUDGET = 2 ** 24
+# Entries of joint amplitude matrices per block of _oracle_entropies' stack.
+_ORACLE_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -496,9 +497,11 @@ class BipartiteSpec:
         object.__setattr__(self, "c", c)
 
 
-def _sector_matrix(spec: BipartiteSpec) -> np.ndarray:
-    """The Hankel sector matrix G of the two-mode state: its amplitudes on the
-    products |la>|lb> of the seeds' unit sector states.
+def _sector_matrix(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The Hankel sector matrices G (..., n, n) of a stack of two-mode states
+    with coefficients c (..., n) and the seeds' residue-class masses w1, w2
+    (..., n): their amplitudes on the products |la>|lb> of the seeds' unit
+    sector states.
 
     Each rotated seed expands over its sectors as
     R_r|seed> = sum_lam mu_n^(-(r-1)(lam-1)) sqrt(w_lam) |lam>, with w_lam
@@ -508,28 +511,42 @@ def _sector_matrix(spec: BipartiteSpec) -> np.ndarray:
     c_r sqrt(w1_la) sqrt(w2_lb) mu_n^(-r k). Empty sectors give zero rows
     and columns.
     """
-    n = spec.n
+    n = c.shape[-1]
     k = np.arange(n)
     ksum = k[:, None] + k[None, :]
-    amp = np.outer(np.sqrt(residue_class_masses(spec.seed_1, n)),
-                   np.sqrt(residue_class_masses(spec.seed_2, n)))
-    return amp * np.fft.fft(spec.c)[ksum % n] * unit_root(-ksum, n)
+    amp = np.sqrt(w1)[..., :, None] * np.sqrt(w2)[..., None, :]
+    return amp * np.fft.fft(c)[..., ksum % n] * unit_root(-ksum, n)
 
 
-def bipartite_norm_squared(spec: BipartiteSpec) -> float:
-    """||Psi||^2 = sum |G|^2 over the sector matrix: the sector states of
-    distinct lam are orthonormal."""
-    return float(np.sum(np.abs(_sector_matrix(spec)) ** 2))
+def _masses(spec: BipartiteSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The residue-class masses of the spec's two seeds."""
+    return (residue_class_masses(spec.seed_1, spec.n),
+            residue_class_masses(spec.seed_2, spec.n))
+
+
+def _sum_sq(g: np.ndarray) -> np.ndarray:
+    """sum |G|^2 of each matrix in the stack g (..., k, k)."""
+    return np.sum(np.abs(g) ** 2, axis=(-2, -1))
 
 
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
     """Rescale c by a positive constant so the two-mode state has unit norm;
-    c is read as a ray (fock._ray_scale), as state files are."""
-    spec = BipartiteSpec(spec.n, _ray_scale(spec.c), spec.seed_1, spec.seed_2)
-    nsq = bipartite_norm_squared(spec)
-    if nsq <= 0:
+    c is read as a ray (fock._ray_scale), as state files are. This is the
+    one-spec call of _unit_coefficients."""
+    return BipartiteSpec(spec.n, _unit_coefficients(spec.c, *_masses(spec)),
+                         spec.seed_1, spec.seed_2)
+
+
+def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """bipartite_normalize's coefficients for a stack of specs, given as in
+    _sector_matrix: (..., n). Each row of c is read as a ray, then divided
+    by ||Psi|| = sqrt(sum |G|^2): the sector states of distinct lam are
+    orthonormal. ValueError if any spec has zero norm."""
+    c = np.array([_ray_scale(row) for row in c.reshape(-1, c.shape[-1])]).reshape(c.shape)
+    nsq = _sum_sq(_sector_matrix(c, w1, w2))
+    if (nsq <= 0).any():
         raise ValueError("two-mode state has zero norm; coefficients degenerate")
-    return BipartiteSpec(spec.n, spec.c / np.sqrt(nsq), spec.seed_1, spec.seed_2)
+    return c / np.sqrt(nsq)[..., None]
 
 
 def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.ndarray:
@@ -564,16 +581,24 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
     The reduced density matrix in the seeds' sector basis is G G^dag, with G
     the Hankel sector matrix (_sector_matrix). Seeds with empty sectors are
     accepted. Requires a normalized spec (run bipartite_normalize first).
+    This is the one-spec call of _linear_entropies.
     """
-    g = _sector_matrix(spec)
-    total = float(np.sum(np.abs(g) ** 2))
-    if abs(total - 1.0) > 1e-8:
+    s_linear, f = _linear_entropies(_sector_matrix(spec.c, *_masses(spec)))
+    return EntanglementResult(s_linear=float(s_linear), f_matrix=f)
+
+
+def _linear_entropies(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """linear_entropy of a stack of sector matrices g (..., n, n): S_L (...)
+    and rho_1 = G G^dag (..., n, n). The first matrix in C order whose mass
+    is more than 1e-8 from 1 raises ValueError, as one call per spec would."""
+    total = _sum_sq(g)
+    off = np.abs(total - 1.0) > 1e-8
+    if off.any():
         raise ValueError(
-            f"spec is not normalized (sector mass {total:.6f}); "
+            f"spec is not normalized (sector mass {total.flat[np.argmax(off)]:.6f}); "
             "call bipartite_normalize first")
-    f = g @ g.conj().T
-    s_linear = 1.0 - float(np.sum(np.abs(f) ** 2))
-    return EntanglementResult(s_linear=s_linear, f_matrix=f)
+    f = g @ np.swapaxes(g.conj(), -1, -2)
+    return 1.0 - _sum_sq(f), f
 
 
 def linear_entropy_gram(spec: BipartiteSpec) -> float:
@@ -583,12 +608,21 @@ def linear_entropy_gram(spec: BipartiteSpec) -> float:
     matrices A = [<a_i|a_j>], B = [<b_i|b_j>] and X = (c c^dag) o B^T,
     Tr(rho_1^2) = Tr((X A)^2). O(n^2 d) work on n x d copies, with no
     residue-class or FFT algebra, so it stays independent of the Hankel
-    route. Requires a normalized spec.
+    route. Requires a normalized spec. This is the one-spec call of
+    _gram_entropies.
     """
-    a = _rotated_copies(spec.seed_1.amplitudes, spec.n)
-    b = _rotated_copies(spec.seed_2.amplitudes, spec.n)
-    xa = (np.outer(spec.c, spec.c.conj()) * (b @ b.conj().T)) @ (a.conj() @ a.T)
-    return 1.0 - float(np.sum(xa * xa.T).real)
+    return float(_gram_entropies(spec.c, spec.seed_1.amplitudes, spec.seed_2.amplitudes))
+
+
+def _gram_entropies(c: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """linear_entropy_gram of a stack of specs with coefficients c (..., n)
+    and seed amplitudes a1 (..., d1), a2 (..., d2): (...), every product
+    batched over the stack."""
+    n = c.shape[-1]
+    a, b = _rotated_copies(a1, n), _rotated_copies(a2, n)
+    cc = c[..., :, None] * c.conj()[..., None, :]
+    xa = (cc * (b @ np.swapaxes(b.conj(), -1, -2))) @ (a.conj() @ np.swapaxes(a, -1, -2))
+    return 1.0 - np.sum(xa * np.swapaxes(xa, -1, -2), axis=(-2, -1)).real
 
 
 def linear_entropy_oracle(spec: BipartiteSpec) -> float:
@@ -597,15 +631,31 @@ def linear_entropy_oracle(spec: BipartiteSpec) -> float:
     Builds the full (n_max+1)^2 joint amplitude matrix T = a^T diag(c) b
     from the rotated copies, so it refuses inputs whose T would exceed
     _ORACLE_BUDGET entries. Only verify (the entangle suite) and the tests
-    call it; the CLI cross-checks with linear_entropy_gram.
+    call it; the CLI cross-checks with linear_entropy_gram. This is the
+    one-spec call of _oracle_entropies.
     """
-    d1 = spec.seed_1.n_max + 1
-    d2 = spec.seed_2.n_max + 1
+    return float(_oracle_entropies(spec.c, spec.seed_1.amplitudes, spec.seed_2.amplitudes))
+
+
+def _oracle_entropies(c: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """linear_entropy_oracle of a stack of specs given as in _gram_entropies:
+    (...). The joint matrices T and rho_1 are formed over blocks of about
+    _ORACLE_BLOCK entries of T, so a stack holds no more at once; each
+    spec's products are its one-spec call's. MemoryGuardError when one
+    spec's T would exceed _ORACLE_BUDGET entries."""
+    n, d1, d2 = c.shape[-1], a1.shape[-1], a2.shape[-1]
     if d1 * d2 > _ORACLE_BUDGET:
         raise MemoryGuardError(
             f"joint amplitude matrix needs {d1 * d2} entries, "
             f"budget is {_ORACLE_BUDGET}")
-    a = _rotated_copies(spec.seed_1.amplitudes, spec.n)
-    t = (a.T * spec.c) @ _rotated_copies(spec.seed_2.amplitudes, spec.n)
-    rho_1 = t @ t.conj().T
-    return 1.0 - float(np.sum(np.abs(rho_1) ** 2))  # Tr rho^2, rho Hermitian
+    lead = c.shape[:-1]
+    c, a1, a2 = c.reshape(-1, n), a1.reshape(-1, d1), a2.reshape(-1, d2)
+    out = np.empty(c.shape[0])
+    step = max(1, _ORACLE_BLOCK // (d1 * d2))
+    for i in range(0, out.size, step):
+        blk = slice(i, i + step)
+        a = _rotated_copies(a1[blk], n)
+        t = (np.swapaxes(a, -1, -2) * c[blk, None, :]) @ _rotated_copies(a2[blk], n)
+        # Tr rho^2 = sum |rho|^2, rho Hermitian
+        out[blk] = 1.0 - _sum_sq(t @ np.swapaxes(t.conj(), -1, -2))
+    return out.reshape(lead)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .group import character_orthogonality_report, root_sum, unit_root
 from .fock import (
-    FockOperator,
     FockVector,
+    _class_masses,
     _rotated_copies,
     _rotation_phases,
     annihilate,
@@ -32,16 +32,17 @@ from .fock import (
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
+    _cyclic_densities,
+    _density_route_gaps,
+    _dihedral_states,
     _off_class,
     _rotation_checks,
     _superpositions,
     annihilation_irrep_shift,
     circle_limit,
     circle_limit_quadrature_gap,
-    cyclic_density,
     cyclic_erasure,
     cyclic_superposition,
-    density_route_gap,
     dihedral_state,
     normalization_record,
 )
@@ -61,10 +62,14 @@ from .gaussian import (
 from .observables import (
     BipartiteSpec,
     _fano,
+    _gram_entropies,
+    _linear_entropies,
+    _oracle_entropies,
     _reconstructions,
+    _sector_matrix,
+    _unit_coefficients,
     bipartite_normalize,
     linear_entropy,
-    linear_entropy_gram,
     linear_entropy_oracle,
     mandel,
     wigner,
@@ -96,9 +101,13 @@ def _row(suite: str, name: str, prop: str, residual: float, tolerance: float,
     return CheckRow(suite, name, prop, residual, float(tolerance), bool(ok))
 
 
-def _random_state(rng: np.random.Generator, n_max: int = 64) -> FockVector:
+def _random_amplitudes(rng: np.random.Generator, n_max: int = 64) -> np.ndarray:
     v = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
-    return from_amplitudes(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def _random_state(rng: np.random.Generator, n_max: int = 64) -> FockVector:
+    return from_amplitudes(_random_amplitudes(rng, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +134,8 @@ _SUITE2_SEEDS = 50
 
 
 def _random_stack(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The amplitudes of count successive _random_state draws, stacked."""
-    return np.array([_random_state(rng).amplitudes for _ in range(count)])
+    """count successive _random_amplitudes draws, stacked."""
+    return np.array([_random_amplitudes(rng) for _ in range(count)])
 
 
 def _suite2_states(seed: int):
@@ -143,18 +152,19 @@ def _suite2_states(seed: int):
 
 
 def _dihedral_families(seed: int, count: int):
-    """(n, variant) -> the dihedral states for lam = 1..n of count random
-    seeds, as lists [seed][lam - 1], for the orders of _SUITE2_ORDERS.
+    """n -> the dihedral states (2, count, n, d) of count random seeds: both
+    variants (sum, difference) for lam = 1..n, from one _dihedral_states
+    call per variant and order of _SUITE2_ORDERS.
 
-    The seeds come from a generator of their own, so the orbit-family rows
-    keep their bits. Random seeds have complex amplitudes on every class,
-    so no sector of either variant is empty.
+    The seeds come from a stream of their own, default_rng([seed, 1]), so
+    they are not the orbit families' seeds and those rows keep their bits.
+    Random seeds have complex amplitudes on every class, so no sector of
+    either variant is empty.
     """
-    rng = np.random.default_rng(seed)
-    phis = [_random_state(rng) for _ in range(count)]
-    return {(n, variant): [[dihedral_state(phi, CyclicSpec(n, lam), variant)[0]
-                            for lam in range(1, n + 1)] for phi in phis]
-            for n in _SUITE2_ORDERS for variant in ("sum", "difference")}
+    amps = _random_stack(np.random.default_rng([seed, 1]), count)
+    return {n: np.array([_dihedral_states(amps, n, range(1, n + 1), variant)[0]
+                         for variant in ("sum", "difference")])
+            for n in _SUITE2_ORDERS}
 
 
 def suite_orthonormality(seed: int = DEFAULT_SEED):
@@ -165,8 +175,7 @@ def suite_orthonormality(seed: int = DEFAULT_SEED):
                         f"{_SUITE2_SEEDS} random seeds: cyclic family is orthonormal",
                         float(np.abs(gram - np.eye(n)).max()), 1e-10))
     worst = 0.0
-    for (n, _), families in _dihedral_families(seed, 5).items():
-        states = np.array([[g.amplitudes for g in family] for family in families])
+    for n, states in _dihedral_families(seed, 5).items():
         gram = states.conj() @ np.swapaxes(states, -1, -2)
         worst = max(worst, float(np.abs(gram - np.eye(n)).max()))
     # the sum and difference states of one lam overlap, so each variant's
@@ -179,20 +188,27 @@ def suite_orthonormality(seed: int = DEFAULT_SEED):
 
 def suite_erasure(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    worst = worst_record = 0.0
+    trials = []
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        lam = int(rng.integers(1, n + 1))
-        phi = _random_state(rng)
-        spec = CyclicSpec(n, lam)
-        sup, orbit = cyclic_superposition(phi, spec)
-        er = cyclic_erasure(phi, spec)
-        gap = np.abs(er.amplitudes - unit_root(1 - lam, n) * sup.amplitudes).max()
-        worst = max(worst, float(gap))
-        closed = normalization_record(phi, spec)
-        worst_record = max(worst_record,
-                           abs(closed.raw_norm - orbit.raw_norm) / orbit.raw_norm,
-                           abs(closed.n_lambda - orbit.n_lambda) * orbit.raw_norm)
+        trials.append((n, int(rng.integers(1, n + 1)), _random_state(rng)))
+    worst = worst_record = 0.0
+    for n in sorted({t[0] for t in trials}):
+        group = [t for t in trials if t[0] == n]
+        # the orbit route: every trial of order n in one product, each with its lam
+        sups, raw_norms, n_lambdas = _superpositions(
+            np.array([phi.amplitudes for _, _, phi in group]), n,
+            np.array([[lam] for _, lam, _ in group]))
+        for (_, lam, phi), [sup], [raw_norm], [n_lambda] in zip(
+                group, sups, raw_norms, n_lambdas):
+            spec = CyclicSpec(n, lam)
+            er = cyclic_erasure(phi, spec)
+            gap = np.abs(er.amplitudes - unit_root(1 - lam, n) * sup).max()
+            worst = max(worst, float(gap))
+            closed = normalization_record(phi, spec)
+            worst_record = max(worst_record,
+                               abs(closed.raw_norm - raw_norm) / raw_norm,
+                               abs(closed.n_lambda - n_lambda) * raw_norm)
     return [
         _row("erasure", "route equivalence",
              "erasure equals mu^(1-lam) x superposition, 100 trials, n <= 8",
@@ -213,13 +229,14 @@ def suite_rotation(seed: int = DEFAULT_SEED):
         worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
         worst_phase = max(worst_phase, float(phase.max()))
     worst_inv = 0.0
-    for (n, variant), [family] in _dihedral_families(seed, 1).items():
-        sign = 1.0 if variant == "sum" else -1.0
-        for lam, gamma in enumerate(family, 1):
-            for r in range(1, n + 1):
-                expected = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
-                worst_inv = max(worst_inv, float(np.abs(
-                    inversion(gamma, r, n).amplitudes - expected).max()))
+    for n, states in _dihedral_families(seed, 1).items():
+        for sign, [family] in zip((1.0, -1.0), states):
+            for lam, amps in enumerate(family, 1):
+                gamma = FockVector(amps.size - 1, amps)
+                for r in range(1, n + 1):
+                    expected = sign * unit_root((lam - 1) * (r - 1), n) * amps
+                    worst_inv = max(worst_inv, float(np.abs(
+                        inversion(gamma, r, n).amplitudes - expected).max()))
     return [
         _row("rotation", "modulus",
              "every group element holds each cyclic state fixed up to phase",
@@ -234,34 +251,37 @@ def suite_rotation(seed: int = DEFAULT_SEED):
     ]
 
 
-def _random_mixed_density(rng: np.random.Generator, n_max: int = 64) -> FockOperator:
+def _random_mixed_density(rng: np.random.Generator, n_max: int = 64) -> np.ndarray:
     weights = rng.random(3)
     weights /= weights.sum()
     mat = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     for w in weights:
-        psi = _random_state(rng, n_max).amplitudes
+        psi = _random_amplitudes(rng, n_max)
         mat += w * np.outer(psi, np.conj(psi))
-    return FockOperator(n_max, mat)
+    return mat
 
 
 def suite_density(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_gap = worst_inv = worst_herm = worst_tr = worst_cross = 0.0
     for n in (2, 3, 4):
+        lams = np.arange(1, n + 1)
         for _ in range(5):
+            # every lam of one rho per pass: the (r, lam, d, d) rotations of
+            # a whole order's stack would take 5.4 MB at n = 4
             rho = _random_mixed_density(rng)
-            sectors = []
-            for lam in range(1, n + 1):
-                spec = CyclicSpec(n, lam)
-                worst_gap = max(worst_gap, density_route_gap(rho, spec))
-                out = cyclic_density(rho, spec)
-                sectors.append(out.matrix)
-                worst_herm = max(worst_herm, out.hermiticity_residual())
-                worst_tr = max(worst_tr, abs(out.trace() - 1.0))
-                # R_r rho R_r^dag for every group element r at once
-                ph = unit_root(-np.outer(np.arange(n), np.arange(out.n_max + 1)), n)
-                rotated = ph[:, :, None] * out.matrix * np.conj(ph)[:, None, :]
-                worst_inv = max(worst_inv, float(np.abs(rotated - out.matrix).max()))
+            worst_gap = max(worst_gap, float(_density_route_gaps(rho, n, lams).max()))
+            sectors = _cyclic_densities(rho, n, lams)
+            worst_herm = max(worst_herm, float(np.abs(
+                sectors - np.swapaxes(sectors.conj(), -1, -2)).max()))
+            worst_tr = max(worst_tr, float(np.abs(
+                np.trace(sectors, axis1=-2, axis2=-1) - 1.0).max()))
+            # R_r rho R_r^dag for every group element r at once
+            ph = unit_root(-np.outer(np.arange(n), np.arange(rho.shape[-1])), n)
+            rotated = ph[:, None, :, None] * sectors
+            rotated *= np.conj(ph)[:, None, None, :]
+            rotated -= sectors
+            worst_inv = max(worst_inv, float(np.abs(rotated).max()))
             cross = np.einsum("aij,bji->ab", sectors, sectors)[np.triu_indices(n, 1)]
             worst_cross = max(worst_cross, float(np.abs(cross).max()))
     return [
@@ -441,15 +461,18 @@ def suite_entangle(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_pair = worst_gram = worst_bound = 0.0
     for n in (2, 3, 4):
-        for _ in range(50):
-            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            spec = bipartite_normalize(BipartiteSpec(
-                n, c, _random_state(rng), _random_state(rng)))
-            dec = linear_entropy(spec).s_linear
-            orc = linear_entropy_oracle(spec)
-            worst_pair = max(worst_pair, abs(dec - orc))
-            worst_gram = max(worst_gram, abs(linear_entropy_gram(spec) - orc))
-            worst_bound = max(worst_bound, dec - (1.0 - 1.0 / n), -dec)
+        # 50 specs drawn in turn, then each route over the whole stack
+        draws = [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  _random_amplitudes(rng), _random_amplitudes(rng)) for _ in range(50)]
+        c, a1, a2 = (np.array(rows) for rows in zip(*draws))
+        w1, w2 = _class_masses(a1, n), _class_masses(a2, n)
+        c = _unit_coefficients(c, w1, w2)
+        dec, _ = _linear_entropies(_sector_matrix(c, w1, w2))
+        orc = _oracle_entropies(c, a1, a2)
+        worst_pair = max(worst_pair, float(np.abs(dec - orc).max()))
+        worst_gram = max(worst_gram, float(np.abs(_gram_entropies(c, a1, a2) - orc).max()))
+        worst_bound = max(worst_bound, float(dec.max()) - (1.0 - 1.0 / n),
+                          -float(dec.min()))
     worst_prod = 0.0
     for n in (2, 3, 4):
         c = np.zeros(n, dtype=complex)

@@ -27,7 +27,7 @@ PUBLIC = {
     "observables": {"WignerGrid", "wigner_points", "wigner", "wigner_direct",
                     "wigner_normalization_error", "wigner_reflection_residual",
                     "write_wigner_csv", "mandel", "BipartiteSpec",
-                    "MemoryGuardError", "bipartite_norm_squared",
+                    "MemoryGuardError",
                     "bipartite_normalize", "EntanglementResult", "linear_entropy",
                     "linear_entropy_gram", "linear_entropy_oracle"},
     "verify": {"CheckRow", "DEFAULT_SEED", "SUITES", "run_suites", "format_report"},
@@ -36,7 +36,7 @@ PUBLIC = {
 
 def test_package_exports_the_public_names():
     expected = set().union(*PUBLIC.values()) | {"__version__"}
-    assert len(polystate.__all__) == len(set(polystate.__all__)) == 70
+    assert len(polystate.__all__) == len(set(polystate.__all__)) == 69
     assert set(polystate.__all__) == expected
     missing = [name for name in polystate.__all__ if not hasattr(polystate, name)]
     assert not missing, f"exported but not defined: {missing}"

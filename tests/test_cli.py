@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import polystate.cli as cli
 from polystate.cli import main
 from polystate.cyclic import CyclicSpec, circle_limit, cyclic_erasure, dihedral_state
 from polystate.fock import (
@@ -163,6 +164,26 @@ def test_negative_n_max_exit(tmp_path, capsys):
     assert run("build", "--coherent", 1, 0, "--order", 2, "--irrep", 1,
                "--n-max", -1, "--output", tmp_path / "s.json") == 1
     assert "n_max=-1" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [["build", "--order", 3, "--irrep", 1],
+                                     ["erase", "--order", 3, "--irrep", 1],
+                                     ["circle-limit", "--irrep", 1]])
+@pytest.mark.parametrize("n_max", [cli._N_MAX_LIMIT + 1, 100_000_000])
+def test_huge_n_max_exit(monkeypatch, tmp_path, capsys, command, n_max):
+    # rejected before any seed is built: the constructors would hold n_max + 1
+    # Python values first (10^8 of them were killed for memory, exit 137)
+    def unbuilt(*args):
+        raise AssertionError("a seed was built")
+
+    for name in ("coherent", "gaussian_to_fock"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    for seed in (["--coherent", 1, 0], ["--gaussian", 0.5, 0, 1, 0]):
+        out = tmp_path / "s.json"
+        assert run(*command, *seed, "--n-max", n_max, "--output", out) == 1
+        assert one_line_error(capsys) == (
+            f"error: --n-max must be <= {cli._N_MAX_LIMIT}, got {n_max}\n")
+        assert not out.exists()
 
 
 def test_gaussian_embedding_large_displacement(tmp_path):
@@ -726,6 +747,19 @@ def test_verify_all_suites(tmp_path):
     for suite in ("characters", "erasure", "gaussian", "wigner", "coherent"):
         assert suite in text
     assert "FAIL" not in text
+
+
+def test_verify_suites_alone_reproduce_the_full_report(tmp_path):
+    # no stacked or shared input makes a row depend on which suites ran: the
+    # rows of 13 one-suite reports, whitespace normalized, are the full one's
+    from polystate.verify import SUITES
+
+    def rows(*argv):
+        out = tmp_path / "report.txt"
+        assert run("verify", "--no-timestamp", *argv, "--output", out) == 0
+        return [" ".join(line.split()) for line in out.read_text().splitlines()[2:-1]]
+
+    assert rows() == [row for suite in SUITES for row in rows("--suite", suite)]
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -474,14 +474,14 @@ def test_density_route_gap_is_the_double_sum(monkeypatch, n, n_max):
     rho = FockOperator(n_max, mixed)
     lam = n // 2 + 1
     literal = _literal_double_sum(rho, CyclicSpec(n, lam))
-    monkeypatch.setattr(cyclic, "_projected_density", lambda *_: literal)
+    monkeypatch.setattr(cyclic, "_projected_densities", lambda *_: literal)
     assert density_route_gap(rho, CyclicSpec(n, lam)) <= 1e-15
     if n > 1:
         # the oracle tells sectors apart: against the class-1 state's own
         # density, sector lam != 1 misses its whole weight
         phi = cyclic_erasure(coherent(1.0, n_max), CyclicSpec(n, 1))
         pure = _pure(phi)
-        monkeypatch.setattr(cyclic, "_projected_density", lambda *_: pure.matrix)
+        monkeypatch.setattr(cyclic, "_projected_densities", lambda *_: pure.matrix)
         assert density_route_gap(pure, CyclicSpec(n, lam)) > 0.5
 
 
@@ -653,3 +653,140 @@ def test_annihilation_n_cycle():
     assert cur == lam
     off = np.abs(state.amplitudes[~sector_mask(state.n_max, n, lam)]).max()
     assert off < 1e-12
+
+
+def _mixed_stack(count, n_max, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, 3, n_max + 1)) + 1j * rng.standard_normal((count, 3, n_max + 1))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    w = rng.random((count, 3))
+    w /= w.sum(axis=1, keepdims=True)
+    return np.einsum("kj,kjm,kjl->kml", w, v, v.conj())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
+def test_density_stacks_match_one_lam_calls(n):
+    # every lam of a (2, 3) stack of matrices, bit for bit against one
+    # cyclic_density and density_route_gap call per matrix and lam
+    rhos = _mixed_stack(6, 40, n).reshape(2, 3, 41, 41)
+    lams = np.arange(1, n + 1)
+    out = cyclic._cyclic_densities(rhos, n, lams)
+    gaps = cyclic._density_route_gaps(rhos, n, lams)
+    assert out.shape == (2, 3, n, 41, 41) and gaps.shape == (2, 3, n)
+    for idx in np.ndindex(2, 3):
+        rho = FockOperator(40, rhos[idx])
+        for lam in lams:
+            spec = CyclicSpec(n, int(lam))
+            np.testing.assert_array_equal(out[idx][lam - 1], cyclic_density(rho, spec).matrix)
+            assert gaps[idx][lam - 1] == density_route_gap(rho, spec)
+
+
+def test_density_stack_names_its_first_empty_sector():
+    # rho 1 has no weight on class 1 mod 3 (lam = 2), rho 2 none on class 0
+    # (lam = 1): the first in (rho, lam) order is (1, 2), as one call per
+    # rho and lam in that order would raise
+    rhos = _mixed_stack(3, 20, 7)
+    m = np.arange(21)
+    for k, cls in ((1, 1), (2, 0)):
+        off = m % 3 != cls
+        rhos[k] = np.where(off[:, None] & off[None, :], rhos[k], 0)
+    with pytest.raises(EmptyRepresentationError) as stacked:
+        cyclic._cyclic_densities(rhos, 3, [1, 2, 3])
+    with pytest.raises(EmptyRepresentationError) as one:
+        cyclic_density(FockOperator(20, rhos[1]), CyclicSpec(3, 2))
+    assert stacked.value.lam == 2 and str(stacked.value) == str(one.value)
+
+
+@pytest.mark.parametrize("variant", ["sum", "difference"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_dihedral_stack_matches_one_spec_calls(n, variant):
+    # a (2, 3) stack of seeds, bit for bit against one dihedral_state call
+    # per seed and lam: the states and the raw_norm that build writes
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal((2, 3, 65)) + 1j * rng.standard_normal((2, 3, 65))
+    states, nrm = cyclic._dihedral_states(amps, n, range(1, n + 1), variant)
+    assert states.shape == (2, 3, n, 65) and nrm.shape == (2, 3, n)
+    for idx in np.ndindex(2, 3):
+        phi = from_amplitudes(amps[idx])
+        for lam in range(1, n + 1):
+            one, record = dihedral_state(phi, CyclicSpec(n, lam), variant)
+            np.testing.assert_array_equal(states[idx][lam - 1], one.amplitudes)
+            assert 2 * n * nrm[idx][lam - 1] == record.raw_norm
+
+
+def test_dihedral_stack_names_its_first_empty_sector():
+    # seed 0 is real: its difference variant vanishes for every lam. Seeds 1
+    # and 2 have no real part on class 2 mod 3 (sum, lam = 3) and seed 2
+    # none on class 0 (sum, lam = 1): the sum stack names (seed 1, lam 3),
+    # the first in (seed, lam) order, as one call each in that order would
+    rng = np.random.default_rng(4)
+    amps = rng.standard_normal((3, 33)) + 1j * rng.standard_normal((3, 33))
+    amps[0] = amps[0].real
+    amps[1:, 2::3] = 1j * amps[1:, 2::3].imag
+    amps[2, 0::3] = 1j * amps[2, 0::3].imag
+    with pytest.raises(EmptyRepresentationError) as stacked:
+        cyclic._dihedral_states(amps, 3, [1, 2, 3], "sum")
+    with pytest.raises(EmptyRepresentationError) as one:
+        dihedral_state(from_amplitudes(amps[1]), CyclicSpec(3, 3), "sum")
+    assert str(stacked.value) == str(one.value)
+    assert "dihedral sum variant vanishes" in str(one.value)
+    with pytest.raises(EmptyRepresentationError) as stacked:
+        cyclic._dihedral_states(amps, 3, [1, 2, 3], "difference")
+    with pytest.raises(EmptyRepresentationError) as one:
+        dihedral_state(from_amplitudes(amps[0]), CyclicSpec(3, 1), "difference")
+    assert str(stacked.value) == str(one.value)
+
+
+def test_superpositions_take_a_lam_per_seed():
+    # each seed with its own lam, bit for bit against cyclic_superposition;
+    # the first failing (seed, lam) names its own lam
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal((6, 33)) + 1j * rng.standard_normal((6, 33))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    lams = np.array([[1], [3], [2], [5], [4], [3]])
+    states, raw_norm, n_lambda = cyclic._superpositions(amps, 5, lams)
+    assert states.shape == (6, 1, 33)
+    for k, [lam] in enumerate(lams):
+        one, record = cyclic_superposition(from_amplitudes(amps[k]), CyclicSpec(5, lam))
+        np.testing.assert_array_equal(states[k, 0], one.amplitudes)
+        assert raw_norm[k, 0] == record.raw_norm and n_lambda[k, 0] == record.n_lambda
+    amps[3, 4::5] = 0.0  # class 4 mod 5: seed 3's lam = 5 is empty
+    with pytest.raises(EmptyRepresentationError) as exc:
+        cyclic._superpositions(amps, 5, lams)
+    assert exc.value.lam == 5 and exc.value.masses[4] == 0.0
+
+
+def test_erasure_suite_takes_one_orbit_product_per_order(monkeypatch):
+    import polystate.verify as verify
+
+    calls = []
+
+    def counted(amps, n, lams):
+        calls.append((n, amps.shape, np.shape(lams)))
+        return cyclic._superpositions(amps, n, lams)
+
+    monkeypatch.setattr(verify, "_superpositions", counted)
+    monkeypatch.setattr(verify, "cyclic_superposition", None)
+    assert all(r.passed for r in verify.suite_erasure())
+    assert [n for n, _, _ in calls] == list(range(2, 9))
+    for _, (count, d), lams in calls:
+        assert d == 65 and lams == (count, 1)
+    assert sum(count for _, (count, _), _ in calls) == 100
+
+
+def test_dihedral_seeds_are_not_the_orbit_seeds():
+    # the dihedral families' seeds come from default_rng([seed, 1]); the
+    # orbit families' first five seeds, from default_rng(seed), differ
+    import polystate.verify as verify
+
+    for seed in (verify.DEFAULT_SEED, 2026):
+        own = verify._random_stack(np.random.default_rng([seed, 1]), 5)
+        orbit = verify._random_stack(np.random.default_rng(seed), 5)
+        assert not np.isin(own, orbit).any()
+        families = verify._dihedral_families(seed, 5)
+        for n, states in families.items():
+            for v, variant in enumerate(("sum", "difference")):
+                expected, _ = cyclic._dihedral_states(own, n, range(1, n + 1), variant)
+                np.testing.assert_array_equal(states[v], expected)
+                from_orbit, _ = cyclic._dihedral_states(orbit, n, range(1, n + 1), variant)
+                assert not np.array_equal(states[v], from_orbit)

@@ -617,3 +617,23 @@ def test_pure_density_properties():
     assert rho.hermiticity_residual() < 1e-15
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 65, 100, 2 ** 62])
+def test_class_sums_rows_match_one_bincount_per_row(n):
+    # a (3, 4, d) stack of weights: each row's sums are the bits of one
+    # bincount over that row alone, and the masses pad to n classes
+    weights = np.random.default_rng(n % 97).random((3, 4, 65))
+    sums = fock._class_sums(weights, n)
+    k = min(n, 65)
+    assert sums.shape == (3, 4, k)
+    for idx in np.ndindex(3, 4):
+        one = np.bincount(np.arange(65) % k, weights=weights[idx], minlength=k)
+        np.testing.assert_array_equal(sums[idx], one)
+    if n <= 100:
+        amps = np.sqrt(weights) * np.exp(1j * weights)
+        masses = fock._class_masses(amps, n)
+        assert masses.shape == (3, 4, n)
+        for idx in np.ndindex(3, 4):
+            np.testing.assert_array_equal(
+                masses[idx], fock.residue_class_masses(from_amplitudes(amps[idx]), n))

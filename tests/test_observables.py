@@ -12,6 +12,7 @@ from polystate.cyclic import (
     cyclic_set,
     cyclic_superposition,
 )
+import polystate.fock as fock
 import polystate.observables as observables
 from polystate.cli import main
 from polystate.fock import (_rotated_copies, basis_state, coherent, from_amplitudes,
@@ -25,7 +26,6 @@ from polystate.observables import (
     _reconstructions,
     MemoryGuardError,
     WignerGrid,
-    bipartite_norm_squared,
     bipartite_normalize,
     linear_entropy,
     linear_entropy_gram,
@@ -800,17 +800,21 @@ def test_bipartite_spec_validation():
 
 
 def test_bipartite_norm_single_branch():
+    # one branch of two unit seeds has unit norm, so normalizing keeps c
     spec = BipartiteSpec(1, np.array([1.0]), coherent(1.0, 32),
                          coherent(0.5, 32))
-    assert bipartite_norm_squared(spec) == pytest.approx(1.0, abs=1e-12)
+    assert abs(bipartite_normalize(spec).c[0] - 1.0) <= 1e-12
 
 
 def test_bipartite_norm_matches_dense():
+    # the Hankel norm sum |G|^2 that bipartite_normalize divides by is the
+    # dense joint matrix's
     rng = np.random.default_rng(21)
     spec = BipartiteSpec(4, rng.standard_normal(4) + 1j * rng.standard_normal(4),
                          random_state(rng, 24), random_state(rng, 24))
     dense = float(np.sum(np.abs(dense_joint(spec)) ** 2))
-    assert bipartite_norm_squared(spec) == pytest.approx(dense, abs=1e-12)
+    scale = spec.c / bipartite_normalize(spec).c
+    assert np.abs(scale ** 2 - dense).max() <= 1e-12 * dense
 
 
 def test_bipartite_normalize():
@@ -818,7 +822,7 @@ def test_bipartite_normalize():
     spec = BipartiteSpec(3, np.array([1.0, 2.0, 0.5 + 1j]),
                          random_state(rng, 20), random_state(rng, 20))
     normed = bipartite_normalize(spec)
-    assert bipartite_norm_squared(normed) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(np.abs(dense_joint(normed)) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def qubit_like_seed(n_max=16):
@@ -1019,3 +1023,75 @@ def test_linear_entropy_gram_beyond_the_memory_guard():
         linear_entropy_oracle(spec)
     assert linear_entropy_gram(spec) == pytest.approx(
         linear_entropy(spec).s_linear, abs=1e-12)
+
+
+def _spec_stack(n, count=12, d1=33, d2=41, seed=0):
+    # count specs of order n, drawn spec by spec: c, then the two seeds
+    rng = np.random.default_rng(seed + n)
+    specs = [BipartiteSpec(n, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                           random_state(rng, d1 - 1), random_state(rng, d2 - 1))
+             for _ in range(count)]
+    return (specs, np.array([s.c for s in specs]),
+            np.array([s.seed_1.amplitudes for s in specs]),
+            np.array([s.seed_2.amplitudes for s in specs]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
+def test_entropy_stacks_match_one_spec_calls(n):
+    # each stacked route, bit for bit against its one-spec public call: the
+    # elementwise arithmetic is shared and each product is one BLAS call per
+    # spec, batched or not
+    specs, c, a1, a2 = _spec_stack(n)
+    w1, w2 = fock._class_masses(a1, n), fock._class_masses(a2, n)
+    unit = observables._unit_coefficients(c, w1, w2)
+    normed = [bipartite_normalize(s) for s in specs]
+    np.testing.assert_array_equal(unit, [s.c for s in normed])
+    g = observables._sector_matrix(unit, w1, w2)
+    assert g.shape == (12, n, n)
+    s_linear, f = observables._linear_entropies(g)
+    gram = observables._gram_entropies(unit, a1, a2)
+    oracle = observables._oracle_entropies(unit, a1, a2)
+    for k, spec in enumerate(normed):
+        one = linear_entropy(spec)
+        assert s_linear[k] == one.s_linear
+        np.testing.assert_array_equal(f[k], one.f_matrix)
+        assert gram[k] == linear_entropy_gram(spec)
+        assert oracle[k] == linear_entropy_oracle(spec)
+
+
+def test_oracle_stack_blocks_keep_each_spec(monkeypatch):
+    # blocks of one, two and all specs give the same floats
+    _, c, a1, a2 = _spec_stack(3, count=7)
+    whole = observables._oracle_entropies(c, a1, a2)
+    for block in (33 * 41, 2 * 33 * 41):
+        monkeypatch.setattr(observables, "_ORACLE_BLOCK", block)
+        np.testing.assert_array_equal(observables._oracle_entropies(c, a1, a2), whole)
+
+
+def test_entropy_stacks_raise_as_the_first_failing_spec():
+    specs, c, a1, a2 = _spec_stack(3, count=5)
+    w1, w2 = fock._class_masses(a1, 3), fock._class_masses(a2, 3)
+    # zero-norm coefficients at specs 2 and 4: one-spec calls raise the same
+    zero = c.copy()
+    zero[[2, 4]] = 0.0
+    with pytest.raises(ValueError) as one:
+        bipartite_normalize(BipartiteSpec(3, zero[2], specs[2].seed_1, specs[2].seed_2))
+    with pytest.raises(ValueError) as stacked:
+        observables._unit_coefficients(zero, w1, w2)
+    assert str(stacked.value) == str(one.value)
+    # unnormalized specs 1 (scaled by 2) and 3 (by 3): spec 1's mass is named
+    unit = observables._unit_coefficients(c, w1, w2)
+    scaled = unit * np.array([1, 2, 1, 3, 1])[:, None]
+    with pytest.raises(ValueError) as one:
+        linear_entropy(BipartiteSpec(3, scaled[1], specs[1].seed_1, specs[1].seed_2))
+    with pytest.raises(ValueError) as stacked:
+        observables._linear_entropies(observables._sector_matrix(scaled, w1, w2))
+    assert str(stacked.value) == str(one.value)
+    assert "sector mass 4.000000" in str(one.value)
+    # a joint matrix over budget: the stack refuses before forming any block
+    with pytest.raises(MemoryGuardError) as stacked:
+        observables._oracle_entropies(c, np.zeros((5, 5000)), np.zeros((5, 4000)))
+    big = BipartiteSpec(3, c[0], from_amplitudes(np.ones(5000)), from_amplitudes(np.ones(4000)))
+    with pytest.raises(MemoryGuardError) as one:
+        linear_entropy_oracle(big)
+    assert str(stacked.value) == str(one.value)
