@@ -75,8 +75,6 @@ def _load_state(path: str) -> FockVector:
 
 def _seed_state(args) -> FockVector:
     """The seed named by --input / --coherent / --gaussian."""
-    if args.n_max is not None and args.n_max > _N_MAX_LIMIT:
-        raise ValueError(f"--n-max must be <= {_N_MAX_LIMIT}, got {args.n_max}")
     given = [name for name in ("input", "coherent", "gaussian")
              if getattr(args, name, None) is not None]
     if len(given) != 1:
@@ -84,6 +82,8 @@ def _seed_state(args) -> FockVector:
             "exactly one of --input, --coherent, --gaussian must be given")
     if args.input is not None:
         return _load_state(args.input)
+    if args.n_max is not None and args.n_max > _N_MAX_LIMIT:
+        raise ValueError(f"--n-max must be <= {_N_MAX_LIMIT}, got {args.n_max}")
     if args.coherent is not None:
         re, im = args.coherent
         return coherent(complex(re, im), args.n_max)

@@ -3,10 +3,9 @@
 A C_n sector state is supported on the single residue class
 m = lam - 1 (mod n) (fock.sector_mask), so the production routes work on
 that class directly: one kernel (_sector_part) keeps the seed's amplitudes
-there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure
-and normalization_record scale that part in closed form, dihedral_state
-does the same with the real or imaginary parts (_dihedral_states), and
-density matrices are projected onto the class. Two independent routes
+there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure,
+normalization_record and dihedral_state scale that part in closed form,
+and density matrices are projected onto the class. Two independent routes
 are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
@@ -178,14 +177,16 @@ def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
         f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
 
 
-def _sector_part(phi: FockVector, spec: CyclicSpec) -> tuple[np.ndarray, float]:
-    """The seed's amplitudes zeroed off the sector's residue class, and their
-    norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
-    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), phi.amplitudes, 0)
+def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
+                 ) -> tuple[np.ndarray, float]:
+    """amps (default: the seed's) zeroed off the sector's residue class, and
+    their norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
+    amps = phi.amplitudes if amps is None else amps
+    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
     nrm = float(np.linalg.norm(part))
     if nrm < _EMPTY_TOL:
         raise EmptyRepresentationError(
-            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n))
+            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n), detail)
     return part, nrm
 
 
@@ -369,55 +370,15 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
     the real-positive constant 1 / raw_norm, so sum amplitudes come out real
     and difference amplitudes purely imaginary. A seed with real amplitudes
     has a vanishing difference variant, which raises EmptyRepresentationError.
-    This is the one-seed, one-lam call of _dihedral_states.
     """
     if variant not in ("sum", "difference"):
         raise ValueError(f"variant must be 'sum' or 'difference', got {variant!r}")
-    states, nrm = _dihedral_states(phi.amplitudes, spec.n, [spec.lam], variant)
-    raw_norm = 2 * spec.n * float(nrm[0])
+    amps = phi.amplitudes.real if variant == "sum" else 1j * phi.amplitudes.imag
+    part, nrm = _sector_part(phi, spec, amps, f"dihedral {variant} variant vanishes")
+    raw_norm = 2 * spec.n * nrm
     record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
-    return FockVector(phi.n_max, states[0], phi.tail_flagged), record
-
-
-def _dihedral_states(amps: np.ndarray, n: int, lams, variant: str
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """dihedral_state of one variant for each seed of the stack amps (..., d)
-    and each int lam in the 1-D lams (L of them), from one residue-class
-    mask: the unit states (..., L, d) and the norms (..., L) of the masked
-    parts, raw_norm / 2n.
-
-    A difference part is i Im A_m as a complex array and each norm is
-    _row_norms', so every state and norm is its one-row call's bit for bit.
-    The first empty (seed, lam) in C order raises, as one call per seed and
-    lam in that order would.
-    """
-    lams = np.asarray(lams)
-    keep = sector_mask(amps.shape[-1] - 1, n, lams[:, None])
-    if variant == "sum":
-        part = np.where(keep, amps.real[..., None, :], 0.0)
-    else:
-        part = np.where(keep, 1j * amps.imag[..., None, :], 0)
-    nrm = _row_norms(part)
-    empty = nrm < _EMPTY_TOL
-    if empty.any():
-        first = np.unravel_index(np.argmax(empty), empty.shape)
-        raise EmptyRepresentationError(
-            n, int(lams[first[-1]]), _class_sums(np.abs(amps[first[:-1]]) ** 2, n),
-            f"dihedral {variant} variant vanishes")
-    return part / nrm[..., None], nrm
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of x (..., d), bit for bit. That norm takes
-    the BLAS dot of a contiguous copy's real part with itself (and of its
-    imaginary part, for complex x); matmul takes the same dot for each
-    (1, d) @ (d, 1) product of rows of x, which must be C-contiguous."""
-    def dots(part):
-        return (part[..., None, :] @ part[..., :, None])[..., 0, 0]
-    if np.iscomplexobj(x):
-        return np.sqrt(dots(x.real) + dots(x.imag))
-    return np.sqrt(dots(x))
+    return FockVector(phi.n_max, part / nrm, phi.tail_flagged), record
 
 
 def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec

@@ -34,7 +34,6 @@ from .cyclic import (
     EmptyRepresentationError,
     _cyclic_densities,
     _density_route_gaps,
-    _dihedral_states,
     _off_class,
     _rotation_checks,
     _superpositions,
@@ -152,19 +151,19 @@ def _suite2_states(seed: int):
 
 
 def _dihedral_families(seed: int, count: int):
-    """n -> the dihedral states (2, count, n, d) of count random seeds: both
-    variants (sum, difference) for lam = 1..n, from one _dihedral_states
-    call per variant and order of _SUITE2_ORDERS.
+    """(n, variant) -> the dihedral states for lam = 1..n of count random
+    seeds, as lists [seed][lam - 1], for the orders of _SUITE2_ORDERS.
 
     The seeds come from a stream of their own, default_rng([seed, 1]), so
     they are not the orbit families' seeds and those rows keep their bits.
     Random seeds have complex amplitudes on every class, so no sector of
     either variant is empty.
     """
-    amps = _random_stack(np.random.default_rng([seed, 1]), count)
-    return {n: np.array([_dihedral_states(amps, n, range(1, n + 1), variant)[0]
-                         for variant in ("sum", "difference")])
-            for n in _SUITE2_ORDERS}
+    rng = np.random.default_rng([seed, 1])
+    phis = [_random_state(rng) for _ in range(count)]
+    return {(n, variant): [[dihedral_state(phi, CyclicSpec(n, lam), variant)[0]
+                            for lam in range(1, n + 1)] for phi in phis]
+            for n in _SUITE2_ORDERS for variant in ("sum", "difference")}
 
 
 def suite_orthonormality(seed: int = DEFAULT_SEED):
@@ -175,7 +174,8 @@ def suite_orthonormality(seed: int = DEFAULT_SEED):
                         f"{_SUITE2_SEEDS} random seeds: cyclic family is orthonormal",
                         float(np.abs(gram - np.eye(n)).max()), 1e-10))
     worst = 0.0
-    for n, states in _dihedral_families(seed, 5).items():
+    for (n, _), families in _dihedral_families(seed, 5).items():
+        states = np.array([[g.amplitudes for g in family] for family in families])
         gram = states.conj() @ np.swapaxes(states, -1, -2)
         worst = max(worst, float(np.abs(gram - np.eye(n)).max()))
     # the sum and difference states of one lam overlap, so each variant's
@@ -229,14 +229,13 @@ def suite_rotation(seed: int = DEFAULT_SEED):
         worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
         worst_phase = max(worst_phase, float(phase.max()))
     worst_inv = 0.0
-    for n, states in _dihedral_families(seed, 1).items():
-        for sign, [family] in zip((1.0, -1.0), states):
-            for lam, amps in enumerate(family, 1):
-                gamma = FockVector(amps.size - 1, amps)
-                for r in range(1, n + 1):
-                    expected = sign * unit_root((lam - 1) * (r - 1), n) * amps
-                    worst_inv = max(worst_inv, float(np.abs(
-                        inversion(gamma, r, n).amplitudes - expected).max()))
+    for (n, variant), [family] in _dihedral_families(seed, 1).items():
+        sign = 1.0 if variant == "sum" else -1.0
+        for lam, gamma in enumerate(family, 1):
+            for r in range(1, n + 1):
+                expected = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
+                worst_inv = max(worst_inv, float(np.abs(
+                    inversion(gamma, r, n).amplitudes - expected).max()))
     return [
         _row("rotation", "modulus",
              "every group element holds each cyclic state fixed up to phase",

@@ -173,6 +173,9 @@ def test_negative_n_max_exit(tmp_path, capsys):
 def test_huge_n_max_exit(monkeypatch, tmp_path, capsys, command, n_max):
     # rejected before any seed is built: the constructors would hold n_max + 1
     # Python values first (10^8 of them were killed for memory, exit 137)
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps(vector_to_dict(coherent(1.0, 8))))
+
     def unbuilt(*args):
         raise AssertionError("a seed was built")
 
@@ -184,6 +187,10 @@ def test_huge_n_max_exit(monkeypatch, tmp_path, capsys, command, n_max):
         assert one_line_error(capsys) == (
             f"error: --n-max must be <= {cli._N_MAX_LIMIT}, got {n_max}\n")
         assert not out.exists()
+    # --n-max is ignored for a seed read from --input, so nothing is refused
+    out = tmp_path / "s.json"
+    assert run(*command, "--input", seed_file, "--n-max", n_max, "--output", out) == 0
+    assert out.exists()
 
 
 def test_gaussian_embedding_large_displacement(tmp_path):
@@ -747,19 +754,6 @@ def test_verify_all_suites(tmp_path):
     for suite in ("characters", "erasure", "gaussian", "wigner", "coherent"):
         assert suite in text
     assert "FAIL" not in text
-
-
-def test_verify_suites_alone_reproduce_the_full_report(tmp_path):
-    # no stacked or shared input makes a row depend on which suites ran: the
-    # rows of 13 one-suite reports, whitespace normalized, are the full one's
-    from polystate.verify import SUITES
-
-    def rows(*argv):
-        out = tmp_path / "report.txt"
-        assert run("verify", "--no-timestamp", *argv, "--output", out) == 0
-        return [" ".join(line.split()) for line in out.read_text().splitlines()[2:-1]]
-
-    assert rows() == [row for suite in SUITES for row in rows("--suite", suite)]
 
 
 def test_verify_deterministic_output(tmp_path):

@@ -697,46 +697,6 @@ def test_density_stack_names_its_first_empty_sector():
     assert stacked.value.lam == 2 and str(stacked.value) == str(one.value)
 
 
-@pytest.mark.parametrize("variant", ["sum", "difference"])
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
-def test_dihedral_stack_matches_one_spec_calls(n, variant):
-    # a (2, 3) stack of seeds, bit for bit against one dihedral_state call
-    # per seed and lam: the states and the raw_norm that build writes
-    rng = np.random.default_rng(n)
-    amps = rng.standard_normal((2, 3, 65)) + 1j * rng.standard_normal((2, 3, 65))
-    states, nrm = cyclic._dihedral_states(amps, n, range(1, n + 1), variant)
-    assert states.shape == (2, 3, n, 65) and nrm.shape == (2, 3, n)
-    for idx in np.ndindex(2, 3):
-        phi = from_amplitudes(amps[idx])
-        for lam in range(1, n + 1):
-            one, record = dihedral_state(phi, CyclicSpec(n, lam), variant)
-            np.testing.assert_array_equal(states[idx][lam - 1], one.amplitudes)
-            assert 2 * n * nrm[idx][lam - 1] == record.raw_norm
-
-
-def test_dihedral_stack_names_its_first_empty_sector():
-    # seed 0 is real: its difference variant vanishes for every lam. Seeds 1
-    # and 2 have no real part on class 2 mod 3 (sum, lam = 3) and seed 2
-    # none on class 0 (sum, lam = 1): the sum stack names (seed 1, lam 3),
-    # the first in (seed, lam) order, as one call each in that order would
-    rng = np.random.default_rng(4)
-    amps = rng.standard_normal((3, 33)) + 1j * rng.standard_normal((3, 33))
-    amps[0] = amps[0].real
-    amps[1:, 2::3] = 1j * amps[1:, 2::3].imag
-    amps[2, 0::3] = 1j * amps[2, 0::3].imag
-    with pytest.raises(EmptyRepresentationError) as stacked:
-        cyclic._dihedral_states(amps, 3, [1, 2, 3], "sum")
-    with pytest.raises(EmptyRepresentationError) as one:
-        dihedral_state(from_amplitudes(amps[1]), CyclicSpec(3, 3), "sum")
-    assert str(stacked.value) == str(one.value)
-    assert "dihedral sum variant vanishes" in str(one.value)
-    with pytest.raises(EmptyRepresentationError) as stacked:
-        cyclic._dihedral_states(amps, 3, [1, 2, 3], "difference")
-    with pytest.raises(EmptyRepresentationError) as one:
-        dihedral_state(from_amplitudes(amps[0]), CyclicSpec(3, 1), "difference")
-    assert str(stacked.value) == str(one.value)
-
-
 def test_superpositions_take_a_lam_per_seed():
     # each seed with its own lam, bit for bit against cyclic_superposition;
     # the first failing (seed, lam) names its own lam
@@ -783,10 +743,9 @@ def test_dihedral_seeds_are_not_the_orbit_seeds():
         own = verify._random_stack(np.random.default_rng([seed, 1]), 5)
         orbit = verify._random_stack(np.random.default_rng(seed), 5)
         assert not np.isin(own, orbit).any()
-        families = verify._dihedral_families(seed, 5)
-        for n, states in families.items():
-            for v, variant in enumerate(("sum", "difference")):
-                expected, _ = cyclic._dihedral_states(own, n, range(1, n + 1), variant)
-                np.testing.assert_array_equal(states[v], expected)
-                from_orbit, _ = cyclic._dihedral_states(orbit, n, range(1, n + 1), variant)
-                assert not np.array_equal(states[v], from_orbit)
+        for (n, variant), families in verify._dihedral_families(seed, 5).items():
+            for amps, family in zip(own, families):
+                for lam, gamma in enumerate(family, 1):
+                    expected, _ = dihedral_state(from_amplitudes(amps), CyclicSpec(n, lam),
+                                                 variant)
+                    np.testing.assert_array_equal(gamma.amplitudes, expected.amplitudes)

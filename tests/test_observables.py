@@ -799,22 +799,25 @@ def test_bipartite_spec_validation():
                       coherent(1.0, 16))
 
 
+def hankel_norm_squared(spec):
+    # ||Psi||^2 = sum |G|^2 over the sector matrix, which bipartite_normalize
+    # divides c by the square root of
+    g = observables._sector_matrix(spec.c, *observables._masses(spec))
+    return float(observables._sum_sq(g))
+
+
 def test_bipartite_norm_single_branch():
-    # one branch of two unit seeds has unit norm, so normalizing keeps c
     spec = BipartiteSpec(1, np.array([1.0]), coherent(1.0, 32),
                          coherent(0.5, 32))
-    assert abs(bipartite_normalize(spec).c[0] - 1.0) <= 1e-12
+    assert hankel_norm_squared(spec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bipartite_norm_matches_dense():
-    # the Hankel norm sum |G|^2 that bipartite_normalize divides by is the
-    # dense joint matrix's
     rng = np.random.default_rng(21)
     spec = BipartiteSpec(4, rng.standard_normal(4) + 1j * rng.standard_normal(4),
                          random_state(rng, 24), random_state(rng, 24))
     dense = float(np.sum(np.abs(dense_joint(spec)) ** 2))
-    scale = spec.c / bipartite_normalize(spec).c
-    assert np.abs(scale ** 2 - dense).max() <= 1e-12 * dense
+    assert hankel_norm_squared(spec) == pytest.approx(dense, abs=1e-12)
 
 
 def test_bipartite_normalize():
@@ -822,6 +825,7 @@ def test_bipartite_normalize():
     spec = BipartiteSpec(3, np.array([1.0, 2.0, 0.5 + 1j]),
                          random_state(rng, 20), random_state(rng, 20))
     normed = bipartite_normalize(spec)
+    assert hankel_norm_squared(normed) == pytest.approx(1.0, abs=1e-12)
     assert float(np.sum(np.abs(dense_joint(normed)) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
