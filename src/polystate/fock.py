@@ -268,9 +268,9 @@ def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
 def _class_sums(p: np.ndarray, n: int) -> np.ndarray:
     """Sums of each row of the weights p (..., d) over the residue classes
     lam = 1..min(n, d) mod n, shaped (..., min(n, d)); no photon number lies
-    past them, so any order n costs O(p.size). One bincount takes every row,
-    each in its own n bins, so each sum adds its row's weights in the order
-    of m, as a one-row call does."""
+    past them, so any order n costs O(p.size). One weighted bin count takes
+    every row, each in its own n bins, so each sum adds its row's weights in
+    the order of m, as a one-row call does."""
     d = p.shape[-1]
     n = min(n, d)  # the same classes for every n >= d
     bins = np.arange(d) % n

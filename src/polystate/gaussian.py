@@ -20,8 +20,8 @@ beta = b / (sqrt(2) s) and gamma = 1/s - 1,
     A_0 = N pi^{-1/4} sqrt(pi/s) e^{b^2/(4s)},
     A_{m+1} = (beta A_m + gamma sqrt(m) A_{m-1}) / sqrt(m + 1),
 
-which gaussian_to_fock evaluates exactly. Adaptive Gauss-Hermite quadrature
-of <u_m|psi>, batched over seeds (_quadrature_rows), is kept as its
+which gaussian_to_fock evaluates exactly. Adaptive trapezoid quadrature of
+<u_m|psi>, batched over seeds (_quadrature_rows), is kept as its
 independent oracle for verify and the tests.
 
 The recurrence holds elementwise for any number of seeds, so verify embeds
@@ -210,24 +210,21 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return u
 
 
-_gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _hermite_reach(n_max: int) -> float:
+    """sqrt(2 n_max + 1) + 10: past it every u_m with m <= n_max is below
+    e^{-60} of its peak, and so is any state on |0>..|n_max> or its Fourier
+    transform. The quadrature oracles' windows start from it."""
+    return math.sqrt(2 * n_max + 1) + 10.0
 
 
-def _gh_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes with weights W = w e^{x^2} for plain integrals.
-
-    Underflowed weights (w = 0 in float, |x| beyond ~27) are dropped: the
-    log-space correction is undefined there and the integrands this module
-    feeds in are far below resolvable size at those nodes.
-    """
-    if n_nodes not in _gh_cache:
-        from scipy.special import roots_hermite
-        x, w = roots_hermite(n_nodes)
-        keep = w > 0
-        x = x[keep]
-        logw = np.log(w[keep]) + x * x
-        _gh_cache[n_nodes] = (x, np.exp(logw))
-    return _gh_cache[n_nodes]
+def _trapezoid_weights(lo: float, hi: float, k: int) -> np.ndarray:
+    """Weights of the k-point trapezoid rule on [lo, hi]. It converges
+    geometrically in the step on entire integrands with Gaussian decay, as
+    every oracle's is (Trefethen & Weideman, SIAM Rev. 56, 385 (2014))."""
+    h = (hi - lo) / (k - 1)
+    w = np.full(k, h)
+    w[0] = w[-1] = h / 2
+    return w
 
 
 def _embedded(unit: np.ndarray, kept: float) -> FockVector:
@@ -308,22 +305,19 @@ def _embedding_rows(a, b, n_max: int) -> np.ndarray:
 
 def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
     """Oracle for gaussian_to_fock: <u_m|psi> of each seed by adaptive
-    Gauss-Hermite quadrature, and its final node count.
+    trapezoid quadrature, and its final node count.
 
+    The nodes are uniform on +-_hermite_reach(n_max), whatever the seed.
     Node counts start at 2 n_max + 32 and grow by 1.6x until two successive
     rules agree on the normalized amplitude vector to 1e-13 in the sup
-    norm; weakly confined seeds (Re a well below 1/2) need several thousand
-    nodes. Strongly chirped seeds (large Im a) cancellation-limit the
+    norm. Strongly chirped seeds (large Im a) cancellation-limit the
     agreement near 1e-12, so a refinement that has stopped gaining while
     below 1e-10 also counts as converged. The renormalization and tail flag
-    are those of gaussian_to_fock. Two kinds of seed meet the 30000-node cap
-    and raise RuntimeError. Seeds centred near |x| ~ 26 or beyond lie where
-    _gh_nodes drops underflowed weights (the coherent-like seed at
-    alpha = 18 is one). Seeds whose photon number lies far beyond n_max fail
-    too, though they sit well inside the nodes: GaussianParams(0.1 + 2j, 3.0)
-    at n_max 63 (<x> = 15, <p> = -60, <n> above 1900) keeps a norm of only
-    7e-8 in the truncation, so rounding in its integrand leaves successive
-    rules agreeing to about 1e-7 from about 1000 nodes on.
+    are those of gaussian_to_fock. Seeds whose photon number lies far
+    beyond n_max meet the 30000-node cap and raise RuntimeError:
+    GaussianParams(0.1 + 2j, 3.0) at n_max 63 (<x> = 15, <p> = -60, <n>
+    above 1900) keeps a norm of only 7e-8 in the truncation, so rounding in
+    its integrand leaves successive rules agreeing to about 1e-7.
 
     The seeds still refining at a rule share its one hermite_functions
     matrix and one product; each keeps its own convergence test, node cap
@@ -331,10 +325,12 @@ def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
     """
     states, nodes = [None] * len(seeds), np.zeros(len(seeds), dtype=int)
     live, prev, prev_diff = np.arange(len(seeds)), None, np.full(len(seeds), np.inf)
+    reach = _hermite_reach(n_max)
     n_nodes = 2 * n_max + 32
     while live.size:
-        x, w_eff = _gh_nodes(n_nodes)
-        vals = w_eff * np.array([wavefunction(seeds[i], x) for i in live])
+        x = np.linspace(-reach, reach, n_nodes)
+        vals = (_trapezoid_weights(-reach, reach, n_nodes)
+                * np.array([wavefunction(seeds[i], x) for i in live]))
         raw = vals @ hermite_functions(n_max, x).T
         nrm = np.linalg.norm(raw, axis=-1)
         if not nrm.all():

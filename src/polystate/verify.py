@@ -48,9 +48,9 @@ from .cyclic import (
 from .gaussian import (
     GaussianParams,
     _embedding_rows,
-    _gh_nodes,
     _quadrature_rows,
     _rotated_exponents,
+    _trapezoid_weights,
     c2_closed_form,
     cyclic_gaussian,
     cyclic_gaussian_wavefunction,
@@ -334,7 +334,7 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
         direct = cyclic_gaussian_wavefunction(params, spec, x, record.n_lambda)
         worst_position = max(worst_position, float(np.abs(
             direct - fock_wavefunction(state, x)).max()))
-    # squeezed seeds centred beyond the quadrature oracle's nodes
+    # squeezed seeds centred far out (<x> = 18.75 and 66.7)
     worst_moments = 0.0
     for params, n_max in ((GaussianParams(0.8 + 0.2j, 30.0 - 12.0j), 1400),
                           (GaussianParams(0.15 + 0.1j, 20.0 + 25.0j), 3000)):
@@ -347,7 +347,7 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
              "over a (Re a, Im a) in [0.3,2]^2, |b| <= 3, theta = 2 pi k/n grid",
              worst, 1e-8),
         _row("gaussian", "embedding route agreement",
-             "the three-term recurrence matches adaptive Gauss-Hermite "
+             "the three-term recurrence matches adaptive trapezoid "
              "quadrature (sup norm) on the 80 base seeds at n_max = 64",
              worst_route, 1e-10),
         _row("gaussian", "position route",
@@ -356,14 +356,14 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
              worst_position, 1e-6),
         _row("gaussian", "large displacement",
              "the embedding's <x>, <p> match the closed-form moments for two "
-             "squeezed seeds beyond the quadrature nodes (n_max 1400, 3000)",
+             "squeezed seeds far from the origin (n_max 1400, 3000)",
              worst_moments, 1e-10),
     ]
 
 
 def suite_c2(seed: int = DEFAULT_SEED):
     x = np.linspace(-5.0, 5.0, 201)
-    nodes, w_eff = _gh_nodes(2000)
+    nodes, w_eff = np.linspace(-12.0, 12.0, 401), _trapezoid_weights(-12.0, 12.0, 401)
     worst_match = worst_orth = worst_norm = 0.0
     for params in _C2_SEEDS:
         closed = {}

@@ -194,8 +194,8 @@ def test_huge_n_max_exit(monkeypatch, tmp_path, capsys, command, n_max):
 
 
 def test_gaussian_embedding_large_displacement(tmp_path):
-    # a coherent-like seed at alpha = 18 sits beyond the Gauss-Hermite nodes'
-    # reach; the recurrence embeds it exactly
+    # a coherent-like seed at alpha = 18 at n_max 512: the recurrence gives
+    # the Poisson amplitudes to rounding
     b = 25.45584412
     out = tmp_path / "s.json"
     assert run("build", "--gaussian", 0.5, 0, b, 0, "--n-max", 512,

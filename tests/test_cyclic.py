@@ -260,13 +260,12 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
     for name in ("character", "rotate", "theta", "cyclic_superposition",
                  "_superpositions", "cyclic_gaussian_wavefunction",
                  "rotate_params", "_rotated_exponents", "_rotation_phases",
-                 "linear_entropy_oracle", "density_route_gap", "wigner_direct"):
+                 "linear_entropy_oracle", "density_route_gap", "wigner_direct",
+                 "_quadrature_rows", "_trapezoid_weights"):
         owners = [mod for mod in modules if hasattr(mod, name)]
         assert owners, f"oracle {name} is in none of the patched modules"
         for mod in owners:
             monkeypatch.setattr(mod, name, oracle)
-    for name in ("_quadrature_rows", "_gh_nodes"):
-        monkeypatch.setattr(gaussian, name, oracle)
     phi = coherent(1.0 + 0.5j, 32)
     spec = CyclicSpec(4, 2)
     cyclic_state(phi, spec)
@@ -279,7 +278,7 @@ def test_production_routes_skip_the_oracles(monkeypatch, tmp_path):
         observables.BipartiteSpec(4, np.ones(4), phi, phi))
     observables.linear_entropy(two_mode)
     observables.linear_entropy_gram(two_mode)
-    # the Gaussian embedding never reaches the Gauss-Hermite nodes
+    # the Gaussian embedding never reaches the quadrature oracle
     for params, n_max in ((gaussian.GaussianParams(0.8 + 0.3j, 1.0 - 0.5j), 64),
                           (gaussian.GaussianParams(0.5, 18 * np.sqrt(2.0)), 512)):
         gaussian.gaussian_to_fock(params, n_max)

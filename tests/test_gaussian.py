@@ -10,6 +10,7 @@ from polystate.gaussian import (
     _embedding_rows,
     _quadrature_rows,
     _rotated_exponents,
+    _trapezoid_weights,
     c2_closed_form,
     cyclic_gaussian,
     cyclic_gaussian_wavefunction,
@@ -178,18 +179,20 @@ def test_quadrature_rows_match_one_seed_calls():
     assert any(s.tail_flagged for s in states) and not all(s.tail_flagged for s in states)
 
 
-def test_quadrature_cap_still_raises():
-    # the coherent-like seed at alpha = 18 lies beyond the kept nodes: alone
-    # or beside a seed that converges, it meets the 30000-node cap
+def test_quadrature_oracle_matches_far_coherent_seed():
+    # the coherent-like seed at alpha = 18 (<x> = 25.5) lies inside the
+    # window at n_max 512: alone or beside a seed that converges earlier,
+    # the oracle gives the recurrence's vector and tail flag
     far = GaussianParams(0.5, 18.0 * np.sqrt(2.0))
-    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
-        _quadrature_rows([far], 512)
-    with pytest.raises(RuntimeError, match="30000 quadrature nodes"):
-        _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), far], 512)
+    want = gaussian_to_fock(far, 512)
+    for seeds in ([far], [GaussianParams(0.8, 1.0 + 1.0j), far]):
+        got = _quadrature_rows(seeds, 512)[0][-1]
+        assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-10
+        assert got.tail_flagged is want.tail_flagged
 
 
 def test_quadrature_cap_raises_for_mass_beyond_n_max():
-    # centred well inside the nodes (<x> = 15, <p> = -60), but with a norm of
+    # centred well inside the window (<x> = 15, <p> = -60), but with a norm of
     # only 7e-8 below n_max = 63: successive rules stall near 1e-7 and the
     # cap is met, alone or beside a seed that converges
     beyond = GaussianParams(0.1 + 2j, 3.0)
@@ -280,7 +283,8 @@ def test_gaussian_suite_batches_its_oracles(monkeypatch):
     monkeypatch.setattr(verify, "rotate", counting(verify, "rotate"))
     assert all(r.passed for r in verify.suite_gaussian())
     # the position route's 64 rotated copies are the only rotate_params calls
-    assert calls == {"hermite_functions": 6, "rotate_params": 64, "rotate": 0}
+    # the base seeds stop at the rules of 256, 410 and 656 nodes, after 160
+    assert calls == {"hermite_functions": 4, "rotate_params": 64, "rotate": 0}
 
 
 def test_scan_route_row_reads_the_production_pipeline(monkeypatch):
@@ -358,8 +362,8 @@ def test_embedding_matches_wavefunction():
 
 
 def test_hermite_functions_orthonormal():
-    from polystate.gaussian import _gh_nodes
-    x, w = _gh_nodes(200)
+    x = np.linspace(-15.0, 15.0, 301)
+    w = _trapezoid_weights(-15.0, 15.0, 301)
     u = hermite_functions(12, x)
     gram = (u * w) @ u.T
     assert np.abs(gram - np.eye(13)).max() < 1e-12

@@ -407,16 +407,17 @@ def test_wigner_both_branches_match_the_closed_form_beyond_k_rows(n_max, alpha, 
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-14)
 
 
-def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
-    # production needs numpy alone: one interpreter runs the kernel on both
-    # branches on either side of K = 151, and build --gaussian, build
-    # --coherent, wigner, mandel, entangle and circle-limit through cli.main,
-    # with no scipy module loaded. verify's wigner suite then loads
-    # scipy.special for its oracle, and no scipy.linalg (about 6 MB).
+def test_package_runs_without_scipy(tmp_path):
+    # the package needs numpy alone: in one interpreter where any scipy
+    # import raises, the kernel runs on both branches on either side of
+    # K = 151; build --gaussian, build --coherent, wigner, mandel, entangle
+    # and circle-limit run through cli.main; and so do the gaussian, c2 and
+    # wigner verify suites, whose quadrature oracles once took scipy's nodes
     import subprocess
     import sys
 
     code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
             "import json\n"
             "import numpy as np\n"
             "from polystate.cli import main\n"
@@ -445,14 +446,15 @@ def test_wigner_kernel_leaves_scipy_linalg_unloaded(tmp_path):
             "             '--output', f'{tmp}/limit.json']) == 0\n"
             "assert main(['build', '--coherent', '1.7', '0.9', '--order', '3',\n"
             "             '--irrep', '2', '--output', f'{tmp}/c3_coherent.json']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-            "assert main(['verify', '--suite', 'wigner', '--no-timestamp',\n"
-            "             '--output', f'{tmp}/verify_wigner.txt']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+            "for suite in ('gaussian', 'c2', 'wigner'):\n"
+            "    assert main(['verify', '--suite', suite, '--no-timestamp',\n"
+            "                 '--output', f'{tmp}/verify_{suite}.txt']) == 0\n"
+            "print(sorted(m for m, mod in sys.modules.items()\n"
+            "             if m.startswith('scipy') and mod is not None))\n")
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert len((tmp_path / "c3_16.csv").read_text().splitlines()) == 1 + 201 ** 2
 
 
@@ -482,6 +484,14 @@ def test_wigner_kernel_matches_direct_quadrature():
         kernel = wigner_points(st, x, p)[0]
         direct = wigner_direct(st, x, p)
         assert abs(kernel - direct) < 1e-9
+
+
+def test_wigner_direct_matches_kernel_at_n_max_64():
+    # the trapezoid rule's window and step follow n_max, |x| and |p|
+    st = random_state(np.random.default_rng(13), 64)
+    grid = wigner(st, (-6.0, 6.0), (-4.0, 7.0), points_per_axis=31)
+    direct = wigner_direct(st, grid.x_axis, grid.p_axis)
+    np.testing.assert_allclose(direct, grid.values, rtol=0, atol=1e-13)
 
 
 def test_wigner_direct_grid():
