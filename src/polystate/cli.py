@@ -154,7 +154,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if order is not None and order < 1:
         raise ValueError(f"symmetry order must be >= 1, got {order}")
     state = _load_state(args.input)
-    # a zero state or far-out bounds break the kernel: _require_finite reports it
+    # a zero state breaks the kernel, and _require_finite reports it; far-out
+    # bounds do not, as the Hermite rows are exact zeros there
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         grid = wigner(state, (args.x_min, args.x_max), (args.p_min, args.p_max),
                       args.points)

@@ -313,7 +313,8 @@ def _cyclic_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
         raise EmptyRepresentationError(
             n, int(np.asarray(lams)[first[-1]]),
             _class_sums(np.diagonal(rho[first[:-1]]).real, n))
-    return projected / tr[..., None, None]
+    projected /= tr[..., None, None]  # fresh from np.where: dividing in place is safe
+    return projected
 
 
 def _circle_average(phi: FockVector, lam: int) -> np.ndarray:

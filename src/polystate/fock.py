@@ -96,12 +96,6 @@ class FockOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def hermiticity_residual(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.conj().T).max())
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 @dataclass(frozen=True)
 class QuadratureMeans:

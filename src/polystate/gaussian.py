@@ -67,6 +67,10 @@ _LOG_RESCALE = 200.0 * math.log(2.0)
 # hermite_functions seeds u_0 no lower than e^{-600}, well inside the normal
 # range; points beyond |x| = sqrt(1200) carry the rest as a log scale.
 _SEED_LOG_FLOOR = 600.0
+# Past |x| = sqrt(2 n_max + 1) + _FAR_MARGIN every u_m with m <= n_max
+# rounds to 0 (checked up to n_max 4096), so _hermite_rows yields exact
+# zeros there without running the recurrence, whose x^2 would overflow.
+_FAR_MARGIN = 40.0
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,15 @@ def _hermite_rows(n_max: int, x: np.ndarray):
     """Yield u_0(x), ..., u_{n_max}(x) in turn; see hermite_functions.
 
     The yielded arrays are buffers the recurrence reuses, so each must be
-    read before the next is asked for.
+    read before the next is asked for. Points past the far margin stay 0.
     """
+    far = np.abs(x) > math.sqrt(2 * n_max + 1) + _FAR_MARGIN
+    if far.any():
+        near, row = ~far, np.zeros(x.size)
+        for part in _hermite_rows(n_max, x[near]):
+            row[near] = part
+            yield row
+        return
     half_sq = 0.5 * x * x
     shift = np.maximum(half_sq - _SEED_LOG_FLOOR, 0.0)
     scale = np.exp(-shift) if shift.any() else None
@@ -201,7 +212,9 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     while u_m reaches out to |x| ~ sqrt(2 n_max + 1)), the recurrence runs
     on v_m = u_m e^{shift} with a per-point log scale that drops by
     log 2^200 whenever |v_m| passes 2^200, as gaussian_to_fock does; u_m is
-    then exact wherever it is itself a normal double.
+    then exact wherever it is itself a normal double. Past |x| =
+    sqrt(2 n_max + 1) + 40, where every u_m rounds to 0, the rows are exact
+    zeros, up to |x| = inf.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.empty((n_max + 1, x.size))
@@ -313,8 +326,9 @@ def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
     norm. Strongly chirped seeds (large Im a) cancellation-limit the
     agreement near 1e-12, so a refinement that has stopped gaining while
     below 1e-10 also counts as converged. The renormalization and tail flag
-    are those of gaussian_to_fock. Seeds whose photon number lies far
-    beyond n_max meet the 30000-node cap and raise RuntimeError:
+    are those of gaussian_to_fock. The last rule is clamped to 30000 nodes,
+    the cap: seeds whose photon number lies far beyond n_max meet it and
+    raise RuntimeError:
     GaussianParams(0.1 + 2j, 3.0) at n_max 63 (<x> = 15, <p> = -60, <n>
     above 1900) keeps a norm of only 7e-8 in the truncation, so rounding in
     its integrand leaves successive rules agreeing to about 1e-7.
@@ -349,7 +363,7 @@ def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
             raise RuntimeError(
                 "Fock embedding did not converge within 30000 quadrature nodes")
         live, prev = live[~done], cur[~done]
-        n_nodes = int(np.ceil(n_nodes * 1.6))
+        n_nodes = min(int(np.ceil(n_nodes * 1.6)), 30000)
     return states, nodes
 
 

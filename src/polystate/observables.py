@@ -14,20 +14,22 @@ h_k(sqrt(2) y), k < K, without error, and h_k is an eigenfunction of the
 Fourier transform: int h_k(sqrt(2) y) e^{2ipy} dy = sqrt(pi) i^k
 h_k(sqrt(2) p). On a grid,
 
-    W = pi^{-1/2} [(F o w) H^T diag(i^k)] H_p,
+    W = pi^{-1/2} [(F o w) G^T diag(i^k)] H_p,
 
-with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), H[k, a] =
+with F[i, a] = psi^*(x_i + t_a/sqrt2) psi(x_i - t_a/sqrt2), G[k, a] =
 h_k(t_a), H_p[k, j] = h_k(sqrt(2) p_j) and the Christoffel weights
-w_a = 1 / sum_k h_k(t_a)^2: two GEMMs (taken over chunks of k, so no
-K x K matrix is held), exact up to rounding at any n_max. The nodes are
-0 and the square roots of numpy's eigvalsh of the m* x m* Laguerre Jacobi
-matrix (K is odd), mirrored and Newton-polished on h_K, at every K.
+w_a = 1 / sum_k h_k(t_a)^2: two GEMMs, exact up to rounding at any n_max.
+G, H_p and the weights all come from one Hermite table per call, taken
+at the nodes and at sqrt(2) p. The nodes are 0 and the square roots of
+numpy's eigvalsh of the m* x m* Laguerre Jacobi matrix (K is odd),
+mirrored and Newton-polished on h_K, at every K.
 
 F(x, a) is also e^{-x^2} times a polynomial of degree <= 2 m* in x, so
 it lies in span{h_j(sqrt(2) x), j < K}. With more than K distinct x, F is
 therefore formed only at the K Gauss rows x_b = t_b/sqrt2 and mapped to x
-exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i) and G = H: the
-rule integrates the degree <= 4 m* <= 2K - 2 products exactly.
+exactly by H_x^T (G o w), with H_x[j, i] = h_j(sqrt(2) x_i) taken in the
+same table: the rule integrates the degree <= 4 m* <= 2K - 2 products
+exactly.
 
 Scattered points (x_i, p_i) run the same pipeline and differ only in the
 last contraction, which pairs the coefficient row of x_i with column i of
@@ -66,8 +68,8 @@ __all__ = [
 ]
 
 
-# Entries per block: wavefunction values psi(x_i + t_a / sqrt 2) per block of
-# rows, and entries of the node matrix G per chunk of k.
+# Wavefunction values psi(x_i + t_a / sqrt 2) per row block of
+# _weighted_products at x.
 _WIGNER_BLOCK = 2 ** 14
 # Relative norm of the amplitude tail that _support_cut drops: W moves by at
 # most 2 * 2^-60 / pi = 5.5e-19, since W = <Pi(x, p)>/pi with ||Pi|| = 1.
@@ -114,8 +116,8 @@ class WignerGrid:
         return np.linspace(self.p_min, self.p_max, self.points_per_axis)
 
 
-def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The K = 2 n_max + 1 Gauss-Hermite nodes t_a and their Christoffel weights.
+def _wigner_nodes(n_max: int) -> np.ndarray:
+    """The K = 2 n_max + 1 Gauss-Hermite nodes t_a, ascending.
 
     K is the exactness condition and is odd, so h_K(t) is t L_n^(1/2)(t^2)
     e^{-t^2/2} up to a constant, n = n_max (Szego, Orthogonal Polynomials,
@@ -123,7 +125,6 @@ def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     Laguerre Jacobi matrix (diagonal 2j + 3/2, off-diagonal sqrt(j (j + 1/2));
     Golub & Welsch, Math. Comp. 23, 221 (1969)) by numpy's eigvalsh, polished
     by one Newton step on h_K(t) = 0 and mirrored: t[K-1-a] = -t[a] exactly.
-    w_a = 1 / sum_{k<K} h_k(t_a)^2 is the Gauss weight times e^{t_a^2}.
     """
     k = 2 * n_max + 1
     j = np.arange(1, n_max)
@@ -133,11 +134,7 @@ def _wigner_nodes(n_max: int) -> tuple[np.ndarray, np.ndarray]:
         if m == k - 1:
             below = row.copy()
     s = s - row / (np.sqrt(2.0 * k) * below)  # h_K' = sqrt(2K) h_{K-1} at a root
-    half = np.concatenate([[0.0], s])
-    total = np.zeros(n_max + 1)
-    for row in _hermite_rows(k - 1, half):
-        total += row * row
-    return np.concatenate([-s[::-1], half]), 1.0 / np.concatenate([total[:0:-1], total])
+    return np.concatenate([-s[::-1], [0.0], s])
 
 
 def _weighted_products(state: FockVector, x: np.ndarray | None, t: np.ndarray,
@@ -170,44 +167,6 @@ def _weighted_products(state: FockVector, x: np.ndarray | None, t: np.ndarray,
     return fr, fi
 
 
-def _coefficient_chunks(fr: np.ndarray, fi: np.ndarray, t: np.ndarray):
-    """Yield (ks, c) with c[i, j] = Re(i^k b_ik) for k = ks[j], over all k < K
-    in chunks of about _WIGNER_BLOCK entries of G, so no K x K matrix is held.
-
-    b_ik = sum_a F[i, a] w_a h_k(t_a) is the exact coefficient of
-    f_i(y) = psi*(x_i + y) psi(x_i - y) on h_k(sqrt(2) y). Since
-    f_i(-y) = f_i(y)*, b_ik is real for even k and imaginary for odd k, so
-    Re(i^k b_ik) = sigma_k Re b_ik or sigma_k Im b_ik with sigma_k = 1, -1,
-    -1, 1 for k = 0, 1, 2, 3 mod 4: one GEMM against the rows
-    G[k, a] = sigma_k h_k(t_a) of each parity.
-    """
-    rows = max(2, _WIGNER_BLOCK // t.size // 2 * 2)  # even: chunks start at even k
-    g = np.empty((rows, t.size))
-    for k, h in enumerate(_hermite_rows(t.size - 1, t)):
-        j = k % rows
-        np.multiply(h, -1.0 if k % 4 in (1, 2) else 1.0, out=g[j])
-        if j == rows - 1 or k == t.size - 1:
-            yield slice(k - j, k + 1, 2), fr @ g[0:j + 1:2].T
-            yield slice(k - j + 1, k + 1, 2), fi @ g[1:j + 1:2].T
-
-
-def _gauss_row_map(x: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """M = H_x^T (G o w), which maps coefficient rows at the K Gauss rows
-    x_b = t_b / sqrt2 to the rows at x exactly; H_x[j, i] = h_j(sqrt(2) x_i)
-    and G[j, b] = h_j(t_b).
-
-    At fixed t_a, F(x, a) is e^{-x^2} times a polynomial of degree
-    <= 2 n_max in x, so it lies in span{h_j(sqrt(2) x), j < K}, and so does
-    each coefficient row b_k(x), a fixed combination of the F(., a). Its
-    coefficient on h_j is the integral of b_k(X/sqrt2) h_j(X) dX, an
-    e^{-X^2}-weighted polynomial of degree <= 4 n_max <= 2K - 2, which the
-    K-node rule takes exactly. The weights here are the plain Christoffel
-    weights: the rows carry 1/|psi|^2 already.
-    """
-    h = hermite_functions(t.size - 1, np.concatenate([t, np.sqrt(2.0) * x]))
-    return h[:, t.size:].T @ (h[:, :t.size] * w)
-
-
 def _support_cut(state: FockVector) -> FockVector:
     """The state cut at its support m*, the last m with
     sum_{k>=m} |A_k|^2 > _SUPPORT_TOL^2 sum_k |A_k|^2.
@@ -228,26 +187,43 @@ def _support_cut(state: FockVector) -> FockVector:
 
 
 def _wigner_kernel(state: FockVector, x: np.ndarray, p: np.ndarray, contract):
-    """pi^{-1/2} contract(c, H_p) over the row coefficients c of x and
-    H_p[k, j] = h_k(sqrt(2) p_j), with the nodes and H_p formed once.
+    """pi^{-1/2} times the sum, over the parities of k, of contract(c, H_p)
+    between the row coefficients c of x and H_p[k, j] = sigma_k h_k(sqrt(2) p_j).
 
     The state is first cut at its support m* (_support_cut), so K = 2 m* + 1
-    and every table below is sized to the amplitudes the state uses, not to
-    n_max; W moves by at most 5.5e-19. Up to K distinct x, c comes from
-    F o w at x itself (K wavefunction values per x), over chunks of k;
-    beyond K, from the same chunks at the K Gauss rows (K (K + 1) / 2 values
-    in all), mapped to x by _gauss_row_map, which needs the rule's discrete
-    orthogonality to rounding: the Newton-polished nodes hold it to about
-    1e-14 up to K = 1201.
+    and every array is sized to the amplitudes the state uses; W moves by at
+    most 5.5e-19. One Hermite table H, k < K, is taken at the nodes t, at
+    sqrt(2) p and, beyond K distinct x, at sqrt(2) x. Its node block
+    G[k, a] = h_k(t_a) gives the weights w_a = 1 / sum_k G[k, a]^2 and the
+    coefficients b_ik = sum_a F[i, a] w_a h_k(t_a) of
+    f_i(y) = psi*(x_i + y) psi(x_i - y) on h_k(sqrt(2) y). As
+    f_i(-y) = f_i(y)*, b_ik is real for even k and imaginary for odd k, so
+    Re(i^k b_ik) = sigma_k Re b_ik or sigma_k Im b_ik, sigma_k = 1, -1, -1, 1
+    for k = 0, 1, 2, 3 mod 4: one GEMM against G's rows of each parity,
+    with sigma_k put on H_p's rows in place.
+
+    Up to K distinct x, F o w is formed at x itself (K wavefunction values
+    per x); beyond K, at the K Gauss rows (K (K + 1) / 2 values in all),
+    mapped to x by H_x^T (G o w) as the module docstring derives. The map
+    needs the rule's discrete orthogonality to rounding: the Newton-polished
+    nodes hold it to about 1e-14 up to K = 1201.
     """
     state = _support_cut(state)
-    t, w = _wigner_nodes(state.n_max)
-    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
-    to_x = _gauss_row_map(x, t, w) if t.size < x.size else None
-    fr, fi = _weighted_products(state, x if to_x is None else None, t, w)
-    out = sum(contract(c if to_x is None else to_x @ c, hp[ks])
-              for ks, c in _coefficient_chunks(fr, fi, t))
-    return out / np.sqrt(np.pi)
+    t = _wigner_nodes(state.n_max)
+    k = t.size
+    gauss = k < x.size
+    h = hermite_functions(k - 1, np.concatenate(
+        [t, np.sqrt(2.0) * p] + ([np.sqrt(2.0) * x] if gauss else [])))
+    g, hp = h[:, :k], h[:, k:k + p.size]
+    w = 1.0 / np.einsum("ka,ka->a", g, g)
+    hp[1::4] *= -1.0  # sigma_k
+    hp[2::4] *= -1.0
+    fr, fi = _weighted_products(state, None if gauss else x, t, w)
+    c = fr @ g[0::2].T, fi @ g[1::2].T
+    if gauss:
+        to_x = h[:, k + p.size:].T @ (g * w)  # plain weights: the rows carry 1/|psi|^2
+        c = to_x @ c[0], to_x @ c[1]
+    return (contract(c[0], hp[0::2]) + contract(c[1], hp[1::2])) / np.sqrt(np.pi)
 
 
 def wigner_points(state: FockVector, xs, ps) -> np.ndarray:

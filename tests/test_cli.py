@@ -368,14 +368,28 @@ def test_wigner_missing_input(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_wigner_far_bounds_read_exact_zeros(tmp_path):
+    # the Hermite rows are exact zeros far out, so a grid reaching 1e200 is
+    # written without a RuntimeWarning: W is e^{-2-p^2}/pi on its x = 0 row
+    # (to the truncation at n_max 16) and 0 everywhere else
+    src = write_state(tmp_path / "coh.json", coherent(1.0, 16))
+    out = tmp_path / "w.csv"
+    assert run("wigner", "--input", src, "--x-min=-1e200", "--x-max", 1e200,
+               "--points", 5, "--output", out) == 0
+    x, p, w = np.loadtxt(out, delimiter=",", skiprows=1).T
+    assert x.size == 25 and (x == 0).sum() == 5
+    np.testing.assert_allclose(w[x == 0], np.exp(-2.0 - p[x == 0] ** 2) / np.pi,
+                               rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(w[x != 0], 0.0)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bounds, message", [
-    (("--x-min=-1e200", "--x-max", 1e200), "20 of 25 values are not finite"),
     (("--x-max", "inf"), "--x-max must be finite"),
     (("--p-min", "nan"), "--p-min must be finite"),
 ])
 def test_wigner_bounds_failure_is_one_line(tmp_path, capsys, bounds, message):
-    # the 1e200 grid overflows inside the kernel; the check on its values,
-    # not a RuntimeWarning, is the one report
+    # non-finite bounds are refused before the state loads, in one line
     src = write_state(tmp_path / "coh.json", coherent(1.0, 16))
     out = tmp_path / "w.csv"
     assert run("wigner", "--input", src, *bounds, "--points", 5,

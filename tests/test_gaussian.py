@@ -202,6 +202,20 @@ def test_quadrature_cap_raises_for_mass_beyond_n_max():
         _quadrature_rows([GaussianParams(0.8, 1.0 + 1.0j), beyond], 63)
 
 
+def test_quadrature_rules_stop_at_the_cap(monkeypatch):
+    # the 1.6x growth is clamped: 30000 nodes is the largest rule built
+    # before the cap's error, not the 44565 that 1.6 x 27853 would give
+    import polystate.gaussian as gaussian
+
+    sizes = []
+    table = gaussian.hermite_functions
+    monkeypatch.setattr(gaussian, "hermite_functions",
+                        lambda n_max, x: sizes.append(np.size(x)) or table(n_max, x))
+    with pytest.raises(RuntimeError, match="within 30000 quadrature nodes"):
+        _quadrature_rows([GaussianParams(0.1 + 2j, 3.0)], 63)
+    assert sizes[-2:] == [27853, 30000] and max(sizes) == 30000
+
+
 def test_rotated_exponents_match_rotate_params():
     # the array helper gives every (seed, angle) pair rotate_params' bits
     rng = np.random.default_rng(31)
@@ -367,6 +381,18 @@ def test_hermite_functions_orthonormal():
     u = hermite_functions(12, x)
     gram = (u * w) @ u.T
     assert np.abs(gram - np.eye(13)).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_max", [0, 1, 64, 1024])
+def test_hermite_functions_are_exact_zeros_far_out(n_max):
+    # past sqrt(2 n_max + 1) + 40 the rows are 0 without the recurrence,
+    # whose x^2 overflows from 1e154; nearer points keep their values
+    far = np.array([1e300, -1e300, 1e100, -np.inf, np.inf])
+    near = np.array([0.3, -2.0, 30.0])
+    u = hermite_functions(n_max, np.concatenate([far, near]))
+    np.testing.assert_array_equal(u[:, :far.size], 0.0)
+    np.testing.assert_array_equal(u[:, far.size:], hermite_functions(n_max, near))
 
 
 # ---- cyclic Gaussians ----

@@ -202,9 +202,10 @@ def test_wigner_points_scattered():
 
 
 def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
-    # each branch forms every Hermite table in one pass, whatever the number
-    # of points: up to K distinct x the rows at x (K wavefunction values per
-    # x), beyond that the K Gauss rows (K (K + 1) / 2 values)
+    # each kernel call runs the recurrence once for the Newton step and forms
+    # one Hermite table (nodes, sqrt(2) p and, beyond K distinct x, sqrt(2) x),
+    # whatever the number of points: up to K distinct x the rows at x (K
+    # wavefunction values per x), beyond that the K Gauss rows (K (K + 1) / 2)
     from polystate import observables
 
     calls = {"nodes": 0, "tables": 0, "psi": 0}
@@ -222,15 +223,14 @@ def test_wigner_points_runs_the_node_recurrence_once(monkeypatch):
     monkeypatch.setattr(observables, "fock_wavefunction",
                         counted("psi", observables.fock_wavefunction, size=True))
     for n_max, points, want in (
-            # Newton step, weights and coefficient rows; H_p
-            (64, 1, {"nodes": 3, "tables": 1, "psi": 129}),
-            (64, 129, {"nodes": 3, "tables": 1, "psi": 129 * 129}),
-            # Newton step, weights and coefficient rows; H_p, and G with H_x
-            (64, 130, {"nodes": 3, "tables": 2, "psi": 129 * 130 // 2}),
-            (64, 1000, {"nodes": 3, "tables": 2, "psi": 129 * 130 // 2}),
-            # the Gauss rows at K = 151 and beyond, on the same node route
-            (75, 1000, {"nodes": 3, "tables": 2, "psi": 151 * 152 // 2}),
-            (128, 1000, {"nodes": 3, "tables": 2, "psi": 257 * 258 // 2})):
+            # rows at x
+            (64, 1, {"nodes": 1, "tables": 1, "psi": 129}),
+            (64, 129, {"nodes": 1, "tables": 1, "psi": 129 * 129}),
+            # the Gauss rows, at K = 151 and beyond on the same node route
+            (64, 130, {"nodes": 1, "tables": 1, "psi": 129 * 130 // 2}),
+            (64, 1000, {"nodes": 1, "tables": 1, "psi": 129 * 130 // 2}),
+            (75, 1000, {"nodes": 1, "tables": 1, "psi": 151 * 152 // 2}),
+            (128, 1000, {"nodes": 1, "tables": 1, "psi": 257 * 258 // 2})):
         st = random_state(np.random.default_rng(6), n_max)
         calls.update(nodes=0, tables=0, psi=0)
         xs, ps = np.random.default_rng(points).uniform(-3.0, 3.0, (2, points))
@@ -243,7 +243,7 @@ def test_wigner_eigvalsh_nodes_match_roots_hermite():
 
     # K = 1 ... 149 (scipy's small-K route) and 257 ... 2049 (its asymptotic one)
     for n_max in [*range(75), 128, 300, 600, 1024]:
-        t, _ = observables._wigner_nodes(n_max)
+        t = observables._wigner_nodes(n_max)
         want, _ = roots_hermite(2 * n_max + 1)
         np.testing.assert_allclose(t, want, rtol=1e-13, atol=1e-13)
 
@@ -252,7 +252,7 @@ def test_wigner_nodes_match_mpmath_at_151():
     # the positive nodes of h_151, Newton-polished from float starts at 32
     # digits; roots_hermite(151), unpolished, is 1.0e-14 off them
     k = 151
-    t, _ = observables._wigner_nodes(k // 2)
+    t = observables._wigner_nodes(k // 2)
     with mpmath.workdps(32):
         for got in t[k // 2 + 1:]:
             root = mpmath.mpf(got)
@@ -270,11 +270,17 @@ def test_wigner_nodes_match_mpmath_at_151():
     # roots_hermite's unpolished nodes hold it only to 1.5e-13 at K = 601
     (300, 1e-13), (600, 1e-13),
 ])
-def test_wigner_nodes_are_an_orthonormal_rule_of_2n_plus_1(n_max, tol):
-    # sum_a w_a h_j(t_a) h_k(t_a) = delta_jk over exactly K = 2 n_max + 1 nodes
+def test_wigner_nodes_are_an_orthonormal_rule_of_2n_plus_1(n_max, tol, monkeypatch):
+    # sum_a w_a h_j(t_a) h_k(t_a) = delta_jk over exactly K = 2 n_max + 1 nodes,
+    # with the weights the kernel reads from its table at a full-support state
     from polystate.gaussian import hermite_functions
 
-    t, w = observables._wigner_nodes(n_max)
+    rules = []
+    weighted = observables._weighted_products
+    monkeypatch.setattr(observables, "_weighted_products",
+                        lambda state, x, t, w: rules.append((t, w)) or weighted(state, x, t, w))
+    wigner_points(random_state(np.random.default_rng(n_max), n_max), 0.3, -0.2)
+    (t, w), = rules
     assert t.shape == w.shape == (2 * n_max + 1,)
     np.testing.assert_array_equal(t, -t[::-1])
     g = hermite_functions(t.size - 1, t)
@@ -282,31 +288,22 @@ def test_wigner_nodes_are_an_orthonormal_rule_of_2n_plus_1(n_max, tol):
 
 
 def _branch_values(state, x, p):
-    """W on the x by p grid by the rows at x and by the Gauss rows."""
-    from polystate.gaussian import hermite_functions
-
-    t, w = observables._wigner_nodes(state.n_max)
-    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p) / np.sqrt(np.pi)
-    fr, fi = observables._weighted_products(state, x, t, w)
-    at_x = sum(c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
-    to_x = observables._gauss_row_map(x, t, w)
-    fr, fi = observables._weighted_products(state, None, t, w)
-    gauss = sum(to_x @ c @ hp[ks] for ks, c in observables._coefficient_chunks(fr, fi, t))
+    """W on the x by p grid by the rows at x, in runs of at most K x, and by
+    the Gauss rows, with x padded past K points."""
+    k = 2 * observables._support_cut(state).n_max + 1
+    at_x = np.concatenate([observables._wigner_kernel(state, x[i:i + k], p, np.matmul)
+                           for i in range(0, x.size, k)])
+    padded = np.concatenate([x, np.linspace(-1.0, 1.0, k + 1)])
+    gauss = observables._wigner_kernel(state, padded, p, np.matmul)[:x.size]
     return at_x, gauss
 
 
 def _uncut_values(state, x, p):
-    """W on the x by p grid through the kernel's helpers at K = 2 n_max + 1,
-    without the support cut: _wigner_kernel's steps for a grid."""
-    from polystate.gaussian import hermite_functions
-
-    t, w = observables._wigner_nodes(state.n_max)
-    hp = hermite_functions(t.size - 1, np.sqrt(2.0) * p)
-    to_x = observables._gauss_row_map(x, t, w) if t.size < x.size else None
-    fr, fi = observables._weighted_products(state, x if to_x is None else None, t, w)
-    out = sum((c if to_x is None else to_x @ c) @ hp[ks]
-              for ks, c in observables._coefficient_chunks(fr, fi, t))
-    return out / np.sqrt(np.pi)
+    """W on the x by p grid through the kernel at K = 2 n_max + 1, without
+    the support cut."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(observables, "_support_cut", lambda cut: cut)
+        return observables._wigner_kernel(state, x, p, np.matmul)
 
 
 def test_wigner_full_support_is_not_cut():
@@ -362,6 +359,22 @@ def test_wigner_support_cut_threshold():
     xs, ps = np.random.default_rng(9).uniform(-3.0, 3.0, (2, 50))
     np.testing.assert_allclose(wigner_points(st, xs, ps),
                                coherent_sum_wigner([1.0], [1.0], xs, ps), rtol=0, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wigner_points_are_exact_zeros_far_out():
+    # far-field Hermite rows are exact zeros: W there is 0, not NaN, on
+    # both branches (4 distinct x, then 204 of them, more than K)
+    st = coherent(1.0, 64)
+    far = np.array([1e300, -1e300, 1e100, 1e50])
+    np.testing.assert_array_equal(wigner_points(st, far, np.zeros(4)), 0.0)
+    np.testing.assert_array_equal(wigner_points(st, np.zeros(4), far), 0.0)
+    xs = np.concatenate([far, np.linspace(-3.0, 3.0, 200)])
+    ps = np.full(xs.size, 0.4)
+    got = wigner_points(st, xs, ps)
+    np.testing.assert_array_equal(got[:far.size], 0.0)
+    want = coherent_sum_wigner([1.0], [1.0], xs[far.size:], ps[far.size:])
+    np.testing.assert_allclose(got[far.size:], want, rtol=0, atol=1e-14)
 
 
 def test_wigner_zero_state_exits_one_with_one_line(tmp_path, capsys):
