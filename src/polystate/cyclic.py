@@ -9,7 +9,8 @@ and density matrices are projected onto the class. Two independent routes
 are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
-over density matrices (density_route_gap).
+over density matrices (density_route_gap). Both take their rotation phases
+from fock's one C_n phase table (fock._rotation_table).
 
 Phase convention. The raw superposition sum_r chi^(lam)(g_r) R(theta_r)|phi>
 has m-amplitude n A_m on the residue class and zero elsewhere, so it is a
@@ -33,6 +34,7 @@ from .fock import (
     FockOperator,
     _class_sums,
     _rotated_copies,
+    _rotation_table,
     annihilate,
     basis_state,
     sector_mask,
@@ -60,8 +62,6 @@ __all__ = [
 _EMPTY_TOL = 1e-12
 # Norm off the target residue class above this fails a route's self-check.
 _LEAK_TOL = 1e-12
-# Entries per block of _rotation_checks' (row, element, m) phase products.
-_ROTATION_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -230,34 +230,6 @@ def cyclic_set(phi: FockVector, n: int
     return out
 
 
-def _rotation_checks(w: np.ndarray, n: int, lam, l) -> tuple[np.ndarray, np.ndarray]:
-    """Apply l elementary rotations to lam-sector states and compare against
-    the predicted phase.
-
-    R(2 pi l / n) acting on the lam-sector state reproduces it up to the
-    phase mu_n^((1-lam) l); l = n is the identity element. Returns
-    (fidelity, phase_residual): fidelity is |<psi|R|psi>| / <psi|psi>, the
-    residual is the angle difference wrapped to (-pi, pi]. Takes a stack of
-    weights w = |A_m|^2 (..., d), one label per row in lam (an int or an
-    array broadcast against w.shape[:-1]) and the integer elements l, and
-    returns arrays shaped w.shape[:-1] + l.shape. All overlaps
-    sum_m w_m mu_n^(-l m) come from the products with one phase table, taken
-    over blocks of rows and each (row, element) summed on its own, so every
-    entry is its one-row call's float bit for bit."""
-    l, lam = np.asarray(l), np.asarray(lam)
-    lead, d = w.shape[:-1], w.shape[-1]
-    table = unit_root(-np.multiply.outer(l.ravel(), np.arange(d)), n)
-    rows = w.reshape(-1, 1, d)
-    ov = np.empty((rows.shape[0], l.size), dtype=complex)
-    step = max(1, _ROTATION_BLOCK // max(1, table.size))
-    for i in range(0, rows.shape[0], step):
-        ov[i:i + step] = (table * rows[i:i + step]).sum(axis=-1)
-    ov = ov.reshape(lead + l.shape)
-    fid = np.abs(ov) / w.sum(axis=-1).reshape(lead + (1,) * l.ndim)
-    predicted = unit_root(np.multiply.outer(1 - lam, l), n)
-    return fid, np.abs(np.angle(ov / predicted))
-
-
 def _projected_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
     """P rho P, unnormalized, for a stack of matrices rho (..., d, d) and each
     int lam in the 1-D lams (L of them), P the projector onto lam's residue
@@ -283,7 +255,7 @@ def _density_route_gaps(rho: np.ndarray, n: int, lams) -> np.ndarray:
     vector-matrix product with the phase table, as in a one-lam call, so
     every gap is that call's float bit for bit."""
     lams, r = np.asarray(lams), np.arange(n)
-    table = unit_root(-np.outer(r, np.arange(rho.shape[-1])), n)
+    table = _rotation_table(n, rho.shape[-1])
     p_chi = (unit_root(np.multiply.outer(lams - 1, r), n)[:, None, :] @ table)[:, 0] / n
     acc = p_chi[:, :, None] * rho[..., None, :, :] * np.conj(p_chi)[:, None, :]
     return np.abs(acc - _projected_densities(rho, n, lams)).max(axis=(-2, -1))

@@ -5,7 +5,9 @@ amplitude vector A_m. Conventions fixed here and inherited by every other
 module: x = (a + a^dag)/sqrt(2), p = i (a^dag - a)/sqrt(2), and the
 rotation R(theta) = exp(-i theta n) multiplies A_m by exp(-i theta m).
 With these choices the coherent state with real alpha > 0 has
-<x> = sqrt(2) alpha and <p> = 0.
+<x> = sqrt(2) alpha and <p> = 0. The group rotations R(theta_r),
+theta_r = 2 pi (r-1)/n, read their phases from one exact C_n table
+(_rotation_table), and so do the inversions U_r = C R(theta_r).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ __all__ = [
     "basis_state",
     "coherent",
     "rotate",
-    "inversion",
     "inner",
     "fidelity",
     "quadrature_means",
@@ -202,24 +203,19 @@ def _rotation_phases(theta, n_max: int) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(theta, np.arange(n_max + 1)))
 
 
+def _rotation_table(n: int, d: int) -> np.ndarray:
+    """The C_n phase table mu_n^(-(r-1) m), r = 1..n, m = 0..d-1, shaped (n, d):
+    row r-1 holds R(theta_r)'s phases as exact roots of unity rather than the
+    floating angles theta_r m that rotate would form, so row 0 is exactly 1.
+    Row -k mod n holds mu_n^(k m) with unit_root(k m, n)'s bits: the phases of
+    the inversion U_(k+1) = C R(theta_(k+1)), which maps A_m to A_m^* mu_n^(k m)."""
+    return unit_root(-np.outer(np.arange(n), np.arange(d)), n)
+
+
 def _rotated_copies(amps: np.ndarray, n: int) -> np.ndarray:
     """The copies R(theta_r)|A>, r = 1..n, of amplitudes amps (..., d), shaped
-    (..., n, d): row r-1 holds mu_n^(-((r-1) m mod n)) A_m, exact roots of
-    unity rather than the floating angles theta_r m that rotate would form."""
-    r = np.arange(n)[:, None]
-    return unit_root(-r * np.arange(amps.shape[-1]), n) * amps[..., None, :]
-
-
-def inversion(state: FockVector, r: int, n: int) -> FockVector:
-    """U_r = C R(theta_r): amplitude m of the result is A_m^* e^{i theta_r m}.
-
-    These are the reflection elements completing C_n to the dihedral group
-    D_n; r is the 1-based element index with theta_r = 2 pi (r-1)/n.
-    """
-    if not 1 <= r <= n:
-        raise ValueError(f"element index r={r} outside 1..{n}")
-    phases = unit_root((r - 1) * np.arange(state.n_max + 1), n)
-    return FockVector(state.n_max, np.conj(state.amplitudes) * phases, state.tail_flagged)
+    (..., n, d): the _rotation_table times amps."""
+    return _rotation_table(n, amps.shape[-1]) * amps[..., None, :]
 
 
 def inner(bra: FockVector, ket: FockVector) -> complex:

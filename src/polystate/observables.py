@@ -532,13 +532,15 @@ def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.
     (..., r.size, d), one weight product mu_n^((1-r)(lam-1)) / (n n_lambda)
     with the states per family. Each state's lam is read off its support; a
     family without all n sectors raises EmptyRepresentationError naming the
-    first such family's first missing lam."""
+    first such family (its C-order index in the stack) and its first missing
+    lam. The error carries no masses: the seed is not among the inputs."""
     lam = np.argmax(np.abs(states), axis=-1) % n + 1
     seen = (lam[..., None] == np.arange(1, n + 1)).any(axis=-2)
     if not seen.all():
-        raise EmptyRepresentationError(
-            n, int(np.argmax(~seen)) % n + 1, np.zeros(n),
-            detail="reconstruction needs every sector")
+        family, missing = divmod(int(np.argmax(~seen)), n)
+        raise EmptyRepresentationError(n, missing + 1, None, (
+            f"reconstruction needs every sector: family {family} has no "
+            f"state in the (n={n}, lam={missing + 1}) sector"))
     k = (1 - np.asarray(r))[:, None] * (lam - 1)[..., None, :]
     return (unit_root(k, n) / (n * n_lambda[..., None, :])) @ states
 

@@ -19,12 +19,12 @@ from .fock import (
     _class_masses,
     _rotated_copies,
     _rotation_phases,
+    _rotation_table,
     annihilate,
     basis_state,
     coherent,
     fidelity,
     from_amplitudes,
-    inversion,
     quadrature_means,
     rotate,
     sector_mask,
@@ -35,7 +35,6 @@ from .cyclic import (
     _cyclic_densities,
     _density_route_gaps,
     _off_class,
-    _rotation_checks,
     _superpositions,
     annihilation_irrep_shift,
     circle_limit,
@@ -151,8 +150,9 @@ def _suite2_states(seed: int):
 
 
 def _dihedral_families(seed: int, count: int):
-    """(n, variant) -> the dihedral states for lam = 1..n of count random
-    seeds, as lists [seed][lam - 1], for the orders of _SUITE2_ORDERS.
+    """(n, variant) -> the amplitudes of the dihedral states for lam = 1..n
+    of count random seeds, stacked (count, n, d), for the orders of
+    _SUITE2_ORDERS.
 
     The seeds come from a stream of their own, default_rng([seed, 1]), so
     they are not the orbit families' seeds and those rows keep their bits.
@@ -161,8 +161,9 @@ def _dihedral_families(seed: int, count: int):
     """
     rng = np.random.default_rng([seed, 1])
     phis = [_random_state(rng) for _ in range(count)]
-    return {(n, variant): [[dihedral_state(phi, CyclicSpec(n, lam), variant)[0]
-                            for lam in range(1, n + 1)] for phi in phis]
+    return {(n, variant): np.array([
+                [dihedral_state(phi, CyclicSpec(n, lam), variant)[0].amplitudes
+                 for lam in range(1, n + 1)] for phi in phis])
             for n in _SUITE2_ORDERS for variant in ("sum", "difference")}
 
 
@@ -174,8 +175,7 @@ def suite_orthonormality(seed: int = DEFAULT_SEED):
                         f"{_SUITE2_SEEDS} random seeds: cyclic family is orthonormal",
                         float(np.abs(gram - np.eye(n)).max()), 1e-10))
     worst = 0.0
-    for (n, _), families in _dihedral_families(seed, 5).items():
-        states = np.array([[g.amplitudes for g in family] for family in families])
+    for (n, _), states in _dihedral_families(seed, 5).items():
         gram = states.conj() @ np.swapaxes(states, -1, -2)
         worst = max(worst, float(np.abs(gram - np.eye(n)).max()))
     # the sum and difference states of one lam overlap, so each variant's
@@ -223,19 +223,23 @@ def suite_erasure(seed: int = DEFAULT_SEED):
 def suite_rotation(seed: int = DEFAULT_SEED):
     worst_fid = worst_phase = 0.0
     for n, (states, _, _) in _suite2_states(seed).items():
-        # every (seed, lam) row against every group element l = 1..n
-        fid, phase = _rotation_checks(np.abs(states) ** 2, n, np.arange(1, n + 1),
-                                      np.arange(1, n + 1))
+        # <psi|R_r|psi> for every (seed, lam, r) in one product: (50, lam, r),
+        # against the predicted phase mu^((1-lam)(r-1)); r = 1 is the identity
+        k = np.arange(n)
+        w = np.abs(states) ** 2
+        ov = w @ _rotation_table(n, w.shape[-1]).T
+        fid = np.abs(ov) / w.sum(axis=-1, keepdims=True)
         worst_fid = max(worst_fid, float(np.abs(fid - 1.0).max()))
-        worst_phase = max(worst_phase, float(phase.max()))
+        worst_phase = max(worst_phase, float(np.abs(np.angle(
+            ov / unit_root(np.outer(-k, k), n))).max()))
     worst_inv = 0.0
     for (n, variant), [family] in _dihedral_families(seed, 1).items():
+        # U_r Gamma = Gamma^* mu^((r-1) m) for every (lam, r) at once: (lam, r, d)
         sign = 1.0 if variant == "sum" else -1.0
-        for lam, gamma in enumerate(family, 1):
-            for r in range(1, n + 1):
-                expected = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
-                worst_inv = max(worst_inv, float(np.abs(
-                    inversion(gamma, r, n).amplitudes - expected).max()))
+        k = np.arange(n)
+        inverted = np.conj(family)[:, None, :] * _rotation_table(n, family.shape[-1])[-k % n]
+        expected = (sign * unit_root(np.outer(k, k), n))[:, :, None] * family[:, None, :]
+        worst_inv = max(worst_inv, float(np.abs(inverted - expected).max()))
     return [
         _row("rotation", "modulus",
              "every group element holds each cyclic state fixed up to phase",
@@ -276,7 +280,7 @@ def suite_density(seed: int = DEFAULT_SEED):
             worst_tr = max(worst_tr, float(np.abs(
                 np.trace(sectors, axis1=-2, axis2=-1) - 1.0).max()))
             # R_r rho R_r^dag for every group element r at once
-            ph = unit_root(-np.outer(np.arange(n), np.arange(rho.shape[-1])), n)
+            ph = _rotation_table(n, rho.shape[-1])
             rotated = ph[:, None, :, None] * sectors
             rotated *= np.conj(ph)[:, None, None, :]
             rotated -= sectors

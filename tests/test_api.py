@@ -12,7 +12,7 @@ PUBLIC = {
               "character_orthogonality_report"},
     "fock": {"TAIL_TOL", "FockVector", "FockOperator", "QuadratureMeans",
              "from_amplitudes", "basis_state", "coherent", "rotate",
-             "inversion", "inner", "fidelity", "quadrature_means",
+             "inner", "fidelity", "quadrature_means",
              "sector_mask", "residue_class_masses", "annihilate",
              "vector_to_dict", "vector_from_dict"},
     "cyclic": {"CyclicSpec", "NormalizationRecord", "EmptyRepresentationError",
@@ -36,7 +36,7 @@ PUBLIC = {
 
 def test_package_exports_the_public_names():
     expected = set().union(*PUBLIC.values()) | {"__version__"}
-    assert len(polystate.__all__) == len(set(polystate.__all__)) == 69
+    assert len(polystate.__all__) == len(set(polystate.__all__)) == 68
     assert set(polystate.__all__) == expected
     missing = [name for name in polystate.__all__ if not hasattr(polystate, name)]
     assert not missing, f"exported but not defined: {missing}"

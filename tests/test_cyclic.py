@@ -14,10 +14,11 @@ from polystate.fock import (
     coherent,
     fidelity,
     from_amplitudes,
+    rotate,
     sector_mask,
 )
-from polystate.fock import FockOperator, inversion
-from polystate.group import character, unit_root
+from polystate.fock import FockOperator, _rotation_table
+from polystate.group import character, theta, unit_root
 from polystate.cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
@@ -241,6 +242,39 @@ def test_verify_families_take_one_product_each(monkeypatch):
         ((20, 65), n) for n in range(2, 7)]
 
 
+def test_rotation_rows_fail_on_broken_states(monkeypatch):
+    # the rotation suite's rows can fail: an off-class amplitude on one order-3
+    # state breaks the modulus and the phase; a global phase i on the dihedral
+    # states breaks the inversion row, since U_r is antiunitary
+    import polystate.verify as verify
+
+    orbit, dihedral = verify._suite2_states, verify._dihedral_families
+
+    def leaky(seed):
+        families = orbit(seed)
+        states = families[3][0].copy()
+        states[0, 0, 1] += 1e-3  # seed 0, lam = 1 lives on m = 0 mod 3
+        return {**families, 3: (states,) + families[3][1:]}
+
+    monkeypatch.setattr(verify, "_suite2_states", leaky)
+    rows = {r.name: r for r in verify.suite_rotation()}
+    # |<psi|R_r|psi>| = |1 + eps^2 mu^(-(r-1))| / (1 + eps^2) -> 1 - 3 eps^2 / 2,
+    # at the angle sqrt(3) eps^2 / 2, eps = 1e-3
+    assert rows["modulus"].residual == pytest.approx(1.5e-6, rel=1e-3)
+    assert rows["phase"].residual == pytest.approx(np.sqrt(3) / 2 * 1e-6, rel=1e-3)
+    assert not rows["modulus"].passed and not rows["phase"].passed
+    assert rows["dihedral inversion"].passed
+
+    monkeypatch.setattr(verify, "_suite2_states", orbit)
+    monkeypatch.setattr(verify, "_dihedral_families", lambda seed, count: {
+        key: 1j * states for key, states in dihedral(seed, count).items()})
+    rows = {r.name: r for r in verify.suite_rotation()}
+    # U_r (i Gamma) = -i U_r Gamma: the row reads 2 max |Gamma_m|
+    assert rows["dihedral inversion"].residual > 1.0
+    assert not rows["dihedral inversion"].passed
+    assert rows["modulus"].passed and rows["phase"].passed
+
+
 def test_cyclic_set_matches_superposition_route():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=41) + 1j * rng.normal(size=41)
@@ -318,100 +352,75 @@ def test_empty_sector_masses_at_huge_order():
 
 # ---- rotation eigenphase ----
 
+def _rotation_residuals(amps, n, lam):
+    """verify's rotation rows for lam-sector states amps (..., d), for every
+    element r = 1..n: the modulus |<psi|R_r|psi>| / <psi|psi> and the angle of
+    <psi|R_r|psi> against mu^((1-lam)(r-1)), each (..., n). The overlaps are
+    one product of |A_m|^2 with the phase table; r = 1 is the identity."""
+    w = np.abs(amps) ** 2
+    ov = w @ _rotation_table(n, w.shape[-1]).T
+    predicted = unit_root(np.multiply.outer(1 - np.asarray(lam), np.arange(n)), n)
+    return np.abs(ov) / w.sum(axis=-1)[..., None], np.abs(np.angle(ov / predicted))
+
+
 def test_rotation_full_cycle_is_identity():
+    # R_(n+1) = R_1, the identity: row 0 of the table
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(4, 2))
-    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 4, 2, 4)
-    assert fid == pytest.approx(1.0, abs=1e-12)
-    assert phase < 1e-12
+    fid, phase = _rotation_residuals(psi.amplitudes, 4, 2)
+    assert fid[0] == pytest.approx(1.0, abs=1e-12)
+    assert phase[0] < 1e-12
 
 
 def test_rotation_trivial_irrep_phase_zero():
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(3, 1))
-    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 3, 1, [1, 2, 3])
+    fid, phase = _rotation_residuals(psi.amplitudes, 3, 1)
     assert fid == pytest.approx(np.ones(3), abs=1e-12)
     assert (phase < 1e-12).all()
 
 
 def test_rotation_phase_n4_lam3_l2():
-    # mu_4^((1-3)*2) = mu_4^(-4) = 1, so the picked-up phase vanishes
+    # two elementary rotations (r = 3): mu_4^((1-3)*2) = mu_4^(-4) = 1, so the
+    # picked-up phase vanishes
     psi, _ = cyclic_superposition(coherent(1.0, 40), CyclicSpec(4, 3))
-    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 4, 3, 2)
-    assert fid == pytest.approx(1.0, abs=1e-12)
-    assert phase < 1e-12
+    fid, phase = _rotation_residuals(psi.amplitudes, 4, 3)
+    assert fid[2] == pytest.approx(1.0, abs=1e-12)
+    assert phase[2] < 1e-12
 
 
 def test_rotation_every_element():
     psi, _ = cyclic_superposition(coherent(1.2, 48), CyclicSpec(5, 4))
-    fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 5, 4, np.arange(1, 6))
+    fid, phase = _rotation_residuals(psi.amplitudes, 5, 4)
     assert fid.shape == phase.shape == (5,)
     assert (np.abs(fid - 1.0) < 1e-10).all()
     assert (phase < 1e-10).all()
 
 
-def test_rotation_array_matches_scalar_calls():
-    # an element array gives the scalar-element calls' values and the
-    # per-element overlaps <psi|R(theta_l)|psi>
+def test_rotation_off_sector_modulus_drops():
+    # off the sector the modulus drops below 1 on every element but the
+    # identity, and each is |<phi|R(theta_r)|phi>| by rotate's float angles
     rng = np.random.default_rng(5)
     v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
     phi = from_amplitudes(v / np.linalg.norm(v))
-    for spec, elements in ((CyclicSpec(5, 2), np.arange(-6, 12)),
-                           (CyclicSpec(4, 3), np.arange(1, 9).reshape(2, 4))):
-        psi, _ = cyclic_state(phi, spec)
-        w = np.abs(psi.amplitudes) ** 2
-        fid, phase = cyclic._rotation_checks(w, spec.n, spec.lam, elements)
-        assert fid.shape == phase.shape == elements.shape
-        for l, f, p in zip(elements.ravel().tolist(), fid.ravel(), phase.ravel()):
-            one = cyclic._rotation_checks(w, spec.n, spec.lam, l)
-            assert one[0].shape == one[1].shape == ()
-            assert (float(one[0]), float(one[1])) == (f, p)
-            # the per-element overlap the array form replaced
-            ov = np.vdot(psi.amplitudes,
-                         unit_root(-l * np.arange(33), spec.n) * psi.amplitudes)
-            predicted = unit_root((1 - spec.lam) * l, spec.n)
-            assert abs(abs(ov) / psi.norm ** 2 - f) < 1e-15
-            assert abs(abs(np.angle(ov / predicted)) - p) < 1e-15
-    # off the sector the modulus drops below 1 and the array shows which element
-    fid, _ = cyclic._rotation_checks(np.abs(phi.amplitudes) ** 2, 4, 1, np.arange(1, 5))
-    assert fid[-1] == pytest.approx(1.0, abs=1e-14) and (fid[:-1] < 0.9).all()
-
-
-@pytest.mark.parametrize("block", [None, 500])
-def test_rotation_stack_matches_one_state_calls(monkeypatch, block):
-    # the stacked kernel over (seed, lam) rows and all elements gives each
-    # state's one-row floats bit for bit, in one block of rows or in blocks
-    # of one or two rows
-    if block is not None:
-        monkeypatch.setattr(cyclic, "_ROTATION_BLOCK", block)
-    amps = np.random.default_rng(9).normal(size=(6, 41, 2)) @ [1, 1j]
-    for n in (1, 3, 5):
-        states, _, _ = cyclic._superpositions(amps, n, range(1, n + 1))
-        elements = np.arange(-2, n + 3)
-        fid, phase = cyclic._rotation_checks(np.abs(states) ** 2, n, np.arange(1, n + 1),
-                                             elements)
-        assert fid.shape == phase.shape == (6, n, elements.size)
-        for family, f_rows, p_rows in zip(states, fid, phase):
-            for lam, (state, f, p) in enumerate(zip(family, f_rows, p_rows), 1):
-                one_f, one_p = cyclic._rotation_checks(np.abs(state) ** 2, n, lam, elements)
-                np.testing.assert_array_equal(f, one_f)
-                np.testing.assert_array_equal(p, one_p)
-        # no elements, no checks
-        assert cyclic._rotation_checks(np.abs(states) ** 2, n, 1, [])[0].shape == (6, n, 0)
+    fid, _ = _rotation_residuals(phi.amplitudes, 4, 1)
+    assert fid[0] == pytest.approx(1.0, abs=1e-14) and (fid[1:] < 0.9).all()
+    for r in range(1, 5):
+        assert abs(abs(np.vdot(phi.amplitudes, rotate(phi, theta(4, r)).amplitudes))
+                   - fid[r - 1]) < 1e-15
 
 
 def test_rotation_phase_exact_at_order_64():
-    # every group element's phase mu^((1-lam) l) holds to rounding at n = 64;
-    # float angles 2 pi l m / n leaked up to ~4e-14 here
+    # every group element's phase mu^((1-lam)(r-1)) holds to rounding at n = 64,
+    # all 64 sectors in one product; float angles 2 pi (r-1) m / n leaked up
+    # to ~4e-14 here
     rng = np.random.default_rng(64)
     v = rng.standard_normal(257) + 1j * rng.standard_normal(257)
     phi = from_amplitudes(v / np.linalg.norm(v))
-    worst = 0.0
-    for lam in range(1, 65):
-        psi, _ = cyclic_state(phi, CyclicSpec(64, lam))
-        fid, phase = cyclic._rotation_checks(np.abs(psi.amplitudes) ** 2, 64, lam,
-                                             np.arange(1, 65))
-        assert (np.abs(fid - 1.0) < 1e-12).all()
-        worst = max(worst, phase.max())
-    assert worst <= 1e-15
+    lams = np.arange(1, 65)
+    states = np.array([cyclic_state(phi, CyclicSpec(64, lam))[0].amplitudes for lam in lams])
+    fid, phase = _rotation_residuals(states, 64, lams)
+    assert fid.shape == phase.shape == (64, 64)
+    assert (np.abs(fid - 1.0) < 1e-12).all()
+    assert phase.max() <= 1e-15
 
 
 # ---- density matrices ----
@@ -572,13 +581,15 @@ def test_dihedral_invalid_variant():
 def test_dihedral_inversion_eigenstate():
     phi = coherent(1.0 + 0.8j, 40)
     n = 3
+    table = _rotation_table(n, 41)
     for lam in (1, 2, 3):
         for variant, sign in (("sum", 1.0), ("difference", -1.0)):
-            gamma, _ = dihedral_state(phi, CyclicSpec(n, lam), variant)
+            gamma = dihedral_state(phi, CyclicSpec(n, lam), variant)[0].amplitudes
             for r in range(1, n + 1):
-                # U_r gamma = +-mu^((lam-1)(r-1)) gamma: an eigenvector, phase and all
-                predicted = sign * unit_root((lam - 1) * (r - 1), n) * gamma.amplitudes
-                assert np.abs(inversion(gamma, r, n).amplitudes - predicted).max() < 1e-10
+                # U_r gamma = gamma^* mu^((r-1) m) = +-mu^((lam-1)(r-1)) gamma:
+                # an eigenvector, phase and all
+                predicted = sign * unit_root((lam - 1) * (r - 1), n) * gamma
+                assert np.abs(np.conj(gamma) * table[(1 - r) % n] - predicted).max() < 1e-10
 
 
 def test_dihedral_state_matches_rotation_plus_inversion_sum():
@@ -743,8 +754,9 @@ def test_dihedral_seeds_are_not_the_orbit_seeds():
         orbit = verify._random_stack(np.random.default_rng(seed), 5)
         assert not np.isin(own, orbit).any()
         for (n, variant), families in verify._dihedral_families(seed, 5).items():
+            assert families.shape == (5, n, 65)
             for amps, family in zip(own, families):
                 for lam, gamma in enumerate(family, 1):
                     expected, _ = dihedral_state(from_amplitudes(amps), CyclicSpec(n, lam),
                                                  variant)
-                    np.testing.assert_array_equal(gamma.amplitudes, expected.amplitudes)
+                    np.testing.assert_array_equal(gamma, expected.amplitudes)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polystate.fock as fock
+from polystate.group import unit_root
 from polystate.fock import (
     TAIL_TOL,
     FockOperator,
@@ -15,7 +16,6 @@ from polystate.fock import (
     fidelity,
     from_amplitudes,
     inner,
-    inversion,
     quadrature_means,
     residue_class_masses,
     rotate,
@@ -23,6 +23,7 @@ from polystate.fock import (
     _pairs,
     _rotated_copies,
     _rotation_phases,
+    _rotation_table,
     vector_from_dict,
     vector_to_dict,
 )
@@ -89,56 +90,79 @@ def test_rotate_inverse_property(pairs, th):
     assert np.abs(back.amplitudes - st_.amplitudes).max() < 1e-13
 
 
-# ---- conjugation and inversion (conjugation C is the element U_1) ----
+# ---- the C_n phase table, and the inversions U_r = C R(theta_r): A_m goes to
+# A_m^* times row -(r-1) mod n of the table (conjugation C is U_1) ----
+
+def _inverted(amps, r, n):
+    """U_r|A>, as verify's dihedral inversion row forms it."""
+    return np.conj(amps) * _rotation_table(n, amps.size)[(1 - r) % n]
+
+
+def _assert_involution(amps, n):
+    # each reflection U_r of D_n squares to the identity: exactly for U_1 = C,
+    # to rounding for the others, whose table entries are unit to rounding
+    np.testing.assert_array_equal(_inverted(_inverted(amps, 1, n), 1, n), amps)
+    for r in range(2, n + 1):
+        assert np.abs(_inverted(_inverted(amps, r, n), r, n) - amps).max() < 1e-15
+
 
 def test_conjugate_involution():
     rng = np.random.default_rng(3)
-    st_ = random_state(rng)
-    np.testing.assert_array_equal(inversion(inversion(st_, 1, 3), 1, 3).amplitudes,
-                                  st_.amplitudes)
+    _assert_involution(random_state(rng).amplitudes, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=amplitude_lists)
+def test_conjugate_involution_property(pairs):
+    _assert_involution(state_from_pairs(pairs).amplitudes, 3)
 
 
 def test_conjugate_coherent_maps_alpha_to_conjugate():
     alpha = 0.8 + 0.3j
-    left = inversion(coherent(alpha, 40), 1, 2)
+    left = np.conj(coherent(alpha, 40).amplitudes)
     right = coherent(np.conj(alpha), 40)
-    assert np.abs(left.amplitudes - right.amplitudes).max() < 1e-14
+    assert np.abs(left - right.amplitudes).max() < 1e-14
 
 
 def test_inversion_r1_is_conjugate():
     rng = np.random.default_rng(4)
     st_ = random_state(rng)
-    np.testing.assert_array_equal(inversion(st_, 1, 5).amplitudes,
-                                  np.conj(st_.amplitudes))
-
-
-def test_inversion_real_state_r1_fixed():
-    st_ = from_amplitudes(np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0))
-    np.testing.assert_array_equal(inversion(st_, 1, 3).amplitudes, st_.amplitudes)
+    for n in (1, 2, 5):
+        np.testing.assert_array_equal(_inverted(st_.amplitudes, 1, n),
+                                      np.conj(st_.amplitudes))
 
 
 def test_inversion_one_photon():
-    one = basis_state(1, 3)
-    out = inversion(one, 2, 2)
-    np.testing.assert_allclose(out.amplitudes[1], -1.0, atol=1e-15)
+    out = _inverted(basis_state(1, 3).amplitudes, 2, 2)
+    np.testing.assert_allclose(out[1], -1.0, atol=1e-15)
 
 
 def test_inversion_closed_form():
+    # the table row against the float angles: U_r A = A_m^* exp(i theta_r m)
     rng = np.random.default_rng(5)
     st_ = random_state(rng)
     n, r = 5, 3
     th = 2.0 * np.pi * (r - 1) / n
     m = np.arange(st_.n_max + 1)
     expected = np.conj(st_.amplitudes) * np.exp(1j * th * m)
-    assert np.abs(inversion(st_, r, n).amplitudes - expected).max() < 1e-15
+    assert np.abs(_inverted(st_.amplitudes, r, n) - expected).max() < 1e-15
 
 
-@settings(max_examples=60, deadline=None)
-@given(pairs=amplitude_lists)
-def test_conjugate_involution_property(pairs):
-    st_ = state_from_pairs(pairs)
-    np.testing.assert_array_equal(inversion(inversion(st_, 1, 3), 1, 3).amplitudes,
-                                  st_.amplitudes)
+def test_rotation_table_rows():
+    # row 0 is exactly 1; row -k mod n has unit_root(k m, n)'s bits, which is
+    # why verify's dihedral inversion row reads exactly 0; and _rotated_copies
+    # is the table times the amplitudes, bit for bit
+    amps = random_state(np.random.default_rng(8), 40).amplitudes
+    m = np.arange(41)
+    for n in (1, 2, 3, 5, 8, 41, 64):
+        table = _rotation_table(n, 41)
+        assert table.shape == (n, 41)
+        np.testing.assert_array_equal(table[0], 1.0)
+        for k in range(n):
+            np.testing.assert_array_equal(table[-k % n], unit_root(k * m, n))
+        np.testing.assert_array_equal(_rotated_copies(amps, n), table * amps)
+        np.testing.assert_array_equal(_rotated_copies(np.array([amps, 2 * amps]), n),
+                                      table * np.array([amps, 2 * amps])[:, None, :])
 
 
 # ---- inner products and distances ----

@@ -930,6 +930,21 @@ def test_reconstruct_missing_sector():
         _reconstructions(*_family(pairs), 3, [1])
 
 
+def test_reconstruct_missing_sector_names_family_and_lam():
+    # the error names the stack's first incomplete family and its missing lam,
+    # and reports no residue-class masses: the seed is not among the inputs
+    # (coherent(1.0) has weight in every class)
+    seed = coherent(1.0, 32)
+    full = _family([cyclic_superposition(seed, CyclicSpec(3, lam)) for lam in (1, 2, 3)])
+    gap = _family([cyclic_superposition(seed, CyclicSpec(3, lam)) for lam in (1, 3, 3)])
+    with pytest.raises(EmptyRepresentationError) as exc:
+        _reconstructions(*(np.array([f, g]) for f, g in zip(full, gap)), 3, [1])
+    assert exc.value.masses is None
+    assert (exc.value.n, exc.value.lam) == (3, 2)
+    assert str(exc.value) == ("reconstruction needs every sector: family 1 has no "
+                              "state in the (n=3, lam=2) sector")
+
+
 # ---- linear entropy ----
 
 def hankel_sum(spec):
