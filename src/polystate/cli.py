@@ -5,8 +5,9 @@ array or a --n-max above _N_MAX_LIMIT, 2 empty symmetry sector, 3 malformed
 input JSON. Every failure is one line on stderr.
 wigner --check-symmetry N reports, from the amplitudes, the mass outside the
 state's heaviest residue class mod N (0 exactly for a C_N sector state).
-JSON output is json.dumps(payload, indent=2) and a newline, with complex
-arrays as nested [re, im] pairs (fock.vector_to_dict, fock._pairs).
+JSON output is the text of json.dumps(payload, indent=2) and a newline, with
+complex arrays as nested [re, im] pairs, written one format per array
+(fock._json_text).
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ import numpy as np
 from .fock import (
     FockVector,
     _class_sums,
-    _pairs,
+    _json_text,
     coherent,
     vector_from_dict,
-    vector_to_dict,
 )
 from .cyclic import (
     CyclicSpec,
@@ -101,12 +101,13 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
+    _write_text(_json_text(payload) + "\n", path)
 
 
 def _write_state(state: FockVector, metadata: dict, path: str | None) -> None:
     """The state JSON of fock.vector_to_dict with a metadata block."""
-    _write_json({**vector_to_dict(state), "metadata": metadata}, path)
+    _write_json({"n_max": int(state.n_max), "amplitudes": state.amplitudes,
+                 "metadata": metadata}, path)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -173,7 +174,8 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def cmd_mandel(args: argparse.Namespace) -> int:
-    m_q = mandel(_load_state(args.input))
+    state = _load_state(args.input)
+    m_q = mandel(state)
     _require_finite("Mandel parameter M_Q", m_q)
     if m_q < 1.0 - 1e-12:
         label = "subpoissonian"
@@ -183,6 +185,10 @@ def cmd_mandel(args: argparse.Namespace) -> int:
         label = "poissonian"
     _write_text(f"M_Q = {m_q:.12e} ({label})\n"
                 f"conventional Q = M_Q - 1 = {m_q - 1.0:.12e}\n", args.output)
+    if state.tail_flagged:
+        sys.stderr.write(f"warning: the state is tail_flagged at n_max {state.n_max}: "
+                         "its truncation is too tight, so M_Q may not be the "
+                         "untruncated state's\n")
     return 0
 
 
@@ -211,7 +217,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
         "s_linear": result.s_linear,
         "s_linear_oracle": oracle,
         "difference": diff,
-        "f_matrix": _pairs(result.f_matrix),
+        "f_matrix": result.f_matrix,
     }
     _write_json(payload, args.output)
     if diff > 1e-8:

@@ -12,6 +12,7 @@ theta_r = 2 pi (r-1)/n, read their phases from one exact C_n table
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -295,11 +296,45 @@ def annihilate(state: FockVector) -> FockVector:
 
 # ---------------------------------------------------------------------------
 # JSON interchange: {"n_max": N, "amplitudes": [[re, im], ...]} with exactly
-# N+1 pairs.
+# N+1 pairs. _pairs is the list form; _json_text writes the same pairs as
+# text, one format per array, in json.dumps(indent=2)'s layout.
 
 def _pairs(arr: np.ndarray) -> list:
     """Nested [re, im] lists encoding a complex array of any rank."""
     return np.stack((arr.real, arr.imag), -1).tolist()
+
+
+def _array_layout(shape: tuple, pad: str) -> str:
+    """json.dumps(indent=2)'s layout of nested lists of this shape at
+    indentation pad, with a %s for each leaf."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    item = _array_layout(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2), each ndarray in it written as _pairs(array)
+    would be, continuing lines at indentation pad.
+
+    An array is one %-format of its layout with the reprs of its floats,
+    which are json's own float text for finite values; the amplitudes of a
+    FockVector are finite by construction, and the CLI checks every other
+    array before it writes it. A non-empty dict recurses, and any other value
+    is json.dumps' own text, indented by pad (JSON text holds no raw newline).
+    """
+    if isinstance(value, np.ndarray):
+        floats = np.stack((value.real, value.imag), -1).ravel().tolist()
+        return _array_layout(value.shape + (2,), pad) % tuple(map(float.__repr__, floats))
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        return ("{\n" + ",\n".join(inner + json.dumps(k) + ": " + _json_text(v, inner)
+                                   for k, v in value.items())
+                + "\n" + pad + "}")
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def vector_to_dict(state: FockVector) -> dict:

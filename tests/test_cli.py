@@ -462,10 +462,31 @@ def test_input_directory_exit(tmp_path, capsys):
 def test_mandel_coherent(tmp_path, capsys):
     src = write_state(tmp_path / "coh.json", coherent(2.0, 64))
     assert run("mandel", "--input", src) == 0
-    outp = capsys.readouterr().out
+    outp, err = capsys.readouterr()
     assert "poissonian" in outp and "M_Q" in outp
+    assert err == ""  # an unflagged state gets no warning
     value = float(outp.splitlines()[0].split("=")[1].split("(")[0])
     assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_mandel_warns_on_a_flagged_state(tmp_path, capsys):
+    # the seed's mass runs far past n_max 64: build flags it and exits 0, and
+    # mandel prints the same M_Q with one warning line naming n_max and the flag
+    src, out = tmp_path / "g.json", tmp_path / "m.txt"
+    assert run("build", "--gaussian", 1, 1e300, 1, 0, "--order", 2, "--irrep", 1,
+               "--output", src) == 0
+    assert json.loads(src.read_text())["metadata"]["tail_flagged"] is True
+    capsys.readouterr()
+    assert run("mandel", "--input", src) == 0
+    outp, err = capsys.readouterr()
+    assert outp.startswith("M_Q = 1.786666666667e+01 (superpoissonian)\n")
+    lines = err.splitlines()
+    assert len(lines) == 1 and err.endswith("\n")
+    assert lines[0].startswith("warning: ")
+    assert "tail_flagged" in lines[0] and "n_max 64" in lines[0]
+    assert run("mandel", "--input", src, "--output", out) == 0
+    assert out.read_text() == outp
+    assert capsys.readouterr() == ("", err)
 
 
 def test_mandel_number_state(tmp_path, capsys):
@@ -698,7 +719,7 @@ def bipartite_spec(path, n, n_max, seed):
     return write_bipartite(path, n, c, *seeds), BipartiteSpec(n, c, *seeds)
 
 
-@pytest.mark.parametrize("n, n_max", [(1, 8), (4, 32), (16, 64)])
+@pytest.mark.parametrize("n, n_max", [(1, 8), (4, 32), (16, 64), (32, 128)])
 def test_entangle_output_bytes(tmp_path, n, n_max):
     src, spec = bipartite_spec(tmp_path / "spec.json", n, n_max, n)
     out = tmp_path / "res.json"
@@ -737,6 +758,11 @@ def test_build_and_circle_limit_output_bytes(tmp_path):
             residue_class_masses(seed, order))
         if record is not None:
             assert data["metadata"]["raw_norm"] == record.raw_norm
+    assert run("build", "--coherent", 3, 0, "--order", 3, "--irrep", 1, "--n-max", 4096,
+               "--output", out) == 0
+    payload = vector_to_dict(cyclic_erasure(coherent(3.0, 4096), CyclicSpec(3, 1)))
+    payload["metadata"] = json.loads(out.read_text())["metadata"]
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
     assert run("circle-limit", "--coherent", 1, 0.5, "--irrep", 3, "--n-max", 16,
                "--output", out) == 0
     payload = vector_to_dict(circle_limit(coherent(1 + 0.5j, 16), 3))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import polystate.fock as fock
 from polystate.group import unit_root
@@ -20,6 +21,7 @@ from polystate.fock import (
     residue_class_masses,
     rotate,
     sector_mask,
+    _json_text,
     _pairs,
     _rotated_copies,
     _rotation_phases,
@@ -621,9 +623,38 @@ def test_pairs_match_per_element_encoding():
     for arr in (row, row.reshape(2, 2), row.reshape(2, 1, 2)):
         assert (json.dumps(_pairs(arr), indent=2)
                 == json.dumps(per_element(arr), indent=2))
+        assert _json_text({"a": arr}) == json.dumps({"a": _pairs(arr)}, indent=2)
     d = vector_to_dict(FockVector(3, row))
     assert json.dumps(d) == json.dumps({"n_max": 3, "amplitudes": per_element(row)})
     assert "-0.0" in json.dumps(d)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308])
+complex_arrays = hnp.arrays(complex, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                     max_side=3),
+                            elements=st.builds(complex, finite_floats, finite_floats))
+json_leaves = (st.none() | st.booleans() | st.integers() | finite_floats
+               | st.text(alphabet=st.sampled_from('a"\\\n\u00e9\u03bb\U0001d53c'))
+               | st.lists(finite_floats, max_size=4))
+json_payloads = st.recursive(json_leaves | complex_arrays,
+                             lambda inner: st.dictionaries(st.text(max_size=4), inner,
+                                                           max_size=4))
+
+
+def _as_pairs(value):
+    if isinstance(value, np.ndarray):
+        return _pairs(value)
+    if isinstance(value, dict):
+        return {k: _as_pairs(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=json_payloads)
+def test_json_text_is_json_dumps(payload):
+    # one format per array writes what json.dumps writes for its _pairs lists
+    assert _json_text(payload) == json.dumps(_as_pairs(payload), indent=2)
 
 
 def test_vector_json_malformed():
