@@ -321,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for the randomized suites")
     p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the timestamp line (byte-identical reruns)")
+                   help="omit the timestamp line (byte-identical reruns per BLAS threads)")
     p.add_argument("--output", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

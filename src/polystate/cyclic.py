@@ -33,6 +33,7 @@ from .fock import (
     FockVector,
     FockOperator,
     _class_sums,
+    _ray_scale,
     _rotated_copies,
     _rotation_table,
     annihilate,
@@ -58,7 +59,7 @@ __all__ = [
     "annihilation_irrep_shift",
 ]
 
-# Mass below tol^2 on the target residue class means the component is absent.
+# A class holding at most tol^2 of the seed's total mass is absent (_absent).
 _EMPTY_TOL = 1e-12
 # Norm off the target residue class above this fails a route's self-check.
 _LEAK_TOL = 1e-12
@@ -94,17 +95,21 @@ class NormalizationRecord:
     phase_convention: str = "erasure-real-positive"
 
 
-class EmptyRepresentationError(ValueError):
-    """The seed has no component in the requested symmetry sector.
+def _absent(mass, total):
+    """Every route's presence rule, elementwise and the same at any scale."""
+    return mass <= _EMPTY_TOL ** 2 * total
 
-    masses is None where no residue-class masses apply (the circle limit);
-    detail is then the whole message.
+
+class EmptyRepresentationError(ValueError):
+    """The seed has no component in the requested symmetry sector (_absent).
+
+    masses are the class sums of the seed's photon-number weights; with
+    weights None (the circle limit) masses is None and detail is the message.
     """
 
-    def __init__(self, n: int, lam: int, masses: np.ndarray | None, detail: str = ""):
-        self.n = n
-        self.lam = lam
-        self.masses = masses
+    def __init__(self, n: int, lam: int, weights: np.ndarray | None, detail: str = ""):
+        self.n, self.lam = n, lam
+        self.masses = masses = None if weights is None else _class_sums(weights, n)
         if masses is not None:
             detail = (f"seed carries no weight in the (n={n}, lam={lam}) sector; "
                       f"residue-class masses {np.array2string(masses, precision=3)}"
@@ -118,8 +123,8 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
 
     The orbit route, kept as the oracle that verify and the tests compare
     cyclic_state and the other closed forms against. Raises
-    EmptyRepresentationError when the seed has no weight on the
-    residue class m = lam - 1 (mod n). The output support is verified to
+    EmptyRepresentationError when the residue class m = lam - 1 (mod n) is
+    _absent, judged by raw_norm / n alone. The output support is verified to
     lie on that class (off-class leakage <= 1e-12 after normalizing). The
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
@@ -147,7 +152,8 @@ def _superpositions(amps: np.ndarray, n: int, lams
     chi = unit_root(np.multiply.outer(lams - 1, np.arange(n)), n)
     states = chi @ _rotated_copies(amps, n)
     raw_norm = np.linalg.norm(states, axis=-1)
-    empty = raw_norm < _EMPTY_TOL
+    weights = np.abs(amps) ** 2
+    empty = _absent((raw_norm / n) ** 2, weights.sum(axis=-1, keepdims=True))
     scale = np.where(empty, 1.0, raw_norm)  # empty rows raise below
     n_lambda = unit_root(lams - 1, n) / scale
     states = n_lambda[..., None] * states
@@ -157,8 +163,7 @@ def _superpositions(amps: np.ndarray, n: int, lams
         first = np.unravel_index(np.argmax(failed), failed.shape)
         lam = int(np.broadcast_to(lams, failed.shape)[first])
         if empty[first]:
-            raise EmptyRepresentationError(
-                n, lam, _class_sums(np.abs(amps[first[:-1]]) ** 2, n))
+            raise EmptyRepresentationError(n, lam, weights[first[:-1]])
         raise _leakage_error(float(off[first]), n, lam, "superposition")
     return states, raw_norm, n_lambda
 
@@ -177,17 +182,18 @@ def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
         f"lam={lam}) exceeds the threshold {_LEAK_TOL:.0e}")
 
 
-def _sector_part(phi: FockVector, spec: CyclicSpec, amps=None, detail: str = ""
+def _sector_part(phi: FockVector, spec: CyclicSpec, variant: str = ""
                  ) -> tuple[np.ndarray, float]:
-    """amps (default: the seed's) zeroed off the sector's residue class, and
-    their norm; EmptyRepresentationError when that norm is below _EMPTY_TOL."""
-    amps = phi.amplitudes if amps is None else amps
+    """The seed's amplitudes (a dihedral variant's Re A_m or i Im A_m) on the
+    sector's class, and their norm, on fock._ray_scale's copy; raises if _absent."""
+    seed, total = _ray_scale(phi.amplitudes)
+    amps = seed.real if variant == "sum" else 1j * seed.imag if variant else seed
     part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
-    nrm = float(np.linalg.norm(part))
-    if nrm < _EMPTY_TOL:
-        raise EmptyRepresentationError(
-            spec.n, spec.lam, _class_sums(np.abs(phi.amplitudes) ** 2, spec.n), detail)
-    return part, nrm
+    mass = part.real.dot(part.real) + part.imag.dot(part.imag)  # np.linalg.norm's sum
+    if _absent(mass, total):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.abs(seed) ** 2,
+                                       variant and f"dihedral {variant} variant vanishes")
+    return part, float(np.sqrt(mass))
 
 
 def cyclic_state(phi: FockVector, spec: CyclicSpec
@@ -266,8 +272,8 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
 
     P rho P equals the double character sum
     (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
-    entrywise; density_route_gap measures that agreement. This is the
-    one-matrix, one-lam call of _cyclic_densities.
+    entrywise; density_route_gap measures that agreement. An _absent tr P rho P
+    (against tr rho) raises. This is the one-matrix, one-lam call of _cyclic_densities.
     """
     return FockOperator(rho.n_max, _cyclic_densities(rho.matrix, spec.n, [spec.lam])[0])
 
@@ -275,16 +281,15 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
 def _cyclic_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
     """cyclic_density's matrices for a stack rho (..., d, d) and each int lam
     in the 1-D lams: (..., L, d, d). The first (matrix, lam) in C order whose
-    projection has trace below _EMPTY_TOL raises EmptyRepresentationError, as
-    one call per matrix and lam in that order would."""
+    projection's trace is _absent against tr rho raises
+    EmptyRepresentationError, as one call per matrix and lam in that order would."""
     projected = _projected_densities(rho, n, lams)
     tr = np.trace(projected, axis1=-2, axis2=-1).real
-    empty = tr < _EMPTY_TOL
+    empty = _absent(tr, np.trace(rho, axis1=-2, axis2=-1).real[..., None])
     if empty.any():
         first = np.unravel_index(np.argmax(empty), empty.shape)
-        raise EmptyRepresentationError(
-            n, int(np.asarray(lams)[first[-1]]),
-            _class_sums(np.diagonal(rho[first[:-1]]).real, n))
+        raise EmptyRepresentationError(n, int(np.asarray(lams)[first[-1]]),
+                                       np.diagonal(rho[first[:-1]]).real)
     projected /= tr[..., None, None]  # fresh from np.where: dividing in place is safe
     return projected
 
@@ -314,8 +319,8 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
     """The n -> infinity limit of the cyclic family: the number state |lam - 1>.
 
     The analytic limit is exact and carries the phase of the seed amplitude
-    A_(lam-1). circle_limit_quadrature_gap cross-checks it against the
-    continuous average over all rotation angles.
+    A_(lam-1), empty when lam - 1 > n_max or |A_(lam-1)|^2 is _absent from the
+    seed; circle_limit_quadrature_gap checks it against the angle average.
     """
     if lam < 1:
         raise ValueError(f"irrep index lam={lam} must be >= 1")
@@ -323,11 +328,12 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> lies beyond the truncation: "
             f"lam - 1 = {lam - 1} > n_max = {phi.n_max}"))
-    a = phi.amplitudes[lam - 1]
-    if abs(a) ** 2 < _EMPTY_TOL ** 2:
+    amps, total = _ray_scale(phi.amplitudes)
+    a = amps[lam - 1]
+    if _absent(abs(a) ** 2, total):
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> is empty: seed mass |A_{lam - 1}|^2 = "
-            f"{abs(a) ** 2:.3e} is below {_EMPTY_TOL ** 2:.0e}"))
+            f"{abs(a) ** 2:.3e} is below {_EMPTY_TOL ** 2:.0e} times the seed's {total:.3e}"))
     limit = basis_state(lam - 1, phi.n_max).amplitudes * (a / abs(a))
     return FockVector(phi.n_max, limit)
 
@@ -346,8 +352,7 @@ def dihedral_state(phi: FockVector, spec: CyclicSpec, variant: str = "sum"
     """
     if variant not in ("sum", "difference"):
         raise ValueError(f"variant must be 'sum' or 'difference', got {variant!r}")
-    amps = phi.amplitudes.real if variant == "sum" else 1j * phi.amplitudes.imag
-    part, nrm = _sector_part(phi, spec, amps, f"dihedral {variant} variant vanishes")
+    part, nrm = _sector_part(phi, spec, variant)
     raw_norm = 2 * spec.n * nrm
     record = NormalizationRecord(raw_norm=raw_norm, n_lambda=complex(1.0 / raw_norm),
                                  phase_convention="real-positive")
@@ -358,18 +363,17 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
                              ) -> tuple[FockVector, int]:
     """a|psi^(lam)> lands in the lam - 1 sector (wrapping lam = 1 to n).
 
-    Returns the normalized annihilated state and its new irrep label.
-    Off-class leakage beyond 1e-12 raises, since the shift property is an
-    exact consequence of the single-class support.
+    Returns the normalized annihilated state and its new irrep label. An
+    _absent ||a psi||^2 (against ||psi||^2) raises EmptyRepresentationError,
+    and off-class leakage beyond 1e-12 an AssertionError: the shift is exact.
     """
     n, lam = spec.n, spec.lam
     new_lam = lam - 1 if lam >= 2 else n
     lowered = annihilate(psi)
     nrm = lowered.norm
-    if nrm < _EMPTY_TOL:
-        raise EmptyRepresentationError(
-            n, new_lam, _class_sums(np.abs(psi.amplitudes) ** 2, n),
-            detail="annihilation gives the zero vector")
+    if _absent(nrm * nrm, psi.norm ** 2):
+        raise EmptyRepresentationError(n, new_lam, np.abs(psi.amplitudes) ** 2,
+                                       "annihilation gives the zero vector")
     amps = lowered.amplitudes / nrm
     off = float(_off_class(amps, n, new_lam))
     if off > _LEAK_TOL:

@@ -343,20 +343,20 @@ def vector_to_dict(state: FockVector) -> dict:
 
 def _tail_mass(amps: np.ndarray) -> float:
     """|A_(n_max)|^2 / sum |A_m|^2 on _ray_scale's copy; 0.0 for zero amps."""
-    ray = _ray_scale(amps)
-    total = np.vdot(ray, ray).real
+    ray, total = _ray_scale(amps)
     return float(np.abs(ray[-1]) ** 2 / total) if total else 0.0
 
 
-def _ray_scale(amps: np.ndarray) -> np.ndarray:
-    """amps, or, when sum |A_m|^2 is not a normal double, amps times the
-    exact power of two that brings its largest real or imaginary part into
-    [1/2, 1): the same ray with a squared norm that is."""
-    if np.finfo(float).tiny <= np.vdot(amps, amps).real < np.inf:
-        return amps
+def _ray_scale(amps: np.ndarray, lo=np.finfo(float).tiny, hi=np.inf) -> tuple:
+    """The ray of amps and its sum |A_m|^2: amps itself when lo <= that sum <
+    hi (by default, when it is a normal double), else amps times the exact
+    power of two that brings its largest real or imaginary part into [1/2, 1)."""
+    total = np.vdot(amps, amps).real
+    if lo <= total < hi:
+        return amps, total
     parts = np.ascontiguousarray(amps).view(float)
-    _, e = np.frexp(np.abs(parts).max())
-    return np.ldexp(parts, -e).view(complex)
+    ray = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    return ray, np.vdot(ray, ray).real
 
 
 def vector_from_dict(data: dict) -> FockVector:
@@ -379,5 +379,5 @@ def vector_from_dict(data: dict) -> FockVector:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if not isinstance(saved, bool):
         raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
-    state = from_amplitudes(_ray_scale(amps))
+    state = from_amplitudes(_ray_scale(amps)[0])
     return FockVector(n_max, state.amplitudes, state.tail_flagged or saved)

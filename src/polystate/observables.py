@@ -178,7 +178,7 @@ def _support_cut(state: FockVector) -> FockVector:
     trailing zeros are cut without loss. A state whose support reaches
     n_max, and the zero vector, are returned as they are.
     """
-    mass = np.abs(_ray_scale(state.amplitudes)) ** 2
+    mass = np.abs(_ray_scale(state.amplitudes)[0]) ** 2
     tail = np.cumsum(mass[::-1])[::-1]  # tail[m] = sum_{k>=m}, non-increasing
     m = int(np.count_nonzero(tail > _SUPPORT_TOL ** 2 * tail[0])) - 1
     if m in (-1, state.n_max):
@@ -506,11 +506,13 @@ def _sum_sq(g: np.ndarray) -> np.ndarray:
 
 
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
-    """Rescale c by a positive constant so the two-mode state has unit norm;
-    c is read as a ray (fock._ray_scale), as state files are. This is the
-    one-spec call of _unit_coefficients."""
-    return BipartiteSpec(spec.n, _unit_coefficients(spec.c, *_masses(spec)),
-                         spec.seed_1, spec.seed_2)
+    """Rescale c by a positive constant so the two-mode state has unit norm; c,
+    and a seed of squared norm outside [1/2, 2), are first read as rays
+    (fock._ray_scale). This is the one-spec call of _unit_coefficients."""
+    seeds = [FockVector(s.n_max, _ray_scale(s.amplitudes, 0.5, 2.0)[0], s.tail_flagged)
+             for s in (spec.seed_1, spec.seed_2)]
+    spec = BipartiteSpec(spec.n, spec.c, *seeds)
+    return BipartiteSpec(spec.n, _unit_coefficients(spec.c, *_masses(spec)), *seeds)
 
 
 def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -518,7 +520,7 @@ def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndar
     _sector_matrix: (..., n). Each row of c is read as a ray, then divided
     by ||Psi|| = sqrt(sum |G|^2): the sector states of distinct lam are
     orthonormal. ValueError if any spec has zero norm."""
-    c = np.array([_ray_scale(row) for row in c.reshape(-1, c.shape[-1])]).reshape(c.shape)
+    c = np.array([_ray_scale(row)[0] for row in c.reshape(-1, c.shape[-1])]).reshape(c.shape)
     nsq = _sum_sq(_sector_matrix(c, w1, w2))
     if (nsq <= 0).any():
         raise ValueError("two-mode state has zero norm; coefficients degenerate")

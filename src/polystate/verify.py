@@ -3,7 +3,7 @@
 Each suite returns CheckRow records with the observed residual and the
 tolerance it must meet; the CLI renders them as a table and the test suite
 asserts on them. All randomness flows from one integer seed per suite, so
-reports are bit-reproducible.
+reports are bit-reproducible under one BLAS thread count (not across counts).
 """
 from __future__ import annotations
 

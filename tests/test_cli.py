@@ -523,6 +523,25 @@ def test_state_file_is_a_ray_at_any_scale(tmp_path, capsys, scale):
     assert err_scaled == err_unit
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_build_reads_a_scaled_state_file_as_a_ray(tmp_path, scale):
+    # a sector is judged by its share of the seed's own mass, so a file at any
+    # scale builds what the unit file builds (each class of this seed holds
+    # ~3e-41 at 1e-20, which an absolute threshold called empty)
+    state = coherent(1.2 + 0.3j, 16)
+    amps = {}
+    for name, s in (("unit", 1.0), ("scaled", scale)):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps({"n_max": 16, "amplitudes": _pairs(state.amplitudes * s)}))
+        for group in ("C", "D"):
+            out = tmp_path / f"{name}_{group}.json"
+            assert run("build", "--input", src, "--order", 3, "--irrep", 2,
+                       "--group", group, "--output", out) == 0
+            amps[name, group] = np.array(json.loads(out.read_text())["amplitudes"])
+    for group in ("C", "D"):
+        assert np.abs(amps["scaled", group] - amps["unit", group]).max() <= 1e-15
+
+
 def test_wigner_zero_state_is_one_line(tmp_path, capsys):
     src = tmp_path / "zero.json"
     src.write_text(json.dumps({"n_max": 2, "amplitudes": [[0.0, 0.0]] * 3}))
@@ -707,6 +726,26 @@ def test_entangle_reads_c_as_a_ray(tmp_path):
             json.loads(outputs[like])["s_linear"], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-160])
+def test_entangle_reads_seeds_at_any_scale(tmp_path, scale):
+    # sum |G|^2 scales as the product of the seeds' masses, which underflowed
+    # at 1e-100 ("two-mode state has zero norm"); each seed is brought to unit
+    # scale by a power of two first
+    seed_1, seed_2 = coherent(1.2 + 0.3j, 30), coherent(0.4, 30)
+    outputs = []
+    for s in (1.0, scale):
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps({
+            "n": 3, "c": [[1.0, 0.0], [0.0, 0.5], [-0.2, 0.0]],
+            "seed_1": {"n_max": 30, "amplitudes": _pairs(seed_1.amplitudes * s)},
+            "seed_2": {"n_max": 30, "amplitudes": _pairs(seed_2.amplitudes * s)}}))
+        assert run("entangle", "--input", src, "--output", tmp_path / "out.json") == 0
+        outputs.append(json.loads((tmp_path / "out.json").read_text()))
+    unit, scaled = outputs
+    for key in ("s_linear", "s_linear_oracle"):
+        assert scaled[key] == pytest.approx(unit[key], rel=0, abs=1e-14)
+
+
 # ---- JSON output ----
 
 def bipartite_spec(path, n, n_max, seed):
@@ -836,6 +875,7 @@ def test_circle_limit_empty_exit(tmp_path):
 @pytest.mark.parametrize("seed, irrep, quantity", [
     (("--coherent", 1, 0), 100, "lam - 1 = 99 > n_max = 64"),
     (("--coherent", 0, 0), 2, "|A_1|^2 = 0.000e+00 is below 1e-24"),
+    (("--coherent", 1e-13, 0), 2, "|A_1|^2 = 1.000e-26 is below 1e-24 times the seed's"),
 ])
 def test_circle_limit_empty_message(tmp_path, capsys, seed, irrep, quantity):
     # names the quantity, its value and the threshold, not 65 probabilities

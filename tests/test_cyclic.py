@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import tracemalloc
 
@@ -348,6 +350,120 @@ def test_empty_sector_masses_at_huge_order():
     with pytest.raises(EmptyRepresentationError) as exc:
         annihilation_irrep_shift(basis_state(0, 16), CyclicSpec(2 ** 63 - 1, 1))
     np.testing.assert_array_equal(exc.value.masses, basis_state(0, 16).amplitudes.real)
+
+
+# ---- one presence rule: relative mass, at any scale ----
+
+PRESENCE_MASSES = [0.0, 1e-30, 1e-25, 1e-23, 1e-14, 1e-6]
+PRESENCE_SCALES = [1e-100, 1e-20, 1.0, 1e20]
+
+
+def _verdict(build):
+    """'built', 'empty' (EmptyRepresentationError) or 'leak' (the orbit
+    oracle's own off-class AssertionError)."""
+    try:
+        build()
+    except EmptyRepresentationError:
+        return "empty"
+    except AssertionError:
+        return "leak"
+    return "built"
+
+
+@pytest.mark.parametrize("scale", PRESENCE_SCALES)
+@pytest.mark.parametrize("rel", PRESENCE_MASSES)
+def test_every_route_judges_presence_by_relative_mass(rel, scale):
+    # a real seed of C_3 whose lam = 2 class (m = 1 mod 3) holds the fraction
+    # rel of its mass: every route keeps the sector exactly when rel > 1e-24,
+    # whatever the seed's scale
+    spec, on = CyclicSpec(3, 2), sector_mask(12, 3, 2)
+    signs = np.where(np.arange(13) % 2, -1.0, 1.0)
+    amps = signs * np.where(on, np.sqrt(rel / on.sum()), np.sqrt((1 - rel) / (~on).sum()))
+    phi = fock.FockVector(12, scale * amps)
+    verdicts = {name: _verdict(build) for name, build in (
+        ("state", lambda: cyclic_state(phi, spec)),
+        ("erasure", lambda: cyclic_erasure(phi, spec)),
+        ("record", lambda: normalization_record(phi, spec)),
+        ("dihedral sum", lambda: dihedral_state(phi, spec, "sum")),
+        ("density", lambda: cyclic_density(_pure(phi), spec)),
+        ("orbit", lambda: cyclic_superposition(phi, spec)))}
+    want = "built" if rel > 1e-24 else "empty"
+    # the orbit oracle's leakage check may fire, but only on a built sector
+    if verdicts["orbit"] == "leak" and want == "built":
+        verdicts["orbit"] = "built"
+    assert verdicts == dict.fromkeys(verdicts, want)
+    if want == "built":
+        ref = np.where(on, amps, 0.0)
+        np.testing.assert_allclose(cyclic_erasure(phi, spec).amplitudes,
+                                   ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", PRESENCE_SCALES)
+@pytest.mark.parametrize("rel", PRESENCE_MASSES)
+def test_circle_limit_judges_presence_by_relative_mass(rel, scale):
+    # |A_2|^2 is the fraction rel of the seed's mass
+    amps = np.zeros(9, dtype=complex)
+    amps[0], amps[2] = np.sqrt(1 - rel), np.sqrt(rel) * 1j
+    phi = fock.FockVector(8, scale * amps)
+    if rel > 1e-24:
+        np.testing.assert_allclose(circle_limit(phi, 3).amplitudes,
+                                   1j * basis_state(2, 8).amplitudes, rtol=0, atol=1e-15)
+    else:
+        with pytest.raises(EmptyRepresentationError, match="is below 1e-24 times"):
+            circle_limit(phi, 3)
+
+
+@pytest.mark.parametrize("scale", PRESENCE_SCALES)
+@pytest.mark.parametrize("rel", PRESENCE_MASSES)
+def test_irrep_shift_judges_presence_by_relative_mass(rel, scale):
+    # psi in the lam = 1 sector of C_4 on |0> and |4>: a psi = eps 2 |3>,
+    # whose mass is the fraction rel of psi's
+    eps = np.sqrt(rel / 4)
+    amps = np.zeros(9, dtype=complex)
+    amps[0], amps[4] = 1.0, eps
+    psi = fock.FockVector(8, scale * amps)
+    if rel > 1e-24:
+        shifted, new_lam = annihilation_irrep_shift(psi, CyclicSpec(4, 1))
+        assert new_lam == 4
+        np.testing.assert_allclose(shifted.amplitudes, basis_state(3, 8).amplitudes,
+                                   rtol=0, atol=1e-15)
+    else:
+        with pytest.raises(EmptyRepresentationError, match="zero vector"):
+            annihilation_irrep_shift(psi, CyclicSpec(4, 1))
+
+
+def test_near_empty_sector_routes_agree():
+    # mass 1e-14 in the odd class of C_2: the closed form, the density route
+    # and erasure all build it; at 2.5e-25 all three and the orbit oracle call
+    # it empty, before the oracle's leakage check (1.2e-4 there) can fire
+    for eps, built in ((1e-7, True), (5e-13, False)):
+        amps = np.zeros(9, dtype=complex)
+        amps[0], amps[1] = 1.0, eps
+        phi = from_amplitudes(amps / np.linalg.norm(amps))
+        spec = CyclicSpec(2, 2)
+        routes = [lambda: cyclic_state(phi, spec), lambda: cyclic_erasure(phi, spec),
+                  lambda: cyclic_density(_pure(phi), spec)]
+        assert [_verdict(r) for r in routes] == ["built" if built else "empty"] * 3
+        if not built:
+            assert _verdict(lambda: cyclic_superposition(phi, spec)) == "empty"
+
+
+def test_empty_tol_is_compared_only_in_absent():
+    # every route decides presence through _absent, the one comparison
+    # against _EMPTY_TOL; no route keeps an absolute threshold of its own
+    functions = [node for node in ast.walk(ast.parse(inspect.getsource(cyclic)))
+                 if isinstance(node, ast.FunctionDef)]
+
+    def uses(fn, kind, test):
+        return any(isinstance(node, kind) and test(node) for node in ast.walk(fn))
+
+    reads_tol = lambda cmp: any(getattr(n, "id", None) == "_EMPTY_TOL" for n in ast.walk(cmp))
+    calls_absent = lambda call: getattr(call.func, "id", None) == "_absent"
+    assert {fn.name for fn in functions if uses(fn, ast.Compare, reads_tol)} == {"_absent"}
+    assert {fn.name for fn in functions if uses(fn, ast.Call, calls_absent)} == {
+        "_superpositions", "_sector_part", "_cyclic_densities", "circle_limit",
+        "annihilation_irrep_shift"}
+    assert cyclic._absent(0.0, 0.0) and not cyclic._absent(1e-300, 1e-277)
 
 
 # ---- rotation eigenphase ----

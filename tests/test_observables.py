@@ -852,6 +852,26 @@ def test_bipartite_normalize():
     assert float(np.sum(np.abs(dense_joint(normed)) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-60, 1e-100, 1e-160])
+def test_bipartite_normalize_at_any_seed_scale(scale):
+    # each seed is brought to unit scale by an exact power of two before
+    # sum |G|^2 is formed, so it no longer underflows with w1 w2 (1e-100 per
+    # seed raised "zero norm", 1e-77 moved S_L's last digits); a unit seed
+    # is left as it is
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    seeds = [coherent(1.2 + 0.3j, 24), coherent(0.7 - 0.9j, 24)]
+    want = linear_entropy(bipartite_normalize(BipartiteSpec(4, c, *seeds)))
+    spec = bipartite_normalize(BipartiteSpec(
+        4, c, *(fock.FockVector(24, scale * s.amplitudes) for s in seeds)))
+    assert hankel_norm_squared(spec) == pytest.approx(1.0, abs=1e-12)
+    assert linear_entropy(spec).s_linear == pytest.approx(want.s_linear, rel=0, abs=1e-14)
+    assert linear_entropy_gram(spec) == pytest.approx(want.s_linear, rel=0, abs=1e-14)
+    if scale == 1.0:
+        np.testing.assert_array_equal(spec.seed_1.amplitudes, seeds[0].amplitudes)
+        np.testing.assert_array_equal(spec.seed_2.amplitudes, seeds[1].amplitudes)
+
+
 def qubit_like_seed(n_max=16):
     # (|0> + |1>)/sqrt(2) maps to its orthogonal complement under R(pi)
     amps = np.zeros(n_max + 1, dtype=complex)
