@@ -105,7 +105,8 @@ def _write_json(payload: dict, path: str | None) -> None:
 
 
 def _write_state(state: FockVector, metadata: dict, path: str | None) -> None:
-    """The state JSON of fock.vector_to_dict with a metadata block."""
+    """The state JSON, n_max and the amplitudes as [re, im] pairs, with a
+    metadata block, written by _write_json."""
     _write_json({"n_max": int(state.n_max), "amplitudes": state.amplitudes,
                  "metadata": metadata}, path)
 

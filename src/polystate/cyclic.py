@@ -32,6 +32,7 @@ import numpy as np
 from .fock import (
     FockVector,
     FockOperator,
+    _as_ray,
     _class_sums,
     _ray_scale,
     _rotated_copies,
@@ -129,9 +130,11 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
     sectors far lighter than the seed's other classes can still trip the
-    check. This is the one-seed, one-lam call of _superpositions.
+    check. The seed is read as a ray (fock._ray_scale), as _sector_part
+    reads it. This is the one-seed, one-lam call of _superpositions.
     """
-    states, raw_norm, n_lambda = _superpositions(phi.amplitudes, spec.n, [spec.lam])
+    states, raw_norm, n_lambda = _superpositions(_ray_scale(phi.amplitudes)[0], spec.n,
+                                                 [spec.lam])
     return (FockVector(phi.n_max, states[0], phi.tail_flagged),
             NormalizationRecord(raw_norm=float(raw_norm[0]), n_lambda=complex(n_lambda[0])))
 
@@ -363,12 +366,14 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
                              ) -> tuple[FockVector, int]:
     """a|psi^(lam)> lands in the lam - 1 sector (wrapping lam = 1 to n).
 
-    Returns the normalized annihilated state and its new irrep label. An
-    _absent ||a psi||^2 (against ||psi||^2) raises EmptyRepresentationError,
-    and off-class leakage beyond 1e-12 an AssertionError: the shift is exact.
+    Returns the normalized annihilated state and its new irrep label. psi is
+    read as a ray (fock._ray_scale). An _absent ||a psi||^2 (against
+    ||psi||^2) raises EmptyRepresentationError, and off-class leakage beyond
+    1e-12 an AssertionError: the shift is exact.
     """
     n, lam = spec.n, spec.lam
     new_lam = lam - 1 if lam >= 2 else n
+    psi = _as_ray(psi)
     lowered = annihilate(psi)
     nrm = lowered.norm
     if _absent(nrm * nrm, psi.norm ** 2):

@@ -39,7 +39,7 @@ __all__ = [
     "vector_from_dict",
 ]
 
-# Tail mass above this marks a state as not cleanly representable at its n_max.
+# The one tail-flag threshold: see _too_tight.
 TAIL_TOL = 1e-10
 
 # Running rescale threshold for the recurrences here and in gaussian; squares
@@ -51,9 +51,8 @@ _RESCALE = 2.0 ** 200
 class FockVector:
     """State vector on |0>..|n_max|; amplitudes has length n_max + 1.
 
-    tail_flagged is set by constructors when the tail mass |A_{n_max}|^2
-    exceeds TAIL_TOL times sum |A_m|^2 (or a constructor-specific threshold),
-    meaning the truncation is too tight for the state.
+    tail_flagged, the truncation too tight for the state (_too_tight), is
+    the flag passed in OR-ed with this vector's own last-slot test.
     """
 
     n_max: int
@@ -66,10 +65,13 @@ class FockVector:
             raise ValueError(
                 f"amplitudes must have length n_max+1={self.n_max + 1}, got {amps.shape}"
             )
-        if not np.isfinite(amps).all():
+        ray, total = _ray_scale(amps)
+        if not math.isfinite(total):  # finite exactly when every amplitude is
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)  # value semantics
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "tail_flagged", bool(self.tail_flagged) or _too_tight(
+            abs(complex(ray[-1])) ** 2, total))
 
     @property
     def norm(self) -> float:
@@ -77,8 +79,9 @@ class FockVector:
 
     @property
     def tail_mass(self) -> float:
-        """|A_(n_max)|^2 / sum |A_m|^2: relative, so the same at any scale."""
-        return _tail_mass(self.amplitudes)
+        """|A_(n_max)|^2 / sum |A_m|^2 on _ray_scale's copy: at any scale, 0 if zero."""
+        ray, total = _ray_scale(self.amplitudes)
+        return float(np.abs(ray[-1]) ** 2 / total) if total else 0.0
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,13 @@ class QuadratureMeans:
 
 
 def from_amplitudes(amps) -> FockVector:
-    """Wrap an amplitude array, flagging a tail mass above TAIL_TOL sum |A_m|^2."""
-    amps = np.asarray(amps, dtype=complex)
-    return FockVector(n_max=amps.size - 1, amplitudes=amps,
-                      tail_flagged=_tail_mass(amps) > TAIL_TOL)
+    """Wrap an amplitude array; FockVector tests its last slot."""
+    return FockVector(n_max=np.size(amps) - 1, amplitudes=amps)
+
+
+def _too_tight(mass, total) -> bool:
+    """The one truncation rule: mass on the last slot, or lost past n_max, over TAIL_TOL total."""
+    return bool(mass > TAIL_TOL * total)
 
 
 def _checked_n_max(n_max: int | None) -> int:
@@ -135,44 +141,38 @@ def coherent(alpha: complex, n_max: int | None = None) -> FockVector:
     """Coherent state amplitudes alpha^m e^{-|alpha|^2/2}/sqrt(m!), renormalized.
 
     Built by the ratio recurrence A_{m+1} = alpha A_m / sqrt(m + 1) from
-    A_0 = e^{-|alpha|^2/2}: Yuen's recurrence (_yuen_amplitudes) with
+    A_0 = e^{-|alpha|^2/2}: Yuen's recurrence (_yuen_state) with
     beta = alpha and gamma = 0, the Gaussian embedding at a = 1/2. Its log
     scale keeps every finite alpha finite (|alpha| = 40 at n_max 2048 is
     within 1e-16 of the exact amplitudes), and since beta is alpha itself,
     real alpha gives exactly real amplitudes and imaginary alpha exactly
-    alternating ones. The tail flag is set when |alpha|^2 exceeds n_max or
-    when the last amplitude's mass |A_(n_max)|^2 is above TAIL_TOL. A
-    non-finite |alpha| raises.
+    alternating ones. A non-finite |alpha| raises.
     """
     n_max = _checked_n_max(n_max)
     r = 2 * abs(alpha / 2)  # = |alpha|; abs(alpha) raises OverflowError past 1.8e308
     if not math.isfinite(r):
         raise ValueError(f"coherent amplitude alpha must be finite, got {alpha}")
-    unit, log_norm = _yuen_amplitudes(complex(alpha), 0.0, complex(-0.5 * r * r), n_max)
-    flagged = r * r > n_max or abs(unit[-1]) ** 2 * math.exp(2.0 * log_norm) > TAIL_TOL
-    return FockVector(n_max=n_max, amplitudes=unit, tail_flagged=bool(flagged))
+    return _yuen_state(complex(alpha), 0.0, complex(-0.5 * r * r), n_max)
 
 
-def _yuen_amplitudes(beta: complex, gamma: complex, log_a0: complex, n_max: int
-                     ) -> tuple[np.ndarray, float]:
+def _yuen_state(beta: complex, gamma: complex, log_a0: complex, n_max: int) -> FockVector:
     """The number expansion sum_m A_m z^m / sqrt(m!) = A_0 e^{beta z + gamma z^2 / 2}
-    on |0>..|n_max> (Yuen, Phys. Rev. A 13, 2226 (1976)), as (A / |A|, log |A|).
+    on |0>..|n_max> (Yuen, Phys. Rev. A 13, 2226 (1976)), renormalized.
 
     Runs A_{m+1} = (beta A_m + gamma sqrt(m) A_{m-1}) / sqrt(m + 1) on Python
     complex scalars from A_0 = e^{log_a0}, taken in log space, with a log
     scale that divides every value by |A_m| whenever |A_m| passes 2^200. So
-    neither an underflowing A_0 nor a large beta leaves the float range;
-    log |A| is the log of the kept amplitudes' norm at their true scale.
+    neither an underflowing A_0 nor a large beta leaves the float range.
 
     The loop divides only the two live values and records where it
     rescaled, so it takes O(n_max) Python steps. The values kept before
     each rescale are divided afterwards by the same factors in the same
     order, one array pass per rescale with the quotient that Python's
     complex / float takes: the bits are those of dividing every kept value
-    at each rescale inside the loop.
+    at each rescale inside the loop. _lost_too_much adds to the tail flag.
     """
     root = np.sqrt(np.arange(n_max + 1)).tolist()
-    log_scale = log_a0.real
+    logs = [log_a0.real]
     prev, cur = 0j, cmath.exp(1j * log_a0.imag)
     amps = [cur]
     rescales = []  # (number of values kept before the rescale, its divisor)
@@ -181,7 +181,7 @@ def _yuen_amplitudes(beta: complex, gamma: complex, log_a0: complex, n_max: int
         if (big := abs(cur)) > _RESCALE:
             rescales.append((m + 1, big))
             prev, cur = prev / big, cur / big
-            log_scale += math.log(big)
+            logs.append(math.log(big))
         amps.append(cur)
     amps = np.array(amps)
     re, im = amps.real, amps.imag
@@ -190,7 +190,18 @@ def _yuen_amplitudes(beta: complex, gamma: complex, log_a0: complex, n_max: int
         re_, im_ = re[:end], im[:end]
         re[:end], im[:end] = (re_ + im_ * 0.0) / big, (im_ - re_ * 0.0) / big
     nrm = float(np.linalg.norm(amps))
-    return amps / nrm, log_scale + math.log(nrm)
+    return FockVector(n_max, amps / nrm, _lost_too_much([*logs, math.log(nrm)], n_max))
+
+
+def _lost_too_much(logs: list, steps: int) -> bool:
+    """_too_tight for the mass lost past n_max, from logs, the terms of the log of
+    the norm kept, after steps recurrence steps. Summed exactly, they carry a few
+    eps of each term and step, so only lost mass above 8 eps (sum |logs| + steps)
+    counts (a running sum read 2.5e-10 for coherent(700)'s empty tail at n_max
+    532,000); a state that keeps nothing is flagged."""
+    lost = -math.expm1(2.0 * math.fsum(logs))
+    resolution = 8 * 2.0 ** -52 * (math.fsum(map(abs, logs)) + steps)  # 8 eps
+    return _too_tight(lost - resolution, 1.0) or lost == 1.0
 
 
 def rotate(state: FockVector, theta: float) -> FockVector:
@@ -227,7 +238,9 @@ def inner(bra: FockVector, ket: FockVector) -> complex:
 
 
 def fidelity(a: FockVector, b: FockVector) -> float:
-    """|<a|b>|^2 for unit vectors; inputs are normalized defensively."""
+    """|<a|b>|^2 for unit vectors; inputs are normalized defensively, each
+    read as a ray (_ray_scale), so the same at any scale."""
+    a, b = _as_ray(a), _as_ray(b)
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of a zero vector is undefined")
@@ -341,12 +354,6 @@ def vector_to_dict(state: FockVector) -> dict:
     return {"n_max": int(state.n_max), "amplitudes": _pairs(state.amplitudes)}
 
 
-def _tail_mass(amps: np.ndarray) -> float:
-    """|A_(n_max)|^2 / sum |A_m|^2 on _ray_scale's copy; 0.0 for zero amps."""
-    ray, total = _ray_scale(amps)
-    return float(np.abs(ray[-1]) ** 2 / total) if total else 0.0
-
-
 def _ray_scale(amps: np.ndarray, lo=np.finfo(float).tiny, hi=np.inf) -> tuple:
     """The ray of amps and its sum |A_m|^2: amps itself when lo <= that sum <
     hi (by default, when it is a normal double), else amps times the exact
@@ -359,10 +366,16 @@ def _ray_scale(amps: np.ndarray, lo=np.finfo(float).tiny, hi=np.inf) -> tuple:
     return ray, np.vdot(ray, ray).real
 
 
+def _as_ray(state: FockVector) -> FockVector:
+    """state itself, or its _ray_scale copy when sum |A_m|^2 is not a normal double."""
+    ray = _ray_scale(state.amplitudes)[0]
+    return state if ray is state.amplitudes else FockVector(state.n_max, ray, state.tail_flagged)
+
+
 def vector_from_dict(data: dict) -> FockVector:
     """The state of a JSON dict, read as a ray (_ray_scale); a boolean
     metadata.tail_flagged (as build writes it) is OR-ed into the flag that
-    from_amplitudes derives."""
+    FockVector derives."""
     try:
         n_max = int(data["n_max"])
         if n_max < 0:
@@ -379,5 +392,4 @@ def vector_from_dict(data: dict) -> FockVector:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if not isinstance(saved, bool):
         raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
-    state = from_amplitudes(_ray_scale(amps)[0])
-    return FockVector(n_max, state.amplitudes, state.tail_flagged or saved)
+    return FockVector(n_max, _ray_scale(amps)[0], saved)

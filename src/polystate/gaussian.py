@@ -28,7 +28,7 @@ The recurrence holds elementwise for any number of seeds, so verify embeds
 its seed grids (the mandel suite's 1680-point b scans and the gaussian
 suite's 1680 rotated seeds) through one array recurrence, _embedding_rows.
 A single seed keeps the Python-scalar loop of gaussian_to_fock
-(fock._yuen_amplitudes, which fock.coherent shares): at
+(fock._yuen_state, which fock.coherent shares): at
 n_max = 64 it takes about 80 us there against about 750 us through the
 array loop (2-vCPU x86_64, numpy 2.4), while 1680 seeds take about 6 ms
 through the array loop.
@@ -41,12 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _RESCALE, FockVector, _checked_n_max, _yuen_amplitudes
+from .fock import _RESCALE, FockVector, _checked_n_max, _too_tight, _yuen_state
 from .cyclic import CyclicSpec, NormalizationRecord, cyclic_state
 from .group import character, theta, unit_root
 
 __all__ = [
-    "EMBED_TAIL_TOL",
     "GaussianParams",
     "GaussianMoments",
     "wavefunction",
@@ -59,8 +58,6 @@ __all__ = [
     "cyclic_gaussian_wavefunction",
     "c2_closed_form",
 ]
-
-EMBED_TAIL_TOL = 1e-8
 
 # log of fock._RESCALE, the running rescale the Hermite rows share.
 _LOG_RESCALE = 200.0 * math.log(2.0)
@@ -240,17 +237,6 @@ def _trapezoid_weights(lo: float, hi: float, k: int) -> np.ndarray:
     return w
 
 
-def _embedded(unit: np.ndarray, kept: float) -> FockVector:
-    """Renormalized embedding; kept is the continuum norm^2 on |0>..|n_max>.
-
-    tail_flagged is set when the truncation loses more than EMBED_TAIL_TOL of
-    the norm or the last amplitude carries more than that mass.
-    """
-    flagged = (1.0 - kept > EMBED_TAIL_TOL
-               or float(np.abs(unit[-1]) ** 2) > EMBED_TAIL_TOL)
-    return FockVector(n_max=unit.size - 1, amplitudes=unit, tail_flagged=flagged)
-
-
 def _yuen_start(a, b, log):
     """beta, gamma and log A_0 of the embedding recurrence for seeds (a, b).
 
@@ -264,6 +250,15 @@ def _yuen_start(a, b, log):
     return b / (math.sqrt(2.0) * s), 1.0 / s - 1.0, log_a0
 
 
+def _log_abs_a0(a: complex, b: complex) -> float:
+    """log |A_0| as same-signed terms, s = a + 1/2: 4 log |A_0| = log(2 Re a / |s|^2)
+    - Im(s* b / |s|)^2 / Re s - (Re b)^2 / (2 Re a Re s); _yuen_start's cancel in b^2."""
+    s = a + 0.5
+    w = (s.conjugate() / abs(s) * b).imag
+    return (math.log(2.0 * a.real) - 2.0 * math.log(abs(s)) - w * w / s.real
+            - b.real * b.real / (2.0 * a.real * s.real)) / 4.0
+
+
 def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVector:
     """Project the seed onto |0>..|n_max> by the exact three-term recurrence.
 
@@ -274,17 +269,17 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
 
     the displaced squeezed-state number expansion (Yuen, Phys. Rev. A 13,
     2226 (1976)). |gamma| = |1/2 - a| / |1/2 + a| < 1 for every Re a > 0.
-    It runs in fock._yuen_amplitudes, the scalar loop that fock.coherent
+    It runs in fock._yuen_state, the scalar loop that fock.coherent
     (a = 1/2) also uses: A_0 is taken in log space and the recurrence carries a log
     scale, rescaling whenever a value passes 2^200, so large displacements
     (where A_0 itself underflows, |alpha| beyond ~38) neither underflow nor
-    overflow. The returned vector is renormalized and tail-flagged by
-    _embedded. _quadrature_rows is the independent oracle for this route.
+    overflow. The returned vector is renormalized and tail-flagged by the
+    fock._too_tight rule on _log_abs_a0. _quadrature_rows is its oracle.
     """
     n_max = _checked_n_max(n_max)
     beta, gamma, log_a0 = _yuen_start(params.a, params.b, cmath.log)
-    unit, log_norm = _yuen_amplitudes(beta, gamma, complex(log_a0), n_max)
-    return _embedded(unit, math.exp(2.0 * log_norm))
+    return _yuen_state(beta, gamma, complex(_log_abs_a0(params.a, params.b), log_a0.imag),
+                       n_max)
 
 
 def _embedding_rows(a, b, n_max: int) -> np.ndarray:
@@ -294,7 +289,7 @@ def _embedding_rows(a, b, n_max: int) -> np.ndarray:
     with the same per-row 2^200 rescale; returns the unit rows, shaped
     a.shape + (n_max + 1,) after broadcasting. The seeds are not validated
     as GaussianParams are. Only the loop over m differs from
-    gaussian_to_fock, whose fock._yuen_amplitudes keeps Python complex
+    gaussian_to_fock, whose fock._yuen_state keeps Python complex
     scalars because one seed through this array loop costs several times as
     much.
     """
@@ -357,7 +352,7 @@ def _quadrature_rows(seeds, n_max: int) -> tuple[list[FockVector], np.ndarray]:
             done = (diff <= 1e-13) | (stalled & (diff <= 1e-10))
             prev_diff[live] = diff
         for k in np.flatnonzero(done):
-            states[live[k]] = _embedded(cur[k], float(nrm[k] * nrm[k]))
+            states[live[k]] = FockVector(n_max, cur[k], _too_tight(1.0 - nrm[k] ** 2, 1.0))
             nodes[live[k]] = n_nodes
         if n_nodes >= 30000 and not done.all():
             raise RuntimeError(

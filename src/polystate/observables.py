@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 
+# The smallest normal double: a weight total below it, or an infinite one, has
+# lost precision, and mandel re-forms it on the ray (_fano).
+_TINY = np.finfo(float).tiny
 # Wavefunction values psi(x_i + t_a / sqrt 2) per row block of
 # _weighted_products at x.
 _WIGNER_BLOCK = 2 ** 14
@@ -418,11 +421,13 @@ def mandel(state: FockVector) -> float:
     """Mandel M_Q = Var(n)/<n>; values below 1 mean subpoissonian statistics.
 
     Undefined for the zero vector and for the vacuum, which has <n> = 0.
+    The state is read as a ray, so M_Q is the same at any scale (_fano);
+    past |A_m| ~ 1e154, numpy still warns of the overflowing first |A_m|^2.
     """
-    return float(_fano(np.abs(state.amplitudes) ** 2))
+    return float(_fano(np.abs(state.amplitudes) ** 2, state.amplitudes))
 
 
-def _fano(p: np.ndarray) -> np.ndarray:
+def _fano(p: np.ndarray, amps: np.ndarray | None = None) -> np.ndarray:
     """Var(n)/<n> over the last axis of photon-number weights p, at any scale.
 
     mandel applies it to one state; verify's mandel scan to a grid of rows.
@@ -430,9 +435,16 @@ def _fano(p: np.ndarray) -> np.ndarray:
     Written for the cost of one row, which mandel pays per call: the sums
     are np.add.reduce without the sum method's wrapper, a float m keeps the
     products free of casts, and one row reduces to scalars with plain truth tests.
+    amps, for one row, are the amplitudes p = |amps|^2 came from: where the
+    row's total is not a normal double, p is formed again from their
+    fock._ray_scale copy, since an underflowing or overflowing |A_m|^2 has
+    lost its value.
     """
     rows = p.ndim > 1
     total = np.add.reduce(p, -1, keepdims=rows)
+    if amps is not None and not _TINY <= total < np.inf:
+        p = np.abs(_ray_scale(amps)[0]) ** 2
+        total = np.add.reduce(p)
     if not (total.all() if rows else total):
         raise ValueError("Mandel parameter is undefined for the zero vector "
                          "(total probability 0)")

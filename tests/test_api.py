@@ -20,7 +20,7 @@ PUBLIC = {
                "cyclic_set", "normalization_record", "cyclic_density",
                "density_route_gap", "circle_limit", "circle_limit_quadrature_gap",
                "dihedral_state", "annihilation_irrep_shift"},
-    "gaussian": {"EMBED_TAIL_TOL", "GaussianParams", "GaussianMoments",
+    "gaussian": {"GaussianParams", "GaussianMoments",
                  "wavefunction", "moments", "rotate_params", "hermite_functions",
                  "gaussian_to_fock", "fock_wavefunction", "cyclic_gaussian",
                  "cyclic_gaussian_wavefunction", "c2_closed_form"},
@@ -36,7 +36,7 @@ PUBLIC = {
 
 def test_package_exports_the_public_names():
     expected = set().union(*PUBLIC.values()) | {"__version__"}
-    assert len(polystate.__all__) == len(set(polystate.__all__)) == 68
+    assert len(polystate.__all__) == len(set(polystate.__all__)) == 67
     assert set(polystate.__all__) == expected
     missing = [name for name in polystate.__all__ if not hasattr(polystate, name)]
     assert not missing, f"exported but not defined: {missing}"

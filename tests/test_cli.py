@@ -116,6 +116,42 @@ def test_build_tail_flag_survives_reload(tmp_path):
     assert json.loads(b.read_text())["metadata"]["tail_flagged"] is True
 
 
+ROUTES = [(cmd, group, extra) for cmd in ("build", "erase") for group, extra in (
+    ("C", []), ("D", ["--variant", "sum"]), ("D", ["--variant", "difference"]))]
+ROUTES.append(("build", "C", ["--method", "superposition"]))
+
+
+@pytest.mark.parametrize("cmd, group, extra", ROUTES)
+@pytest.mark.parametrize("seed, flagged", [
+    (["--coherent", 4.75, 0.5, "--order", 64, "--irrep", 1], True),    # its own |64>
+    (["--coherent", 9, 0.5, "--order", 3, "--irrep", 1, "--n-max", 16], True),  # the seed
+    (["--gaussian", 0.5, 0, 7.424621202458749, 0.2, "--order", 2, "--irrep", 1], True),
+    (["--coherent", 1.2, 0.5, "--order", 3, "--irrep", 2], False)])
+def test_a_rebuilt_file_keeps_the_flag(tmp_path, cmd, group, extra, seed, flagged):
+    # one rule decides the flag of a built state and of its rebuild from the
+    # file, on every C and D route
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    spec = seed[seed.index("--order"):seed.index("--irrep") + 2]
+    assert run(cmd, *seed, "--group", group, *extra, "--output", a) == 0
+    assert run(cmd, "--input", a, *spec, "--group", group, *extra, "--output", b) == 0
+    flags = [json.loads(f.read_text())["metadata"]["tail_flagged"] for f in (a, b)]
+    assert flags == [flagged, flagged]
+
+
+def test_build_flags_a_sector_heavy_on_its_last_slot(tmp_path):
+    # coherent(4.75) at n_max 64 is not flagged, but its C_64 lam = 1 sector
+    # holds 3.3e-3 of its mass on |64>: the built file says so, as its
+    # rebuild does
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("build", "--coherent", 4.75, 0, "--order", 64, "--irrep", 1,
+               "--output", a) == 0
+    assert run("build", "--input", a, "--order", 64, "--irrep", 1, "--output", b) == 0
+    for f in (a, b):
+        data = json.loads(f.read_text())
+        assert data["metadata"]["tail_flagged"] is True
+        assert data["amplitudes"][64][0] ** 2 > 3e-3
+
+
 def test_build_empty_sector_exit(tmp_path):
     assert run("build", "--coherent", 0, 0, "--order", 3, "--irrep", 2,
                "--output", tmp_path / "x.json") == 2

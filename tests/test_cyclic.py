@@ -432,6 +432,35 @@ def test_irrep_shift_judges_presence_by_relative_mass(rel, scale):
             annihilation_irrep_shift(psi, CyclicSpec(4, 1))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200])
+def test_orbit_oracle_and_irrep_shift_read_a_ray(scale):
+    # coherent(1.2 + 0.3i) scaled so that sum |A_m|^2 leaves the normal
+    # range: the orbit state is still mu_3 times the erased seed, and the
+    # shifted C_3 state the unit state's (both raised or drifted by 1e-4 or
+    # more before they read the ray)
+    seed, spec = coherent(1.2 + 0.3j, 16), CyclicSpec(3, 2)
+    orbit = cyclic_superposition(fock.FockVector(16, scale * seed.amplitudes), spec)[0]
+    np.testing.assert_allclose(orbit.amplitudes,
+                               unit_root(1, 3) * cyclic_erasure(seed, spec).amplitudes,
+                               rtol=0, atol=1e-15)
+    psi = cyclic_state(seed, spec)[0]
+    want, want_lam = annihilation_irrep_shift(psi, spec)
+    got, new_lam = annihilation_irrep_shift(fock.FockVector(16, scale * psi.amplitudes), spec)
+    assert new_lam == want_lam == 1
+    np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-15)
+
+
+def test_sector_states_test_their_own_last_slot():
+    # coherent(4.75) at n_max 64 is not flagged, but its C_64 lam = 1 sector
+    # lives on |0> and |64> and holds 3.3e-3 of its mass on |64>
+    seed, spec = coherent(4.75, 64), CyclicSpec(64, 1)
+    assert not seed.tail_flagged
+    for state in (cyclic_erasure(seed, spec), cyclic_state(seed, spec)[0],
+                  dihedral_state(seed, spec)[0]):
+        assert state.tail_mass > 3e-3 and state.tail_flagged
+    assert not cyclic_erasure(seed, CyclicSpec(64, 2)).tail_flagged
+
+
 def test_near_empty_sector_routes_agree():
     # mass 1e-14 in the odd class of C_2: the closed form, the density route
     # and erasure all build it; at 2.5e-25 all three and the orbit oracle call

@@ -192,6 +192,20 @@ def test_fidelity_and_phase_alignment():
     assert fidelity(st_, shifted) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200])
+def test_fidelity_reads_rays_at_any_scale(scale):
+    # sum |A_m|^2 underflows or overflows at these scales; unit inputs keep
+    # their bits
+    seed = coherent(1.2 + 0.3j, 16)
+    other = coherent(0.7, 16)
+    scaled = FockVector(16, scale * seed.amplitudes)
+    assert fidelity(scaled, scaled) == pytest.approx(1.0, abs=1e-15)
+    assert fidelity(scaled, other) == pytest.approx(fidelity(seed, other), rel=1e-14)
+    assert fidelity(seed, other) == abs(inner(seed, other)) ** 2 / (seed.norm * other.norm) ** 2
+    with pytest.raises(ValueError, match="zero vector"):
+        fidelity(scaled, FockVector(16, np.zeros(17)))
+
+
 # ---- moments ----
 
 def test_quadrature_means_vacuum_and_number_states():
@@ -373,14 +387,12 @@ def test_coherent_exact_phases_on_axes():
 
 
 def _yuen_dividing_every_value(beta, gamma, log_a0, n_max):
-    """fock._yuen_amplitudes with every kept value divided at each rescale,
-    as Python complex / float: the reference for its bits. Also returns the
-    number of rescales."""
+    """fock._yuen_state's amplitudes with every kept value divided at each
+    rescale, as Python complex / float: the reference for its bits. Also
+    returns the number of rescales."""
     import cmath
-    import math
 
     root = np.sqrt(np.arange(n_max + 1)).tolist()
-    log_scale = log_a0.real
     prev, cur = 0j, cmath.exp(1j * log_a0.imag)
     amps = [cur]
     rescales = 0
@@ -390,11 +402,9 @@ def _yuen_dividing_every_value(beta, gamma, log_a0, n_max):
             rescales += 1
             amps = [v / big for v in amps]
             prev, cur = prev / big, cur / big
-            log_scale += math.log(big)
         amps.append(cur)
     amps = np.array(amps)
-    nrm = float(np.linalg.norm(amps))
-    return amps / nrm, log_scale + math.log(nrm), rescales
+    return amps / float(np.linalg.norm(amps)), rescales
 
 
 def test_yuen_rescale_keeps_the_bits():
@@ -421,9 +431,9 @@ def test_yuen_rescale_keeps_the_bits():
         cases.append((beta, gamma, complex(log_a0), n_max))
     rescaled = 0
     for args in cases:
-        got, log_norm = fock._yuen_amplitudes(*args)
-        want, want_log, rescales = _yuen_dividing_every_value(*args)
-        assert got.tobytes() == want.tobytes() and log_norm == want_log, args
+        got = fock._yuen_state(*args).amplitudes
+        want, rescales = _yuen_dividing_every_value(*args)
+        assert got.tobytes() == want.tobytes(), args
         rescaled += rescales > 0
     assert rescaled >= 10  # the rescale fires in most of these
 
@@ -479,6 +489,58 @@ def test_clean_states_have_unit_mass():
     for st_ in (coherent(1.0, 64), basis_state(2, 8)):
         assert not st_.tail_flagged
         assert np.sum(np.abs(st_.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_every_vector_tests_its_last_slot():
+    # the last-slot half of the one rule runs on every FockVector and is
+    # OR-ed with the flag passed in: a number state on the last slot is
+    # flagged, and an annihilated or rotated state keeps its input's flag
+    assert basis_state(8, 8).tail_flagged and basis_state(0, 0).tail_flagged
+    assert not basis_state(7, 8).tail_flagged
+    assert FockVector(2, np.array([1.0, 0.0, 0.0]), True).tail_flagged
+    flagged = coherent(9.0, 16)
+    assert flagged.tail_flagged
+    assert annihilate(flagged).tail_flagged and rotate(flagged, 0.3).tail_flagged
+    edge = np.zeros(9)
+    edge[0], edge[-1] = 1.0, 1.01e-5  # last-slot mass 1.02e-10 of the total
+    assert FockVector(8, edge).tail_flagged
+    edge[-1] = 0.99e-5
+    assert not FockVector(8, edge).tail_flagged
+
+
+def test_coherent_and_gaussian_share_one_flag():
+    # coherent(alpha) and the a = 1/2 Gaussian e^{-x^2/2 + sqrt(2) alpha x}
+    # are one state built by one recurrence, so one rule gives both one flag,
+    # across the alpha where the truncation at 64 becomes too tight
+    from polystate.gaussian import GaussianParams, gaussian_to_fock
+
+    flags = []
+    for alpha in np.arange(4.5, 6.0, 0.05):
+        want = coherent(alpha, 64).tail_flagged
+        assert gaussian_to_fock(GaussianParams(0.5, np.sqrt(2.0) * alpha), 64).tail_flagged is want
+        flags.append(want)
+    assert flags.index(True) > 0 and all(flags[flags.index(True):])
+    assert coherent(5.25, 64).tail_flagged
+    assert gaussian_to_fock(GaussianParams(0.5, 7.424621202458749), 64).tail_flagged
+
+
+def test_lost_mass_rule_ignores_rounding_in_the_log_sum():
+    # coherent(700) at n_max 532,000: Re log A_0 = -245,000 and the rescale
+    # divisors' logs sum back to it, while the Poisson tail is 0 (60 sigma
+    # out). Two ulps of error in those logs read a lost mass of 1.2e-10,
+    # above TAIL_TOL, which the rule's resolution of 8 eps (sum |log| + steps)
+    # = 1.8e-9 absorbs
+    logs = [-245000.0, 244999.99999999994, 0.0]
+    lost = -np.expm1(2.0 * sum(logs))
+    assert TAIL_TOL < lost < 2e-10
+    assert not fock._lost_too_much(logs, 532000)
+    # a lost mass above the resolution still counts at those magnitudes,
+    # and any lost mass above TAIL_TOL counts at small ones
+    assert fock._lost_too_much([-245000.0, 244999.999999998, 0.0], 532000)
+    assert fock._lost_too_much([0.5 * np.log1p(-2e-10), 0.0], 64)
+    assert not fock._lost_too_much([0.5 * np.log1p(-0.5e-10), 0.0], 64)
+    # nothing kept at all (an A_0 that underflows past any log) is flagged
+    assert fock._lost_too_much([-np.inf, 0.0], 3)
 
 
 def test_from_amplitudes_tail_flag():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from polystate.fock import basis_state, coherent, fidelity, quadrature_means, rotate
+from polystate.fock import TAIL_TOL, basis_state, coherent, fidelity, quadrature_means, rotate
 from polystate.cyclic import CyclicSpec, EmptyRepresentationError
 from polystate.gaussian import (
-    EMBED_TAIL_TOL,
     GaussianParams,
     _embedding_rows,
     _quadrature_rows,
@@ -147,7 +146,7 @@ def test_embedding_coherent_correspondence():
 def test_embedding_tail_example():
     st = gaussian_to_fock(GaussianParams(1.0, np.sqrt(6.0) + 2j), 64)
     assert not st.tail_flagged
-    assert st.tail_mass < EMBED_TAIL_TOL
+    assert st.tail_mass < TAIL_TOL
 
 
 def poisson_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -179,7 +178,7 @@ def test_quadrature_rows_match_one_seed_calls():
     for p, state, count in zip(seeds, states, nodes):
         (one,), (one_count,) = _quadrature_rows([p], 63)
         assert np.abs(state.amplitudes - one.amplitudes).max() <= 1e-15
-        assert state.tail_flagged is one.tail_flagged  # a bool, as _embedded gives
+        assert state.tail_flagged is one.tail_flagged  # a bool, as FockVector gives
         assert count == one_count
     assert len(set(nodes.tolist())) >= 3
     assert any(s.tail_flagged for s in states) and not all(s.tail_flagged for s in states)
@@ -348,9 +347,41 @@ def test_embedding_tail_flag_counts_lost_norm(a):
     # so only the norm lost beyond n_max = 63 can set the flag
     p = GaussianParams(a, 1e-6)
     st = gaussian_to_fock(p, 63)
-    assert st.tail_mass < EMBED_TAIL_TOL
+    assert st.tail_mass < TAIL_TOL
     assert st.tail_flagged
     assert _quadrature_rows([p], 63)[0][0].tail_flagged
+
+
+def test_log_abs_a0_needs_no_cancellation():
+    # log |A_0| against 50-digit arithmetic of the complex form, on seeds
+    # where that form's real part in doubles loses up to 6e6 eps to its
+    # cancelling b^2 terms
+    import mpmath
+
+    from polystate.gaussian import _log_abs_a0
+
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        a = complex(10 ** rng.uniform(-2, 3), 10 ** rng.uniform(-2, 3) * rng.choice([-1, 1]))
+        u = rng.uniform(-9000, 9000) * 10 ** rng.uniform(-4, 0)
+        b = complex(u, a.imag * u / (a.real + 0.5) * (1 + 10 ** rng.uniform(-8, 0)))
+        with mpmath.workdps(50):
+            am, bm = mpmath.mpc(a.real, a.imag), mpmath.mpc(b.real, b.imag)
+            ac, bc, s = mpmath.conj(am), mpmath.conj(bm), am + 0.5
+            want = float(mpmath.re(
+                0.25 * mpmath.log((am + ac) / mpmath.pi * (1 + 2 * am) / (1 + 2 * ac))
+                - (bm * bm + bm * bc) / (4 * (am + ac)) - 0.25 * mpmath.log(mpmath.pi)
+                + 0.5 * mpmath.log(mpmath.pi / s) + bm * bm / (4 * s)))
+        assert abs(_log_abs_a0(a, b) - want) <= 8 * np.finfo(float).eps * (1 + abs(want))
+
+
+def test_far_squeezed_seed_with_an_empty_tail_is_not_flagged():
+    # <n> is about 17,000 and the last slot holds 1e-104 of the mass: the lost
+    # mass is rounding only, which read 2.4e-10 through the complex form's
+    # cancelling b^2 terms and stays within the resolution through _log_abs_a0
+    st = gaussian_to_fock(GaussianParams(20.0, 7427.0), 21834)
+    assert st.tail_mass < 1e-100
+    assert not st.tail_flagged
 
 
 def test_embedding_far_outside_truncation_is_flagged_not_nan():

@@ -781,6 +781,22 @@ def test_mandel_is_the_fano_formula():
         _fano(np.array([[1.0, 2.0], [3.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200])
+def test_mandel_reads_a_ray_at_any_scale(scale):
+    # sum |A_m|^2 underflows or overflows: the weights are formed again on
+    # the state's ray, so M_Q is the unit state's (0.998813 or NaN before);
+    # past |A_m| ~ 1e154 numpy warns of the first, overflowing square
+    seed = coherent(1.2 + 0.3j, 16)
+    scaled = fock.FockVector(16, scale * seed.amplitudes)
+    if scale > 1e154:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            value = mandel(scaled)
+    else:
+        value = mandel(scaled)
+    assert value == pytest.approx(mandel(seed), rel=1e-14)
+    assert mandel(seed) == pytest.approx(0.99999999986, rel=1e-11)
+
+
 def test_fano_one_row_matches_the_row_path():
     # the scalar path of one state against the same state as a 1-row stack
     rng = np.random.default_rng(29)
