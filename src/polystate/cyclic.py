@@ -10,7 +10,8 @@ are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
 over density matrices (density_route_gap). Both take their rotation phases
-from fock's one C_n phase table (fock._rotation_table).
+from fock's one C_n phase table (fock._rotation_table). Every route reads the
+seed as its kept ray (FockVector._ray), so no state depends on its scale.
 
 Phase convention. The raw superposition sum_r chi^(lam)(g_r) R(theta_r)|phi>
 has m-amplitude n A_m on the residue class and zero elsewhere, so it is a
@@ -34,7 +35,6 @@ from .fock import (
     FockOperator,
     _as_ray,
     _class_sums,
-    _ray_scale,
     _rotated_copies,
     _rotation_table,
     annihilate,
@@ -130,11 +130,10 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
     sectors far lighter than the seed's other classes can still trip the
-    check. The seed is read as a ray (fock._ray_scale), as _sector_part
-    reads it. This is the one-seed, one-lam call of _superpositions.
+    check. The seed is read as its kept ray (FockVector._ray), as
+    _sector_part reads it. This is the one-seed, one-lam call of _superpositions.
     """
-    states, raw_norm, n_lambda = _superpositions(_ray_scale(phi.amplitudes)[0], spec.n,
-                                                 [spec.lam])
+    states, raw_norm, n_lambda = _superpositions(phi._ray, spec.n, [spec.lam])
     return (FockVector(phi.n_max, states[0], phi.tail_flagged),
             NormalizationRecord(raw_norm=float(raw_norm[0]), n_lambda=complex(n_lambda[0])))
 
@@ -188,8 +187,8 @@ def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
 def _sector_part(phi: FockVector, spec: CyclicSpec, variant: str = ""
                  ) -> tuple[np.ndarray, float]:
     """The seed's amplitudes (a dihedral variant's Re A_m or i Im A_m) on the
-    sector's class, and their norm, on fock._ray_scale's copy; raises if _absent."""
-    seed, total = _ray_scale(phi.amplitudes)
+    sector's class, and their norm, on the seed's kept ray; raises if _absent."""
+    seed, total = phi._ray, phi._total
     amps = seed.real if variant == "sum" else 1j * seed.imag if variant else seed
     part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
     mass = part.real.dot(part.real) + part.imag.dot(part.imag)  # np.linalg.norm's sum
@@ -229,9 +228,11 @@ def cyclic_erasure(phi: FockVector, spec: CyclicSpec) -> FockVector:
 
 def cyclic_set(phi: FockVector, n: int
                ) -> list[tuple[FockVector, NormalizationRecord]]:
-    """cyclic_state for lam = 1..n, skipping sectors where the seed has no weight."""
+    """cyclic_state for lam = 1..n, skipping sectors where the seed has no weight.
+    Only lam - 1 <= n_max name a class that holds a photon number, so no later
+    lam is tried."""
     out = []
-    for lam in range(1, n + 1):
+    for lam in range(1, min(n, phi.n_max + 1) + 1):
         try:
             out.append(cyclic_state(phi, CyclicSpec(n, lam)))
         except EmptyRepresentationError:
@@ -304,11 +305,11 @@ def _circle_average(phi: FockVector, lam: int) -> np.ndarray:
     rule integrates the trigonometric-polynomial integrand exactly. The rule
     weighs A_m by (1/N) sum_j e^{i theta_j (lam - 1 - m)}, the inverse FFT of
     the N uniform angle weights at index lam - 1 - m (mod N), so it needs
-    O(n_max) memory at any truncation.
+    O(n_max) memory at any truncation. phi is read as its kept ray.
     """
     npts = 2 * (phi.n_max + 1)
     m = np.arange(phi.n_max + 1)
-    return np.fft.ifft(np.ones(npts))[(lam - 1 - m) % npts] * phi.amplitudes
+    return np.fft.ifft(np.ones(npts))[(lam - 1 - m) % npts] * phi._ray
 
 
 def circle_limit_quadrature_gap(phi: FockVector, lam: int) -> float:
@@ -331,8 +332,7 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> lies beyond the truncation: "
             f"lam - 1 = {lam - 1} > n_max = {phi.n_max}"))
-    amps, total = _ray_scale(phi.amplitudes)
-    a = amps[lam - 1]
+    a, total = phi._ray[lam - 1], phi._total
     if _absent(abs(a) ** 2, total):
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> is empty: seed mass |A_{lam - 1}|^2 = "
@@ -367,7 +367,7 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
     """a|psi^(lam)> lands in the lam - 1 sector (wrapping lam = 1 to n).
 
     Returns the normalized annihilated state and its new irrep label. psi is
-    read as a ray (fock._ray_scale). An _absent ||a psi||^2 (against
+    read as its kept ray (fock._as_ray). An _absent ||a psi||^2 (against
     ||psi||^2) raises EmptyRepresentationError, and off-class leakage beyond
     1e-12 an AssertionError: the shift is exact.
     """

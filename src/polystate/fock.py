@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,17 @@ class FockVector:
 
     tail_flagged, the truncation too tight for the state (_too_tight), is
     the flag passed in OR-ed with this vector's own last-slot test.
+
+    _ray and _total, kept from _ray_scale, are the state read as a ray and its
+    sum |A_m|^2: the amplitudes object itself when that sum is a normal
+    double. Every scale-free route reads them; equality ignores them.
     """
 
     n_max: int
     amplitudes: np.ndarray
     tail_flagged: bool = False
+    _ray: np.ndarray = field(init=False, repr=False, compare=False)
+    _total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -69,7 +75,10 @@ class FockVector:
         if not math.isfinite(total):  # finite exactly when every amplitude is
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)  # value semantics
+        ray.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_ray", ray)
+        object.__setattr__(self, "_total", total)
         object.__setattr__(self, "tail_flagged", bool(self.tail_flagged) or _too_tight(
             abs(complex(ray[-1])) ** 2, total))
 
@@ -79,9 +88,8 @@ class FockVector:
 
     @property
     def tail_mass(self) -> float:
-        """|A_(n_max)|^2 / sum |A_m|^2 on _ray_scale's copy: at any scale, 0 if zero."""
-        ray, total = _ray_scale(self.amplitudes)
-        return float(np.abs(ray[-1]) ** 2 / total) if total else 0.0
+        """|A_(n_max)|^2 / sum |A_m|^2 on the ray: at any scale, 0 if zero."""
+        return float(np.abs(self._ray[-1]) ** 2 / self._total) if self._total else 0.0
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,7 @@ def inner(bra: FockVector, ket: FockVector) -> complex:
 
 def fidelity(a: FockVector, b: FockVector) -> float:
     """|<a|b>|^2 for unit vectors; inputs are normalized defensively, each
-    read as a ray (_ray_scale), so the same at any scale."""
+    read as its kept ray (_as_ray), so the same at any scale."""
     a, b = _as_ray(a), _as_ray(b)
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
@@ -367,8 +375,8 @@ def _ray_scale(amps: np.ndarray, lo=np.finfo(float).tiny, hi=np.inf) -> tuple:
 
 
 def _as_ray(state: FockVector) -> FockVector:
-    """state itself, or its _ray_scale copy when sum |A_m|^2 is not a normal double."""
-    ray = _ray_scale(state.amplitudes)[0]
+    """state itself, or the vector of its kept ray when sum |A_m|^2 is not a normal double."""
+    ray = state._ray
     return state if ray is state.amplitudes else FockVector(state.n_max, ray, state.tail_flagged)
 
 

@@ -237,16 +237,16 @@ def _trapezoid_weights(lo: float, hi: float, k: int) -> np.ndarray:
     return w
 
 
-def _yuen_start(a, b, log):
+def _yuen_start(a, b):
     """beta, gamma and log A_0 of the embedding recurrence for seeds (a, b).
 
-    Elementwise, so a and b may be scalars or arrays. log is cmath.log for
-    one seed, whose bits gaussian_to_fock keeps, and np.log for arrays; the
-    two differ in the last bit for about one argument in a hundred.
+    Elementwise, so a and b may be scalars or arrays. Both callers read only
+    Im log A_0, the phase of A_0: gaussian_to_fock takes log |A_0| from
+    _log_abs_a0, and _embedding_rows renormalizes its rows.
     """
     s = a + 0.5
     log_a0 = (_log_prefactor(a, b) - 0.25 * math.log(math.pi)
-              + 0.5 * log(math.pi / s) + b * b / (4 * s))
+              + 0.5 * np.log(math.pi / s) + b * b / (4 * s))
     return b / (math.sqrt(2.0) * s), 1.0 / s - 1.0, log_a0
 
 
@@ -277,7 +277,7 @@ def gaussian_to_fock(params: GaussianParams, n_max: int | None = None) -> FockVe
     fock._too_tight rule on _log_abs_a0. _quadrature_rows is its oracle.
     """
     n_max = _checked_n_max(n_max)
-    beta, gamma, log_a0 = _yuen_start(params.a, params.b, cmath.log)
+    beta, gamma, log_a0 = _yuen_start(params.a, params.b)
     return _yuen_state(beta, gamma, complex(_log_abs_a0(params.a, params.b), log_a0.imag),
                        n_max)
 
@@ -294,7 +294,7 @@ def _embedding_rows(a, b, n_max: int) -> np.ndarray:
     much.
     """
     beta, gamma, log_a0 = _yuen_start(np.asarray(a, dtype=complex),
-                                      np.asarray(b, dtype=complex), np.log)
+                                      np.asarray(b, dtype=complex))
     root = np.sqrt(np.arange(n_max + 1))
     rows = np.empty(log_a0.shape + (n_max + 1,), dtype=complex)
     prev, cur = np.zeros(log_a0.shape, dtype=complex), np.exp(1j * log_a0.imag)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, _ray_scale, _rotated_copies, residue_class_masses
+from .fock import FockVector, _as_ray, _ray_scale, _rotated_copies, residue_class_masses
 from .cyclic import EmptyRepresentationError
 from .gaussian import (_hermite_reach, _hermite_rows, _trapezoid_weights, fock_wavefunction,
                        hermite_functions)
@@ -68,9 +68,6 @@ __all__ = [
 ]
 
 
-# The smallest normal double: a weight total below it, or an infinite one, has
-# lost precision, and mandel re-forms it on the ray (_fano).
-_TINY = np.finfo(float).tiny
 # Wavefunction values psi(x_i + t_a / sqrt 2) per row block of
 # _weighted_products at x.
 _WIGNER_BLOCK = 2 ** 14
@@ -178,10 +175,11 @@ def _support_cut(state: FockVector) -> FockVector:
     so the two normalized projectors are 2 eps apart in trace norm, and
     W = <Pi(x, p)>/pi with a displaced parity Pi of norm 1 (Royer, Phys.
     Rev. A 15, 449 (1977)) moves by at most 2 eps / pi = 5.5e-19. Exact
-    trailing zeros are cut without loss. A state whose support reaches
-    n_max, and the zero vector, are returned as they are.
+    trailing zeros are cut without loss. It cuts the state's kept ray
+    (fock._as_ray); a ray reaching n_max, and the zero vector, stay uncut.
     """
-    mass = np.abs(_ray_scale(state.amplitudes)[0]) ** 2
+    state = _as_ray(state)
+    mass = np.abs(state.amplitudes) ** 2
     tail = np.cumsum(mass[::-1])[::-1]  # tail[m] = sum_{k>=m}, non-increasing
     m = int(np.count_nonzero(tail > _SUPPORT_TOL ** 2 * tail[0])) - 1
     if m in (-1, state.n_max):
@@ -421,30 +419,24 @@ def mandel(state: FockVector) -> float:
     """Mandel M_Q = Var(n)/<n>; values below 1 mean subpoissonian statistics.
 
     Undefined for the zero vector and for the vacuum, which has <n> = 0.
-    The state is read as a ray, so M_Q is the same at any scale (_fano);
-    past |A_m| ~ 1e154, numpy still warns of the overflowing first |A_m|^2.
+    The weights are those of the state's kept ray (FockVector._ray), so M_Q
+    is the same at any scale.
     """
-    return float(_fano(np.abs(state.amplitudes) ** 2, state.amplitudes))
+    return float(_fano(np.abs(state._ray) ** 2))
 
 
-def _fano(p: np.ndarray, amps: np.ndarray | None = None) -> np.ndarray:
-    """Var(n)/<n> over the last axis of photon-number weights p, at any scale.
+def _fano(p: np.ndarray) -> np.ndarray:
+    """Var(n)/<n> over the last axis of photon-number weights p.
 
-    mandel applies it to one state; verify's mandel scan to a grid of rows.
+    mandel applies it to the weights of one state's kept ray
+    (FockVector._ray), verify's mandel scan to a grid of rows.
     ValueError if any row is zero or holds all its weight on the vacuum.
     Written for the cost of one row, which mandel pays per call: the sums
     are np.add.reduce without the sum method's wrapper, a float m keeps the
     products free of casts, and one row reduces to scalars with plain truth tests.
-    amps, for one row, are the amplitudes p = |amps|^2 came from: where the
-    row's total is not a normal double, p is formed again from their
-    fock._ray_scale copy, since an underflowing or overflowing |A_m|^2 has
-    lost its value.
     """
     rows = p.ndim > 1
     total = np.add.reduce(p, -1, keepdims=rows)
-    if amps is not None and not _TINY <= total < np.inf:
-        p = np.abs(_ray_scale(amps)[0]) ** 2
-        total = np.add.reduce(p)
     if not (total.all() if rows else total):
         raise ValueError("Mandel parameter is undefined for the zero vector "
                          "(total probability 0)")
@@ -520,7 +512,8 @@ def _sum_sq(g: np.ndarray) -> np.ndarray:
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
     """Rescale c by a positive constant so the two-mode state has unit norm; c,
     and a seed of squared norm outside [1/2, 2), are first read as rays
-    (fock._ray_scale). This is the one-spec call of _unit_coefficients."""
+    (fock._ray_scale), a tighter range than a FockVector's kept ray (_ray), as
+    sum |G|^2 multiplies the seeds' masses. This is the one-spec call of _unit_coefficients."""
     seeds = [FockVector(s.n_max, _ray_scale(s.amplitudes, 0.5, 2.0)[0], s.tail_flagged)
              for s in (spec.seed_1, spec.seed_2)]
     spec = BipartiteSpec(spec.n, spec.c, *seeds)

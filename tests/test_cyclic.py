@@ -132,6 +132,29 @@ def test_cyclic_set_skips_empty_sectors():
     assert len(pairs) == 2  # class 2 carries no mass
 
 
+def test_cyclic_set_tries_only_the_classes_that_exist(monkeypatch):
+    # C_1000 at n_max 8: the classes lam > 9 hold no photon number, so only
+    # lam = 1..9 are tried (all 1000 before), and the list is that of trying
+    # every lam and skipping the empty ones
+    phi, n = coherent(1.0, 8), 1000
+    want = []
+    for lam in range(1, n + 1):
+        try:
+            want.append(cyclic_state(phi, CyclicSpec(n, lam)))
+        except EmptyRepresentationError:
+            pass
+    calls = []
+    state = cyclic.cyclic_state
+    monkeypatch.setattr(cyclic, "cyclic_state",
+                        lambda *args: calls.append(args) or state(*args))
+    got = cyclic_set(phi, n)
+    assert len(calls) <= 9
+    assert len(got) == len(want) == 9
+    for (st, record), (want_st, want_record) in zip(got, want):
+        assert st.amplitudes.tobytes() == want_st.amplitudes.tobytes()
+        assert record == want_record
+
+
 def test_cyclic_set_light_sectors():
     # coherent(3) at n_max 128: sectors 28..32 of C_32 carry mass ~1e-8
     phi = coherent(3.0, 128)
@@ -432,13 +455,16 @@ def test_irrep_shift_judges_presence_by_relative_mass(rel, scale):
             annihilation_irrep_shift(psi, CyclicSpec(4, 1))
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200, 1e170, 1e-300, 1e300])
 def test_orbit_oracle_and_irrep_shift_read_a_ray(scale):
     # coherent(1.2 + 0.3i) scaled so that sum |A_m|^2 leaves the normal
     # range: the orbit state is still mu_3 times the erased seed, and the
     # shifted C_3 state the unit state's (both raised or drifted by 1e-4 or
-    # more before they read the ray)
+    # more before they read the ray); the circle limit's quadrature gap
+    # stays at rounding (NaN or a false 1.0 before)
     seed, spec = coherent(1.2 + 0.3j, 16), CyclicSpec(3, 2)
+    assert circle_limit_quadrature_gap(fock.FockVector(16, scale * seed.amplitudes), 2) <= 1e-15
     orbit = cyclic_superposition(fock.FockVector(16, scale * seed.amplitudes), spec)[0]
     np.testing.assert_allclose(orbit.amplitudes,
                                unit_root(1, 3) * cyclic_erasure(seed, spec).amplitudes,

@@ -412,8 +412,6 @@ def test_yuen_rescale_keeps_the_bits():
     # each rescale, signed zeros included: coherent seeds on and off the
     # axes, past and far past the truncation, and Gaussian seeds whose
     # A_0 underflows
-    import cmath
-
     from polystate.gaussian import _yuen_start
 
     cases = []
@@ -427,7 +425,7 @@ def test_yuen_rescale_keeps_the_bits():
     for a, b, n_max in ((0.5, np.sqrt(2.0) * 40.0 * np.exp(0.7j), 2048),
                         (0.45 + 0.05j, 25.0 - 14.0j, 512), (1.0, 1.0 + 1.0j, 64),
                         (2.0 - 1.5j, 60.0, 300)):
-        beta, gamma, log_a0 = _yuen_start(complex(a), complex(b), cmath.log)
+        beta, gamma, log_a0 = _yuen_start(complex(a), complex(b))
         cases.append((beta, gamma, complex(log_a0), n_max))
     rescaled = 0
     for args in cases:
@@ -578,6 +576,25 @@ def test_tail_mass_is_relative_at_any_scale():
             assert from_amplitudes(v * scale).tail_mass == pytest.approx(ref, rel=1e-15)
         assert from_amplitudes(np.ones(5) * 1e200).tail_mass == pytest.approx(0.2, rel=1e-15)
         assert from_amplitudes(np.zeros(9)).tail_mass == 0.0
+
+
+def test_a_vector_keeps_one_ray():
+    # the ray is the amplitudes object itself when sum |A_m|^2 is a normal
+    # double, else their exact power-of-two rescale; both are read-only, and
+    # equality and repr ignore them
+    st = coherent(1.2 + 0.3j, 16)
+    assert st._ray is st.amplitudes and st._total == np.vdot(st._ray, st._ray).real
+    assert fock._as_ray(st) is st
+    for scale in (1e-170, 1e200):
+        scaled = fock.FockVector(16, scale * st.amplitudes)
+        assert scaled._ray is not scaled.amplitudes and not scaled._ray.flags.writeable
+        two_k = scaled._ray[0].real / scaled.amplitudes[0].real  # A_0 > 0
+        assert np.frexp(two_k)[0] == 0.5
+        np.testing.assert_array_equal(scaled._ray, scaled.amplitudes * two_k)
+        assert 0.25 <= scaled._total < 17
+        np.testing.assert_array_equal(fock._as_ray(scaled).amplitudes, scaled._ray)
+    assert repr(st) == repr(fock.FockVector(16, st.amplitudes.copy()))
+    assert "_ray" not in repr(st)
 
 
 def test_strided_amplitudes_accepted():

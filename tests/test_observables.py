@@ -485,6 +485,25 @@ def test_wigner_normalizes_the_state():
                                    wigner_points(st, x, p), rtol=0, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200, 1e170, 1e-300, 1e300])
+def test_wigner_reads_a_ray_at_any_scale(scale):
+    # sum |A_m|^2 underflows or overflows: the kernel reads the state's kept
+    # ray, so the grid on both sides of K = 33 distinct x, scattered points
+    # and the reflection residual are the unit state's (NaN before)
+    seed = coherent(1.2 + 0.3j, 16)
+    scaled = fock.FockVector(16, scale * seed.amplitudes)
+    for points in (11, 61):
+        np.testing.assert_allclose(wigner(scaled, points_per_axis=points).values,
+                                   wigner(seed, points_per_axis=points).values,
+                                   rtol=0, atol=1e-15)
+    xs, ps = np.random.default_rng(6).uniform(-3.0, 3.0, (2, 100))
+    np.testing.assert_allclose(wigner_points(scaled, xs, ps), wigner_points(seed, xs, ps),
+                               rtol=0, atol=1e-15)
+    assert wigner_reflection_residual(scaled) == pytest.approx(
+        wigner_reflection_residual(seed), rel=0, abs=1e-15)
+
+
 def test_wigner_lower_bound():
     cat, _ = cyclic_superposition(coherent(2.0, 64), CyclicSpec(3, 1))
     grid = wigner(cat, (-4.0, 4.0), points_per_axis=81)
@@ -781,18 +800,14 @@ def test_mandel_is_the_fano_formula():
         _fano(np.array([[1.0, 2.0], [3.0, 0.0]]))
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200, 1e170, 1e-300, 1e300])
 def test_mandel_reads_a_ray_at_any_scale(scale):
-    # sum |A_m|^2 underflows or overflows: the weights are formed again on
-    # the state's ray, so M_Q is the unit state's (0.998813 or NaN before);
-    # past |A_m| ~ 1e154 numpy warns of the first, overflowing square
+    # sum |A_m|^2 underflows or overflows: the weights are those of the
+    # state's kept ray, so M_Q is the unit state's (0.998813 or NaN before)
+    # and no |A_m|^2 overflows on the way
     seed = coherent(1.2 + 0.3j, 16)
-    scaled = fock.FockVector(16, scale * seed.amplitudes)
-    if scale > 1e154:
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            value = mandel(scaled)
-    else:
-        value = mandel(scaled)
+    value = mandel(fock.FockVector(16, scale * seed.amplitudes))
     assert value == pytest.approx(mandel(seed), rel=1e-14)
     assert mandel(seed) == pytest.approx(0.99999999986, rel=1e-11)
 
