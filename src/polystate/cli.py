@@ -12,13 +12,16 @@ complex arrays as nested [re, im] pairs, written one format per array
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import numbers
 import sys
 
 import numpy as np
 
 from .fock import (
     FockVector,
+    _check_numbers,
     _class_sums,
     _json_text,
     coherent,
@@ -196,6 +199,8 @@ def cmd_mandel(args: argparse.Namespace) -> int:
 def _load_bipartite(path: str) -> BipartiteSpec:
     data = _read_json(path)
     try:
+        _check_numbers("n", [data["n"]], numbers.Integral)
+        _check_numbers("c part", itertools.chain.from_iterable(data["c"]))
         n = int(data["n"])
         c = np.array([complex(re, im) for re, im in data["c"]])
         seed_1 = vector_from_dict(data["seed_1"])

@@ -240,35 +240,25 @@ def cyclic_set(phi: FockVector, n: int
     return out
 
 
-def _projected_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
-    """P rho P, unnormalized, for a stack of matrices rho (..., d, d) and each
-    int lam in the 1-D lams (L of them), P the projector onto lam's residue
-    class: (..., L, d, d)."""
-    keep = sector_mask(rho.shape[-1] - 1, n, np.asarray(lams)[:, None])
-    return np.where(keep[:, :, None] & keep[:, None, :], rho[..., None, :, :], 0)
+def _projected_density(rho: np.ndarray, n: int, lam: int) -> np.ndarray:
+    """P rho P, unnormalized, P the projector onto lam's residue class."""
+    keep = sector_mask(rho.shape[-1] - 1, n, lam)
+    return np.where(keep[:, None] & keep[None, :], rho, 0)
 
 
 def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
     """Entrywise max difference between the double character sum and P rho P.
 
     The double sum (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag
-    factorises as P_chi rho P_chi^dag, P_chi = (1/n) sum_r chi_r R_r diagonal.
-    The independent oracle for cyclic_density: no residue-class mask. This
-    is the one-matrix, one-lam call of _density_route_gaps.
+    factorises as P_chi rho P_chi^dag, P_chi = (1/n) sum_r chi_r R_r diagonal:
+    one row of characters times the phase table (fock._rotation_table).
+    The independent oracle for cyclic_density: no residue-class mask.
     """
-    return float(_density_route_gaps(rho.matrix, spec.n, [spec.lam])[0])
-
-
-def _density_route_gaps(rho: np.ndarray, n: int, lams) -> np.ndarray:
-    """density_route_gap for a stack of matrices rho (..., d, d) and each int
-    lam in the 1-D lams: (..., L). Each lam's diagonal P_chi is its own
-    vector-matrix product with the phase table, as in a one-lam call, so
-    every gap is that call's float bit for bit."""
-    lams, r = np.asarray(lams), np.arange(n)
-    table = _rotation_table(n, rho.shape[-1])
-    p_chi = (unit_root(np.multiply.outer(lams - 1, r), n)[:, None, :] @ table)[:, 0] / n
-    acc = p_chi[:, :, None] * rho[..., None, :, :] * np.conj(p_chi)[:, None, :]
-    return np.abs(acc - _projected_densities(rho, n, lams)).max(axis=(-2, -1))
+    n, mat = spec.n, rho.matrix
+    chi = unit_root((spec.lam - 1) * np.arange(n), n)[None, :]
+    p_chi = (chi @ _rotation_table(n, rho.n_max + 1))[0] / n
+    acc = p_chi[:, None] * mat * np.conj(p_chi)[None, :]
+    return float(np.abs(acc - _projected_density(mat, n, spec.lam)).max())
 
 
 def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
@@ -277,25 +267,13 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
     P rho P equals the double character sum
     (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
     entrywise; density_route_gap measures that agreement. An _absent tr P rho P
-    (against tr rho) raises. This is the one-matrix, one-lam call of _cyclic_densities.
+    (against tr rho) raises EmptyRepresentationError with rho's diagonal.
     """
-    return FockOperator(rho.n_max, _cyclic_densities(rho.matrix, spec.n, [spec.lam])[0])
-
-
-def _cyclic_densities(rho: np.ndarray, n: int, lams) -> np.ndarray:
-    """cyclic_density's matrices for a stack rho (..., d, d) and each int lam
-    in the 1-D lams: (..., L, d, d). The first (matrix, lam) in C order whose
-    projection's trace is _absent against tr rho raises
-    EmptyRepresentationError, as one call per matrix and lam in that order would."""
-    projected = _projected_densities(rho, n, lams)
-    tr = np.trace(projected, axis1=-2, axis2=-1).real
-    empty = _absent(tr, np.trace(rho, axis1=-2, axis2=-1).real[..., None])
-    if empty.any():
-        first = np.unravel_index(np.argmax(empty), empty.shape)
-        raise EmptyRepresentationError(n, int(np.asarray(lams)[first[-1]]),
-                                       np.diagonal(rho[first[:-1]]).real)
-    projected /= tr[..., None, None]  # fresh from np.where: dividing in place is safe
-    return projected
+    projected = _projected_density(rho.matrix, spec.n, spec.lam)
+    tr = np.trace(projected).real
+    if _absent(tr, np.trace(rho.matrix).real):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(rho.matrix).real)
+    return FockOperator(rho.n_max, projected / tr)
 
 
 def _circle_average(phi: FockVector, lam: int) -> np.ndarray:

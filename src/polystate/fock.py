@@ -12,8 +12,10 @@ theta_r = 2 pi (r-1)/n, read their phases from one exact C_n table
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +49,7 @@ TAIL_TOL = 1e-10
 _RESCALE = 2.0 ** 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockVector:
     """State vector on |0>..|n_max|; amplitudes has length n_max + 1.
 
@@ -56,17 +58,18 @@ class FockVector:
 
     _ray and _total, kept from _ray_scale, are the state read as a ray and its
     sum |A_m|^2: the amplitudes object itself when that sum is a normal
-    double. Every scale-free route reads them; equality ignores them.
+    double. Every scale-free route reads them. amplitudes is a read-only
+    copy of the array passed in, and equality is identity.
     """
 
     n_max: int
     amplitudes: np.ndarray
     tail_flagged: bool = False
-    _ray: np.ndarray = field(init=False, repr=False, compare=False)
-    _total: float = field(init=False, repr=False, compare=False)
+    _ray: np.ndarray = field(init=False, repr=False)
+    _total: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size != self.n_max + 1:
             raise ValueError(
                 f"amplitudes must have length n_max+1={self.n_max + 1}, got {amps.shape}"
@@ -92,15 +95,16 @@ class FockVector:
         return float(np.abs(self._ray[-1]) ** 2 / self._total) if self._total else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Operator on the truncated space; matrix is (n_max+1) x (n_max+1)."""
+    """Operator on the truncated space; matrix is (n_max+1) x (n_max+1), a
+    read-only copy of the array passed in. Equality is identity."""
 
     n_max: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         d = self.n_max + 1
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {mat.shape}")
@@ -380,11 +384,24 @@ def _as_ray(state: FockVector) -> FockVector:
     return state if ray is state.amplitudes else FockVector(state.n_max, ray, state.tail_flagged)
 
 
+def _check_numbers(name: str, values, kind=numbers.Real) -> None:
+    """Raise ValueError unless every value is a kind of number (numbers.Integral
+    for a count, numpy's integers included) and not a bool: int() and
+    complex() would read true, "2", or 2.7 for a count. One test per type."""
+    values = list(values)
+    for t in set(map(type, values)):
+        if issubclass(t, bool) or not issubclass(t, kind):
+            what = "an integer" if kind is numbers.Integral else "a number"
+            bad = next(v for v in values if type(v) is t)
+            raise ValueError(f"{name} must be {what}, got {bad!r}")
+
+
 def vector_from_dict(data: dict) -> FockVector:
     """The state of a JSON dict, read as a ray (_ray_scale); a boolean
     metadata.tail_flagged (as build writes it) is OR-ed into the flag that
     FockVector derives."""
     try:
+        _check_numbers("n_max", [data["n_max"]], numbers.Integral)
         n_max = int(data["n_max"])
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -393,6 +410,7 @@ def vector_from_dict(data: dict) -> FockVector:
             raise ValueError(
                 f"expected {n_max + 1} amplitude pairs, got {len(pairs)}"
             )
+        _check_numbers("amplitude part", itertools.chain.from_iterable(pairs))
         amps = np.array([complex(re, im) for re, im in pairs])
         metadata = data.get("metadata")
         saved = metadata.get("tail_flagged", False) if isinstance(metadata, dict) else False

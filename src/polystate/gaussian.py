@@ -100,7 +100,7 @@ class GaussianParams:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMoments:
     """First and second quadrature moments.
 
@@ -150,21 +150,19 @@ def rotate_params(params: GaussianParams, theta_: float) -> GaussianParams:
     a(theta) = (2 i a cos t - sin t) / (2 (i cos t - 2 a sin t))
     b(theta) = b / (cos t + 2 i a sin t)
 
-    The denominator cannot vanish for Re(a) > 0; the guard is defensive.
+    Neither denominator vanishes for Re(a) > 0, though both can be tiny (a
+    near 0 at t = pi/2); GaussianParams rejects a result that overflows.
     """
-    a_t, b_t, den = _rotated_exponents(params.a, params.b, theta_)
-    if abs(den) < 1e-14:
-        raise ValueError(f"rotation denominator vanished at theta={theta_}")
+    a_t, b_t = _rotated_exponents(params.a, params.b, theta_)
     return GaussianParams(a=a_t, b=b_t)
 
 
 def _rotated_exponents(a, b, theta_):
-    """rotate_params' a(theta), b(theta) and denominator over broadcast arrays,
+    """rotate_params' a(theta) and b(theta) over broadcast arrays,
     unvalidated; one seed too takes numpy's complex division (not Python's)."""
     a = np.asarray(a, dtype=complex)
     c, s = np.cos(theta_), np.sin(theta_)
-    den = c + 2j * a * s
-    return (2j * a * c - s) / (2 * (1j * c - 2 * a * s)), b / den, den
+    return (2j * a * c - s) / (2 * (1j * c - 2 * a * s)), b / (c + 2j * a * s)
 
 
 def _hermite_rows(n_max: int, x: np.ndarray):

@@ -85,9 +85,10 @@ _ORACLE_BUDGET = 2 ** 24
 _ORACLE_BLOCK = 2 ** 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """W on a rectangular grid; values[i, j] = W(x_i, p_j)."""
+    """W on a rectangular grid; values[i, j] = W(x_i, p_j), a read-only copy
+    of the array passed in. Equality is identity."""
 
     x_min: float
     x_max: float
@@ -101,7 +102,7 @@ class WignerGrid:
             raise ValueError("grid bounds must be strictly increasing")
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.shape != (self.points_per_axis, self.points_per_axis):
             raise ValueError(f"values must be {self.points_per_axis} square")
         v.setflags(write=False)
@@ -317,9 +318,9 @@ def write_wigner_csv(grid: WignerGrid, stream) -> None:
     2^-53 put m < 1e13 within 2.3e-3 of the exact |w| 10^(12-e), so rint(m)
     is the correctly rounded 13-digit mantissa whenever frac(m) is more
     than _ROUND_MARGIN = 0.005 from 1/2. The other values (about 1 % of a
-    Wigner grid: mantissas within the margin, zeros, non-finite values and
-    |w| outside that range) also go through Python's formatter, so every
-    field is Python's by construction.
+    Wigner grid: mantissas within the margin or at a decade's edge, zeros,
+    non-finite values and |w| outside that range) also go through Python's
+    formatter, so every field is Python's by construction.
 
     Lines are made a block of p-rows (_CSV_BLOCK lines) at a time, as three
     NUL-padded 24-byte fields a line whose NULs are deleted on output. A
@@ -368,31 +369,22 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _e12_fields(v: np.ndarray, tables) -> np.ndarray:
     """f"{x:.12e}\\n" of each x in v as a (6, len(v)) array of 4-byte words,
     NUL-padded like _python_fields and transposed. The rounding argument is
-    write_wigner_csv's. e moves by one where m falls outside [1e12, 1e13),
-    a mantissa rounding up to 1e13 carries into the exponent, and a
-    mantissa still outside [1e12, 1e13] is left to _python_fields. The
-    digits come from float splits of the integer-valued mantissa, exact
-    below 2^53, and table lookups.
+    write_wigner_csv's. A value whose m lies outside [1e12, 1e13), or
+    rounds up to 1e13, sits at a decade's edge and is left to _python_fields
+    with the rest. The digits come from float splits of the integer-valued
+    mantissa, exact below 2^53, and table lookups.
     """
     head, four, tail = tables
     a = np.abs(v)
     fast = (a >= 1e-290) & (a <= 1e290)
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    e_lo = int(e.min()) - 1
-    powers = range(e_lo, int(e.max()) + 3)  # e - 1 to e + 2: shift and carry
+    e_lo = int(e.min())
+    powers = range(e_lo, int(e.max()) + 1)
     scale = np.array([float(f"1e{12 - k}") for k in powers])
     m = a * scale[e - e_lo]
-    shift = (m >= 1e13).astype(np.int64) - (m < 1e12)
-    moved = shift != 0
-    if moved.any():
-        e += shift
-        m[moved] = a[moved] * scale[e[moved] - e_lo]
     r = np.rint(m)
-    fast &= (np.abs(m - r) < 0.5 - _ROUND_MARGIN) & (r >= 1e12) & (r <= 1e13)
-    carry = r == 1e13
-    r[carry] = 1e12
-    e += carry
+    fast &= (np.abs(m - r) < 0.5 - _ROUND_MARGIN) & (m >= 1e12) & (r < 1e13)
     top = np.floor(r / 1e11)
     r -= top * 1e11
     high = np.floor(r / 1e7)
@@ -456,9 +448,10 @@ class MemoryGuardError(RuntimeError):
     """The dense two-mode oracle would exceed its memory budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteSpec:
-    """Two-mode state sum_r c_r R(theta_r)|seed_1> (x) R(theta_r)|seed_2>."""
+    """Two-mode state sum_r c_r R(theta_r)|seed_1> (x) R(theta_r)|seed_2>;
+    c is a read-only copy of the array passed in. Equality is identity."""
 
     n: int
     c: np.ndarray
@@ -468,7 +461,7 @@ class BipartiteSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"group order n must be >= 1, got {self.n}")
-        c = np.asarray(self.c, dtype=complex)
+        c = np.array(self.c, dtype=complex)
         if c.shape != (self.n,):
             raise ValueError(f"c must have length n={self.n}, got shape {c.shape}")
         if not np.isfinite(c).all():
@@ -552,7 +545,7 @@ def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.
     return (unit_root(k, n) / (n * n_lambda[..., None, :])) @ states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementResult:
     """s_linear = 1 - Tr(rho_1^2); f_matrix = rho_1 in the sector basis."""
 

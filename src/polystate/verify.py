@@ -15,6 +15,7 @@ import numpy as np
 
 from .group import character_orthogonality_report, root_sum, unit_root
 from .fock import (
+    FockOperator,
     FockVector,
     _class_masses,
     _rotated_copies,
@@ -32,15 +33,15 @@ from .fock import (
 from .cyclic import (
     CyclicSpec,
     EmptyRepresentationError,
-    _cyclic_densities,
-    _density_route_gaps,
     _off_class,
     _superpositions,
     annihilation_irrep_shift,
     circle_limit,
     circle_limit_quadrature_gap,
+    cyclic_density,
     cyclic_erasure,
     cyclic_superposition,
+    density_route_gap,
     dihedral_state,
     normalization_record,
 )
@@ -268,19 +269,20 @@ def suite_density(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_gap = worst_inv = worst_herm = worst_tr = worst_cross = 0.0
     for n in (2, 3, 4):
-        lams = np.arange(1, n + 1)
+        specs = [CyclicSpec(n, lam) for lam in range(1, n + 1)]
         for _ in range(5):
-            # every lam of one rho per pass: the (r, lam, d, d) rotations of
-            # a whole order's stack would take 5.4 MB at n = 4
-            rho = _random_mixed_density(rng)
-            worst_gap = max(worst_gap, float(_density_route_gaps(rho, n, lams).max()))
-            sectors = _cyclic_densities(rho, n, lams)
+            # every lam of one rho per pass, stacked (lam, d, d) for the rows
+            # below: the (r, lam, d, d) rotations of a whole order's stack
+            # would take 5.4 MB at n = 4
+            rho = FockOperator(64, _random_mixed_density(rng))
+            worst_gap = max(worst_gap, *(density_route_gap(rho, spec) for spec in specs))
+            sectors = np.array([cyclic_density(rho, spec).matrix for spec in specs])
             worst_herm = max(worst_herm, float(np.abs(
                 sectors - np.swapaxes(sectors.conj(), -1, -2)).max()))
             worst_tr = max(worst_tr, float(np.abs(
                 np.trace(sectors, axis1=-2, axis2=-1) - 1.0).max()))
             # R_r rho R_r^dag for every group element r at once
-            ph = _rotation_table(n, rho.shape[-1])
+            ph = _rotation_table(n, rho.n_max + 1)
             rotated = ph[:, None, :, None] * sectors
             rotated *= np.conj(ph)[:, None, None, :]
             rotated -= sectors
@@ -323,8 +325,8 @@ def suite_gaussian(seed: int = DEFAULT_SEED):
     quad, _ = _quadrature_rows(base, 64)
     worst_route = float(np.abs(seeds - [q.amplitudes for q in quad]).max())
     # all (seed, theta) pairs: rotated-parameter embeddings against Fock rotations
-    a_t, b_t, _ = _rotated_exponents(np.array([[p.a] for p in base]),
-                                     np.array([[p.b] for p in base]), thetas)
+    a_t, b_t = _rotated_exponents(np.array([[p.a] for p in base]),
+                                  np.array([[p.b] for p in base]), thetas)
     overlaps = np.einsum("sm,tm,stm->st", seeds.conj(), _rotation_phases(thetas, 64).conj(),
                          _embedding_rows(a_t, b_t, 64))
     worst = float((1.0 - np.abs(overlaps) ** 2).max())

@@ -16,6 +16,7 @@ from polystate.fock import (
     coherent,
     from_amplitudes,
     residue_class_masses,
+    vector_from_dict,
     vector_to_dict,
 )
 from polystate.observables import (
@@ -630,6 +631,26 @@ def test_non_boolean_tail_flag_exit(tmp_path, capsys):
     assert "tail_flagged" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n_max, part, message", [
+    (2.7, 0.0, "n_max must be an integer, got 2.7"),
+    (True, 0.0, "n_max must be an integer, got True"),
+    ("2", 0.0, "n_max must be an integer, got '2'"),
+    (2, True, "amplitude part must be a number, got True")])
+def test_non_number_state_file_exit(tmp_path, capsys, n_max, part, message):
+    # int() and complex() would read each; a count is an integer and a part
+    # a number, neither a bool
+    bad = tmp_path / "bad.json"
+    amps = [[1.0, 0.0], [part, 0.0], [0.0, 0.0]]
+    bad.write_text(json.dumps({"n_max": n_max, "amplitudes": amps}))
+    assert run("mandel", "--input", bad) == 3
+    assert message in one_line_error(capsys)
+
+
+def test_vector_from_dict_takes_numpy_integers():
+    data = {"n_max": np.int64(1), "amplitudes": [[np.float64(1.0), 0], [0, 0.0]]}
+    assert vector_from_dict(data).n_max == 1
+
+
 # ---- entangle ----
 
 ENTANGLE_KEYS = {"s_linear", "s_linear_oracle", "difference", "f_matrix"}
@@ -714,6 +735,17 @@ def test_entangle_malformed_spec(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "c": [[1.0, 0.0], [1.0, 0.0]]}))
     assert run("entangle", "--input", bad) == 3
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 2.5, "n must be an integer, got 2.5"),
+    ("c", [[True, 0.0], [1.0, 0.0]], "c part must be a number, got True")])
+def test_entangle_non_number_spec_is_exit_3(tmp_path, capsys, key, value, message):
+    seed, src = coherent(1.0, 8), tmp_path / "spec.json"
+    write_bipartite(src, 2, [1.0, 1.0], seed, seed)
+    src.write_text(json.dumps({**json.loads(src.read_text()), key: value}))
+    assert run("entangle", "--input", src) == 3
+    assert message in one_line_error(capsys)
 
 
 def test_entangle_group_order_below_one_is_exit_3(tmp_path, capsys):

@@ -516,7 +516,7 @@ def test_empty_tol_is_compared_only_in_absent():
     calls_absent = lambda call: getattr(call.func, "id", None) == "_absent"
     assert {fn.name for fn in functions if uses(fn, ast.Compare, reads_tol)} == {"_absent"}
     assert {fn.name for fn in functions if uses(fn, ast.Call, calls_absent)} == {
-        "_superpositions", "_sector_part", "_cyclic_densities", "circle_limit",
+        "_superpositions", "_sector_part", "cyclic_density", "circle_limit",
         "annihilation_irrep_shift"}
     assert cyclic._absent(0.0, 0.0) and not cyclic._absent(1e-300, 1e-277)
 
@@ -653,14 +653,14 @@ def test_density_route_gap_is_the_double_sum(monkeypatch, n, n_max):
     rho = FockOperator(n_max, mixed)
     lam = n // 2 + 1
     literal = _literal_double_sum(rho, CyclicSpec(n, lam))
-    monkeypatch.setattr(cyclic, "_projected_densities", lambda *_: literal)
+    monkeypatch.setattr(cyclic, "_projected_density", lambda *_: literal)
     assert density_route_gap(rho, CyclicSpec(n, lam)) <= 1e-15
     if n > 1:
         # the oracle tells sectors apart: against the class-1 state's own
         # density, sector lam != 1 misses its whole weight
         phi = cyclic_erasure(coherent(1.0, n_max), CyclicSpec(n, 1))
         pure = _pure(phi)
-        monkeypatch.setattr(cyclic, "_projected_densities", lambda *_: pure.matrix)
+        monkeypatch.setattr(cyclic, "_projected_density", lambda *_: pure.matrix)
         assert density_route_gap(pure, CyclicSpec(n, lam)) > 0.5
 
 
@@ -834,48 +834,6 @@ def test_annihilation_n_cycle():
     assert cur == lam
     off = np.abs(state.amplitudes[~sector_mask(state.n_max, n, lam)]).max()
     assert off < 1e-12
-
-
-def _mixed_stack(count, n_max, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, 3, n_max + 1)) + 1j * rng.standard_normal((count, 3, n_max + 1))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    w = rng.random((count, 3))
-    w /= w.sum(axis=1, keepdims=True)
-    return np.einsum("kj,kjm,kjl->kml", w, v, v.conj())
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 16])
-def test_density_stacks_match_one_lam_calls(n):
-    # every lam of a (2, 3) stack of matrices, bit for bit against one
-    # cyclic_density and density_route_gap call per matrix and lam
-    rhos = _mixed_stack(6, 40, n).reshape(2, 3, 41, 41)
-    lams = np.arange(1, n + 1)
-    out = cyclic._cyclic_densities(rhos, n, lams)
-    gaps = cyclic._density_route_gaps(rhos, n, lams)
-    assert out.shape == (2, 3, n, 41, 41) and gaps.shape == (2, 3, n)
-    for idx in np.ndindex(2, 3):
-        rho = FockOperator(40, rhos[idx])
-        for lam in lams:
-            spec = CyclicSpec(n, int(lam))
-            np.testing.assert_array_equal(out[idx][lam - 1], cyclic_density(rho, spec).matrix)
-            assert gaps[idx][lam - 1] == density_route_gap(rho, spec)
-
-
-def test_density_stack_names_its_first_empty_sector():
-    # rho 1 has no weight on class 1 mod 3 (lam = 2), rho 2 none on class 0
-    # (lam = 1): the first in (rho, lam) order is (1, 2), as one call per
-    # rho and lam in that order would raise
-    rhos = _mixed_stack(3, 20, 7)
-    m = np.arange(21)
-    for k, cls in ((1, 1), (2, 0)):
-        off = m % 3 != cls
-        rhos[k] = np.where(off[:, None] & off[None, :], rhos[k], 0)
-    with pytest.raises(EmptyRepresentationError) as stacked:
-        cyclic._cyclic_densities(rhos, 3, [1, 2, 3])
-    with pytest.raises(EmptyRepresentationError) as one:
-        cyclic_density(FockOperator(20, rhos[1]), CyclicSpec(3, 2))
-    assert stacked.value.lam == 2 and str(stacked.value) == str(one.value)
 
 
 def test_superpositions_take_a_lam_per_seed():

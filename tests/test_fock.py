@@ -581,7 +581,7 @@ def test_tail_mass_is_relative_at_any_scale():
 def test_a_vector_keeps_one_ray():
     # the ray is the amplitudes object itself when sum |A_m|^2 is a normal
     # double, else their exact power-of-two rescale; both are read-only, and
-    # equality and repr ignore them
+    # repr ignores them
     st = coherent(1.2 + 0.3j, 16)
     assert st._ray is st.amplitudes and st._total == np.vdot(st._ray, st._ray).real
     assert fock._as_ray(st) is st
@@ -637,6 +637,42 @@ def test_amplitudes_immutable():
     st_ = basis_state(0, 3)
     with pytest.raises(ValueError):
         st_.amplitudes[0] = 5.0
+
+
+def test_a_vector_built_on_a_view_keeps_its_values():
+    # the vector copies the view, so writing its base moves neither the
+    # amplitudes nor the last-slot test and kept ray read from them
+    base = np.zeros((2, 5), dtype=complex)
+    base[0, 0] = 1.0
+    st_ = FockVector(4, base[0])
+    base[0, 4] = 1e3
+    assert st_.tail_mass == 0.0 and not st_.tail_flagged
+    np.testing.assert_array_equal(st_.amplitudes, [1, 0, 0, 0, 0])
+
+
+def _value_type(name):
+    from polystate.observables import BipartiteSpec, WignerGrid
+
+    seed = basis_state(0, 2)
+    return {
+        "amplitudes": (lambda a: FockVector(3, a), np.array([1, 0, 0, 0], complex)),
+        "matrix": (lambda a: FockOperator(1, a), np.eye(2, dtype=complex)),
+        "values": (lambda a: WignerGrid(-1.0, 1.0, -1.0, 1.0, 2, a), np.ones((2, 2))),
+        "c": (lambda a: BipartiteSpec(2, a, seed, seed), np.ones(2, complex)),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["amplitudes", "matrix", "values", "c"])
+def test_value_types_own_their_arrays(name):
+    # each keeps a read-only copy: the caller's array stays writable, writing
+    # it changes nothing held, and equality is identity, not an array compare
+    make, arr = _value_type(name)
+    obj, twin = make(arr), make(arr)
+    held = getattr(obj, name)
+    assert held is not arr and not held.flags.writeable and arr.flags.writeable
+    arr[...] = 7.0
+    assert not (held == 7.0).any()
+    assert obj == obj and obj != twin
 
 
 def test_default_truncation_is_64():

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -126,6 +128,16 @@ def test_rotate_params_composition():
     assert once.b == pytest.approx(direct.b, abs=1e-12)
 
 
+def test_rotate_params_takes_a_tiny_denominator():
+    # a = 1e-15 at a quarter turn: cos t + 2ia sin t is about 2e-15, yet
+    # a(t) ~ 1/(4a) and b(t) are finite, and turning back gives the seed
+    p = GaussianParams(1e-15, 1.0)
+    out = rotate_params(p, np.pi / 2)
+    assert out.a == pytest.approx(0.25e15, rel=0.05) and cmath.isfinite(out.b)
+    back = rotate_params(out, -np.pi / 2)
+    assert back.a == pytest.approx(p.a, rel=1e-12) and back.b == pytest.approx(p.b, rel=1e-12)
+
+
 # ---- Fock embedding ----
 
 def test_embedding_vacuum():
@@ -227,7 +239,7 @@ def test_rotated_exponents_match_rotate_params():
     a = rng.uniform(0.05, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
     b = rng.uniform(-4.0, 4.0, 40) + 1j * rng.uniform(-4.0, 4.0, 40)
     thetas = np.concatenate([2.0 * np.pi * np.arange(1, 8) / 8, rng.uniform(-9.0, 9.0, 9)])
-    a_t, b_t, _ = _rotated_exponents(a[:, None], b[:, None], thetas)
+    a_t, b_t = _rotated_exponents(a[:, None], b[:, None], thetas)
     for i, j in np.ndindex(a_t.shape):
         turned = rotate_params(GaussianParams(a[i], b[i]), thetas[j])
         assert (turned.a, turned.b) == (a_t[i, j], b_t[i, j])

@@ -711,6 +711,29 @@ def test_e12_fields_leave_half_way_mantissas_to_python(monkeypatch):
     assert f"{1.2345678901235:.12e}" == "1.234567890123e+00"
 
 
+def test_e12_fields_leave_decade_edges_to_python(monkeypatch):
+    # just below a power of ten, 10^k (1 - c 1e-14) prints as 1.000000000000e+k:
+    # its m is just below 1e12 or rounds up to 1e13, so Python formats it;
+    # the ulps around each power, on either side, print as Python's too
+    seen = []
+    python_fields = observables._python_fields
+
+    def spy(values, end):
+        seen.extend(values.tolist())
+        return python_fields(values, end)
+
+    monkeypatch.setattr(observables, "_python_fields", spy)
+    powers = 10.0 ** np.arange(-289, 290)
+    edges = np.outer(powers, 1 - 1e-14 * np.array([0.5, 1.0, 2.0, 3.0, 4.0])).ravel()
+    ulps = np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)])
+    for sign in (1.0, -1.0):
+        v = sign * np.concatenate([edges, ulps])
+        assert _e12_text(v) == _python_text(v.tolist())
+        assert set((sign * edges).tolist()) <= set(seen)
+        assert all(f"{x:.12e}".startswith(("1.000000000000e", "-1.000000000000e"))
+                   for x in edges.tolist())
+
+
 def test_wigner_csv_special_values():
     # zeros, subnormals, huge, non-finite and out-of-range values all go
     # through Python's formatter; exponents of 2 and 3 digits on the axes
