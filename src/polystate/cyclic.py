@@ -273,7 +273,8 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
     tr = np.trace(projected).real
     if _absent(tr, np.trace(rho.matrix).real):
         raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(rho.matrix).real)
-    return FockOperator(rho.n_max, projected / tr)
+    projected /= tr  # in place: FockOperator makes the one copy
+    return FockOperator(rho.n_max, projected)
 
 
 def _circle_average(phi: FockVector, lam: int) -> np.ndarray:

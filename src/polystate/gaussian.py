@@ -105,12 +105,18 @@ class GaussianMoments:
     """First and second quadrature moments.
 
     covariance is the symmetrized 2x2 matrix in (p, x) component order:
-    [0,0] = Var p, [1,1] = Var x, off-diagonal = Cov(p, x).
+    [0,0] = Var p, [1,1] = Var x, off-diagonal = Cov(p, x); a read-only
+    copy of the array passed in. Equality is identity.
     """
 
     mean_x: float
     mean_p: float
     covariance: np.ndarray
+
+    def __post_init__(self):
+        cov = np.array(self.covariance, dtype=float)
+        cov.setflags(write=False)
+        object.__setattr__(self, "covariance", cov)
 
 
 def _log_prefactor(a: complex, b: complex) -> complex:

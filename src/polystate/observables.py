@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, _as_ray, _ray_scale, _rotated_copies, residue_class_masses
-from .cyclic import EmptyRepresentationError
 from .gaussian import (_hermite_reach, _hermite_rows, _trapezoid_weights, fock_wavefunction,
                        hermite_functions)
 from .group import unit_root
@@ -81,8 +80,6 @@ _CSV_BLOCK = 2 ** 13
 _ROUND_MARGIN = 0.005
 # Most entries of linear_entropy_oracle's joint amplitude matrix.
 _ORACLE_BUDGET = 2 ** 24
-# Entries of joint amplitude matrices per block of _oracle_entropies' stack.
-_ORACLE_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,29 +525,26 @@ def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndar
 def _reconstructions(states: np.ndarray, n_lambda: np.ndarray, n: int, r) -> np.ndarray:
     """Invert the symmetry adaptation: R(theta_r)|phi> for every element
     index in the 1-D r, from a stack of families: the superposition route's
-    unit states (..., L, d) with their records' n_lambda (..., L). Returns
-    (..., r.size, d), one weight product mu_n^((1-r)(lam-1)) / (n n_lambda)
-    with the states per family. Each state's lam is read off its support; a
-    family without all n sectors raises EmptyRepresentationError naming the
-    first such family (its C-order index in the stack) and its first missing
-    lam. The error carries no masses: the seed is not among the inputs."""
-    lam = np.argmax(np.abs(states), axis=-1) % n + 1
-    seen = (lam[..., None] == np.arange(1, n + 1)).any(axis=-2)
-    if not seen.all():
-        family, missing = divmod(int(np.argmax(~seen)), n)
-        raise EmptyRepresentationError(n, missing + 1, None, (
-            f"reconstruction needs every sector: family {family} has no "
-            f"state in the (n={n}, lam={missing + 1}) sector"))
-    k = (1 - np.asarray(r))[:, None] * (lam - 1)[..., None, :]
+    unit states (..., n, d) for lam = 1..n in order, with their records'
+    n_lambda (..., n), as _superpositions(amps, n, range(1, n + 1)) returns
+    them. Returns (..., r.size, d), one weight product
+    mu_n^((1-r)(lam-1)) / (n n_lambda) with the states per family."""
+    k = np.multiply.outer(1 - np.asarray(r), np.arange(n))
     return (unit_root(k, n) / (n * n_lambda[..., None, :])) @ states
 
 
 @dataclass(frozen=True, eq=False)
 class EntanglementResult:
-    """s_linear = 1 - Tr(rho_1^2); f_matrix = rho_1 in the sector basis."""
+    """s_linear = 1 - Tr(rho_1^2); f_matrix = rho_1 in the sector basis, a
+    read-only copy of the array passed in. Equality is identity."""
 
     s_linear: float
     f_matrix: np.ndarray
+
+    def __post_init__(self):
+        f = np.array(self.f_matrix, dtype=complex)
+        f.setflags(write=False)
+        object.__setattr__(self, "f_matrix", f)
 
 
 def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
@@ -607,33 +601,16 @@ def linear_entropy_oracle(spec: BipartiteSpec) -> float:
     """Dense two-mode computation of the same quantity, for cross-checks.
 
     Builds the full (n_max+1)^2 joint amplitude matrix T = a^T diag(c) b
-    from the rotated copies, so it refuses inputs whose T would exceed
-    _ORACLE_BUDGET entries. Only verify (the entangle suite) and the tests
-    call it; the CLI cross-checks with linear_entropy_gram. This is the
-    one-spec call of _oracle_entropies.
+    from the rotated copies a, b and returns 1 - sum |T T^dag|^2, so it
+    refuses (MemoryGuardError) inputs whose T would exceed _ORACLE_BUDGET
+    entries. Only verify (the entangle suite, one call per spec) and the
+    tests call it; the CLI cross-checks with linear_entropy_gram.
     """
-    return float(_oracle_entropies(spec.c, spec.seed_1.amplitudes, spec.seed_2.amplitudes))
-
-
-def _oracle_entropies(c: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """linear_entropy_oracle of a stack of specs given as in _gram_entropies:
-    (...). The joint matrices T and rho_1 are formed over blocks of about
-    _ORACLE_BLOCK entries of T, so a stack holds no more at once; each
-    spec's products are its one-spec call's. MemoryGuardError when one
-    spec's T would exceed _ORACLE_BUDGET entries."""
-    n, d1, d2 = c.shape[-1], a1.shape[-1], a2.shape[-1]
-    if d1 * d2 > _ORACLE_BUDGET:
+    n, a1, a2 = spec.n, spec.seed_1.amplitudes, spec.seed_2.amplitudes
+    if a1.size * a2.size > _ORACLE_BUDGET:
         raise MemoryGuardError(
-            f"joint amplitude matrix needs {d1 * d2} entries, "
+            f"joint amplitude matrix needs {a1.size * a2.size} entries, "
             f"budget is {_ORACLE_BUDGET}")
-    lead = c.shape[:-1]
-    c, a1, a2 = c.reshape(-1, n), a1.reshape(-1, d1), a2.reshape(-1, d2)
-    out = np.empty(c.shape[0])
-    step = max(1, _ORACLE_BLOCK // (d1 * d2))
-    for i in range(0, out.size, step):
-        blk = slice(i, i + step)
-        a = _rotated_copies(a1[blk], n)
-        t = (np.swapaxes(a, -1, -2) * c[blk, None, :]) @ _rotated_copies(a2[blk], n)
-        # Tr rho^2 = sum |rho|^2, rho Hermitian
-        out[blk] = 1.0 - _sum_sq(t @ np.swapaxes(t.conj(), -1, -2))
-    return out.reshape(lead)
+    t = (_rotated_copies(a1, n).T * spec.c) @ _rotated_copies(a2, n)
+    # Tr rho^2 = sum |rho|^2, rho Hermitian
+    return float(1.0 - _sum_sq(t @ t.conj().T))

@@ -63,7 +63,6 @@ from .observables import (
     _fano,
     _gram_entropies,
     _linear_entropies,
-    _oracle_entropies,
     _reconstructions,
     _sector_matrix,
     _unit_coefficients,
@@ -466,14 +465,17 @@ def suite_entangle(seed: int = DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     worst_pair = worst_gram = worst_bound = 0.0
     for n in (2, 3, 4):
-        # 50 specs drawn in turn, then each route over the whole stack
+        # 50 specs drawn in turn, then each stacked route over the whole stack
+        # and the dense oracle once per spec
         draws = [(rng.standard_normal(n) + 1j * rng.standard_normal(n),
                   _random_amplitudes(rng), _random_amplitudes(rng)) for _ in range(50)]
         c, a1, a2 = (np.array(rows) for rows in zip(*draws))
         w1, w2 = _class_masses(a1, n), _class_masses(a2, n)
         c = _unit_coefficients(c, w1, w2)
         dec, _ = _linear_entropies(_sector_matrix(c, w1, w2))
-        orc = _oracle_entropies(c, a1, a2)
+        orc = np.array([linear_entropy_oracle(BipartiteSpec(
+            n, c_k, from_amplitudes(a1_k), from_amplitudes(a2_k)))
+            for c_k, a1_k, a2_k in zip(c, a1, a2)])
         worst_pair = max(worst_pair, float(np.abs(dec - orc).max()))
         worst_gram = max(worst_gram, float(np.abs(_gram_entropies(c, a1, a2) - orc).max()))
         worst_bound = max(worst_bound, float(dec.max()) - (1.0 - 1.0 / n),

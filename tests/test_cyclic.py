@@ -250,21 +250,23 @@ def test_superposition_stack_names_its_first_failing_row():
 def test_verify_families_take_one_product_each(monkeypatch):
     # the orthonormality, rotation and inverse suites build the families of
     # each group order's whole seed stack by one _superpositions call, never by
-    # one call per seed or one cyclic_superposition per lam
+    # one call per seed or one cyclic_superposition per lam; the inverse suite
+    # asks for lam = 1..n in order, which _reconstructions relies on
     import polystate.verify as verify
 
     calls = []
 
     def counted(amps, n, lams):
-        calls.append((amps.shape, n))
+        calls.append((amps.shape, n, list(lams)))
         return cyclic._superpositions(amps, n, lams)
 
     monkeypatch.setattr(verify, "_superpositions", counted)
     monkeypatch.setattr(verify, "cyclic_superposition", None)
     rows = verify.suite_orthonormality() + verify.suite_rotation() + verify.suite_inverse()
     assert all(r.passed for r in rows)
-    assert calls == 2 * [((50, 65), n) for n in (2, 3, 5, 8)] + [
+    assert [call[:2] for call in calls] == 2 * [((50, 65), n) for n in (2, 3, 5, 8)] + [
         ((20, 65), n) for n in range(2, 7)]
+    assert [call[2] for call in calls[-5:]] == [list(range(1, n + 1)) for n in range(2, 7)]
 
 
 def test_rotation_rows_fail_on_broken_states(monkeypatch):

@@ -651,7 +651,8 @@ def test_a_vector_built_on_a_view_keeps_its_values():
 
 
 def _value_type(name):
-    from polystate.observables import BipartiteSpec, WignerGrid
+    from polystate.gaussian import GaussianMoments
+    from polystate.observables import BipartiteSpec, EntanglementResult, WignerGrid
 
     seed = basis_state(0, 2)
     return {
@@ -659,10 +660,13 @@ def _value_type(name):
         "matrix": (lambda a: FockOperator(1, a), np.eye(2, dtype=complex)),
         "values": (lambda a: WignerGrid(-1.0, 1.0, -1.0, 1.0, 2, a), np.ones((2, 2))),
         "c": (lambda a: BipartiteSpec(2, a, seed, seed), np.ones(2, complex)),
+        "f_matrix": (lambda a: EntanglementResult(0.0, a), np.eye(2, dtype=complex)),
+        "covariance": (lambda a: GaussianMoments(0.0, 0.0, a), 0.5 * np.eye(2)),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["amplitudes", "matrix", "values", "c"])
+@pytest.mark.parametrize("name", ["amplitudes", "matrix", "values", "c", "f_matrix",
+                                  "covariance"])
 def test_value_types_own_their_arrays(name):
     # each keeps a read-only copy: the caller's array stays writable, writing
     # it changes nothing held, and equality is identity, not an array compare

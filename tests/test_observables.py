@@ -5,13 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from polystate.cyclic import (
-    CyclicSpec,
-    EmptyRepresentationError,
-    _superpositions,
-    cyclic_set,
-    cyclic_superposition,
-)
+from polystate.cyclic import CyclicSpec, _superpositions, cyclic_superposition
 import polystate.fock as fock
 import polystate.observables as observables
 from polystate.cli import main
@@ -998,27 +992,6 @@ def test_reconstruct_stack_matches_one_r_calls():
             np.testing.assert_allclose(rows, _rotated_copies(seed, n), rtol=0, atol=1e-14)
 
 
-def test_reconstruct_missing_sector():
-    pairs = cyclic_set(basis_state(0, 8), 3)  # only lam = 1 survives
-    with pytest.raises(EmptyRepresentationError):
-        _reconstructions(*_family(pairs), 3, [1])
-
-
-def test_reconstruct_missing_sector_names_family_and_lam():
-    # the error names the stack's first incomplete family and its missing lam,
-    # and reports no residue-class masses: the seed is not among the inputs
-    # (coherent(1.0) has weight in every class)
-    seed = coherent(1.0, 32)
-    full = _family([cyclic_superposition(seed, CyclicSpec(3, lam)) for lam in (1, 2, 3)])
-    gap = _family([cyclic_superposition(seed, CyclicSpec(3, lam)) for lam in (1, 3, 3)])
-    with pytest.raises(EmptyRepresentationError) as exc:
-        _reconstructions(*(np.array([f, g]) for f, g in zip(full, gap)), 3, [1])
-    assert exc.value.masses is None
-    assert (exc.value.n, exc.value.lam) == (3, 2)
-    assert str(exc.value) == ("reconstruction needs every sector: family 1 has no "
-                              "state in the (n=3, lam=2) sector")
-
-
 # ---- linear entropy ----
 
 def hankel_sum(spec):
@@ -1166,22 +1139,11 @@ def test_entropy_stacks_match_one_spec_calls(n):
     assert g.shape == (12, n, n)
     s_linear, f = observables._linear_entropies(g)
     gram = observables._gram_entropies(unit, a1, a2)
-    oracle = observables._oracle_entropies(unit, a1, a2)
     for k, spec in enumerate(normed):
         one = linear_entropy(spec)
         assert s_linear[k] == one.s_linear
         np.testing.assert_array_equal(f[k], one.f_matrix)
         assert gram[k] == linear_entropy_gram(spec)
-        assert oracle[k] == linear_entropy_oracle(spec)
-
-
-def test_oracle_stack_blocks_keep_each_spec(monkeypatch):
-    # blocks of one, two and all specs give the same floats
-    _, c, a1, a2 = _spec_stack(3, count=7)
-    whole = observables._oracle_entropies(c, a1, a2)
-    for block in (33 * 41, 2 * 33 * 41):
-        monkeypatch.setattr(observables, "_ORACLE_BLOCK", block)
-        np.testing.assert_array_equal(observables._oracle_entropies(c, a1, a2), whole)
 
 
 def test_entropy_stacks_raise_as_the_first_failing_spec():
@@ -1204,10 +1166,8 @@ def test_entropy_stacks_raise_as_the_first_failing_spec():
         observables._linear_entropies(observables._sector_matrix(scaled, w1, w2))
     assert str(stacked.value) == str(one.value)
     assert "sector mass 4.000000" in str(one.value)
-    # a joint matrix over budget: the stack refuses before forming any block
-    with pytest.raises(MemoryGuardError) as stacked:
-        observables._oracle_entropies(c, np.zeros((5, 5000)), np.zeros((5, 4000)))
+    # a joint matrix over budget: the oracle refuses before forming it
     big = BipartiteSpec(3, c[0], from_amplitudes(np.ones(5000)), from_amplitudes(np.ones(4000)))
     with pytest.raises(MemoryGuardError) as one:
         linear_entropy_oracle(big)
-    assert str(stacked.value) == str(one.value)
+    assert str(one.value) == "joint amplitude matrix needs 20000000 entries, budget is 16777216"
