@@ -11,7 +11,8 @@ path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
 over density matrices (density_route_gap). Both take their rotation phases
 from fock's one C_n phase table (fock._rotation_table). Every route reads the
-seed as its kept ray (FockVector._ray), so no state depends on its scale.
+seed as its kept ray (FockVector._ray), and cyclic_density reads rho as its
+kept ray (FockOperator._ray), so no result depends on its input's scale.
 
 Phase convention. The raw superposition sum_r chi^(lam)(g_r) R(theta_r)|phi>
 has m-amplitude n A_m on the residue class and zero elsewhere, so it is a
@@ -266,13 +267,16 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
 
     P rho P equals the double character sum
     (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
-    entrywise; density_route_gap measures that agreement. An _absent tr P rho P
-    (against tr rho) raises EmptyRepresentationError with rho's diagonal.
+    entrywise; density_route_gap measures that agreement. rho is read as its
+    kept ray (FockOperator._ray), so the result is the same at any scale. An
+    _absent tr P rho P (against tr rho) raises EmptyRepresentationError with
+    the ray's diagonal.
     """
-    projected = _projected_density(rho.matrix, spec.n, spec.lam)
+    ray = rho._ray
+    projected = _projected_density(ray, spec.n, spec.lam)
     tr = np.trace(projected).real
-    if _absent(tr, np.trace(rho.matrix).real):
-        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(rho.matrix).real)
+    if _absent(tr, np.trace(ray).real):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(ray).real)
     projected /= tr  # in place: FockOperator makes the one copy
     return FockOperator(rho.n_max, projected)
 

@@ -98,20 +98,31 @@ class FockVector:
 @dataclass(frozen=True, eq=False)
 class FockOperator:
     """Operator on the truncated space; matrix is (n_max+1) x (n_max+1), a
-    read-only copy of the array passed in. Equality is identity."""
+    read-only copy of the array passed in. Equality is identity.
+
+    _ray and _total, kept from _ray_scale as in FockVector, are the matrix
+    read as a ray and its sum |rho_ij|^2: the matrix object itself when that
+    sum is a normal double. Scale-free routes (cyclic_density) read _ray.
+    """
 
     n_max: int
     matrix: np.ndarray
+    _ray: np.ndarray = field(init=False, repr=False)
+    _total: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         d = self.n_max + 1
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {mat.shape}")
-        if not np.isfinite(mat).all():
+        ray, total = _ray_scale(mat)
+        if not math.isfinite(total):  # finite exactly when every entry is
             raise ValueError("matrix entries must be finite")
         mat.setflags(write=False)
+        ray.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_ray", ray)
+        object.__setattr__(self, "_total", total)
 
 
 @dataclass(frozen=True)

@@ -512,10 +512,12 @@ def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
 
 def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """bipartite_normalize's coefficients for a stack of specs, given as in
-    _sector_matrix: (..., n). Each row of c is read as a ray, then divided
-    by ||Psi|| = sqrt(sum |G|^2): the sector states of distinct lam are
-    orthonormal. ValueError if any spec has zero norm."""
-    c = np.array([_ray_scale(row)[0] for row in c.reshape(-1, c.shape[-1])]).reshape(c.shape)
+    _sector_matrix: (..., n). Each row of c is read as a ray, times the exact
+    power of two that brings its largest real or imaginary part into
+    [1/2, 1), then divided by ||Psi|| = sqrt(sum |G|^2): the sector states of
+    distinct lam are orthonormal. ValueError if any spec has zero norm."""
+    parts = np.ascontiguousarray(c).view(float)
+    c = np.ldexp(parts, -np.frexp(np.abs(parts).max(-1, keepdims=True))[1]).view(complex)
     nsq = _sum_sq(_sector_matrix(c, w1, w2))
     if (nsq <= 0).any():
         raise ValueError("two-mode state has zero norm; coefficients degenerate")

@@ -25,6 +25,7 @@ from polystate.observables import (
     linear_entropy,
     linear_entropy_gram,
 )
+from polystate.verify import SUITES, format_report, run_suites
 
 INV_PI = 1.0 / np.pi
 
@@ -870,6 +871,13 @@ def test_build_and_circle_limit_output_bytes(tmp_path):
     payload = vector_to_dict(cyclic_erasure(coherent(3.0, 4096), CyclicSpec(3, 1)))
     payload["metadata"] = json.loads(out.read_text())["metadata"]
     assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+    # at n_max 200000 the writer still keeps json's layout: float repr
+    # round-trips, so re-encoding the file gives its bytes back
+    assert run("build", "--coherent", 3, 0, "--order", 3, "--irrep", 1, "--n-max", 200_000,
+               "--output", out) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    assert len(data["amplitudes"]) == 200_001 and text == json.dumps(data, indent=2) + "\n"
     assert run("circle-limit", "--coherent", 1, 0.5, "--irrep", 3, "--n-max", 16,
                "--output", out) == 0
     payload = vector_to_dict(circle_limit(coherent(1 + 0.5j, 16), 3))
@@ -894,13 +902,23 @@ def test_verify_erasure_suite(tmp_path):
     assert "FAIL" not in out.read_text()
 
 
-def test_verify_all_suites(tmp_path):
+def test_verify_all_suites(tmp_path, monkeypatch):
+    # the CLI's full report is byte for byte the report of each suite run
+    # alone, and its rows are theirs as CheckRows: no row depends on which
+    # suites ran, as the benchmark runs one suite per operation
+    full = []
+
+    def recorded(*args, **kwargs):
+        full[:] = run_suites(*args, **kwargs)
+        return full
+
+    monkeypatch.setattr(cli, "run_suites", recorded)
     out = tmp_path / "report.txt"
-    assert run("verify", "--output", out) == 0
-    text = out.read_text()
-    for suite in ("characters", "erasure", "gaussian", "wigner", "coherent"):
-        assert suite in text
-    assert "FAIL" not in text
+    assert run("verify", "--no-timestamp", "--output", out) == 0
+    each = [row for suite in SUITES for row in run_suites([suite])]
+    assert each == full and {row.suite for row in each} == set(SUITES)
+    assert out.read_text() == format_report(each, timestamp=False)
+    assert run("verify", "--no-timestamp", "--seed", 2026, "--output", out) == 0
 
 
 def test_verify_deterministic_output(tmp_path):

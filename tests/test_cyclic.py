@@ -1,5 +1,3 @@
-import ast
-import inspect
 import json
 import tracemalloc
 
@@ -505,21 +503,8 @@ def test_near_empty_sector_routes_agree():
             assert _verdict(lambda: cyclic_superposition(phi, spec)) == "empty"
 
 
-def test_empty_tol_is_compared_only_in_absent():
-    # every route decides presence through _absent, the one comparison
-    # against _EMPTY_TOL; no route keeps an absolute threshold of its own
-    functions = [node for node in ast.walk(ast.parse(inspect.getsource(cyclic)))
-                 if isinstance(node, ast.FunctionDef)]
-
-    def uses(fn, kind, test):
-        return any(isinstance(node, kind) and test(node) for node in ast.walk(fn))
-
-    reads_tol = lambda cmp: any(getattr(n, "id", None) == "_EMPTY_TOL" for n in ast.walk(cmp))
-    calls_absent = lambda call: getattr(call.func, "id", None) == "_absent"
-    assert {fn.name for fn in functions if uses(fn, ast.Compare, reads_tol)} == {"_absent"}
-    assert {fn.name for fn in functions if uses(fn, ast.Call, calls_absent)} == {
-        "_superpositions", "_sector_part", "cyclic_density", "circle_limit",
-        "annihilation_irrep_shift"}
+def test_absent_is_relative_to_the_total():
+    # a zero seed's class is absent; a tiny seed's whole mass is not
     assert cyclic._absent(0.0, 0.0) and not cyclic._absent(1e-300, 1e-277)
 
 
@@ -676,6 +661,26 @@ def test_density_empty_sector_reports_class_masses():
     with pytest.raises(EmptyRepresentationError) as exc:
         cyclic_density(_pure(basis_state(0, 6)), CyclicSpec(2, 2))
     np.testing.assert_array_equal(exc.value.masses, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_density_reads_a_ray(lam):
+    # rho = 1e307 v v^dag (|v_m| = 1, d = 40) is finite, and its sector is the
+    # unit-scale one's (tr rho once overflowed to a false empty sector); an
+    # exact power of two, with sum |rho_ij|^2 below, inside or past the normal
+    # range, gives the same bytes, and a unit-scale rho keeps P rho P / tr's bits
+    v = np.exp(1j * np.random.default_rng(40).uniform(0.0, 2 * np.pi, 40))
+    unit = np.outer(v, v.conj())
+    spec = CyclicSpec(2, lam)
+    want = cyclic_density(FockOperator(39, unit), spec).matrix
+    mask = sector_mask(39, 2, lam)
+    projected = np.where(np.outer(mask, mask), unit, 0)
+    np.testing.assert_array_equal(want, projected / np.trace(projected).real)
+    got = cyclic_density(FockOperator(39, 1e307 * unit), spec).matrix
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    for k in (-600, -3, 700):
+        scaled = cyclic_density(FockOperator(39, np.ldexp(1.0, k) * unit), spec)
+        assert scaled.matrix.tobytes() == want.tobytes()
 
 
 # ---- circle limit ----

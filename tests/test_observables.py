@@ -128,13 +128,25 @@ def test_wigner_matches_laguerre_double_sum(n_max, points):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_max", [300, 600])
-def test_wigner_coherent_large_n_max(n_max):
-    # the input that gave 120 NaN values at n_max 300 under the old kernel
-    grid = wigner(coherent(5.0, n_max), (-6.0, 6.0), points_per_axis=61)
-    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
-    assert np.isfinite(grid.values).all()
-    np.testing.assert_allclose(grid.values, coherent_sum_wigner([1.0], [5.0], x, p),
+@pytest.mark.parametrize("alpha, n_max, x_min, points", [
+    (5.0, 300, -6.0, 61), (5.0, 600, -6.0, 61),
+    # support m* = 42: K = 85 < 201 x, the Gauss rows
+    (1.5 + 0.5j, 1024, -6.0, 201),
+    # support m* = 302: K = 605 > 201 x, the rows at x
+    (11.5, 400, 10.26, 201)], ids=["300", "600", "1024", "400"])
+def test_wigner_coherent_large_n_max(tmp_path, alpha, n_max, x_min, points):
+    # through the CLI, every written value is the closed form's; coherent(5)
+    # at n_max 300 gave 120 NaN values under the old kernel
+    state_path, csv_path = tmp_path / "state.json", tmp_path / "w.csv"
+    argv = ["build", "--coherent", alpha.real, alpha.imag, "--order", 1, "--irrep", 1,
+            "--n-max", n_max, "--output", state_path]
+    assert main([str(a) for a in argv]) == 0
+    argv = ["wigner", "--input", state_path, "--points", points,
+            f"--x-min={x_min}", f"--x-max={x_min + 12.0}", "--output", csv_path]
+    assert main([str(a) for a in argv]) == 0
+    x, p, w = np.loadtxt(csv_path, delimiter=",", skiprows=1, unpack=True)
+    assert w.size == points ** 2
+    np.testing.assert_allclose(w, coherent_sum_wigner([1.0], [alpha], x, p),
                                rtol=0, atol=1e-10)
 
 
@@ -751,6 +763,7 @@ def test_wigner_csv_blocks_agree(monkeypatch):
 
 @pytest.mark.parametrize("seed", [
     ["--coherent", 1.7, 0.9, "--order", 2, "--irrep", 1],
+    ["--coherent", 1.7, 0.9, "--order", 3, "--irrep", 2],
     ["--coherent", -1.2, 1.6, "--order", 3, "--irrep", 2, "--method", "superposition"],
     ["--coherent", 0.3, -2.2, "--order", 4, "--irrep", 4],
     ["--coherent", 2.0, 0.4, "--order", 5, "--irrep", 3, "--method", "superposition"],
@@ -760,7 +773,7 @@ def test_wigner_csv_blocks_agree(monkeypatch):
     ["--gaussian", 0.7, -0.1, -0.6, 1.3, "--order", 4, "--irrep", 2,
      "--method", "superposition", "--n-max", 128],
     ["--coherent", 1.6, 0.8, "--group", "D", "--order", 3, "--irrep", 2],
-], ids=["C2", "C3", "C4", "C5", "C6", "gauss-C3", "gauss-C4-128", "D3"])
+], ids=["C2", "C3-erasure", "C3", "C4", "C5", "C6", "gauss-C3", "gauss-C4-128", "D3"])
 def test_wigner_cli_grid_matches_template(tmp_path, seed):
     # the 201 x 201 grids of the phase-space benchmark round, written by the
     # CLI, byte for byte the per-point template of the same grid
@@ -1144,6 +1157,11 @@ def test_entropy_stacks_match_one_spec_calls(n):
         assert s_linear[k] == one.s_linear
         np.testing.assert_array_equal(f[k], one.f_matrix)
         assert gram[k] == linear_entropy_gram(spec)
+    # rows scaled by 1e200 and 1e-200 are read as rays: each gives its unit row's S_L
+    huge_tiny = observables._unit_coefficients(c * np.resize([1e200, 1e-200], (12, 1)), w1, w2)
+    np.testing.assert_allclose(
+        observables._linear_entropies(observables._sector_matrix(huge_tiny, w1, w2))[0],
+        s_linear, rtol=0, atol=1e-15)
 
 
 def test_entropy_stacks_raise_as_the_first_failing_spec():
