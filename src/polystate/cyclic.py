@@ -10,9 +10,9 @@ are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
 over density matrices (density_route_gap). Both take their rotation phases
-from fock's one C_n phase table (fock._rotation_table). Every route reads the
-seed as its kept ray (FockVector._ray), and cyclic_density reads rho as its
-kept ray (FockOperator._ray), so no result depends on its input's scale.
+from fock's one C_n phase table (fock._rotation_table). A FockVector or
+FockOperator holds its input's ray (fock._ray_scale), so no result depends
+on its input's scale.
 
 Phase convention. The raw superposition sum_r chi^(lam)(g_r) R(theta_r)|phi>
 has m-amplitude n A_m on the residue class and zero elsewhere, so it is a
@@ -34,7 +34,6 @@ import numpy as np
 from .fock import (
     FockVector,
     FockOperator,
-    _as_ray,
     _class_sums,
     _rotated_copies,
     _rotation_table,
@@ -131,10 +130,9 @@ def cyclic_superposition(phi: FockVector, spec: CyclicSpec
     phases are exactly reduced roots of unity, so the off-class terms
     cancel to about eps times the off-class amplitudes over sqrt(w_lam):
     sectors far lighter than the seed's other classes can still trip the
-    check. The seed is read as its kept ray (FockVector._ray), as
-    _sector_part reads it. This is the one-seed, one-lam call of _superpositions.
+    check. This is the one-seed, one-lam call of _superpositions.
     """
-    states, raw_norm, n_lambda = _superpositions(phi._ray, spec.n, [spec.lam])
+    states, raw_norm, n_lambda = _superpositions(phi.amplitudes, spec.n, [spec.lam])
     return (FockVector(phi.n_max, states[0], phi.tail_flagged),
             NormalizationRecord(raw_norm=float(raw_norm[0]), n_lambda=complex(n_lambda[0])))
 
@@ -188,8 +186,8 @@ def _leakage_error(off: float, n: int, lam: int, route: str) -> AssertionError:
 def _sector_part(phi: FockVector, spec: CyclicSpec, variant: str = ""
                  ) -> tuple[np.ndarray, float]:
     """The seed's amplitudes (a dihedral variant's Re A_m or i Im A_m) on the
-    sector's class, and their norm, on the seed's kept ray; raises if _absent."""
-    seed, total = phi._ray, phi._total
+    sector's class, and their norm; raises if _absent."""
+    seed, total = phi.amplitudes, phi._total
     amps = seed.real if variant == "sum" else 1j * seed.imag if variant else seed
     part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
     mass = part.real.dot(part.real) + part.imag.dot(part.imag)  # np.linalg.norm's sum
@@ -267,16 +265,15 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
 
     P rho P equals the double character sum
     (1/n^2) sum_{r,r'} chi_r chi_{r'}^* R_r rho R_{r'}^dag = P_chi rho P_chi^dag
-    entrywise; density_route_gap measures that agreement. rho is read as its
-    kept ray (FockOperator._ray), so the result is the same at any scale. An
-    _absent tr P rho P (against tr rho) raises EmptyRepresentationError with
-    the ray's diagonal.
+    entrywise; density_route_gap measures that agreement. rho holds its ray,
+    so the result is the same at any scale. An _absent tr P rho P (against
+    tr rho) raises EmptyRepresentationError with rho's diagonal.
     """
-    ray = rho._ray
-    projected = _projected_density(ray, spec.n, spec.lam)
+    mat = rho.matrix
+    projected = _projected_density(mat, spec.n, spec.lam)
     tr = np.trace(projected).real
-    if _absent(tr, np.trace(ray).real):
-        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(ray).real)
+    if _absent(tr, np.trace(mat).real):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(mat).real)
     projected /= tr  # in place: FockOperator makes the one copy
     return FockOperator(rho.n_max, projected)
 
@@ -288,11 +285,11 @@ def _circle_average(phi: FockVector, lam: int) -> np.ndarray:
     rule integrates the trigonometric-polynomial integrand exactly. The rule
     weighs A_m by (1/N) sum_j e^{i theta_j (lam - 1 - m)}, the inverse FFT of
     the N uniform angle weights at index lam - 1 - m (mod N), so it needs
-    O(n_max) memory at any truncation. phi is read as its kept ray.
+    O(n_max) memory at any truncation.
     """
     npts = 2 * (phi.n_max + 1)
     m = np.arange(phi.n_max + 1)
-    return np.fft.ifft(np.ones(npts))[(lam - 1 - m) % npts] * phi._ray
+    return np.fft.ifft(np.ones(npts))[(lam - 1 - m) % npts] * phi.amplitudes
 
 
 def circle_limit_quadrature_gap(phi: FockVector, lam: int) -> float:
@@ -315,7 +312,7 @@ def circle_limit(phi: FockVector, lam: int) -> FockVector:
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> lies beyond the truncation: "
             f"lam - 1 = {lam - 1} > n_max = {phi.n_max}"))
-    a, total = phi._ray[lam - 1], phi._total
+    a, total = phi.amplitudes[lam - 1], phi._total
     if _absent(abs(a) ** 2, total):
         raise EmptyRepresentationError(0, lam, None, (
             f"circle limit |{lam - 1}> is empty: seed mass |A_{lam - 1}|^2 = "
@@ -349,14 +346,12 @@ def annihilation_irrep_shift(psi: FockVector, spec: CyclicSpec
                              ) -> tuple[FockVector, int]:
     """a|psi^(lam)> lands in the lam - 1 sector (wrapping lam = 1 to n).
 
-    Returns the normalized annihilated state and its new irrep label. psi is
-    read as its kept ray (fock._as_ray). An _absent ||a psi||^2 (against
-    ||psi||^2) raises EmptyRepresentationError, and off-class leakage beyond
-    1e-12 an AssertionError: the shift is exact.
+    Returns the normalized annihilated state and its new irrep label. An
+    _absent ||a psi||^2 (against ||psi||^2) raises EmptyRepresentationError,
+    and off-class leakage beyond 1e-12 an AssertionError: the shift is exact.
     """
     n, lam = spec.n, spec.lam
     new_lam = lam - 1 if lam >= 2 else n
-    psi = _as_ray(psi)
     lowered = annihilate(psi)
     nrm = lowered.norm
     if _absent(nrm * nrm, psi.norm ** 2):

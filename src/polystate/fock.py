@@ -56,16 +56,16 @@ class FockVector:
     tail_flagged, the truncation too tight for the state (_too_tight), is
     the flag passed in OR-ed with this vector's own last-slot test.
 
-    _ray and _total, kept from _ray_scale, are the state read as a ray and its
-    sum |A_m|^2: the amplitudes object itself when that sum is a normal
-    double. Every scale-free route reads them. amplitudes is a read-only
-    copy of the array passed in, and equality is identity.
+    amplitudes is the state's ray (_ray_scale), a read-only array of its
+    own: the copy of the array passed in when sum |A_m|^2 is a normal
+    double, so unit-scale inputs keep their bits, else that copy times an
+    exact power of two. _total is its sum |A_m|^2. So every route reads the
+    same values at any input scale. Equality is identity.
     """
 
     n_max: int
     amplitudes: np.ndarray
     tail_flagged: bool = False
-    _ray: np.ndarray = field(init=False, repr=False)
     _total: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -74,16 +74,14 @@ class FockVector:
             raise ValueError(
                 f"amplitudes must have length n_max+1={self.n_max + 1}, got {amps.shape}"
             )
-        ray, total = _ray_scale(amps)
+        amps, total = _ray_scale(amps)
         if not math.isfinite(total):  # finite exactly when every amplitude is
             raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)  # value semantics
-        ray.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_ray", ray)
         object.__setattr__(self, "_total", total)
         object.__setattr__(self, "tail_flagged", bool(self.tail_flagged) or _too_tight(
-            abs(complex(ray[-1])) ** 2, total))
+            abs(complex(amps[-1])) ** 2, total))
 
     @property
     def norm(self) -> float:
@@ -91,38 +89,30 @@ class FockVector:
 
     @property
     def tail_mass(self) -> float:
-        """|A_(n_max)|^2 / sum |A_m|^2 on the ray: at any scale, 0 if zero."""
-        return float(np.abs(self._ray[-1]) ** 2 / self._total) if self._total else 0.0
+        """|A_(n_max)|^2 / sum |A_m|^2: at any scale, 0 if zero."""
+        return float(np.abs(self.amplitudes[-1]) ** 2 / self._total) if self._total else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Operator on the truncated space; matrix is (n_max+1) x (n_max+1), a
-    read-only copy of the array passed in. Equality is identity.
-
-    _ray and _total, kept from _ray_scale as in FockVector, are the matrix
-    read as a ray and its sum |rho_ij|^2: the matrix object itself when that
-    sum is a normal double. Scale-free routes (cyclic_density) read _ray.
+    """Operator on the truncated space; matrix is (n_max+1) x (n_max+1), the
+    ray of the array passed in by FockVector's rule (on sum |rho_ij|^2), a
+    read-only array of its own. Equality is identity.
     """
 
     n_max: int
     matrix: np.ndarray
-    _ray: np.ndarray = field(init=False, repr=False)
-    _total: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
         d = self.n_max + 1
         if mat.shape != (d, d):
             raise ValueError(f"matrix must be {d}x{d}, got {mat.shape}")
-        ray, total = _ray_scale(mat)
+        mat, total = _ray_scale(mat)
         if not math.isfinite(total):  # finite exactly when every entry is
             raise ValueError("matrix entries must be finite")
         mat.setflags(write=False)
-        ray.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_ray", ray)
-        object.__setattr__(self, "_total", total)
 
 
 @dataclass(frozen=True)
@@ -261,9 +251,8 @@ def inner(bra: FockVector, ket: FockVector) -> complex:
 
 
 def fidelity(a: FockVector, b: FockVector) -> float:
-    """|<a|b>|^2 for unit vectors; inputs are normalized defensively, each
-    read as its kept ray (_as_ray), so the same at any scale."""
-    a, b = _as_ray(a), _as_ray(b)
+    """|<a|b>|^2 for unit vectors; inputs are normalized defensively. Each
+    vector holds its ray, so the value is the same at any scale."""
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity of a zero vector is undefined")
@@ -380,19 +369,23 @@ def vector_to_dict(state: FockVector) -> dict:
 def _ray_scale(amps: np.ndarray, lo=np.finfo(float).tiny, hi=np.inf) -> tuple:
     """The ray of amps and its sum |A_m|^2: amps itself when lo <= that sum <
     hi (by default, when it is a normal double), else amps times the exact
-    power of two that brings its largest real or imaginary part into [1/2, 1)."""
+    power of two that brings its largest real or imaginary part into [1/2, 1)
+    (_unit_scaled, a new array)."""
     total = np.vdot(amps, amps).real
     if lo <= total < hi:
         return amps, total
-    parts = np.ascontiguousarray(amps).view(float)
-    ray = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    ray = _unit_scaled(amps, None)
     return ray, np.vdot(ray, ray).real
 
 
-def _as_ray(state: FockVector) -> FockVector:
-    """state itself, or the vector of its kept ray when sum |A_m|^2 is not a normal double."""
-    ray = state._ray
-    return state if ray is state.amplitudes else FockVector(state.n_max, ray, state.tail_flagged)
+def _unit_scaled(z: np.ndarray, axis=-1) -> np.ndarray:
+    """z times the exact power of two that brings the largest real or
+    imaginary part of each row over the last axis (of all of z, axis None)
+    into [1/2, 1), as a new array; a zero row stays zero."""
+    parts = np.ascontiguousarray(z).view(float)
+    out = np.empty(z.shape, complex)
+    np.ldexp(parts, -np.frexp(np.abs(parts).max(axis, keepdims=True))[1], out=out.view(float))
+    return out
 
 
 def _check_numbers(name: str, values, kind=numbers.Real) -> None:
@@ -408,7 +401,7 @@ def _check_numbers(name: str, values, kind=numbers.Real) -> None:
 
 
 def vector_from_dict(data: dict) -> FockVector:
-    """The state of a JSON dict, read as a ray (_ray_scale); a boolean
+    """The state of a JSON dict, held as its ray (FockVector); a boolean
     metadata.tail_flagged (as build writes it) is OR-ed into the flag that
     FockVector derives."""
     try:
@@ -429,4 +422,4 @@ def vector_from_dict(data: dict) -> FockVector:
         raise ValueError(f"malformed state JSON: {exc}") from exc
     if not isinstance(saved, bool):
         raise ValueError(f"metadata.tail_flagged must be true or false, got {saved!r}")
-    return FockVector(n_max, _ray_scale(amps)[0], saved)
+    return FockVector(n_max, amps, saved)

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, _as_ray, _ray_scale, _rotated_copies, residue_class_masses
+from .fock import (FockVector, _ray_scale, _rotated_copies, _unit_scaled,
+                   residue_class_masses)
 from .gaussian import (_hermite_reach, _hermite_rows, _trapezoid_weights, fock_wavefunction,
                        hermite_functions)
 from .group import unit_root
@@ -173,10 +174,9 @@ def _support_cut(state: FockVector) -> FockVector:
     so the two normalized projectors are 2 eps apart in trace norm, and
     W = <Pi(x, p)>/pi with a displaced parity Pi of norm 1 (Royer, Phys.
     Rev. A 15, 449 (1977)) moves by at most 2 eps / pi = 5.5e-19. Exact
-    trailing zeros are cut without loss. It cuts the state's kept ray
-    (fock._as_ray); a ray reaching n_max, and the zero vector, stay uncut.
+    trailing zeros are cut without loss. A state reaching n_max, and the
+    zero vector, stay uncut.
     """
-    state = _as_ray(state)
     mass = np.abs(state.amplitudes) ** 2
     tail = np.cumsum(mass[::-1])[::-1]  # tail[m] = sum_{k>=m}, non-increasing
     m = int(np.count_nonzero(tail > _SUPPORT_TOL ** 2 * tail[0])) - 1
@@ -408,17 +408,17 @@ def mandel(state: FockVector) -> float:
     """Mandel M_Q = Var(n)/<n>; values below 1 mean subpoissonian statistics.
 
     Undefined for the zero vector and for the vacuum, which has <n> = 0.
-    The weights are those of the state's kept ray (FockVector._ray), so M_Q
-    is the same at any scale.
+    The weights are those of the state's ray (FockVector), so M_Q is the
+    same at any scale.
     """
-    return float(_fano(np.abs(state._ray) ** 2))
+    return float(_fano(np.abs(state.amplitudes) ** 2))
 
 
 def _fano(p: np.ndarray) -> np.ndarray:
     """Var(n)/<n> over the last axis of photon-number weights p.
 
-    mandel applies it to the weights of one state's kept ray
-    (FockVector._ray), verify's mandel scan to a grid of rows.
+    mandel applies it to the weights of one state's ray, verify's mandel
+    scan to a grid of rows.
     ValueError if any row is zero or holds all its weight on the vacuum.
     Written for the cost of one row, which mandel pays per call: the sums
     are np.add.reduce without the sum method's wrapper, a float m keeps the
@@ -500,24 +500,26 @@ def _sum_sq(g: np.ndarray) -> np.ndarray:
 
 
 def bipartite_normalize(spec: BipartiteSpec) -> BipartiteSpec:
-    """Rescale c by a positive constant so the two-mode state has unit norm; c,
-    and a seed of squared norm outside [1/2, 2), are first read as rays
-    (fock._ray_scale), a tighter range than a FockVector's kept ray (_ray), as
-    sum |G|^2 multiplies the seeds' masses. This is the one-spec call of _unit_coefficients."""
+    """Rescale c by a positive constant so the two-mode state has unit norm.
+    c, and a seed of squared norm outside [1/2, 2), are first read as rays
+    (fock._ray_scale). The seeds need that tighter range: sum |G|^2
+    multiplies the masses of the two seeds, so two seeds at 1e-100, which
+    their FockVectors hold as they are (their totals, 1e-200, are normal
+    doubles), would give sum |G|^2 = 0 and a false zero norm. This is the
+    one-spec call of _unit_coefficients."""
     seeds = [FockVector(s.n_max, _ray_scale(s.amplitudes, 0.5, 2.0)[0], s.tail_flagged)
              for s in (spec.seed_1, spec.seed_2)]
-    spec = BipartiteSpec(spec.n, spec.c, *seeds)
-    return BipartiteSpec(spec.n, _unit_coefficients(spec.c, *_masses(spec)), *seeds)
+    w1, w2 = (residue_class_masses(s, spec.n) for s in seeds)
+    return BipartiteSpec(spec.n, _unit_coefficients(spec.c, w1, w2), *seeds)
 
 
 def _unit_coefficients(c: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """bipartite_normalize's coefficients for a stack of specs, given as in
-    _sector_matrix: (..., n). Each row of c is read as a ray, times the exact
-    power of two that brings its largest real or imaginary part into
-    [1/2, 1), then divided by ||Psi|| = sqrt(sum |G|^2): the sector states of
-    distinct lam are orthonormal. ValueError if any spec has zero norm."""
-    parts = np.ascontiguousarray(c).view(float)
-    c = np.ldexp(parts, -np.frexp(np.abs(parts).max(-1, keepdims=True))[1]).view(complex)
+    _sector_matrix: (..., n). Each row of c is read as a ray
+    (fock._unit_scaled), then divided by ||Psi|| = sqrt(sum |G|^2): the
+    sector states of distinct lam are orthonormal. ValueError if any spec
+    has zero norm."""
+    c = _unit_scaled(c)
     nsq = _sum_sq(_sector_matrix(c, w1, w2))
     if (nsq <= 0).any():
         raise ValueError("two-mode state has zero norm; coefficients degenerate")

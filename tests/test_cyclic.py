@@ -683,6 +683,19 @@ def test_density_reads_a_ray(lam):
         assert scaled.matrix.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [-1060, 1000])
+def test_density_oracle_reads_a_ray(k):
+    # density_route_gap reads rho's ray: 2^k rho gives the ray's gap bit for
+    # bit (a raw matrix read 0.0 at 2^-1060 and 1.6e284 at 2^1000)
+    rng = np.random.default_rng(37)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    spec = CyclicSpec(3, 2)
+    gap = density_route_gap(FockOperator(39, 2.0 ** k * rho), spec)
+    assert gap == density_route_gap(FockOperator(39, fock._ray_scale(2.0 ** k * rho)[0]), spec)
+    assert 0 < gap < 1e-14
+
+
 # ---- circle limit ----
 
 def test_circle_limit_vacuum_component():

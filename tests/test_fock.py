@@ -578,23 +578,37 @@ def test_tail_mass_is_relative_at_any_scale():
         assert from_amplitudes(np.zeros(9)).tail_mass == 0.0
 
 
-def test_a_vector_keeps_one_ray():
-    # the ray is the amplitudes object itself when sum |A_m|^2 is a normal
-    # double, else their exact power-of-two rescale; both are read-only, and
-    # repr ignores them
-    st = coherent(1.2 + 0.3j, 16)
-    assert st._ray is st.amplitudes and st._total == np.vdot(st._ray, st._ray).real
-    assert fock._as_ray(st) is st
+def test_a_vector_holds_its_ray():
+    # amplitudes is the ray: a unit-scale input's read-only copy, bit for
+    # bit, else that copy times the exact power of two that brings its
+    # largest part into [1/2, 1); _total is sum |A_m|^2, and repr ignores it
+    amps = coherent(1.2 + 0.3j, 16).amplitudes.copy()
+    st = fock.FockVector(16, amps)
+    assert st.amplitudes.tobytes() == amps.tobytes() and not st.amplitudes.flags.writeable
+    assert st._total == np.vdot(amps, amps).real
     for scale in (1e-170, 1e200):
-        scaled = fock.FockVector(16, scale * st.amplitudes)
-        assert scaled._ray is not scaled.amplitudes and not scaled._ray.flags.writeable
-        two_k = scaled._ray[0].real / scaled.amplitudes[0].real  # A_0 > 0
+        raw = scale * amps
+        scaled = fock.FockVector(16, raw)
+        held = scaled.amplitudes
+        assert not held.flags.writeable
+        two_k = held[0].real / raw[0].real  # A_0 > 0
         assert np.frexp(two_k)[0] == 0.5
-        np.testing.assert_array_equal(scaled._ray, scaled.amplitudes * two_k)
-        assert 0.25 <= scaled._total < 17
-        np.testing.assert_array_equal(fock._as_ray(scaled).amplitudes, scaled._ray)
-    assert repr(st) == repr(fock.FockVector(16, st.amplitudes.copy()))
-    assert "_ray" not in repr(st)
+        assert held.tobytes() == (raw * two_k).tobytes()
+        assert np.frexp(np.abs(held.view(float)).max())[1] == 0  # in [1/2, 1)
+        assert 0.25 <= scaled._total < 18  # [1/4, d + 1)
+    assert repr(st) == repr(fock.FockVector(16, amps.copy()))
+    assert "_ray" not in repr(st) and not hasattr(st, "_ray")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e200, 1e300])
+def test_a_state_file_gives_back_its_ray(scale):
+    # the file holds the ray, so it reads back bit for bit at any scale, and
+    # <v|v> is the ray's (0j at 1e-170 and NaN at 1e200 for a raw copy)
+    v = FockVector(16, scale * coherent(1.2 + 0.3j, 16).amplitudes)
+    back = vector_from_dict(json.loads(json.dumps(vector_to_dict(v))))
+    assert back.amplitudes.tobytes() == v.amplitudes.tobytes()
+    norm_sq = inner(v, v)
+    assert np.isfinite(norm_sq) and norm_sq.real > 0
 
 
 def test_strided_amplitudes_accepted():
@@ -641,7 +655,7 @@ def test_amplitudes_immutable():
 
 def test_a_vector_built_on_a_view_keeps_its_values():
     # the vector copies the view, so writing its base moves neither the
-    # amplitudes nor the last-slot test and kept ray read from them
+    # amplitudes nor the last-slot test read from them
     base = np.zeros((2, 5), dtype=complex)
     base[0, 0] = 1.0
     st_ = FockVector(4, base[0])
@@ -655,9 +669,12 @@ def _value_type(name):
     from polystate.observables import BipartiteSpec, EntanglementResult, WignerGrid
 
     seed = basis_state(0, 2)
+    huge = np.array([1e200, 0, 0, 0], complex)  # held as its ray, a new array
     return {
         "amplitudes": (lambda a: FockVector(3, a), np.array([1, 0, 0, 0], complex)),
+        "amplitudes-1e200": (lambda a: FockVector(3, a), huge),
         "matrix": (lambda a: FockOperator(1, a), np.eye(2, dtype=complex)),
+        "matrix-1e200": (lambda a: FockOperator(1, a), huge.reshape(2, 2)),
         "values": (lambda a: WignerGrid(-1.0, 1.0, -1.0, 1.0, 2, a), np.ones((2, 2))),
         "c": (lambda a: BipartiteSpec(2, a, seed, seed), np.ones(2, complex)),
         "f_matrix": (lambda a: EntanglementResult(0.0, a), np.eye(2, dtype=complex)),
@@ -665,15 +682,17 @@ def _value_type(name):
     }[name]
 
 
-@pytest.mark.parametrize("name", ["amplitudes", "matrix", "values", "c", "f_matrix",
-                                  "covariance"])
+@pytest.mark.parametrize("name", ["amplitudes", "amplitudes-1e200", "matrix", "matrix-1e200",
+                                  "values", "c", "f_matrix", "covariance"])
 def test_value_types_own_their_arrays(name):
-    # each keeps a read-only copy: the caller's array stays writable, writing
-    # it changes nothing held, and equality is identity, not an array compare
+    # each keeps a read-only copy of its own data (or a view of a read-only
+    # base): the caller's array stays writable, writing it changes nothing
+    # held, and equality is identity, not an array compare
     make, arr = _value_type(name)
     obj, twin = make(arr), make(arr)
-    held = getattr(obj, name)
+    held = getattr(obj, name.split("-")[0])
     assert held is not arr and not held.flags.writeable and arr.flags.writeable
+    assert held.flags.owndata or not held.base.flags.writeable
     arr[...] = 7.0
     assert not (held == 7.0).any()
     assert obj == obj and obj != twin
@@ -743,8 +762,9 @@ def test_pairs_match_per_element_encoding():
         assert (json.dumps(_pairs(arr), indent=2)
                 == json.dumps(per_element(arr), indent=2))
         assert _json_text({"a": arr}) == json.dumps({"a": _pairs(arr)}, indent=2)
+    held = FockVector(3, row).amplitudes  # the ray: sum |A_m|^2 overflows
     d = vector_to_dict(FockVector(3, row))
-    assert json.dumps(d) == json.dumps({"n_max": 3, "amplitudes": per_element(row)})
+    assert json.dumps(d) == json.dumps({"n_max": 3, "amplitudes": per_element(held)})
     assert "-0.0" in json.dumps(d)
 
 

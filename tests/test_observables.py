@@ -834,7 +834,7 @@ def test_mandel_is_the_fano_formula():
 @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e160, 1e200, 1e170, 1e-300, 1e300])
 def test_mandel_reads_a_ray_at_any_scale(scale):
     # sum |A_m|^2 underflows or overflows: the weights are those of the
-    # state's kept ray, so M_Q is the unit state's (0.998813 or NaN before)
+    # state's ray, so M_Q is the unit state's (0.998813 or NaN before)
     # and no |A_m|^2 overflows on the way
     seed = coherent(1.2 + 0.3j, 16)
     value = mandel(fock.FockVector(16, scale * seed.amplitudes))

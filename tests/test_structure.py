@@ -94,7 +94,10 @@ RULES = [
          [("observables", "empty = _absent(mass, total)")]),
     Rule("truncation-compare", code(ast.Compare, r"\bTAIL_TOL\b"), {"fock._too_tight"},
          [("gaussian", "return m > TAIL_TOL")]),
-    # bipartite_normalize reads its seeds to a tighter range than their kept ray
+    # a FockVector or FockOperator holds its ray (_ray_scale), so no route
+    # rescales one again; bipartite_normalize alone rescales its seeds into
+    # [1/2, 2): sum |G|^2 multiplies the two seeds' masses, and two seeds at
+    # 1e-100, held as they are (their totals are normal), would read zero norm
     Rule("one-ray", code(ast.Call, r"_ray_scale\([a-z_.]+\.(amplitudes|matrix)\b"),
          {"observables.bipartite_normalize"},
          [("cyclic", "amps = _superpositions(_ray_scale(phi.amplitudes)[0], spec.n, [lam])"),
@@ -103,6 +106,10 @@ RULES = [
           ("fock", "ray = _ray_scale(state.amplitudes)[0]"),
           ("observables", "mass = np.abs(_ray_scale(state.amplitudes)[0]) ** 2"),
           ("cyclic", "mat, total = _ray_scale(rho.matrix)")]),
+    Rule("power-of-two", code((ast.Name, ast.Attribute), r"\bfrexp\b"), {"fock._unit_scaled"},
+         [("fock", "ray = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)"),
+          ("observables", "c = np.ldexp(parts, -np.frexp(np.abs(parts).max(-1, keepdims=True))"
+                          "[1]).view(complex)")]),
     Rule("own-arrays", code(ast.Call, r"np\.asarray\(self\."), set(),
          [("fock", "amps = np.asarray(self.amplitudes, dtype=complex)"),
           ("fock", "mat = np.asarray(self.matrix, dtype=complex)"),
@@ -115,9 +122,11 @@ RULES = [
          [("cli", "text = json.dumps(_pairs(res.f_matrix))"),
           ("cli", "data = vector_to_dict(state)")],
          ("src/polystate/cli.py",)),
-    Rule("retired-names", text(r"EMBED_TAIL_TOL|_oracle_entropies|_ORACLE_BLOCK"), set(),
+    Rule("retired-names",
+         text(r"EMBED_TAIL_TOL|_oracle_entropies|_ORACLE_BLOCK|\b_as_ray\b|\._ray\b"), set(),
          [("observables", "_ORACLE_BLOCK = 1"), ("gaussian", "EMBED_TAIL_TOL = 1e-10"),
-          ("verify", "# the stacked _oracle_entropies")],
+          ("verify", "# the stacked _oracle_entropies"), ("fock", "ray = state._ray"),
+          ("observables", "state = _as_ray(state)")],
          ("src/polystate/*.py", "tests/*.py", "README.md")),
     Rule("python-3.10", py310, set(),
          [("fock", "try:\n    pass\nexcept* ValueError:\n    pass")],
