@@ -1,11 +1,13 @@
 """Symmetry adaptation of Fock-space seeds under C_n and D_n.
 
 A C_n sector state is supported on the single residue class
-m = lam - 1 (mod n) (fock.sector_mask), so the production routes work on
-that class directly: one kernel (_sector_part) keeps the seed's amplitudes
-there and measures their norm sqrt(w_lam); cyclic_state, cyclic_erasure,
-normalization_record and dihedral_state scale that part in closed form,
-and density matrices are projected onto the class. Two independent routes
+m = lam - 1 (mod n), so the production routes work on that class directly,
+read as the strided slice [lam - 1::n]: one kernel (_sector_part) keeps the
+seed's amplitudes there and measures their norm sqrt(w_lam); cyclic_state,
+cyclic_erasure, normalization_record and dihedral_state scale that part in
+closed form, and density matrices are projected onto the class's block.
+fock.sector_mask is the class's full-length boolean form, for the orbit
+oracle's leakage check (_off_class) and the tests. Two independent routes
 are kept once each as oracles for verify and the tests, and no production
 path calls them: the character-weighted superposition over the rotated
 copies of the seed (cyclic_superposition) and the double character sum
@@ -188,8 +190,12 @@ def _sector_part(phi: FockVector, spec: CyclicSpec, variant: str = ""
     """The seed's amplitudes (a dihedral variant's Re A_m or i Im A_m) on the
     sector's class, and their norm; raises if _absent."""
     seed, total = phi.amplitudes, phi._total
-    amps = seed.real if variant == "sum" else 1j * seed.imag if variant else seed
-    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
+    cls = slice(spec.lam - 1, None, spec.n)
+    on = seed[cls]
+    # the sum variant's part is real: a complex one's .real dots at another
+    # stride, and the mass dots all d slots: the slice alone sums otherwise
+    part = np.zeros(seed.shape, float if variant == "sum" else complex)
+    part[cls] = on.real if variant == "sum" else 1j * on.imag if variant else on
     mass = part.real.dot(part.real) + part.imag.dot(part.imag)  # np.linalg.norm's sum
     if _absent(mass, total):
         raise EmptyRepresentationError(spec.n, spec.lam, np.abs(seed) ** 2,
@@ -241,8 +247,10 @@ def cyclic_set(phi: FockVector, n: int
 
 def _projected_density(rho: np.ndarray, n: int, lam: int) -> np.ndarray:
     """P rho P, unnormalized, P the projector onto lam's residue class."""
-    keep = sector_mask(rho.shape[-1] - 1, n, lam)
-    return np.where(keep[:, None] & keep[None, :], rho, 0)
+    cls = slice(lam - 1, None, n)
+    out = np.zeros_like(rho)
+    out[cls, cls] = rho[cls, cls]
+    return out
 
 
 def density_route_gap(rho: FockOperator, spec: CyclicSpec) -> float:
@@ -269,12 +277,13 @@ def cyclic_density(rho: FockOperator, spec: CyclicSpec) -> FockOperator:
     so the result is the same at any scale. An _absent tr P rho P (against
     tr rho) raises EmptyRepresentationError with rho's diagonal.
     """
-    mat = rho.matrix
+    mat, cls = rho.matrix, slice(spec.lam - 1, None, spec.n)
     projected = _projected_density(mat, spec.n, spec.lam)
+    # the whole diagonal's sum: the class block alone adds in another order
     tr = np.trace(projected).real
     if _absent(tr, np.trace(mat).real):
         raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(mat).real)
-    projected /= tr  # in place: FockOperator makes the one copy
+    projected[cls, cls] /= tr  # in place: FockOperator makes the one copy
     return FockOperator(rho.n_max, projected)
 
 

@@ -276,6 +276,9 @@ def sector_mask(n_max: int, n: int, lam: int) -> np.ndarray:
     """True on the photon numbers m = lam - 1 (mod n) of |0>..|n_max>.
 
     This residue class is the whole support of the (n, lam) sector state.
+    The production sector routes read it as the slice [lam - 1::n]; this
+    boolean form is for the orbit oracle's leakage check, verify's Mandel
+    scan and the tests.
     """
     m = np.arange(n_max + 1)
     return (m - (lam - 1)) % n == 0

@@ -566,13 +566,28 @@ def linear_entropy(spec: BipartiteSpec) -> EntanglementResult:
 def _linear_entropies(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """linear_entropy of a stack of sector matrices g (..., n, n): S_L (...)
     and rho_1 = G G^dag (..., n, n). The first matrix in C order whose mass
-    is more than 1e-8 from 1 raises ValueError, as one call per spec would."""
-    total = _sum_sq(g)
+    is more than 1e-8 from 1 raises ValueError, as one call per spec would.
+
+    The mass is read as 4^k sum |G'|^2, G' = 2^-k G (fock._unit_scaled), so
+    no square overflows: a mass past the double range reads inf, and its
+    error names the mass's power of ten."""
+    def largest_part(z):
+        return np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=(-2, -1))
+
+    unit = _unit_scaled(g.reshape(g.shape[:-2] + (-1,))).reshape(g.shape)
+    top = largest_part(unit)
+    two_k = np.divide(largest_part(g), top, out=np.zeros_like(top), where=top > 0)
+    scaled = _sum_sq(unit)
+    with np.errstate(over="ignore"):
+        total = scaled * two_k * two_k
     off = np.abs(total - 1.0) > 1e-8
     if off.any():
+        first = np.argmax(off)
+        mass = total.flat[first]
+        text = (f"{mass:.6f}" if np.isfinite(mass) else
+                f"about 1e{np.log10(scaled.flat[first]) + 2 * np.log10(two_k.flat[first]):.0f}")
         raise ValueError(
-            f"spec is not normalized (sector mass {total.flat[np.argmax(off)]:.6f}); "
-            "call bipartite_normalize first")
+            f"spec is not normalized (sector mass {text}); call bipartite_normalize first")
     f = g @ np.swapaxes(g.conj(), -1, -2)
     return 1.0 - _sum_sq(f), f
 

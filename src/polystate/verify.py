@@ -623,24 +623,28 @@ def suite_coherent(seed: int = DEFAULT_SEED):
                 off = 1.0
             worst_leak = max(worst_leak, float(off))
 
+    # truncation dominates the residual from n_max 8 to 16 (about 1e-2 to
+    # 1e-7, over 2e4-fold); from 32 on it sits at rounding level (about
+    # 7e-18), where one last bit could flip a strict drop. A wrong a keeps
+    # it near 0.6 at every n_max, which a 1000-fold drop rules out
     worst_strict = -np.inf
     worst_rel = -np.inf
     for n, lam in ((2, 1), (3, 2)):
         vals = []
-        for n_max in (32, 64, 128):
+        for n_max in (8, 16, 64, 128):
             psi = cyclic_erasure(coherent(1.0, n_max), CyclicSpec(n, lam))
             an = psi
             for _ in range(n):
                 an = annihilate(an)
             vals.append(float(np.linalg.norm(an.amplitudes - psi.amplitudes)))
-        worst_strict = max(worst_strict, vals[1] - vals[0])
-        worst_rel = max(worst_rel, (vals[2] - vals[1]) / vals[1])
+        worst_strict = max(worst_strict, vals[1] - 1e-3 * vals[0])
+        worst_rel = max(worst_rel, (vals[3] - vals[2]) / vals[2])
     return [
         _row("coherent", "irrep shift",
              "annihilation moves lam to lam-1 (1 wraps to n) with no leakage",
              worst_leak, 1e-14),
-        _row("coherent", "eigenresidual 32 to 64",
-             "the n-fold annihilation residual strictly drops from n_max 32 to 64",
+        _row("coherent", "eigenresidual 8 to 16",
+             "the n-fold annihilation residual drops over 1000-fold from n_max 8 to 16",
              worst_strict, 0.0, strict=True),
         _row("coherent", "eigenresidual 64 to 128",
              "and does not grow from 64 to 128 (relative)",

@@ -696,6 +696,105 @@ def test_density_oracle_reads_a_ray(k):
     assert 0 < gap < 1e-14
 
 
+# ---- the residue-class slice against its boolean mask ----
+
+def _mask_part(phi, spec, variant=""):
+    """cyclic._sector_part read through the full-length sector_mask."""
+    seed, total = phi.amplitudes, phi._total
+    amps = seed.real if variant == "sum" else 1j * seed.imag if variant else seed
+    part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)
+    mass = part.real.dot(part.real) + part.imag.dot(part.imag)
+    if cyclic._absent(mass, total):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.abs(seed) ** 2,
+                                       variant and f"dihedral {variant} variant vanishes")
+    return part, float(np.sqrt(mass))
+
+
+def _mask_projection(mat, n, lam):
+    """cyclic._projected_density through the mask's outer product."""
+    keep = sector_mask(mat.shape[-1] - 1, n, lam)
+    return np.where(keep[:, None] & keep[None, :], mat, 0)
+
+
+def _mask_density(rho, spec):
+    """cyclic_density dividing the whole projected matrix by its trace."""
+    projected = _mask_projection(rho.matrix, spec.n, spec.lam)
+    tr = np.trace(projected).real
+    if cyclic._absent(tr, np.trace(rho.matrix).real):
+        raise EmptyRepresentationError(spec.n, spec.lam, np.diagonal(rho.matrix).real)
+    return FockOperator(rho.n_max, projected / tr)
+
+
+def _outcomes(routes):
+    """{route: its output's bytes, or its error's type and text}."""
+    out = {}
+    for name, route in routes.items():
+        try:
+            out[name] = route()
+        except EmptyRepresentationError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+def _vector_routes(phi, spec):
+    """The outcomes of every production route that reads the seed's class."""
+    def vector(state, record=None):
+        out = state.amplitudes.tobytes() + bytes([state.tail_flagged])
+        return out if record is None else out + np.array(
+            [record.raw_norm, record.n_lambda]).tobytes() + record.phase_convention.encode()
+
+    return _outcomes({
+        "state": lambda: vector(*cyclic_state(phi, spec)),
+        "erasure": lambda: vector(cyclic_erasure(phi, spec)),
+        "sum": lambda: vector(*dihedral_state(phi, spec, "sum")),
+        "difference": lambda: vector(*dihedral_state(phi, spec, "difference")),
+    })
+
+
+def _density_routes(rho, spec, density=cyclic_density):
+    """The outcomes of the density route and, below the orders whose
+    character row is too long to hold, of its oracle."""
+    routes = {"density": lambda: density(rho, spec).matrix.tobytes()}
+    if spec.n < 2 ** 20:
+        routes["gap"] = lambda: np.float64(density_route_gap(rho, spec)).tobytes()
+    return _outcomes(routes)
+
+
+@pytest.mark.parametrize("d", [1, 2, 65, 129])
+def test_class_slice_keeps_the_mask_bits(monkeypatch, d):
+    # the production routes read the residue class as the slice [lam-1::n];
+    # against the full-length mask they built before, every output keeps its
+    # bytes and every empty sector its error text, for every lam (lam - 1 past
+    # n_max too), at unit scale and at 1e+-200. A real seed, whose difference
+    # variant is empty at every lam, runs at unit scale up to n = 64: each
+    # empty sector formats its class masses, the bulk of the test's time
+    rng = np.random.default_rng(d)
+    cplx = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    real = np.where(np.arange(d) % 3 == 1, 0.0, rng.standard_normal(d))
+    mix = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+
+    def both(routes, *args, **reference):
+        """The slice routes' outcomes, and the mask reference's."""
+        with monkeypatch.context() as m:
+            m.setattr(cyclic, "_sector_part", _mask_part)
+            m.setattr(cyclic, "_projected_density", _mask_projection)
+            want = routes(*args, **reference)
+        return routes(*args), want
+
+    inputs = [(scale, FockOperator(d - 1, scale * mix @ mix.conj().T),
+               [fock.FockVector(d - 1, scale * amps) for amps in (cplx, real)])
+              for scale in (1.0, 1e200, 1e-200)]
+    for n in sorted({1, 2, 3, 64, d, d + 5, 2 ** 63 - 1}):
+        for lam in sorted(set(range(1, min(n, d + 2) + 1)) | {n}):
+            spec = CyclicSpec(n, lam)
+            for scale, rho, phis in inputs:
+                got, want = both(_density_routes, rho, spec, density=_mask_density)
+                assert got == want, (n, lam, scale)
+                for phi in phis if scale == 1.0 and n <= 64 else phis[:1]:
+                    got, want = both(_vector_routes, phi, spec)
+                    assert got == want, (n, lam, scale)
+
+
 # ---- circle limit ----
 
 def test_circle_limit_vacuum_component():

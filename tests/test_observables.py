@@ -1189,3 +1189,25 @@ def test_entropy_stacks_raise_as_the_first_failing_spec():
     with pytest.raises(MemoryGuardError) as one:
         linear_entropy_oracle(big)
     assert str(one.value) == "joint amplitude matrix needs 20000000 entries, budget is 16777216"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unnormalized_entropy_check_does_not_overflow():
+    # seeds held at 1e150 give a sector mass near 1e600: the check reads it
+    # on the power-of-two scaled G, so it names that mass (it once squared
+    # G, warned "overflow encountered in square" and reported inf)
+    unit = coherent(1.2 + 0.3j, 30)
+    huge = fock.FockVector(30, 1e150 * unit.amplitudes)
+    with pytest.raises(ValueError, match=r"sector mass 2\.946295\)"):
+        linear_entropy(BipartiteSpec(3, np.ones(3), unit, unit))
+    with pytest.raises(ValueError, match=r"sector mass about 1e600\)"):
+        linear_entropy(BipartiteSpec(3, np.ones(3), huge, huge))
+    tiny = fock.FockVector(30, 1e-150 * unit.amplitudes)
+    with pytest.raises(ValueError, match=r"sector mass 0\.000000\)"):
+        linear_entropy(BipartiteSpec(3, np.ones(3), tiny, tiny))
+    # normalized first, each gives the unit seeds' entropy
+    want = linear_entropy(bipartite_normalize(BipartiteSpec(3, np.ones(3), unit, unit)))
+    for seed in (huge, tiny):
+        got = linear_entropy(bipartite_normalize(BipartiteSpec(3, np.ones(3), seed, seed)))
+        assert got.s_linear == pytest.approx(want.s_linear, rel=0, abs=1e-15)
+        np.testing.assert_allclose(got.f_matrix, want.f_matrix, rtol=0, atol=1e-15)

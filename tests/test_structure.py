@@ -92,6 +92,12 @@ RULES = [
          {"cyclic._superpositions", "cyclic._sector_part", "cyclic.cyclic_density",
           "cyclic.circle_limit", "cyclic.annihilation_irrep_shift"},
          [("observables", "empty = _absent(mass, total)")]),
+    # the production routes read a residue class as the slice [lam - 1::n];
+    # the full-length boolean mask serves the stacked oracle and verify's scan
+    Rule("class-mask", code(ast.Call, r"\bsector_mask\("),
+         {"cyclic._off_class", "verify._mandel_scan"},
+         [("cyclic", "part = np.where(sector_mask(phi.n_max, spec.n, spec.lam), amps, 0)"),
+          ("cyclic", "keep = sector_mask(rho.shape[-1] - 1, n, lam)")]),
     Rule("truncation-compare", code(ast.Compare, r"\bTAIL_TOL\b"), {"fock._too_tight"},
          [("gaussian", "return m > TAIL_TOL")]),
     # a FockVector or FockOperator holds its ray (_ray_scale), so no route
